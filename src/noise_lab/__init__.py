@@ -11,10 +11,6 @@ from .boolalg import (
     Filter,
     FinitePowerAlgebra,
     Subalgebra,
-    build_power_algebra,
-    build_subalgebra,
-    element_ops,
-    enumerate_partition_atoms,
     filter_to_closed_set,
 )
 from .chaos import (
@@ -46,7 +42,6 @@ from .model import (
     NoiseModel,
     RandomVariable,
     WalshCoeffs,
-    build_cell_model,
     fair_coin,
     inner_product,
     project,
@@ -63,9 +58,7 @@ from .regopen import (
     FiniteSpace,
     RegOpen,
     finite_space_regopen,
-    interior_closure_boundary,
     make_regopen,
-    reg_ops,
     verify_reg_laws,
 )
 from .spectrum import (

@@ -111,20 +111,12 @@ class FinitePowerAlgebra:
         return tuple(BoolElem(1 << i, self.n_cells) for i in range(self.n_cells))
 
 
-def build_power_algebra(n_cells: int) -> FinitePowerAlgebra:
-    return FinitePowerAlgebra(n_cells)
-
-
-def element_ops(x: BoolElem, y: BoolElem) -> tuple[BoolElem, BoolElem, BoolElem]:
-    """(meet, join, complement of x); raises on mismatched algebra sizes."""
-    return x.meet(y), x.join(y), x.complement()
-
-
 @dataclass(frozen=True)
 class Subalgebra:
     """Boolean subalgebra given by its atoms: a block partition of the full set.
 
-    Elements of the subalgebra are exactly the unions of blocks.
+    Elements of the subalgebra are exactly the unions of blocks, and the
+    blocks are its finest partition of unity.
     """
 
     algebra: FinitePowerAlgebra
@@ -166,20 +158,6 @@ class Subalgebra:
         for i in indices:
             mask |= self.blocks[i].mask
         return BoolElem(mask, self.algebra.n_cells)
-
-
-def build_subalgebra(alg: FinitePowerAlgebra, blocks) -> Subalgebra:
-    return Subalgebra(alg, tuple(blocks))
-
-
-def enumerate_partition_atoms(b: Subalgebra) -> list[BoolElem]:
-    """The finest partition of unity in b: its blocks.
-
-    Nonzero, pairwise disjoint, joining to 1 (guaranteed by construction).
-    Superadditivity of x -> |Q_x psi|^2 makes this partition minimize the
-    largest per-part norm among all partitions of unity in b.
-    """
-    return list(b.blocks)
 
 
 def iter_partitions_of_unity(b: Subalgebra) -> Iterator[tuple[BoolElem, ...]]:

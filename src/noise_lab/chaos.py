@@ -7,6 +7,11 @@ conditional-expectation matrices (the oracle path) and eliminate exactly,
 then cross-check the solution against the single-cell directions of the
 orthogonal basis.
 
+Everything else works on one Walsh decomposition of the vector at hand:
+conditioning on x keeps the coefficients whose support lies inside x, so
+projections are masked coefficient vectors and projected norms are sums of
+per-support Parseval masses.
+
 The atomless defect of a vector, relative to a subalgebra it is additive
 on, is the largest conditional norm over the subalgebra's atoms; the
 defect bounds every mixed third moment E(psi*xi*eta), which is the
@@ -25,12 +30,14 @@ from .boolalg import BoolElem, Subalgebra, iter_partitions_of_unity
 from .model import (
     NoiseModel,
     RandomVariable,
+    WalshCoeffs,
     expectation,
     inner_product,
-    norm_sq,
-    project,
+    masked_coeffs,
     sigma_field_of,
+    support_masses,
     walsh_decompose,
+    walsh_reconstruct,
 )
 
 
@@ -131,9 +138,6 @@ def first_chaos_basis(model: NoiseModel) -> ChaosSubspace:
     the span of single-cell basis vectors, which is cross-checked.
     """
     _require_exact(model, "first_chaos_basis")
-    cached = getattr(model, "_first_chaos_cache", None)
-    if cached is not None:
-        return cached
     n_pts = model.n_points
     rows: list[list[Fraction]] = [list(model.point_weights)]
     for i in range(model.n_cells):
@@ -148,9 +152,23 @@ def first_chaos_basis(model: NoiseModel) -> ChaosSubspace:
     ]
     if not linalg.span_equal(basis_vecs, single):
         raise RuntimeError("first chaos space does not match single-cell directions")
-    result = ChaosSubspace(basis)
-    model._first_chaos_cache = result
-    return result
+    return ChaosSubspace(basis)
+
+
+# -- coefficient space ----------------------------------------------------------
+
+
+def _plus(f: list, g: list) -> list:
+    return [a + b for a, b in zip(f, g)]
+
+
+def _coeffs_eq(model: NoiseModel, f: list, g: list) -> bool:
+    return all(model.eq(a, b) for a, b in zip(f, g))
+
+
+def _mass_inside(model: NoiseModel, masses: dict, x: BoolElem):
+    """Parseval: |Q_x psi|^2 is the mass of the supports inside x."""
+    return sum((v for s, v in masses.items() if s & ~x.mask == 0), model._num(Fraction(0)))
 
 
 # -- additivity and defect ----------------------------------------------------
@@ -160,56 +178,40 @@ def satisfies_additivity(model: NoiseModel, psi: RandomVariable, b: Subalgebra) 
     """Exact additivity of conditioning over the subalgebra b.
 
     Checked in both shapes: the disjoint-pair split, and the join+meet
-    rearrangement over all pairs; the two must agree.
+    rearrangement over all pairs; the two must agree. Synthesis is a
+    bijection, so the projections are compared as masked coefficient
+    vectors; the mean of psi is its coefficient on e_0 = 1.
     """
-    memo = getattr(model, "_additivity_memo", None)
-    if memo is None:
-        memo = model._additivity_memo = {}
-    key = (psi.values, tuple(bl.mask for bl in b.blocks))
-    if key in memo:
-        return memo[key]
-
-    zero = model.eq(expectation(model, psi), 0)
-    if not zero:
-        memo[key] = False
+    coeffs = walsh_decompose(model, psi).coeffs
+    if not model.eq(coeffs[0], 0):
         return False
-    elems = list(b.elements())
-    proj = {e.mask: project(model, e, psi) for e in elems}
-    disjoint_form = True
-    for x in elems:
-        for y in elems:
-            if x.mask & y.mask == 0:
-                lhs = proj[x.mask | y.mask]
-                rhs = proj[x.mask] + proj[y.mask]
-                if not model.rv_eq(lhs, rhs):
-                    disjoint_form = False
-                    break
-        if not disjoint_form:
-            break
-    rearranged_form = True
-    for x in elems:
-        for y in elems:
-            lhs = proj[x.mask | y.mask] + proj[x.mask & y.mask]
-            rhs = proj[x.mask] + proj[y.mask]
-            if not model.rv_eq(lhs, rhs):
-                rearranged_form = False
-                break
-        if not rearranged_form:
-            break
+    proj = {e.mask: masked_coeffs(model, coeffs, e) for e in b.elements()}
+    disjoint_form = all(
+        _coeffs_eq(model, proj[x | y], _plus(proj[x], proj[y]))
+        for x in proj
+        for y in proj
+        if x & y == 0
+    )
+    rearranged_form = all(
+        _coeffs_eq(model, _plus(proj[x | y], proj[x & y]), _plus(proj[x], proj[y]))
+        for x in proj
+        for y in proj
+    )
     if disjoint_form != rearranged_form:
         raise RuntimeError("disjoint-pair and join+meet additivity disagree")
-    memo[key] = disjoint_form
     return disjoint_form
 
 
 def additive_vector(model: NoiseModel, b: Subalgebra, seedling: RandomVariable) -> RandomVariable:
-    """Project a raw vector into the space of b-additive vectors: sum of its
-    zero-mean conditionals on the atoms of b."""
-    mean = project(model, BoolElem(0, model.n_cells), seedling)
-    total = model.constant(0)
-    for block in b.blocks:
-        total = total + (project(model, block, seedling) - mean)
-    return total
+    """Project a raw vector into the space of b-additive vectors: the sum of
+    its zero-mean conditionals on the atoms of b, which keeps exactly the
+    coefficients whose nonempty support lies inside one block."""
+    zero = model._num(Fraction(0))
+    kept = [
+        c if s and any(s & ~block.mask == 0 for block in b.blocks) else zero
+        for c, s in zip(walsh_decompose(model, seedling).coeffs, model.support_masks())
+    ]
+    return walsh_reconstruct(model, WalshCoeffs(tuple(kept)))
 
 
 def atomless_defect(
@@ -219,21 +221,19 @@ def atomless_defect(
 
     The finest partition of unity minimizes the largest per-part norm among
     all partitions of unity in b (superadditivity); brute-forced against all
-    partitions when b has at most 5 atoms.
+    partitions when b has at most 5 atoms. Conditional norms are Parseval
+    sums of the per-support masses of psi.
     """
     if not satisfies_additivity(model, psi, b):
         raise ValueError("additivity on b fails")
-    per_atom = []
-    delta_sq = Fraction(0) if model.backend == "exact" else 0.0
-    for block in b.blocks:
-        nsq = norm_sq(model, project(model, block, psi))
-        per_atom.append((block, nsq))
-        if nsq > delta_sq:
-            delta_sq = nsq
+    masses = support_masses(model, walsh_decompose(model, psi).coeffs)
+    zero = model._num(Fraction(0))
+    per_atom = [(block, _mass_inside(model, masses, block)) for block in b.blocks]
+    delta_sq = max((nsq for _, nsq in per_atom), default=zero)
 
     if len(b.blocks) <= 5:
         for partition in iter_partitions_of_unity(b):
-            worst = max(norm_sq(model, project(model, part, psi)) for part in partition)
+            worst = max((_mass_inside(model, masses, part) for part in partition), default=zero)
             if not model.leq(delta_sq, worst):
                 raise RuntimeError("finest partition is not minimal for the defect")
 
@@ -317,21 +317,14 @@ def defect_bound_check(
 def split_check(model: NoiseModel, psi: RandomVariable, x: BoolElem) -> bool:
     """Does conditioning on x and on its complement reassemble psi exactly?
 
-    On first use for a given x (exact backend) the full solution space of
-    the identity is computed by elimination and matched against the span of
-    basis vectors supported inside x or inside its complement.
+    Compared on coefficients: psi against the sum of its coefficient vector
+    masked to x and masked to the complement. The solution space of the
+    identity is matched against the basis span separately, by elimination
+    (split_solution_space and the suite check chaos.split_space).
     """
-    xc = x.complement()
-    ok = model.rv_eq(psi, project(model, x, psi) + project(model, xc, psi))
-    if model.backend == "exact":
-        key = min(x.mask, xc.mask)
-        if key not in model._split_space_checked:
-            space = split_solution_space(model, x)
-            expected = _split_span_rows(model, x)
-            if not linalg.span_equal([list(v.values) for v in space], expected):
-                raise RuntimeError("split solution space mismatch")
-            model._split_space_checked.add(key)
-    return ok
+    coeffs = walsh_decompose(model, psi).coeffs
+    parts = _plus(masked_coeffs(model, coeffs, x), masked_coeffs(model, coeffs, x.complement()))
+    return _coeffs_eq(model, coeffs, parts)
 
 
 def split_solution_space(model: NoiseModel, x: BoolElem) -> tuple[RandomVariable, ...]:
@@ -382,11 +375,11 @@ def sigma_field_generated(
     return tuple(tuple(b) for b in blocks.values())
 
 
-def classify(model: NoiseModel) -> ClassifyResult:
-    """Classical when the first chaos separates all points; black when it is
-    trivial. A zero-cell model is black only by letter and is flagged
-    degenerate rather than reported as a genuine example."""
-    chaos = first_chaos_basis(model)
+def classify(model: NoiseModel, chaos: ChaosSubspace) -> ClassifyResult:
+    """Classical when the first chaos (from first_chaos_basis) separates all
+    points; black when it is trivial. A zero-cell model is black only by
+    letter and is flagged degenerate rather than reported as a genuine
+    example."""
     if chaos.dimension == 0:
         return ClassifyResult(
             kind=Classification.BLACK,

@@ -11,8 +11,8 @@ import dataclasses
 import sys
 
 from . import chaos as chaos_mod
-from .boolalg import BoolElem
-from .config import ConfigError, decimal12, format_fraction, load_model_config
+from .boolalg import BoolElem, FinitePowerAlgebra, Subalgebra
+from .config import decimal12, format_fraction, load_model_config
 from .suite import GROUPS, SPECTRUM_HEADERS, emit_spectrum_report, run_verification_suite
 
 
@@ -87,7 +87,7 @@ def _cmd_chaos(args) -> int:
     cfg = load_model_config(args.config)
     model = cfg.build_model()
     chaos = chaos_mod.first_chaos_basis(model)
-    result = chaos_mod.classify(model)
+    result = chaos_mod.classify(model, chaos)
     lines = [
         f"first-chaos dimension: {chaos.dimension}",
         f"classification: {result.kind.value}"
@@ -123,8 +123,6 @@ def _cmd_chaos(args) -> int:
 
 
 def _full_subalgebra(cfg):
-    from .boolalg import FinitePowerAlgebra, Subalgebra
-
     alg = FinitePowerAlgebra(cfg.n_cells)
     return Subalgebra(alg, alg.atoms())
 
@@ -138,9 +136,6 @@ def main(argv=None) -> int:
             return _cmd_spectrum(args)
         if args.command == "chaos":
             return _cmd_chaos(args)
-    except ConfigError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .boolalg import BoolElem, FinitePowerAlgebra, Subalgebra
-from .model import Cell, NoiseModel, RandomVariable, build_cell_model
+from .model import Cell, NoiseModel, RandomVariable
 
 FRACTION_RE = re.compile(r"^-?[0-9]+(/[1-9][0-9]*)?$")
 
@@ -71,7 +71,7 @@ class ModelConfig:
         return n
 
     def build_model(self) -> NoiseModel:
-        return build_cell_model(self.cells, backend=self.backend)
+        return NoiseModel(self.cells, backend=self.backend)
 
     def subalgebra_names(self) -> list[str]:
         return [name for name, _ in self.subalgebras]

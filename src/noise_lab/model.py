@@ -166,7 +166,6 @@ class NoiseModel:
 
         self._support_masks: list[int] | None = None
         self._walsh_rv_cache: dict[int, RandomVariable] = {}
-        self._split_space_checked: set[int] = set()
 
     # -- numeric backend ------------------------------------------------
 
@@ -268,10 +267,6 @@ class NoiseModel:
         return rv
 
 
-def build_cell_model(cells: Sequence[Cell], backend: str = "exact") -> NoiseModel:
-    return NoiseModel(cells, backend=backend)
-
-
 # -- inner product and transforms -----------------------------------------
 
 
@@ -323,6 +318,17 @@ def walsh_reconstruct(model: NoiseModel, wc: WalshCoeffs) -> RandomVariable:
     return RandomVariable(tuple(_apply_per_cell(model, list(wc.coeffs), model._synthesis)))
 
 
+def support_masses(model: NoiseModel, coeffs) -> dict[int, object]:
+    """Parseval mass per support: the sum of c_m^2 |e_m|^2 over the
+    multi-indices m with that support, keyed by every cell-set mask in
+    increasing order. |Q_x f|^2 is the total mass of the supports inside x."""
+    zero = model._num(Fraction(0))
+    masses = dict.fromkeys(range(1 << model.n_cells), zero)
+    for idx, (c, m) in enumerate(zip(coeffs, model.support_masks())):
+        masses[m] = masses[m] + c * c * model.basis_norm_sq(idx)
+    return masses
+
+
 # -- sigma-fields and projections -----------------------------------------
 
 
@@ -342,16 +348,18 @@ def sigma_field_of(model: NoiseModel, x: BoolElem) -> tuple[tuple[int, ...], ...
     return tuple(tuple(b) for b in blocks.values())
 
 
-def project(model: NoiseModel, x: BoolElem, f: RandomVariable) -> RandomVariable:
-    """Conditional expectation given the coordinates in x, via the basis:
-    drop every coefficient whose support pokes outside x."""
+def masked_coeffs(model: NoiseModel, coeffs, x: BoolElem) -> list:
+    """Conditioning on x in coefficient space: keep the coefficients whose
+    support lies inside x and zero every one whose support pokes outside."""
     if x.n != model.n_cells:
         raise ValueError("element from a different algebra")
-    coeffs = list(walsh_decompose(model, f).coeffs)
     zero = model._num(Fraction(0))
-    for idx, mask in enumerate(model.support_masks()):
-        if mask & ~x.mask:
-            coeffs[idx] = zero
+    return [c if s & ~x.mask == 0 else zero for c, s in zip(coeffs, model.support_masks())]
+
+
+def project(model: NoiseModel, x: BoolElem, f: RandomVariable) -> RandomVariable:
+    """Conditional expectation given the coordinates in x, via the basis."""
+    coeffs = masked_coeffs(model, walsh_decompose(model, f).coeffs, x)
     return walsh_reconstruct(model, WalshCoeffs(tuple(coeffs)))
 
 

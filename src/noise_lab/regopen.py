@@ -57,6 +57,8 @@ class RegOpen:
         return self.intervals
 
     def boundary_points(self) -> tuple[Fraction, ...]:
+        """Excludes the space edges 0 and 1, which have no exterior side in
+        [0,1]."""
         pts = []
         for a, b in self.intervals:
             if a > 0:
@@ -135,19 +137,6 @@ def make_regopen(raw: Sequence[tuple]) -> RegOpen:
         if a < b:
             pieces.append((a, b))
     return RegOpen(_merge_hulls(pieces))
-
-
-def reg_ops(r: RegOpen, s: RegOpen) -> tuple[RegOpen, RegOpen, RegOpen]:
-    """(meet, join, complement of r)."""
-    return r.meet(s), r.join(s), r.complement()
-
-
-def interior_closure_boundary(
-    r: RegOpen,
-) -> tuple[tuple[Interval, ...], tuple[Interval, ...], tuple[Fraction, ...]]:
-    """(interior intervals, closed hulls, boundary points). Boundary excludes
-    the space edges 0 and 1, which have no exterior side in [0,1]."""
-    return r.intervals, r.closure_intervals(), r.boundary_points()
 
 
 # -- closed-set helpers (for inclusion laws; degenerate points allowed) ------

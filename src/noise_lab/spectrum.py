@@ -17,11 +17,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .boolalg import BoolElem, Filter, subsets_of
-from .model import NoiseModel, RandomVariable, walsh_decompose
+from .model import NoiseModel, RandomVariable, support_masses, walsh_decompose
 
 
 @dataclass(frozen=True)
 class SpectralSpace:
+    """Atoms are the supports, one per cell subset in increasing mask order,
+    so atom i has mask i and per-atom tuples are indexed by mask."""
+
     model: NoiseModel
     atoms: tuple[BoolElem, ...]
     dims: tuple[int, ...]
@@ -31,19 +34,8 @@ class SpectralSpace:
     def n(self) -> int:
         return self.model.n_cells
 
-    def atom_index(self, mask: int) -> int:
-        return self._index_map()[mask]
-
-    def _index_map(self) -> dict[int, int]:
-        cached = getattr(self, "_cached_index_map", None)
-        if cached is None:
-            cached = {a.mask: i for i, a in enumerate(self.atoms)}
-            object.__setattr__(self, "_cached_index_map", cached)
-        return cached
-
     def mass(self, masks) -> Fraction:
-        idx = self._index_map()
-        return sum((self.measure[idx[m]] for m in masks), Fraction(0))
+        return sum((self.measure[m] for m in masks), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -84,6 +76,8 @@ def build_spectral_space(model: NoiseModel) -> SpectralSpace:
     for mask in model.support_masks():
         counts[mask] = counts.get(mask, 0) + 1
     masks = sorted(counts)
+    if masks != list(range(1 << model.n_cells)):
+        raise RuntimeError("supports are not exactly the cell subsets")
     atoms = tuple(BoolElem(m, model.n_cells) for m in masks)
     dims = tuple(counts[m] for m in masks)
     for a, d in zip(atoms, dims):
@@ -104,16 +98,8 @@ def spectral_set(space: SpectralSpace, x: BoolElem) -> SpectralSet:
 
 
 def spectral_measure(model: NoiseModel, psi: RandomVariable) -> SpectralMeasure:
-    coeffs = walsh_decompose(model, psi).coeffs
-    masks = model.support_masks()
-    acc: dict[int, object] = {}
-    for idx, c in enumerate(coeffs):
-        m = masks[idx]
-        contribution = c * c * model.basis_norm_sq(idx)
-        acc[m] = acc.get(m, model._num(Fraction(0))) + contribution
-    ordered = sorted(set(masks))
-    zero = model._num(Fraction(0))
-    return SpectralMeasure(tuple(acc.get(m, zero) for m in ordered))
+    masses = support_masses(model, walsh_decompose(model, psi).coeffs)
+    return SpectralMeasure(tuple(masses.values()))
 
 
 @dataclass(frozen=True)

@@ -114,6 +114,7 @@ class _Ctx:
         self.model = cfg.build_model()
         self.algebra = FinitePowerAlgebra(cfg.n_cells)
         self._space = None
+        self._chaos = None
         self._embedding = None
 
     def rng(self, name: str) -> random.Random:
@@ -124,6 +125,12 @@ class _Ctx:
         if self._space is None:
             self._space = spec_mod.build_spectral_space(self.model)
         return self._space
+
+    @property
+    def chaos(self):
+        if self._chaos is None:
+            self._chaos = chaos_mod.first_chaos_basis(self.model)
+        return self._chaos
 
     @property
     def embedding(self):
@@ -307,10 +314,8 @@ def chaos__split_space(ctx: _Ctx):
     _need_exact(ctx)
     _need_capacity(ctx)
     m = ctx.model
-    if m.n_points > 36:
-        raise _Skip(f"elimination sweep capped at 36 points (N={m.n_points})")
     bad = []
-    for x in ctx.elements(ctx.rng("chaos.splitspace"), sample=4):
+    for x in ctx.elements(ctx.rng("chaos.splitspace"), sample=6):
         space = chaos_mod.split_solution_space(m, x)
         expected = chaos_mod._split_span_rows(m, x)
         if not linalg.span_equal([list(v.values) for v in space], expected):
@@ -325,7 +330,7 @@ def chaos__first_chaos(ctx: _Ctx):
     m = ctx.model
     if m.n_points > 128:
         raise _Skip(f"first-chaos elimination capped at 128 points (N={m.n_points})")
-    fc = chaos_mod.first_chaos_basis(m)
+    fc = ctx.chaos
     expected = sum(k - 1 for k in m.radices)
     bad = []
     if fc.dimension != expected:
@@ -353,7 +358,7 @@ def chaos__classification(ctx: _Ctx):
     m = ctx.model
     if m.n_points > 128:
         raise _Skip(f"classification elimination capped at 128 points (N={m.n_points})")
-    res = chaos_mod.classify(m)
+    res = chaos_mod.classify(m, ctx.chaos)
     if res.degenerate:
         return "degenerate zero-cell model", (f"kind={res.kind.value} (flagged degenerate)",), True
     ok = res.kind is chaos_mod.Classification.CLASSICAL
@@ -367,7 +372,7 @@ def chaos__additive_norm(ctx: _Ctx):
     m = ctx.model
     if m.n_points > 128:
         raise _Skip(f"capped at 128 points (N={m.n_points})")
-    fc = chaos_mod.first_chaos_basis(m)
+    fc = ctx.chaos
     rng = ctx.rng("chaos.addnorm")
     probes = list(fc.basis)
     if fc.basis:
@@ -591,7 +596,7 @@ def spectrum__measure_class(ctx: _Ctx):
     bad = []
     if not ok:
         bad.append("generic vector measure not equivalent to the canonical one")
-    if negative and m.n_cells > 0:
+    if negative:
         bad.append("concentrated measure wrongly declared equivalent")
     return "canonical class uniqueness", bad, not bad
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from noise_lab.boolalg import BoolElem, FinitePowerAlgebra, Subalgebra
-from noise_lab.model import Cell, build_cell_model, fair_coin, uniform_cell
+from noise_lab.model import Cell, NoiseModel, fair_coin, uniform_cell
 
 
 def sign_rv(model, cell):
@@ -60,23 +60,23 @@ def model_family(max_cells: int, radix_choices=(2, 3), max_points: int | None = 
             if max_points is not None and pts > max_points:
                 continue
             cells = [Cell(varied_probs(k, i)) for i, k in enumerate(shape)]
-            models.append(build_cell_model(cells))
+            models.append(NoiseModel(cells))
     return models
 
 
 @pytest.fixture
 def two_coins():
-    return build_cell_model([fair_coin(), fair_coin()])
+    return NoiseModel([fair_coin(), fair_coin()])
 
 
 @pytest.fixture
 def four_coins():
-    return build_cell_model([fair_coin()] * 4)
+    return NoiseModel([fair_coin()] * 4)
 
 
 @pytest.fixture
 def coin_and_triple():
-    return build_cell_model([fair_coin(), uniform_cell(3)])
+    return NoiseModel([fair_coin(), uniform_cell(3)])
 
 
 @pytest.fixture

@@ -47,7 +47,7 @@ from noise_lab.geometry import (
 )
 from noise_lab.model import (
     Cell,
-    build_cell_model,
+    NoiseModel,
     expectation,
     norm_sq,
     project,
@@ -92,7 +92,7 @@ def test_criterion_01_projection_lattice():
         for j in range(n):
             k = rng.choice((2, 2, 3))
             cells.append(Cell(varied_probs(k, rng.randrange(4))))
-        m = build_cell_model(cells, backend="float")
+        m = NoiseModel(cells, backend="float")
         rep = verify_projection_laws(m, rng=rng, sample_pairs=10, deep_pairs=2)
         if not rep.passed:
             failures.append(f"float model {i}: {rep.failures[:2]}")
@@ -110,7 +110,7 @@ def test_criterion_02_oracle_equivalence():
         (2, 2, 2, 2), (3, 3, 2, 2), (2, 2, 2, 2, 2),
     ]
     for shape in shapes:
-        m = build_cell_model([Cell(varied_probs(k, i)) for i, k in enumerate(shape)])
+        m = NoiseModel([Cell(varied_probs(k, i)) for i, k in enumerate(shape)])
         assert m.n_points <= 64
         basis = [
             m.from_values([1 if w == j else 0 for w in range(m.n_points)])
@@ -128,7 +128,7 @@ def test_criterion_02_oracle_equivalence():
 def test_criterion_03_first_chaos():
     failures = []
     models = model_family(4, (2, 3), max_points=36)
-    models.append(build_cell_model([Cell(varied_probs(3, i)) for i in range(4)]))  # N=81
+    models.append(NoiseModel([Cell(varied_probs(3, i)) for i in range(4)]))  # N=81
     for m in models:
         fc = first_chaos_basis(m)
         expected = sum(k - 1 for k in m.radices)
@@ -141,7 +141,7 @@ def test_criterion_03_first_chaos():
         ]
         if not linalg.span_equal([list(v.values) for v in fc.basis], singles):
             failures.append(f"{m.radices}: span mismatch")
-        if m.n_cells > 0 and classify(m).kind is not Classification.CLASSICAL:
+        if m.n_cells > 0 and classify(m, fc).kind is not Classification.CLASSICAL:
             failures.append(f"{m.radices}: not classical")
     _finish(3, "first chaos dimension, span, classicality", failures)
 
@@ -150,7 +150,7 @@ def test_criterion_04_split_product_and_subspace():
     failures = []
     shapes = [(2, 2), (2, 3), (3, 3), (2, 2, 2), (2, 3, 2), (2, 2, 2, 2), (2, 2, 2, 2, 2)]
     for shape in shapes:
-        m = build_cell_model([Cell(varied_probs(k, i)) for i, k in enumerate(shape)])
+        m = NoiseModel([Cell(varied_probs(k, i)) for i, k in enumerate(shape)])
         assert m.n_points <= 64
         family = [m.walsh_vector(i) for i in range(m.n_points)]
         mixed = family[1] + family[-1].scale(F(3, 2))
@@ -170,7 +170,7 @@ def test_criterion_04_split_product_and_subspace():
 
 def test_criterion_05_defect_bound_quantitative():
     failures = []
-    m = build_cell_model([Cell((F(1, 2), F(1, 2)))] * 4)
+    m = NoiseModel([Cell((F(1, 2), F(1, 2)))] * 4)
     r = [sign_rv(m, i) for i in range(4)]
     psi = r[0] * r[1] + r[2] * r[3]
     blocks = block_subalgebra(m, [[0, 1], [2, 3]])
@@ -207,7 +207,7 @@ def test_criterion_06_zero_defect_degenerate_direction():
     rng = random.Random(0)
     zero_cases = 0
     for shape in [(2, 2), (2, 3, 2), (2, 2, 2, 2)]:
-        m = build_cell_model([Cell(varied_probs(k, i)) for i, k in enumerate(shape)])
+        m = NoiseModel([Cell(varied_probs(k, i)) for i, k in enumerate(shape)])
         alg = FinitePowerAlgebra(m.n_cells)
         for trial in range(120):
             sub = Subalgebra(alg, tuple(random_partition_blocks(rng, m.n_cells)))
@@ -232,7 +232,7 @@ def test_criterion_06_zero_defect_degenerate_direction():
 def test_criterion_07_spectrum():
     failures = []
     for shape in [(2, 2), (2, 3), (2, 3, 2), (2, 2, 2, 2), (3, 2, 3, 2)]:
-        m = build_cell_model([Cell(varied_probs(k, i)) for i, k in enumerate(shape)])
+        m = NoiseModel([Cell(varied_probs(k, i)) for i, k in enumerate(shape)])
         sp = build_spectral_space(m)
         n = m.n_cells
         elements = [BoolElem(mask, n) for mask in range(1 << n)]
@@ -251,7 +251,7 @@ def test_criterion_07_spectrum():
             if not verify_independence(sp, x, x.complement()):
                 failures.append(f"{shape}: complement independence at {x}")
 
-    m = build_cell_model([Cell(varied_probs(k, i)) for i, k in enumerate((2, 3, 2))])
+    m = NoiseModel([Cell(varied_probs(k, i)) for i, k in enumerate((2, 3, 2))])
     sp = build_spectral_space(m)
     rng = random.Random(0)
     for _ in range(100):
@@ -290,7 +290,7 @@ def test_criterion_08_regular_open_algebra():
 
 def test_criterion_09_geometry():
     failures = []
-    m = build_cell_model([Cell((F(1, 2), F(1, 2)))] * 3)
+    m = NoiseModel([Cell((F(1, 2), F(1, 2)))] * 3)
     emb = build_embedding(m, [F(1, 5), F(1, 3), F(2, 3)])
 
     count = 0

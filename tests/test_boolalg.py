@@ -7,10 +7,6 @@ from noise_lab.boolalg import (
     Filter,
     FinitePowerAlgebra,
     Subalgebra,
-    build_power_algebra,
-    build_subalgebra,
-    element_ops,
-    enumerate_partition_atoms,
     filter_to_closed_set,
     iter_partitions_of_unity,
     random_partition_blocks,
@@ -21,38 +17,39 @@ from noise_lab.boolalg import (
 
 
 def test_build_power_algebra_sizes():
-    assert build_power_algebra(0).size == 1
-    assert [e.mask for e in build_power_algebra(2).elements()] == [0, 1, 2, 3]
-    assert build_power_algebra(3).size == 8
+    assert FinitePowerAlgebra(0).size == 1
+    assert [e.mask for e in FinitePowerAlgebra(2).elements()] == [0, 1, 2, 3]
+    assert FinitePowerAlgebra(3).size == 8
 
 
 def test_degenerate_algebra_zero_equals_one():
-    alg = build_power_algebra(0)
+    alg = FinitePowerAlgebra(0)
     assert alg.zero == alg.one
 
 
 def test_element_ops_examples():
     x = BoolElem.from_indices([0], 2)
     y = BoolElem.from_indices([1], 2)
-    meet, join, comp = element_ops(x, y)
+    meet, join, comp = x.meet(y), x.join(y), x.complement()
     assert meet.is_zero
     assert join.is_one
     assert comp == y
 
-    meet, join, _ = element_ops(x, x)
+    meet, join = x.meet(x), x.join(x)
     assert meet == x and join == x
 
     x3 = BoolElem.from_indices([0, 1], 3)
     y3 = BoolElem.from_indices([1, 2], 3)
-    meet, join, comp = element_ops(x3, y3)
+    meet, join, comp = x3.meet(y3), x3.join(y3), x3.complement()
     assert meet == BoolElem.from_indices([1], 3)
     assert join.is_one
     assert comp == BoolElem.from_indices([2], 3)
 
 
 def test_mismatched_sizes_rejected():
-    with pytest.raises(ValueError):
-        element_ops(BoolElem(1, 2), BoolElem(1, 3))
+    for op in (BoolElem.meet, BoolElem.join):
+        with pytest.raises(ValueError):
+            op(BoolElem(1, 2), BoolElem(1, 3))
 
 
 def test_boolean_axioms_exhaustive_small():
@@ -75,36 +72,36 @@ def test_boolean_axioms_random_larger(n, data):
 
 
 def test_subalgebra_examples():
-    alg = build_power_algebra(4)
-    sub = build_subalgebra(
-        alg, [BoolElem.from_indices([0, 1], 4), BoolElem.from_indices([2, 3], 4)]
+    alg = FinitePowerAlgebra(4)
+    sub = Subalgebra(
+        alg, (BoolElem.from_indices([0, 1], 4), BoolElem.from_indices([2, 3], 4))
     )
     assert len(list(sub.elements())) == 4
     assert sub.contains(BoolElem.from_indices([0, 1], 4))
     assert not sub.contains(BoolElem.from_indices([0], 4))
 
-    alg2 = build_power_algebra(2)
-    finest = build_subalgebra(alg2, [BoolElem(1, 2), BoolElem(2, 2)])
+    alg2 = FinitePowerAlgebra(2)
+    finest = Subalgebra(alg2, (BoolElem(1, 2), BoolElem(2, 2)))
     assert {e.mask for e in finest.elements()} == {0, 1, 2, 3}
-    coarsest = build_subalgebra(alg2, [alg2.one])
+    coarsest = Subalgebra(alg2, (alg2.one,))
     assert {e.mask for e in coarsest.elements()} == {0, 3}
 
 
 def test_subalgebra_rejects_bad_blocks():
-    alg = build_power_algebra(3)
+    alg = FinitePowerAlgebra(3)
     with pytest.raises(ValueError):
-        build_subalgebra(alg, [BoolElem(0b011, 3), BoolElem(0b110, 3)])  # overlap
+        Subalgebra(alg, (BoolElem(0b011, 3), BoolElem(0b110, 3)))  # overlap
     with pytest.raises(ValueError):
-        build_subalgebra(alg, [BoolElem(0b001, 3)])  # gap
+        Subalgebra(alg, (BoolElem(0b001, 3),))  # gap
     with pytest.raises(ValueError):
-        build_subalgebra(alg, [BoolElem(0, 3), BoolElem(0b111, 3)])  # empty block
+        Subalgebra(alg, (BoolElem(0, 3), BoolElem(0b111, 3)))  # empty block
 
 
 def test_enumerate_partition_atoms():
-    alg = build_power_algebra(4)
+    alg = FinitePowerAlgebra(4)
     blocks = [BoolElem.from_indices([0, 1], 4), BoolElem.from_indices([2, 3], 4)]
-    sub = build_subalgebra(alg, blocks)
-    atoms = enumerate_partition_atoms(sub)
+    sub = Subalgebra(alg, tuple(blocks))
+    atoms = list(sub.blocks)
     assert atoms == blocks
     union = 0
     for i, a in enumerate(atoms):
@@ -114,17 +111,15 @@ def test_enumerate_partition_atoms():
             assert a.disjoint(b)
     assert union == alg.one.mask
 
-    assert [a.mask for a in enumerate_partition_atoms(
-        build_subalgebra(build_power_algebra(3), [BoolElem(1, 3), BoolElem(2, 3), BoolElem(4, 3)])
-    )] == [1, 2, 4]
-    assert enumerate_partition_atoms(
-        build_subalgebra(build_power_algebra(3), [BoolElem(7, 3)])
-    ) == [BoolElem(7, 3)]
+    alg3 = FinitePowerAlgebra(3)
+    finest = Subalgebra(alg3, (BoolElem(1, 3), BoolElem(2, 3), BoolElem(4, 3)))
+    assert [a.mask for a in finest.blocks] == [1, 2, 4]
+    assert list(Subalgebra(alg3, (BoolElem(7, 3),)).blocks) == [BoolElem(7, 3)]
 
 
 def test_partitions_of_unity_count_is_bell_number():
-    alg = build_power_algebra(4)
-    sub = build_subalgebra(alg, alg.atoms())
+    alg = FinitePowerAlgebra(4)
+    sub = Subalgebra(alg, alg.atoms())
     partitions = list(iter_partitions_of_unity(sub))
     assert len(partitions) == 15  # Bell(4)
     for parts in partitions:

@@ -1,9 +1,11 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from noise_lab import linalg
-from noise_lab.boolalg import BoolElem
+from noise_lab.boolalg import BoolElem, FinitePowerAlgebra, Subalgebra, random_partition_blocks
 from noise_lab.chaos import (
     Classification,
     additive_vector,
@@ -18,9 +20,9 @@ from noise_lab.chaos import (
     split_solution_space,
     _split_span_rows,
 )
-from noise_lab.model import build_cell_model, fair_coin, norm_sq, project, uniform_cell
+from noise_lab.model import NoiseModel, expectation, fair_coin, norm_sq, project, uniform_cell
 
-from conftest import block_subalgebra, full_subalgebra, sign_rv
+from conftest import block_subalgebra, full_subalgebra, model_family, sign_rv
 
 F = Fraction
 
@@ -36,12 +38,12 @@ def test_first_chaos_two_coins(two_coins):
 
 
 def test_first_chaos_three_valued():
-    m = build_cell_model([uniform_cell(3)])
+    m = NoiseModel([uniform_cell(3)])
     assert first_chaos_basis(m).dimension == 2
 
 
 def test_first_chaos_zero_cells():
-    m = build_cell_model([])
+    m = NoiseModel([])
     assert first_chaos_basis(m).dimension == 0
 
 
@@ -162,11 +164,12 @@ def test_split_iff_product_exhaustive(coin_and_triple):
 
 
 def test_classify_examples(two_coins):
-    res = classify(two_coins)
+    res = classify(two_coins, first_chaos_basis(two_coins))
     assert res.kind is Classification.CLASSICAL
     assert not res.degenerate
 
-    res0 = classify(build_cell_model([]))
+    m0 = NoiseModel([])
+    res0 = classify(m0, first_chaos_basis(m0))
     assert res0.kind is Classification.BLACK
     assert res0.degenerate
 
@@ -183,7 +186,8 @@ def test_classify_random_models_classical(rng):
                 cells.append(Cell((p, 1 - p)))
             else:
                 cells.append(Cell((F(1, 6), F(1, 3), F(1, 2))))
-        res = classify(build_cell_model(cells))
+        m = NoiseModel(cells)
+        res = classify(m, first_chaos_basis(m))
         assert res.kind is Classification.CLASSICAL
 
 
@@ -225,7 +229,7 @@ def test_norm_additivity_on_first_chaos(coin_and_triple):
 
 
 def test_exact_backend_required_for_elimination():
-    m = build_cell_model([fair_coin()], backend="float")
+    m = NoiseModel([fair_coin()], backend="float")
     with pytest.raises(ValueError, match="exact backend"):
         first_chaos_basis(m)
 
@@ -251,3 +255,60 @@ def test_first_chaos_is_intersection_of_split_spaces(coin_and_triple):
     # And a genuinely mixed vector fails some split.
     mixed = m.walsh_vector(m.point_index((1, 1)))
     assert not all(split_check(m, mixed, BoolElem(mask, 2)) for mask in range(4))
+
+
+def _additive_by_projection(m, psi, b):
+    """Additivity on b from its definition: zero mean, and conditioning on a
+    disjoint join splits into the two conditionals."""
+    if expectation(m, psi) != 0:
+        return False
+    elems = list(b.elements())
+    return all(
+        project(m, x | y, psi) == project(m, x, psi) + project(m, y, psi)
+        for x in elems
+        for y in elems
+        if x.disjoint(y)
+    )
+
+
+def test_coefficient_space_matches_point_space_oracle():
+    rng = random.Random(7)
+    for m in model_family(3, (2, 3)):
+        n = m.n_cells
+        alg = FinitePowerAlgebra(n)
+        for _ in range(3):
+            sub = Subalgebra(alg, tuple(random_partition_blocks(rng, n)))
+            seedling = m.random_rv(rng)
+            mean = project(m, BoolElem(0, n), seedling)
+            expected = m.constant(0)
+            for block in sub.blocks:
+                expected = expected + (project(m, block, seedling) - mean)
+            psi = additive_vector(m, sub, seedling)
+            assert psi == expected
+
+            for v in (psi, seedling, m.random_rv(rng, zero_mean=True)):
+                assert satisfies_additivity(m, v, sub) == _additive_by_projection(m, v, sub)
+
+            cert = atomless_defect(m, psi, sub)
+            norms = [norm_sq(m, project(m, block, psi)) for block in sub.blocks]
+            assert cert.delta_sq == max(norms, default=0)
+            assert [w.attained for w in cert.witnesses] == [math.sqrt(float(v)) for v in norms]
+
+            for mask in range(1 << n):
+                x = BoolElem(mask, n)
+                for v in (psi, seedling):
+                    split = project(m, x, v) + project(m, x.complement(), v)
+                    assert split_check(m, v, x) == (v == split)
+
+
+def test_split_check_runs_no_elimination(coin_and_triple, monkeypatch):
+    def refuse(rows):
+        raise AssertionError("split_check ran an elimination")
+
+    monkeypatch.setattr(linalg, "rref", refuse)
+    m = coin_and_triple
+    for mask in range(4):
+        x = BoolElem(mask, 2)
+        for idx in range(m.n_points):
+            psi = m.walsh_vector(idx)
+            assert split_check(m, psi, x) == product_test(m, psi, x)

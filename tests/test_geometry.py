@@ -21,7 +21,7 @@ from noise_lab.geometry import (
     verify_spectral_map_uniqueness,
     verify_spectral_set_identity,
 )
-from noise_lab.model import build_cell_model, fair_coin
+from noise_lab.model import NoiseModel, fair_coin
 from noise_lab.regopen import EMPTY, FULL, make_regopen, random_regopen
 
 F = Fraction
@@ -29,12 +29,12 @@ F = Fraction
 
 @pytest.fixture
 def emb():
-    model = build_cell_model([fair_coin()] * 3)
+    model = NoiseModel([fair_coin()] * 3)
     return build_embedding(model, [F(1, 5), F(1, 3), F(2, 3)])
 
 
 def test_build_embedding_validations():
-    model = build_cell_model([fair_coin()] * 3)
+    model = NoiseModel([fair_coin()] * 3)
     build_embedding(model, [F(1, 5), F(1, 3), F(2, 3)])  # fine
     with pytest.raises(ValueError, match="potential boundary"):
         build_embedding(model, [F(1, 4), F(1, 3), F(2, 3)])
@@ -43,7 +43,7 @@ def test_build_embedding_validations():
     with pytest.raises(ValueError, match="sample points"):
         build_embedding(model, [F(1, 5), F(1, 3)])
     with pytest.raises(ValueError, match="outside"):
-        build_embedding(build_cell_model([fair_coin()]), [F(3, 2)])
+        build_embedding(NoiseModel([fair_coin()]), [F(3, 2)])
 
 
 def test_is_dyadic():
@@ -201,7 +201,7 @@ def test_spectral_set_identity_across_cell_counts():
     # Cell counts 1..5, exhaustive dyadic single intervals of depth <= 4.
     points = [F(1, 7), F(1, 5), F(1, 3), F(3, 5), F(2, 3)]
     for n in range(1, 6):
-        model = build_cell_model([fair_coin()] * n)
+        model = NoiseModel([fair_coin()] * n)
         e = build_embedding(model, points[:n])
         for a in DyadicBase(4).intervals():
             assert verify_spectral_set_identity(e, a, depth=3)

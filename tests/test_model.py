@@ -5,7 +5,7 @@ import pytest
 from noise_lab.boolalg import BoolElem
 from noise_lab.model import (
     Cell,
-    build_cell_model,
+    NoiseModel,
     expectation,
     fair_coin,
     inner_product,
@@ -33,7 +33,7 @@ def test_two_fair_coins_walsh_structure(two_coins):
 
 
 def test_three_valued_cell_dimensions():
-    m = build_cell_model([uniform_cell(3)])
+    m = NoiseModel([uniform_cell(3)])
     assert m.n_points == 3
     supports = m.support_masks()
     assert supports.count(0) == 1
@@ -48,7 +48,7 @@ def test_cell_validation_errors():
     with pytest.raises(ValueError, match="sum to 5/6"):
         Cell((F(1, 2), F(1, 3)))
     with pytest.raises(ValueError):
-        build_cell_model([Cell((F(1, 2), F(1, 2), F(0)))])
+        NoiseModel([Cell((F(1, 2), F(1, 2), F(0)))])
 
 
 def test_inner_product_examples(two_coins):
@@ -59,7 +59,7 @@ def test_inner_product_examples(two_coins):
     assert inner_product(m, r1, r1) == 1
     assert inner_product(m, r1, r2) == 0
     with pytest.raises(ValueError):
-        inner_product(m, one, build_cell_model([fair_coin()]).constant(1))
+        inner_product(m, one, NoiseModel([fair_coin()]).constant(1))
 
 
 def test_sigma_field_partitions(two_coins):
@@ -83,7 +83,7 @@ def test_projection_examples(two_coins):
 
 def test_oracle_equivalence_exhaustive_small():
     for cells in ([fair_coin(), fair_coin()], [fair_coin(), uniform_cell(3)]):
-        m = build_cell_model(cells)
+        m = NoiseModel(cells)
         basis = [
             m.from_values([1 if w == j else 0 for w in range(m.n_points)])
             for j in range(m.n_points)
@@ -144,7 +144,7 @@ def test_superadditivity_strict_witness(four_coins):
 
 
 def test_float_backend_consistency(rng):
-    m = build_cell_model([fair_coin(), uniform_cell(3), fair_coin()], backend="float")
+    m = NoiseModel([fair_coin(), uniform_cell(3), fair_coin()], backend="float")
     rep = verify_projection_laws(m, rng=rng)
     assert rep.passed
     f = m.random_rv(rng)
@@ -154,7 +154,7 @@ def test_float_backend_consistency(rng):
 
 
 def test_mixed_radix_ordering():
-    m = build_cell_model([fair_coin(), uniform_cell(3)])
+    m = NoiseModel([fair_coin(), uniform_cell(3)])
     # Cell 0 is the slow axis.
     assert [m.point_digits(i) for i in range(6)] == [
         (0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2),

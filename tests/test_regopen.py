@@ -12,10 +12,8 @@ from noise_lab.regopen import (
     closed_subset,
     dyadic_quotient_space,
     finite_space_regopen,
-    interior_closure_boundary,
     make_regopen,
     random_regopen,
-    reg_ops,
     regopen_to_quotient,
     verify_reg_laws,
 )
@@ -50,27 +48,29 @@ def test_make_regopen_rejects_bad_endpoints():
 
 def test_reg_ops_examples():
     r = make_regopen([(0, F(1, 2))])
-    meet, join, comp = reg_ops(r, ~r)
+    s = ~r
+    meet, join, comp = r.meet(s), r.join(s), r.complement()
     assert comp.intervals == ((F(1, 2), F(1)),)
     assert join.is_full          # the point 1/2 is absorbed
     assert meet.is_empty
 
     s = make_regopen([(F(1, 4), 1)])
-    meet, join, _ = reg_ops(r, s)
+    meet, join = r.meet(s), r.join(s)
     assert meet.intervals == ((F(1, 4), F(1, 2)),)
     assert join.is_full
 
 
 def test_interior_closure_boundary_examples():
     r = make_regopen([(0, F(1, 2))])
-    interior, closure, boundary = interior_closure_boundary(r)
+    interior, closure, boundary = r.intervals, r.closure_intervals(), r.boundary_points()
+    assert interior == ((F(0), F(1, 2)),)
     assert closure == ((F(0), F(1, 2)),)
     assert boundary == (F(1, 2),)
 
-    assert interior_closure_boundary(EMPTY) == ((), (), ())
+    assert (EMPTY.intervals, EMPTY.closure_intervals(), EMPTY.boundary_points()) == ((), (), ())
 
     mid = make_regopen([(F(1, 4), F(3, 4))])
-    assert interior_closure_boundary(mid)[2] == (F(1, 4), F(3, 4))
+    assert mid.boundary_points() == (F(1, 4), F(3, 4))
 
     assert FULL.boundary_points() == ()
 

@@ -4,7 +4,7 @@ import pytest
 
 from noise_lab import linalg
 from noise_lab.boolalg import BoolElem, filter_to_closed_set
-from noise_lab.model import build_cell_model, fair_coin, norm_sq, project, uniform_cell
+from noise_lab.model import NoiseModel, fair_coin, norm_sq, project, uniform_cell
 from noise_lab.spectrum import (
     build_spectral_space,
     check_atom_of_sigma_x,
@@ -36,11 +36,11 @@ def test_spectral_space_mixed(coin_and_triple):
     by_mask = dict(zip((a.mask for a in sp.atoms), sp.dims))
     assert by_mask == {0: 1, 1: 1, 2: 2, 3: 2}
     assert sum(sp.measure, F(0)) == 1
-    assert sp.measure[sp.atom_index(2)] == F(2, 6)
+    assert sp.measure[2] == F(2, 6)
 
 
 def test_spectral_space_zero_cells():
-    sp = build_spectral_space(build_cell_model([]))
+    sp = build_spectral_space(NoiseModel([]))
     assert len(sp.atoms) == 1
     assert sp.measure == (F(1),)
 

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from noise_lab.config import load_config_dict, load_model_config
+from noise_lab.config import ModelConfig, load_config_dict, load_model_config
 from noise_lab.suite import CheckResult, Report, run_verification_suite
 
 REPO = Path(__file__).resolve().parent.parent
@@ -28,6 +28,22 @@ def test_suite_two_coins_all_pass():
     assert report.n_skip == 0
     assert report.n_pass >= 25
     assert report.exit_code() == 0
+
+
+def test_suite_leaves_no_state_on_the_model(monkeypatch):
+    built = []
+    build_model = ModelConfig.build_model
+
+    def build_and_record(cfg):
+        model = build_model(cfg)
+        built.append((model, set(vars(model))))
+        return model
+
+    monkeypatch.setattr(ModelConfig, "build_model", build_and_record)
+    report = run_verification_suite(load_model_config(str(FOUR_COINS)), "all")
+    assert report.n_fail == 0
+    [(model, keys)] = built
+    assert set(vars(model)) == keys
 
 
 def test_suite_selection():
