@@ -28,7 +28,6 @@ from .chaos import (
 )
 from .config import ConfigError, ModelConfig, emit_config_dict, load_model_config
 from .geometry import (
-    DyadicBase,
     Embedding,
     boundary_dichotomy,
     build_embedding,

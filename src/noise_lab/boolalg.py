@@ -135,10 +135,6 @@ class Subalgebra:
         if union != (1 << self.algebra.n_cells) - 1:
             raise ValueError("blocks do not cover the full set")
 
-    @property
-    def n_blocks(self) -> int:
-        return len(self.blocks)
-
     def contains(self, x: BoolElem) -> bool:
         """x belongs to the subalgebra iff it splits no block."""
         if x.n != self.algebra.n_cells:

@@ -73,12 +73,6 @@ class ModelConfig:
     def build_model(self) -> NoiseModel:
         return NoiseModel(self.cells, backend=self.backend)
 
-    def subalgebra_names(self) -> list[str]:
-        return [name for name, _ in self.subalgebras]
-
-    def vector_names(self) -> list[str]:
-        return [name for name, _ in self.vectors]
-
     def subalgebra(self, name: str) -> Subalgebra:
         for key, blocks in self.subalgebras:
             if key == name:

@@ -178,10 +178,6 @@ class NoiseModel:
             acc = acc * v
         return acc
 
-    @property
-    def tol(self):
-        return FLOAT_TOL if self.backend == "float" else 0
-
     def eq(self, a, b) -> bool:
         return a == b if self.backend == "exact" else abs(a - b) <= FLOAT_TOL
 
@@ -214,9 +210,6 @@ class NoiseModel:
                 masks[idx] = m
             self._support_masks = masks
         return self._support_masks
-
-    def support_of_index(self, idx: int) -> BoolElem:
-        return BoolElem(self.support_masks()[idx], self.n_cells)
 
     def multi_indices_supported_in(self, x: BoolElem, nonzero: bool = False) -> Iterator[int]:
         """Flat multi-indices whose support lies inside x (optionally nonzero)."""

@@ -50,12 +50,6 @@ class SigmaOnSpectrum:
 
     blocks: tuple[frozenset[int], ...]
 
-    def block_of(self, mask: int) -> frozenset[int]:
-        for b in self.blocks:
-            if mask in b:
-                return b
-        raise KeyError(mask)
-
     def as_set(self) -> frozenset[frozenset[int]]:
         return frozenset(self.blocks)
 

@@ -36,13 +36,13 @@ from noise_lab.chaos import (
 )
 from noise_lab.config import load_model_config
 from noise_lab.geometry import (
-    DyadicBase,
     boundary_dichotomy,
     build_embedding,
     chain_sup,
     monotone_limit_check,
     spectral_set_map,
     uncovered_atoms,
+    verify_spectral_map_uniqueness,
     verify_spectral_set_identity,
 )
 from noise_lab.model import (
@@ -54,7 +54,7 @@ from noise_lab.model import (
     project_oracle,
     verify_projection_laws,
 )
-from noise_lab.regopen import make_regopen, random_regopen, verify_reg_laws
+from noise_lab.regopen import dyadic_grid_regopens, make_regopen, random_regopen, verify_reg_laws
 from noise_lab.spectrum import (
     build_spectral_space,
     check_atom_of_sigma_x,
@@ -293,10 +293,12 @@ def test_criterion_09_geometry():
     m = NoiseModel([Cell((F(1, 2), F(1, 2)))] * 3)
     emb = build_embedding(m, [F(1, 5), F(1, 3), F(2, 3)])
 
+    if not verify_spectral_map_uniqueness(emb, 4):
+        failures.append("closed-set map depends on enumeration order")
     count = 0
-    for a in DyadicBase(6).intervals():
+    for a in dyadic_grid_regopens(6):
         count += 1
-        if not verify_spectral_set_identity(emb, a, depth=4):
+        if not verify_spectral_set_identity(emb, a):
             failures.append(f"spectral identity fails at {a}")
     if count != (64 + 1) * 64 // 2:
         failures.append("dyadic family of depth 6 incomplete")

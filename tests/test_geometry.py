@@ -1,10 +1,12 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
+from noise_lab import geometry
+
 from noise_lab.boolalg import BoolElem
 from noise_lab.geometry import (
-    DyadicBase,
     boundary_dichotomy,
     build_embedding,
     chain_sup,
@@ -22,7 +24,7 @@ from noise_lab.geometry import (
     verify_spectral_set_identity,
 )
 from noise_lab.model import NoiseModel, fair_coin
-from noise_lab.regopen import EMPTY, FULL, make_regopen, random_regopen
+from noise_lab.regopen import EMPTY, FULL, dyadic_grid_regopens, make_regopen, random_regopen
 
 F = Fraction
 
@@ -44,6 +46,22 @@ def test_build_embedding_validations():
         build_embedding(model, [F(1, 5), F(1, 3)])
     with pytest.raises(ValueError, match="outside"):
         build_embedding(NoiseModel([fair_coin()]), [F(3, 2)])
+
+
+def test_build_embedding_runs_no_evaluation_map_check(monkeypatch):
+    def refuse(emb, a):
+        raise AssertionError("build_embedding evaluated the map")
+
+    monkeypatch.setattr(geometry, "sample_hom", refuse)
+    emb = build_embedding(NoiseModel([fair_coin()] * 3), [F(1, 5), F(1, 3), F(2, 3)])
+    assert emb.sample_points == (F(1, 5), F(1, 3), F(2, 3))
+
+
+def test_embedding_is_frozen(emb):
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        emb.sample_points = (F(1, 3), F(1, 5), F(2, 3))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        emb.cache = {}
 
 
 def test_is_dyadic():
@@ -102,12 +120,21 @@ def test_uniqueness_of_the_union(emb):
         assert verify_spectral_map_uniqueness(emb, depth)
 
 
+def test_spectral_set_identity_runs_no_uniqueness_oracle(emb, monkeypatch):
+    def refuse(emb, depth):
+        raise AssertionError("identity check ran the uniqueness oracle")
+
+    monkeypatch.setattr(geometry, "verify_spectral_map_uniqueness", refuse)
+    for a in dyadic_grid_regopens(2):
+        assert verify_spectral_set_identity(emb, a)
+
+
 def test_spectral_set_identity(emb):
     assert verify_spectral_set_identity(emb, make_regopen([(0, F(1, 2))]))
     assert verify_spectral_set_identity(emb, FULL)
     assert verify_spectral_set_identity(emb, EMPTY)
-    for a in DyadicBase(3).intervals():
-        assert verify_spectral_set_identity(emb, a, depth=3)
+    for a in dyadic_grid_regopens(3):
+        assert verify_spectral_set_identity(emb, a)
 
 
 def test_monotone_limit_growing_chain(emb):
@@ -193,7 +220,7 @@ def test_shrink_chain_properties(emb):
         assert f.le(g)
     assert verify_shrink_chain(emb, a)
     assert verify_shrink_chain(emb, FULL)
-    for x in DyadicBase(2).intervals():
+    for x in dyadic_grid_regopens(2):
         assert verify_shrink_chain(emb, x)
 
 
@@ -203,8 +230,9 @@ def test_spectral_set_identity_across_cell_counts():
     for n in range(1, 6):
         model = NoiseModel([fair_coin()] * n)
         e = build_embedding(model, points[:n])
-        for a in DyadicBase(4).intervals():
-            assert verify_spectral_set_identity(e, a, depth=3)
+        assert verify_spectral_map_uniqueness(e, 3)
+        for a in dyadic_grid_regopens(4):
+            assert verify_spectral_set_identity(e, a)
 
 
 def test_dyadic_base_is_a_base(emb):
@@ -213,12 +241,11 @@ def test_dyadic_base_is_a_base(emb):
     targets = list(emb.sample_points) + [F(1, 2), F(3, 4)]
     for t in targets:
         for depth in (4, 6):
-            base = DyadicBase(depth)
             hits = [
                 iv
-                for iv in base.intervals()
+                for iv in dyadic_grid_regopens(depth)
                 if iv.contains_interior(t)
             ]
             assert hits
             smallest = min(b - a for iv in hits for a, b in iv.intervals)
-            assert smallest <= 2 * base.mesh
+            assert smallest <= 2 * F(1, 1 << depth)

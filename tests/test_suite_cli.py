@@ -5,8 +5,9 @@ from pathlib import Path
 
 import pytest
 
+from noise_lab import chaos as chaos_mod
 from noise_lab.config import ModelConfig, load_config_dict, load_model_config
-from noise_lab.suite import CheckResult, Report, run_verification_suite
+from noise_lab.suite import CheckResult, Report, _Ctx, chaos__split_space, run_verification_suite
 
 REPO = Path(__file__).resolve().parent.parent
 TWO_COINS = REPO / "examples" / "two-coins.json"
@@ -44,6 +45,30 @@ def test_suite_leaves_no_state_on_the_model(monkeypatch):
     assert report.n_fail == 0
     [(model, keys)] = built
     assert set(vars(model)) == keys
+
+
+def test_split_space_solves_once_per_complementary_pair(monkeypatch):
+    solve = chaos_mod.split_solution_space
+    solved = []
+
+    def count_and_solve(model, x):
+        solved.append(x.mask)
+        return solve(model, x)
+
+    monkeypatch.setattr(chaos_mod, "split_solution_space", count_and_solve)
+    result = chaos__split_space(_Ctx(load_model_config(str(FOUR_COINS))))
+    assert result.status == "pass"
+    assert result.detail == "solution space vs basis span, all elements"
+    assert len(solved) == 8
+    assert {min(m, m ^ 0b1111) for m in solved} == set(range(8))
+
+
+def test_split_space_detail_says_sampled():
+    cfg = load_config_dict({"cells": [{"k": 2, "probs": ["1/2", "1/2"]}] * 5})
+    result = chaos__split_space(_Ctx(cfg))
+    assert result.status == "pass"
+    assert "all elements" not in result.detail
+    assert "sampled" in result.detail
 
 
 def test_suite_selection():
