@@ -68,6 +68,23 @@ def build_embedding(model: NoiseModel, sample_points) -> Embedding:
     return Embedding(model, pts)
 
 
+def inner_approx(emb: Embedding, r: RegOpen) -> BoolElem:
+    """Best approximation of r from compactly-included dyadic pieces: the
+    cells whose sample point is interior to r. Works for arbitrary rational
+    endpoints."""
+    return BoolElem.from_indices(
+        (i for i, t in enumerate(emb.sample_points) if r.contains_interior(t)), emb.n
+    )
+
+
+def closure_cells(emb: Embedding, r: RegOpen) -> BoolElem:
+    """The cells whose sample point lies in the closure of r. An atom's closed
+    set sits inside cl(r) exactly when the atom is below this mask."""
+    return BoolElem.from_indices(
+        (i for i, t in enumerate(emb.sample_points) if r.contains_closure(t)), emb.n
+    )
+
+
 def sample_hom(emb: Embedding, a: RegOpen) -> BoolElem:
     """h(a): the cells whose sample point lies in the interior of a.
 
@@ -76,9 +93,7 @@ def sample_hom(emb: Embedding, a: RegOpen) -> BoolElem:
     """
     if not is_dyadic_regopen(a):
         raise ValueError("evaluation map is only defined on dyadic-endpoint elements")
-    return BoolElem.from_indices(
-        (i for i, t in enumerate(emb.sample_points) if a.contains_interior(t)), emb.n
-    )
+    return inner_approx(emb, a)
 
 
 # -- the closed-set map and its dyadic approximants ---------------------------
@@ -208,16 +223,11 @@ def verify_spectral_map_uniqueness(emb: Embedding, depth: int) -> bool:
 
 def verify_spectral_set_identity(emb: Embedding, a: RegOpen) -> bool:
     """Atoms below h(a) are exactly the atoms whose closed set sits inside
-    the closure of a; exact, no null sets involved. That the closed-set map
-    is well defined is ``verify_spectral_map_uniqueness``, run separately."""
-    ha = sample_hom(emb, a)
-    lhs = {m for m in range(1 << emb.n) if m & ~ha.mask == 0}
-    rhs = set()
-    for m in range(1 << emb.n):
-        pts = closed_set_of_atom(emb, BoolElem(m, emb.n))
-        if all(a.contains_closure(t) for t in pts):
-            rhs.add(m)
-    return lhs == rhs
+    the closure of a; exact, no null sets involved. Both families are the
+    down-sets of a mask, so they agree exactly when the interior mask h(a)
+    equals the closure mask. That the closed-set map is well defined is
+    ``verify_spectral_map_uniqueness``, run separately."""
+    return sample_hom(emb, a) == closure_cells(emb, a)
 
 
 # -- monotone chains ----------------------------------------------------------
@@ -231,13 +241,13 @@ def chain_sup(emb: Embedding, chain) -> BoolElem:
 
 
 def uncovered_atoms(emb: Embedding, chain) -> list[BoolElem]:
-    out = []
-    for m in range(1 << emb.n):
-        atom = BoolElem(m, emb.n)
-        pts = closed_set_of_atom(emb, atom)
-        if not any(all(a.contains_closure(t) for t in pts) for a in chain):
-            out.append(atom)
-    return out
+    """Atoms whose closed set lies inside no closure from the chain."""
+    closures = [closure_cells(emb, a).mask for a in chain]
+    return [
+        BoolElem(m, emb.n)
+        for m in range(1 << emb.n)
+        if not any(m & ~c == 0 for c in closures)
+    ]
 
 
 def monotone_limit_check(emb: Embedding, chain) -> bool:
@@ -260,22 +270,6 @@ def monotone_limit_check(emb: Embedding, chain) -> bool:
 
 
 # -- inner approximation and the boundary dichotomy ---------------------------
-
-
-def inner_approx(emb: Embedding, r: RegOpen) -> BoolElem:
-    """Best approximation of r from compactly-included dyadic pieces: the
-    cells whose sample point is interior to r. Works for arbitrary rational
-    endpoints."""
-    elem = BoolElem.from_indices(
-        (i for i, t in enumerate(emb.sample_points) if r.contains_interior(t)), emb.n
-    )
-    other = BoolElem.from_indices(
-        (i for i, t in enumerate(emb.sample_points) if r.complement().contains_interior(t)),
-        emb.n,
-    )
-    if not elem.disjoint(other):
-        raise RuntimeError("inner approximations of r and its complement overlap")
-    return elem
 
 
 def inner_approx_detail(emb: Embedding, r: RegOpen) -> tuple[BoolElem, int]:
@@ -320,29 +314,19 @@ def boundary_dichotomy(emb: Embedding, r: RegOpen) -> BoundaryDichotomyReport:
     approximations are complements of each other."""
     hr = inner_approx(emb, r)
     hrc = inner_approx(emb, r.complement())
+    if not hr.disjoint(hrc):
+        raise RuntimeError("inner approximations of r and its complement overlap")
     join = hr | hrc
     holds = join.is_one
-    hits = tuple(
-        i
-        for i, t in enumerate(emb.sample_points)
-        if r.contains_closure(t) and not r.contains_interior(t)
-    )
-    atoms_clear = True
-    witness = None
-    for m in range(1, 1 << emb.n):
-        atom = BoolElem(m, emb.n)
-        pts = closed_set_of_atom(emb, atom)
-        if any(r.contains_closure(t) and not r.contains_interior(t) for t in pts):
-            atoms_clear = False
-            witness = atom
-            break
-    if holds != (not hits) or holds != atoms_clear:
+    # An atom's closed set meets the boundary exactly when it names a hit,
+    # so the lowest such atom is the lowest hit on its own.
+    hits = (closure_cells(emb, r) & ~hr).indices()
+    if holds != (not hits):
         raise RuntimeError("boundary dichotomy equivalence violated")
     complementary = None
     if holds:
         complementary = hr.complement() == hrc
-    if hits and witness is None:
-        witness = BoolElem(1 << hits[0], emb.n)
+    witness = BoolElem(1 << hits[0], emb.n) if hits else None
     return BoundaryDichotomyReport(
         join=join,
         holds=holds,
@@ -392,12 +376,7 @@ def verify_shrink_chain(emb: Embedding, a: RegOpen, max_terms: int = 12) -> bool
             if not inside:
                 return False
     target = sample_hom(emb, a.complement()) if is_dyadic_regopen(a.complement()) else None
-    images = [
-        BoolElem.from_indices(
-            (i for i, t in enumerate(emb.sample_points) if not an.contains_closure(t)), emb.n
-        )
-        for an in chain
-    ]
+    images = [~closure_cells(emb, an) for an in chain]
     for f, g in zip(images, images[1:]):
         if not g.le(f):
             return False

@@ -543,6 +543,8 @@ def spectrum__sigma_lattice(ctx: _Ctx):
     bad = []
     for x in elements:
         px = spec_mod.sigma_x(space, x)
+        if spec_mod.sigma_x_generated(space, x).as_set() != px.as_set():
+            bad.append(f"generated partition differs from trace partition at {x}")
         for y in elements:
             if x.le(y):
                 # Coarser element gives coarser partition: every finer block

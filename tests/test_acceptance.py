@@ -70,9 +70,12 @@ F = Fraction
 REPO = Path(__file__).resolve().parent.parent
 
 
-def _finish(num: int, name: str, failures: list):
+def _finish(num: int, name: str, failures: list, elapsed=None, bound=None):
     status = "PASS" if not failures else "FAIL"
-    print(f"criterion {num:02d} [{name}]: {status}")
+    timing = ""
+    if elapsed is not None:
+        timing = f" ({elapsed:.1f} s {'<' if elapsed < bound else '>='} {bound:g} s)"
+    print(f"criterion {num:02d} [{name}]: {status}{timing}")
     assert not failures, failures[:5]
 
 
@@ -100,7 +103,7 @@ def test_criterion_01_projection_lattice():
     elapsed = time.monotonic() - t0
     if elapsed >= 10.0:
         failures.append(f"runtime {elapsed:.2f}s exceeds 10s")
-    _finish(1, "projection lattice, exact + float sweeps", failures)
+    _finish(1, "projection lattice, exact + float sweeps", failures, elapsed, 10.0)
 
 
 def test_criterion_02_oracle_equivalence():
@@ -360,4 +363,4 @@ def test_criterion_10_cli_reproducibility(tmp_path):
         failures.append(f"summary {payload['summary']}")
     if elapsed >= 60.0:
         failures.append(f"two runs took {elapsed:.1f}s (>= 60s)")
-    _finish(10, "reproducible CLI verification run", failures)
+    _finish(10, "reproducible CLI verification run", failures, elapsed, 60.0)

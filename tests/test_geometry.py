@@ -7,10 +7,12 @@ from noise_lab import geometry
 
 from noise_lab.boolalg import BoolElem
 from noise_lab.geometry import (
+    Embedding,
     boundary_dichotomy,
     build_embedding,
     chain_sup,
     closed_set_of_atom,
+    closure_cells,
     inner_approx,
     inner_approx_detail,
     is_dyadic,
@@ -249,3 +251,89 @@ def test_dyadic_base_is_a_base(emb):
             assert hits
             smallest = min(b - a for iv in hits for a, b in iv.intervals)
             assert smallest <= 2 * F(1, 1 << depth)
+
+
+def test_mask_forms_build_no_closed_sets(emb, monkeypatch):
+    def refuse(emb, s):
+        raise AssertionError("closed set of an atom was built")
+
+    monkeypatch.setattr(geometry, "closed_set_of_atom", refuse)
+    for a in dyadic_grid_regopens(3):
+        assert verify_spectral_set_identity(emb, a)
+    rep = boundary_dichotomy(emb, make_regopen([(0, F(1, 3))]))
+    assert rep.witness_atom == BoolElem.from_indices([1], 3)
+    assert monotone_limit_check(emb, [make_regopen([(0, 1 - F(1, 2**n))]) for n in range(1, 9)])
+    assert monotone_limit_check(emb, [make_regopen([(0, F(1, 2))])] * 4)
+
+
+# The per-atom definitions the mask forms replace, written out over the
+# closed set of every atom.
+
+
+def _identity_by_atoms(emb, a):
+    ha = sample_hom(emb, a)
+    lhs = {m for m in range(1 << emb.n) if m & ~ha.mask == 0}
+    rhs = {
+        m
+        for m in range(1 << emb.n)
+        if all(a.contains_closure(t) for t in closed_set_of_atom(emb, BoolElem(m, emb.n)))
+    }
+    return lhs == rhs
+
+
+def _uncovered_by_atoms(emb, chain):
+    out = []
+    for m in range(1 << emb.n):
+        atom = BoolElem(m, emb.n)
+        pts = closed_set_of_atom(emb, atom)
+        if not any(all(a.contains_closure(t) for t in pts) for a in chain):
+            out.append(atom)
+    return out
+
+
+def _dichotomy_witness_by_atoms(emb, r):
+    for m in range(1, 1 << emb.n):
+        atom = BoolElem(m, emb.n)
+        pts = closed_set_of_atom(emb, atom)
+        if any(r.contains_closure(t) and not r.contains_interior(t) for t in pts):
+            return atom
+    return None
+
+
+def _assert_mask_forms_match_atoms(emb, rng):
+    family = dyadic_grid_regopens(4)
+    for a in family:
+        assert verify_spectral_set_identity(emb, a) == _identity_by_atoms(emb, a)
+        assert uncovered_atoms(emb, [a]) == _uncovered_by_atoms(emb, [a])
+    for _ in range(40):
+        acc = EMPTY
+        chain = []
+        for _ in range(rng.randint(1, 4)):
+            acc = acc | rng.choice(family)
+            chain.append(acc)
+        assert uncovered_atoms(emb, chain) == _uncovered_by_atoms(emb, chain)
+    # Boundaries on and off the sample points.
+    ends = sorted(set(emb.sample_points) | {F(j, 16) for j in range(17)})
+    for lo in ends:
+        for hi in ends:
+            if lo < hi:
+                r = make_regopen([(lo, hi)])
+                assert boundary_dichotomy(emb, r).witness_atom == _dichotomy_witness_by_atoms(emb, r)
+
+
+def test_mask_forms_match_atom_definitions_across_cell_counts(rng):
+    points = [F(1, 7), F(1, 5), F(1, 3), F(3, 5), F(2, 3)]
+    for n in range(1, 6):
+        e = build_embedding(NoiseModel([fair_coin()] * n), points[:n])
+        _assert_mask_forms_match_atoms(e, rng)
+
+
+def test_mask_forms_match_atom_definitions_on_a_dyadic_sample_point(rng):
+    # Built directly, so build_embedding does not reject the point 1/2.
+    e = Embedding(NoiseModel([fair_coin()] * 3), (F(1, 5), F(1, 2), F(2, 3)))
+    half = make_regopen([(0, F(1, 2))])
+    assert not verify_spectral_set_identity(e, half)
+    assert not _identity_by_atoms(e, half)
+    assert closure_cells(e, half) == BoolElem.from_indices([0, 1], 3)
+    assert sample_hom(e, half) == BoolElem.from_indices([0], 3)
+    _assert_mask_forms_match_atoms(e, rng)

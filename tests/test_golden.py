@@ -1,0 +1,34 @@
+"""`noise-lab verify` reports, text and --json, byte for byte against the
+committed reports in ``tests/golden/``.
+
+A change meant to keep behaviour (a refactor or a speed-up) must keep these
+bytes. A change meant to alter a report regenerates the affected pair with
+the command in ``CASES`` and says so.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from noise_lab.cli import main
+
+REPO = Path(__file__).resolve().parent.parent
+GOLDEN = REPO / "tests" / "golden"
+
+# name -> verify arguments; the reports are GOLDEN/<name>.txt and .json.
+CASES = {
+    "two-coins-seed0": ["examples/two-coins.json", "--seed", "0"],
+    "four-coins-seed3": ["examples/four-coins.json", "--seed", "3"],
+    "four-coins-float-seed0": ["examples/four-coins.json", "--backend", "float", "--seed", "0"],
+    "five-ternary-float-seed0": ["tests/golden/five-ternary-float.json", "--seed", "0"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_verify_report_matches_golden(name, tmp_path, capsys):
+    args = CASES[name]
+    report = tmp_path / "report.json"
+    code = main(["verify", str(REPO / args[0]), *args[1:], "--json", str(report)])
+    assert code == 0
+    assert capsys.readouterr().out.encode("utf-8") == (GOLDEN / f"{name}.txt").read_bytes()
+    assert report.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()

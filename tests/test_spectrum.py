@@ -1,16 +1,20 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from noise_lab import linalg
+from noise_lab import linalg, spectrum
 from noise_lab.boolalg import BoolElem, filter_to_closed_set
+from noise_lab.config import load_model_config
 from noise_lab.model import NoiseModel, fair_coin, norm_sq, project, uniform_cell
 from noise_lab.spectrum import (
+    SigmaOnSpectrum,
     build_spectral_space,
     check_atom_of_sigma_x,
     mutually_absolutely_continuous,
     refine,
     sigma_x,
+    sigma_x_generated,
     spectral_filter,
     spectral_measure,
     spectral_set,
@@ -18,10 +22,12 @@ from noise_lab.spectrum import (
     verify_independence,
     verify_sigma_join,
 )
+from noise_lab.suite import _Ctx, spectrum__sigma_lattice
 
 from conftest import sign_rv
 
 F = Fraction
+TWO_COINS = Path(__file__).resolve().parent.parent / "examples" / "two-coins.json"
 
 
 def test_spectral_space_two_coins(two_coins):
@@ -206,3 +212,38 @@ def test_measure_class_uniqueness(two_coins, rng):
     assert mutually_absolutely_continuous(sm.masses, sp.measure)
     concentrated = spectral_measure(m, m.constant(1))
     assert not mutually_absolutely_continuous(concentrated.masses, sp.measure)
+
+
+def test_sigma_x_generated_equals_trace_partition(two_coins, four_coins, coin_and_triple):
+    for model in (two_coins, four_coins, coin_and_triple):
+        sp = build_spectral_space(model)
+        for mask in range(1 << model.n_cells):
+            x = BoolElem(mask, model.n_cells)
+            assert sigma_x_generated(sp, x) == sigma_x(sp, x)
+
+
+def test_sigma_checks_run_no_generated_partition(coin_and_triple, monkeypatch):
+    def refuse(space, x):
+        raise AssertionError("generated partition was built")
+
+    monkeypatch.setattr(spectrum, "sigma_x_generated", refuse)
+    sp = build_spectral_space(coin_and_triple)
+    for xm in range(4):
+        x = BoolElem(xm, 2)
+        assert check_atom_of_sigma_x(sp, x)
+        for ym in range(4):
+            y = BoolElem(ym, 2)
+            assert verify_sigma_join(sp, x, y)
+            if x.disjoint(y):
+                assert verify_independence(sp, x, y)
+
+
+def test_sigma_lattice_reports_a_generated_partition_mismatch(monkeypatch):
+    def discrete(space, x):
+        return SigmaOnSpectrum(tuple(frozenset([a.mask]) for a in space.atoms))
+
+    monkeypatch.setattr(spectrum, "sigma_x_generated", discrete)
+    result = spectrum__sigma_lattice(_Ctx(load_model_config(str(TWO_COINS))))
+    assert result.status == "fail"
+    # Only the full element has the discrete partition.
+    assert sum("generated partition differs" in w for w in result.witnesses) == 3
