@@ -17,6 +17,7 @@ from .chaos import (
     ChaosSubspace,
     Classification,
     DefectCertificate,
+    NotAdditiveError,
     atomless_defect,
     classify,
     defect_bound_check,

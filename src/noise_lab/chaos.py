@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
@@ -65,11 +65,17 @@ class DefectWitness:
 @dataclass(frozen=True)
 class DefectCertificate:
     """Atomless defect delta: recorded as exact delta^2 plus a float delta
-    (delta itself is a square root, hence usually irrational)."""
+    (delta itself is a square root, hence usually irrational), with the
+    Walsh coefficients of the vector it was computed from."""
 
     delta_sq: Fraction
     delta: float
     witnesses: tuple[DefectWitness, ...]
+    coeffs: tuple = field(repr=False)
+
+
+class NotAdditiveError(ValueError):
+    """The vector is not additive on the subalgebra, so it has no defect."""
 
 
 @dataclass
@@ -222,11 +228,13 @@ def atomless_defect(
     The finest partition of unity minimizes the largest per-part norm among
     all partitions of unity in b (superadditivity); brute-forced against all
     partitions when b has at most 5 atoms. Conditional norms are Parseval
-    sums of the per-support masses of psi.
+    sums of the per-support masses of psi. Raises NotAdditiveError when psi
+    is not additive on b.
     """
     if not satisfies_additivity(model, psi, b):
-        raise ValueError("additivity on b fails")
-    masses = support_masses(model, walsh_decompose(model, psi).coeffs)
+        raise NotAdditiveError("additivity on b fails")
+    coeffs = walsh_decompose(model, psi).coeffs
+    masses = support_masses(model, coeffs)
     zero = model._num(Fraction(0))
     per_atom = [(block, _mass_inside(model, masses, block)) for block in b.blocks]
     delta_sq = max((nsq for _, nsq in per_atom), default=zero)
@@ -242,7 +250,7 @@ def atomless_defect(
         DefectWitness(x=block, passed=model.leq(nsq, delta_sq), attained=math.sqrt(float(nsq)))
         for block, nsq in per_atom
     )
-    return DefectCertificate(delta_sq=delta_sq, delta=delta, witnesses=witnesses)
+    return DefectCertificate(delta_sq=delta_sq, delta=delta, witnesses=witnesses, coeffs=coeffs)
 
 
 def _restrict_index(model: NoiseModel, idx: int, mask: int) -> int:
@@ -266,14 +274,15 @@ def defect_bound_check(
 
     The mixed component of psi against normalized tensor pairs forms a
     matrix C; each |C_jk| <= delta is checked exactly on squares, and the
-    operator norm of C is checked in floats by power iteration.
+    operator norm of C is checked in floats by power iteration. A given
+    certificate must be psi's; its coefficients are reused.
     """
     if certificate is None:
         certificate = atomless_defect(model, psi, b)
     delta_sq = certificate.delta_sq
     delta = certificate.delta
 
-    coeffs = walsh_decompose(model, psi).coeffs
+    coeffs = certificate.coeffs
     masks = model.support_masks()
     comp = x.complement()
     entries: dict[tuple[int, int], tuple] = {}

@@ -99,10 +99,12 @@ def _cmd_chaos(args) -> int:
             sub = cfg.subalgebra(args.subalgebra)
         else:
             sub = _full_subalgebra(cfg)
-        additive = chaos_mod.satisfies_additivity(model, psi, sub)
-        lines.append(f"additivity on subalgebra: {'yes' if additive else 'no'}")
-        if additive:
+        try:
             cert = chaos_mod.atomless_defect(model, psi, sub)
+        except chaos_mod.NotAdditiveError:
+            cert = None
+        lines.append(f"additivity on subalgebra: {'no' if cert is None else 'yes'}")
+        if cert is not None:
             lines.append(
                 f"defect delta^2 = {format_fraction(cert.delta_sq)}; delta = {decimal12(cert.delta)}"
             )

@@ -1,51 +1,64 @@
 """Exact linear algebra over rationals: elimination, nullspaces, span tests.
 
-All routines work on plain lists of :class:`fractions.Fraction` and never
-normalize by square roots, so results are bit-exact.
+Elimination is fraction-free over ``int`` (Bareiss, *Math. Comp.* 22, 1968;
+Geddes, Czapor and Labahn, *Algorithms for Computer Algebra*, 1992, ch. 9):
+rows are cleared of denominators, combined by cross-multiplication and
+divided by the gcd of their entries. ``Fraction`` appears only in the
+reduced rows that :func:`rref` returns, so results are bit-exact.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 Vector = list
 Matrix = list
 
 
+def _primitive(row: list[int]) -> list[int]:
+    g = math.gcd(*row)
+    return row if g <= 1 else [v // g for v in row]
+
+
 def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form. Returns (nonzero rows, pivot column indices)."""
-    mat = [list(row) for row in rows]
+    """Reduced row echelon form of rows of Fraction or int entries. Returns
+    (nonzero rows, as Fractions; pivot column indices).
+
+    Each integer row stays a nonzero multiple of the row that elimination
+    over ``Fraction`` would hold, so the pivots and the returned rows (each
+    divided by its pivot) are the same.
+    """
+    mat = []
+    for row in rows:
+        scale = math.lcm(*(v.denominator for v in row))
+        mat.append(_primitive([v.numerator * (scale // v.denominator) for v in row]))
     if not mat:
         return [], []
-    n_cols = len(mat[0])
     pivots: list[int] = []
     r = 0
-    for c in range(n_cols):
-        pivot_row = None
-        for i in range(r, len(mat)):
-            if mat[i][c] != 0:
-                pivot_row = i
-                break
+    for c in range(len(mat[0])):
+        pivot_row = next((i for i in range(r, len(mat)) if mat[i][c]), None)
         if pivot_row is None:
             continue
         mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        inv = mat[r][c]
-        if inv != 1:
-            mat[r] = [v / inv for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                row_r = mat[r]
-                mat[i] = [a - f * b for a, b in zip(mat[i], row_r)]
+        row_r = mat[r]
+        p = row_r[c]
+        for i, row_i in enumerate(mat):
+            e = row_i[c]
+            if e and i != r:
+                g = math.gcd(p, e)
+                a, b = p // g, e // g
+                mat[i] = _primitive([a * u - b * v for u, v in zip(row_i, row_r)])
         pivots.append(c)
         r += 1
         if r == len(mat):
             break
-    return mat[:r], pivots
+    return [[Fraction(v, row[c]) for v in row] for row, c in zip(mat, pivots)], pivots
 
 
 def rank(rows: Matrix) -> int:
-    return len(rref(rows)[0])
+    return len(rref(rows)[1])
 
 
 def nullspace(rows: Matrix, n_cols: int) -> list[Vector]:
@@ -63,20 +76,12 @@ def nullspace(rows: Matrix, n_cols: int) -> list[Vector]:
     return basis
 
 
-def span_contains(rows: Matrix, v: Vector) -> bool:
-    """True iff v lies in the row span of rows (exact)."""
-    base = [list(r) for r in rows]
-    return rank(base) == rank(base + [list(v)])
-
-
 def span_equal(rows_a: Matrix, rows_b: Matrix) -> bool:
     """True iff the two row sets span the same subspace (exact)."""
-    a = [list(r) for r in rows_a]
-    b = [list(r) for r in rows_b]
-    ra, rb = rank(a), rank(b)
-    if ra != rb:
+    ra = rank(rows_a)
+    if ra != rank(rows_b):
         return False
-    return rank(a + b) == ra
+    return rank([*rows_a, *rows_b]) == ra
 
 
 def spectral_norm(mat: list[list[float]], iterations: int = 400) -> float:

@@ -1,9 +1,9 @@
-"""`noise-lab verify` reports, text and --json, byte for byte against the
-committed reports in ``tests/golden/``.
+"""`noise-lab verify` reports, text and --json, and `noise-lab chaos` output,
+byte for byte against the committed files in ``tests/golden/``.
 
 A change meant to keep behaviour (a refactor or a speed-up) must keep these
-bytes. A change meant to alter a report regenerates the affected pair with
-the command in ``CASES`` and says so.
+bytes. A change meant to alter a report regenerates the affected files with
+the command in ``CASES`` or ``CHAOS_CASES`` and says so.
 """
 
 from pathlib import Path
@@ -32,3 +32,21 @@ def test_verify_report_matches_golden(name, tmp_path, capsys):
     assert code == 0
     assert capsys.readouterr().out.encode("utf-8") == (GOLDEN / f"{name}.txt").read_bytes()
     assert report.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
+
+
+# name -> chaos arguments; the output is GOLDEN/<name>.txt. pairsum-2323.json
+# is a perfbench-style chaos-cli config (radices 2,3,2,3) with delta^2 = 20/441.
+CHAOS_CASES = {
+    "two-coins-chaos": ["examples/two-coins.json", "--subalgebra", "blocks", "--vector", "demo"],
+    "four-coins-chaos": ["examples/four-coins.json", "--subalgebra", "blocks", "--vector", "pairsum"],
+    "pairsum-2323-chaos": [
+        "tests/golden/pairsum-2323.json", "--subalgebra", "blocks", "--vector", "pairsum"
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHAOS_CASES))
+def test_chaos_output_matches_golden(name, capsys):
+    args = CHAOS_CASES[name]
+    assert main(["chaos", str(REPO / args[0]), *args[1:]]) == 0
+    assert capsys.readouterr().out.encode("utf-8") == (GOLDEN / f"{name}.txt").read_bytes()

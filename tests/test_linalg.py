@@ -1,8 +1,53 @@
+import random
 from fractions import Fraction
 
+import pytest
+
 from noise_lab import linalg
+from noise_lab.boolalg import BoolElem
+from noise_lab.chaos import first_chaos_basis, split_solution_space
+
+from conftest import model_family
 
 F = Fraction
+
+
+def reference_rref(rows):
+    """Gauss-Jordan elimination over Fraction: the reference that the
+    fraction-free integer kernel of ``linalg.rref`` is checked against."""
+    mat = [list(row) for row in rows]
+    if not mat:
+        return [], []
+    n_cols = len(mat[0])
+    pivots = []
+    r = 0
+    for c in range(n_cols):
+        pivot_row = None
+        for i in range(r, len(mat)):
+            if mat[i][c] != 0:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
+        inv = mat[r][c]
+        if inv != 1:
+            mat[r] = [v / inv for v in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c] != 0:
+                f = mat[i][c]
+                row_r = mat[r]
+                mat[i] = [a - f * b for a, b in zip(mat[i], row_r)]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    return mat[:r], pivots
+
+
+def span_contains(rows, v):
+    """True iff v lies in the row span of rows (exact)."""
+    return linalg.rank(rows) == linalg.rank([*rows, v])
 
 
 def test_rref_identifies_rank():
@@ -30,11 +75,108 @@ def test_nullspace_of_full_rank_is_trivial():
 
 def test_span_contains_and_equal():
     a = [[F(1), F(0), F(1)], [F(0), F(1), F(1)]]
-    assert linalg.span_contains(a, [F(1), F(1), F(2)])
-    assert not linalg.span_contains(a, [F(1), F(1), F(0)])
+    assert span_contains(a, [F(1), F(1), F(2)])
+    assert not span_contains(a, [F(1), F(1), F(0)])
     b = [[F(1), F(1), F(2)], [F(1), F(-1), F(0)]]
     assert linalg.span_equal(a, b)
     assert not linalg.span_equal(a, [[F(1), F(0), F(0)]])
+
+
+# -- the integer kernel against the Fraction reference --------------------------
+
+_DENOMINATORS = (1, 1, 2, 3, 7, 12, 999, 10**6, 999_983)
+
+
+def _entry(rng, density):
+    if rng.random() >= density:
+        return F(0)
+    return F(rng.randint(-10**6, 10**6), rng.choice(_DENOMINATORS))
+
+
+def _random_matrix(rng, n_rows, n_cols):
+    """Sparse-to-dense rational rows; some rows duplicated, scaled, or summed
+    from others so the rank is often deficient."""
+    density = rng.choice((0.2, 0.5, 1.0))
+    rows = [[_entry(rng, density) for _ in range(n_cols)] for _ in range(n_rows)]
+    for i in range(n_rows):
+        if i >= 2 and rng.random() < 0.4:
+            a, b = rng.sample(range(i), 2)
+            s = F(rng.randint(-5, 5), rng.choice((1, 3, 10**6)))
+            rows[i] = [u + s * v for u, v in zip(rows[a], rows[b])]
+        elif i >= 1 and rng.random() < 0.2:
+            rows[i] = [F(-3, 7) * v for v in rows[rng.randrange(i)]]
+    if rng.random() < 0.2:
+        rows = [[int(v) if v.denominator == 1 else v for v in row] for row in rows]
+    rng.shuffle(rows)
+    return rows
+
+
+def _cases():
+    rng = random.Random(20261018)
+    cases = [[], [[]], [[]] * 3, [[F(0)] * 4] * 3, [[F(0)] * 5], [[F(-2, 10**6)]]]
+    shapes = [(1, n) for n in range(1, 9)] + [(n, 1) for n in range(1, 5)]
+    while len(shapes) < 330:
+        n_rows, n_cols = rng.randint(1, 10), rng.randint(1, 10)
+        if rng.random() < 0.3:  # tall
+            n_rows = n_cols + rng.randint(1, 6)
+        shapes.append((n_rows, n_cols))
+    cases += [_random_matrix(rng, r, c) for r, c in shapes]
+    return cases
+
+
+def _reference_nullspace(rows, n_cols, monkeypatch):
+    with monkeypatch.context() as mp:
+        mp.setattr(linalg, "rref", reference_rref)
+        return linalg.nullspace(rows, n_cols)
+
+
+def test_integer_kernel_matches_fraction_reference(monkeypatch):
+    cases = _cases()
+    assert len(cases) >= 300
+    rng = random.Random(5)
+    for rows in cases:
+        n_cols = len(rows[0]) if rows else 0
+        # The reference divides with `/`, so it takes Fraction rows only.
+        as_fractions = [[F(v) for v in row] for row in rows]
+        expected, expected_pivots = reference_rref(as_fractions)
+        reduced, pivots = linalg.rref(rows)
+        assert pivots == expected_pivots
+        assert reduced == expected
+        for row, c in zip(reduced, pivots):
+            assert all(type(v) is Fraction for v in row)
+            assert type(row[c]) is Fraction and row[c] == 1
+        assert linalg.rank(rows) == len(expected)
+
+        basis = linalg.nullspace(rows, n_cols)
+        assert basis == _reference_nullspace(as_fractions, n_cols, monkeypatch)
+        for v in basis:
+            assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in rows)
+
+        if rows and n_cols:
+            # Same span by construction: the rows rescaled, reversed, and one
+            # pairwise sum added.
+            mixed = [[F(-5, 3) * v for v in row] for row in reversed(rows)]
+            mixed.append([u + v for u, v in zip(rng.choice(rows), rng.choice(rows))])
+            probe = [_entry(rng, 1.0) for _ in range(n_cols)]
+            for other in (mixed, [probe], [*rows, probe]):
+                ref_equal = len(expected) == len(reference_rref(other)[0]) == len(
+                    reference_rref([*as_fractions, *other])[0]
+                )
+                assert linalg.span_equal(rows, other) == ref_equal
+
+
+def _exact(vectors):
+    return [[(type(v), v) for v in rv.values] for rv in vectors]
+
+
+@pytest.mark.parametrize(
+    "m", model_family(3, (2, 3)), ids=lambda m: "x".join(map(str, m.radices)) or "none"
+)
+def test_chaos_bases_equal_under_reference_elimination(m, monkeypatch):
+    x = BoolElem(1, m.n_cells) if m.n_cells else BoolElem(0, 0)
+    fast = _exact(first_chaos_basis(m).basis), _exact(split_solution_space(m, x))
+    monkeypatch.setattr(linalg, "rref", reference_rref)
+    assert (_exact(first_chaos_basis(m).basis), _exact(split_solution_space(m, x))) == fast
 
 
 def test_spectral_norm_known_matrices():

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from noise_lab import chaos as chaos_mod
+from noise_lab.cli import main
 from noise_lab.config import ModelConfig, load_config_dict, load_model_config
 from noise_lab.suite import CheckResult, Report, _Ctx, chaos__split_space, run_verification_suite
 
@@ -192,6 +193,33 @@ def test_cli_chaos_defaults_to_full_subalgebra():
     out = run_cli("chaos", str(FOUR_COINS), "--vector", "pairsum")
     assert out.returncode == 0
     assert b"additivity on subalgebra: no" in out.stdout
+
+
+@pytest.mark.parametrize("subalgebra", [["--subalgebra", "blocks"], []])
+def test_cli_chaos_decomposes_psi_at_most_twice(subalgebra, monkeypatch, capsys):
+    decomposed = []
+    additivity_calls = []
+    decompose = chaos_mod.walsh_decompose
+    additive = chaos_mod.satisfies_additivity
+
+    def count_decompose(model, f):
+        decomposed.append(f)
+        return decompose(model, f)
+
+    def count_additivity(model, psi, b):
+        additivity_calls.append(psi)
+        return additive(model, psi, b)
+
+    monkeypatch.setattr(chaos_mod, "walsh_decompose", count_decompose)
+    monkeypatch.setattr(chaos_mod, "satisfies_additivity", count_additivity)
+    assert main(["chaos", str(FOUR_COINS), *subalgebra, "--vector", "pairsum"]) == 0
+    out = capsys.readouterr().out
+    cfg = load_model_config(str(FOUR_COINS))
+    psi = cfg.vector("pairsum", cfg.build_model())
+    assert len(additivity_calls) == 1
+    assert 1 <= len(decomposed) <= 2
+    assert all(f == psi for f in decomposed + additivity_calls)
+    assert ("defect bound: pass" in out) == bool(subalgebra)
 
 
 def test_cli_verify_four_coins_chaos_group():
