@@ -2,15 +2,14 @@
 
 A vector lies in the first chaos when conditioning splits it additively
 across every disjoint pair of cell sets. On a finite model this space is
-cut out by a linear system; we build that system from naive
-conditional-expectation matrices (the oracle path) and eliminate exactly,
-then cross-check the solution against the single-cell directions of the
-orthogonal basis.
+cut out by a linear system; we build that system from block averages
+(the oracle path), eliminate exactly, then cross-check the solution against
+the single-cell directions of the orthogonal basis.
 
 Everything else works on one Walsh decomposition of the vector at hand:
 conditioning on x keeps the coefficients whose support lies inside x, so
-projections are masked coefficient vectors and projected norms are sums of
-per-support Parseval masses.
+projections are masked coefficient vectors and projected norms are Parseval
+sums over the kept coefficients.
 
 The atomless defect of a vector, relative to a subalgebra it is additive
 on, is the largest conditional norm over the subalgebra's atoms; the
@@ -33,9 +32,9 @@ from .model import (
     WalshCoeffs,
     expectation,
     inner_product,
+    mass_inside,
     masked_coeffs,
     sigma_field_of,
-    support_masses,
     walsh_decompose,
     walsh_reconstruct,
 )
@@ -107,31 +106,21 @@ class ClassifyResult:
 # -- linear-system machinery -------------------------------------------------
 
 
-def _projection_matrix(model: NoiseModel, x: BoolElem) -> list[list[Fraction]]:
-    """Matrix of conditioning on x in point coordinates, from block averages
-    (independent of the basis path)."""
-    n = model.n_points
-    mat = [[Fraction(0)] * n for _ in range(n)]
-    for block in sigma_field_of(model, x):
-        wtot = sum(model.point_weights[w] for w in block)
-        row = [model.point_weights[w] / wtot for w in block]
-        for w in block:
-            mw = mat[w]
-            for w2, v in zip(block, row):
-                mw[w2] = v
-    return mat
-
-
 def _split_constraint_rows(model: NoiseModel, x: BoolElem) -> list[list[Fraction]]:
-    """Rows of I - K_x - K_x' where K is the block-averaging matrix."""
-    kx = _projection_matrix(model, x)
-    kxc = _projection_matrix(model, x.complement())
+    """Rows of I - K_x - K_x', where K_y averages over the blocks of the
+    partition by the coordinates in y (independent of the basis path)."""
     n = model.n_points
-    rows = []
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for y in (x, x.complement()):
+        for block in sigma_field_of(model, y):
+            wtot = sum(model.point_weights[w] for w in block)
+            averages = [(w2, model.point_weights[w2] / wtot) for w2 in block]
+            for w in block:
+                row = rows[w]
+                for w2, v in averages:
+                    row[w2] -= v
     for w in range(n):
-        row = [-a - b for a, b in zip(kx[w], kxc[w])]
-        row[w] += 1
-        rows.append(row)
+        rows[w][w] += 1
     return rows
 
 
@@ -153,8 +142,8 @@ def first_chaos_basis(model: NoiseModel) -> ChaosSubspace:
 
     single = [
         list(model.walsh_vector(idx).values)
-        for idx in range(n_pts)
-        if bin(model.support_masks()[idx]).count("1") == 1
+        for idx, mask in enumerate(model.support_masks)
+        if bin(mask).count("1") == 1
     ]
     if not linalg.span_equal(basis_vecs, single):
         raise RuntimeError("first chaos space does not match single-cell directions")
@@ -170,11 +159,6 @@ def _plus(f: list, g: list) -> list:
 
 def _coeffs_eq(model: NoiseModel, f: list, g: list) -> bool:
     return all(model.eq(a, b) for a, b in zip(f, g))
-
-
-def _mass_inside(model: NoiseModel, masses: dict, x: BoolElem):
-    """Parseval: |Q_x psi|^2 is the mass of the supports inside x."""
-    return sum((v for s, v in masses.items() if s & ~x.mask == 0), model._num(Fraction(0)))
 
 
 # -- additivity and defect ----------------------------------------------------
@@ -215,7 +199,7 @@ def additive_vector(model: NoiseModel, b: Subalgebra, seedling: RandomVariable) 
     zero = model._num(Fraction(0))
     kept = [
         c if s and any(s & ~block.mask == 0 for block in b.blocks) else zero
-        for c, s in zip(walsh_decompose(model, seedling).coeffs, model.support_masks())
+        for c, s in zip(walsh_decompose(model, seedling).coeffs, model.support_masks)
     ]
     return walsh_reconstruct(model, WalshCoeffs(tuple(kept)))
 
@@ -228,20 +212,19 @@ def atomless_defect(
     The finest partition of unity minimizes the largest per-part norm among
     all partitions of unity in b (superadditivity); brute-forced against all
     partitions when b has at most 5 atoms. Conditional norms are Parseval
-    sums of the per-support masses of psi. Raises NotAdditiveError when psi
+    sums over the coefficients of psi. Raises NotAdditiveError when psi
     is not additive on b.
     """
     if not satisfies_additivity(model, psi, b):
         raise NotAdditiveError("additivity on b fails")
     coeffs = walsh_decompose(model, psi).coeffs
-    masses = support_masses(model, coeffs)
     zero = model._num(Fraction(0))
-    per_atom = [(block, _mass_inside(model, masses, block)) for block in b.blocks]
+    per_atom = [(block, mass_inside(model, coeffs, block)) for block in b.blocks]
     delta_sq = max((nsq for _, nsq in per_atom), default=zero)
 
     if len(b.blocks) <= 5:
         for partition in iter_partitions_of_unity(b):
-            worst = max((_mass_inside(model, masses, part) for part in partition), default=zero)
+            worst = max((mass_inside(model, coeffs, part) for part in partition), default=zero)
             if not model.leq(delta_sq, worst):
                 raise RuntimeError("finest partition is not minimal for the defect")
 
@@ -283,7 +266,7 @@ def defect_bound_check(
     delta = certificate.delta
 
     coeffs = certificate.coeffs
-    masks = model.support_masks()
+    masks = model.support_masks
     comp = x.complement()
     entries: dict[tuple[int, int], tuple] = {}
     for idx, c in enumerate(coeffs):
@@ -291,7 +274,7 @@ def defect_bound_check(
         if c != 0 and m & x.mask and m & comp.mask:
             j = _restrict_index(model, idx, x.mask)
             k = _restrict_index(model, idx, comp.mask)
-            entries[(j, k)] = (c, model.basis_norm_sq(j), model.basis_norm_sq(k))
+            entries[(j, k)] = (c, model.basis_norms[j], model.basis_norms[k])
 
     entry_fail: list[tuple[int, int]] = []
     for (j, k), (c, nj, nk) in entries.items():
@@ -346,7 +329,7 @@ def split_solution_space(model: NoiseModel, x: BoolElem) -> tuple[RandomVariable
 def _split_span_rows(model: NoiseModel, x: BoolElem) -> list[list]:
     xc_mask = x.complement().mask
     rows = []
-    for idx, m in enumerate(model.support_masks()):
+    for idx, m in enumerate(model.support_masks):
         if m and (m & ~x.mask == 0 or m & ~xc_mask == 0):
             rows.append(list(model.walsh_vector(idx).values))
     return rows
@@ -357,13 +340,15 @@ def product_test(model: NoiseModel, psi: RandomVariable, x: BoolElem) -> bool:
     factors from x and from its complement (computed pointwise, exactly)."""
     if not model.eq(expectation(model, psi), 0):
         return False
-    xc = x.complement()
     left = list(model.multi_indices_supported_in(x, nonzero=True))
-    right = list(model.multi_indices_supported_in(xc, nonzero=True))
+    right = list(model.multi_indices_supported_in(x.complement(), nonzero=True))
+    if not (left and right):
+        return True
+    right_vectors = [model.walsh_vector(k) for k in right]
     for j in left:
         partial = psi * model.walsh_vector(j)
-        for k in right:
-            if not model.eq(inner_product(model, partial, model.walsh_vector(k)), 0):
+        for ek in right_vectors:
+            if not model.eq(inner_product(model, partial, ek), 0):
                 return False
     return True
 

@@ -12,7 +12,7 @@ import sys
 
 from . import chaos as chaos_mod
 from .boolalg import BoolElem, FinitePowerAlgebra, Subalgebra
-from .config import decimal12, format_fraction, load_model_config
+from .config import decimal12, load_model_config
 from .suite import GROUPS, SPECTRUM_HEADERS, emit_spectrum_report, run_verification_suite
 
 
@@ -106,7 +106,7 @@ def _cmd_chaos(args) -> int:
         lines.append(f"additivity on subalgebra: {'no' if cert is None else 'yes'}")
         if cert is not None:
             lines.append(
-                f"defect delta^2 = {format_fraction(cert.delta_sq)}; delta = {decimal12(cert.delta)}"
+                f"defect delta^2 = {cert.delta_sq}; delta = {decimal12(cert.delta)}"
             )
             worst = None
             all_ok = True

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .boolalg import BoolElem, FinitePowerAlgebra, Subalgebra
+from .geometry import check_sample_points
 from .model import Cell, NoiseModel, RandomVariable
 
 FRACTION_RE = re.compile(r"^-?[0-9]+(/[1-9][0-9]*)?$")
@@ -44,10 +45,6 @@ def parse_fraction(raw, path: str) -> Fraction:
     return Fraction(raw)
 
 
-def format_fraction(x: Fraction) -> str:
-    return str(x)
-
-
 @dataclass(frozen=True)
 class ModelConfig:
     cells: tuple[Cell, ...]
@@ -58,6 +55,19 @@ class ModelConfig:
     seed: int = 0
     depth: int = 6
     exhaustive_limit: int = 16
+
+    def __post_init__(self) -> None:
+        """The scalar fields are checked here, so a config loaded from JSON and
+        one with fields replaced afterwards pass the same checks."""
+        if self.backend not in ("exact", "float"):
+            raise ConfigError(f"unknown backend {self.backend!r}", "backend")
+        if not isinstance(self.seed, int) or not 0 <= self.seed < 1 << 64:
+            raise ConfigError("seed must be an unsigned 64-bit integer", "seed")
+        if not isinstance(self.depth, int) or not 0 <= self.depth <= 16:
+            raise ConfigError("depth must be an integer in 0..16", "depth")
+        limit = self.exhaustive_limit
+        if not isinstance(limit, int) or limit < 1:
+            raise ConfigError("exhaustive_limit must be a positive integer", "exhaustive_limit")
 
     @property
     def n_cells(self) -> int:
@@ -181,42 +191,20 @@ def load_config_dict(data: dict) -> ModelConfig:
         pts = tuple(
             parse_fraction(p, f"{epath}.sample_points[{j}]") for j, p in enumerate(pts_raw)
         )
-        if len(pts) != n:
-            raise ConfigError(f"need {n} sample points, got {len(pts)}", epath)
-        for j, t in enumerate(pts):
-            if not 0 < t < 1:
-                raise ConfigError(f"sample point {t} outside (0,1)", f"{epath}.sample_points[{j}]")
-            if t.denominator & (t.denominator - 1) == 0:
-                raise ConfigError(
-                    f"sample point on a potential boundary: {t}", f"{epath}.sample_points[{j}]"
-                )
-        for a, b in zip(pts, pts[1:]):
-            if not a < b:
-                raise ConfigError("sample points must be strictly increasing", epath)
-        sample_points = pts
-
-    backend = data.get("backend", "exact")
-    if backend not in ("exact", "float"):
-        raise ConfigError(f"unknown backend {backend!r}", "backend")
-    seed = data.get("seed", 0)
-    if not isinstance(seed, int) or not 0 <= seed < 1 << 64:
-        raise ConfigError("seed must be an unsigned 64-bit integer", "seed")
-    depth = data.get("depth", 6)
-    if not isinstance(depth, int) or not 0 <= depth <= 16:
-        raise ConfigError("depth must be an integer in 0..16", "depth")
-    limit = data.get("exhaustive_limit", 16)
-    if not isinstance(limit, int) or limit < 1:
-        raise ConfigError("exhaustive_limit must be a positive integer", "exhaustive_limit")
+        try:
+            sample_points = check_sample_points(pts, n)
+        except ValueError as exc:
+            raise ConfigError(str(exc), f"{epath}.sample_points") from exc
 
     return ModelConfig(
         cells=cells,
         subalgebras=tuple(subalgebras),
         vectors=tuple(vectors),
         sample_points=sample_points,
-        backend=backend,
-        seed=seed,
-        depth=depth,
-        exhaustive_limit=limit,
+        backend=data.get("backend", "exact"),
+        seed=data.get("seed", 0),
+        depth=data.get("depth", 6),
+        exhaustive_limit=data.get("exhaustive_limit", 16),
     )
 
 
@@ -237,7 +225,7 @@ def emit_config_dict(cfg: ModelConfig) -> dict:
     """Canonical JSON form; loading it back reproduces the config exactly."""
     data: dict = {
         "cells": [
-            {"k": c.k, "probs": [format_fraction(p) for p in c.probs]} for c in cfg.cells
+            {"k": c.k, "probs": [str(p) for p in c.probs]} for c in cfg.cells
         ]
     }
     if cfg.subalgebras:
@@ -246,11 +234,11 @@ def emit_config_dict(cfg: ModelConfig) -> dict:
         }
     if cfg.vectors:
         data["vectors"] = {
-            name: [format_fraction(v) for v in values] for name, values in cfg.vectors
+            name: [str(v) for v in values] for name, values in cfg.vectors
         }
     if cfg.sample_points is not None:
         data["embedding"] = {
-            "sample_points": [format_fraction(t) for t in cfg.sample_points]
+            "sample_points": [str(t) for t in cfg.sample_points]
         }
     data["backend"] = cfg.backend
     data["seed"] = cfg.seed

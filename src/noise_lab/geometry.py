@@ -15,7 +15,6 @@ depth grows, with a certified Hausdorff bound.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -48,15 +47,13 @@ class Embedding:
         return self.model.n_cells
 
 
-def build_embedding(model: NoiseModel, sample_points) -> Embedding:
-    """Validate the sample points and pin the cells to them.
-
-    That evaluation at the points is a homomorphism is checked by the suite
-    check ``geometry.homomorphism``, not here.
-    """
+def check_sample_points(sample_points, n_cells: int) -> tuple[Fraction, ...]:
+    """The sample points as Fractions, after checking that there is one per
+    cell, each strictly inside (0,1) and not dyadic, in strictly increasing
+    order. Raises ValueError naming the first rule broken."""
     pts = tuple(Fraction(t) for t in sample_points)
-    if len(pts) != model.n_cells:
-        raise ValueError(f"need {model.n_cells} sample points, got {len(pts)}")
+    if len(pts) != n_cells:
+        raise ValueError(f"need {n_cells} sample points, got {len(pts)}")
     for t in pts:
         if not ZERO < t < ONE:
             raise ValueError(f"sample point {t} outside (0,1)")
@@ -65,7 +62,16 @@ def build_embedding(model: NoiseModel, sample_points) -> Embedding:
     for a, b in zip(pts, pts[1:]):
         if not a < b:
             raise ValueError("sample points must be strictly increasing")
-    return Embedding(model, pts)
+    return pts
+
+
+def build_embedding(model: NoiseModel, sample_points) -> Embedding:
+    """Validate the sample points and pin the cells to them.
+
+    That evaluation at the points is a homomorphism is checked by the suite
+    check ``geometry.homomorphism``, not here.
+    """
+    return Embedding(model, check_sample_points(sample_points, model.n_cells))
 
 
 def inner_approx(emb: Embedding, r: RegOpen) -> BoolElem:
@@ -269,33 +275,7 @@ def monotone_limit_check(emb: Embedding, chain) -> bool:
     return reaches_one == all_covered
 
 
-# -- inner approximation and the boundary dichotomy ---------------------------
-
-
-def inner_approx_detail(emb: Embedding, r: RegOpen) -> tuple[BoolElem, int]:
-    """Also reports the dyadic depth at which the supremum is reached: the
-    smallest depth whose grid provides, around each captured sample point,
-    an interval compactly inside r."""
-    elem = inner_approx(emb, r)
-    worst = 0
-    for i in elem.indices():
-        t = emb.sample_points[i]
-        comp = next((a, b) for a, b in r.intervals if a < t < b or (a == t == 0) or (b == t == 1))
-        a, b = comp
-        d = 0
-        while True:
-            q = 1 << d
-            lo = Fraction(math.floor(t * q), q)
-            hi = lo + Fraction(1, q)
-            lo_ok = lo > a or (a == 0 and lo >= 0)
-            hi_ok = hi < b or (b == 1 and hi <= 1)
-            if lo < t < hi and lo_ok and hi_ok:
-                break
-            d += 1
-            if d > 64:
-                raise RuntimeError("no dyadic neighborhood found")
-        worst = max(worst, d)
-    return elem, worst
+# -- the boundary dichotomy ---------------------------------------------------
 
 
 @dataclass(frozen=True)

@@ -126,8 +126,8 @@ class NoiseModel:
         num = self._num
         # Per-cell orthogonalization: e_0 = 1; e_j = indicator(outcome j)
         # minus its components along earlier vectors, in outcome order.
-        self.cell_vectors: list[list[list]] = []
-        self.cell_norms_sq: list[list] = []
+        cell_vectors = []
+        cell_norms_sq = []
         for cell in self.cells:
             probs = [num(p) for p in cell.probs]
             k = cell.k
@@ -142,30 +142,38 @@ class NoiseModel:
                     vec = [v - coef * p for v, p in zip(vec, prev)]
                 vectors.append(vec)
                 norms.append(sum(v * v * p for v, p in zip(vec, probs)))
-            self.cell_vectors.append(vectors)
-            self.cell_norms_sq.append(norms)
+            cell_vectors.append(tuple(tuple(v) for v in vectors))
+            cell_norms_sq.append(tuple(norms))
+        self.cell_vectors = tuple(cell_vectors)
+        self.cell_norms_sq = tuple(cell_norms_sq)
 
-        self.point_weights = [
-            self._product(num(self.cells[i].probs[d]) for i, d in enumerate(self.point_digits(idx)))
-            for idx in range(self.n_points)
-        ]
+        # Per point (equivalently, per multi-index): its weight, the support
+        # of the basis vector it indexes (bitmask of cells with a nonzero
+        # digit) and that vector's squared norm |e_m|^2.
+        digits = [self.point_digits(idx) for idx in range(self.n_points)]
+        self.point_weights = tuple(
+            self._product(num(self.cells[i].probs[d]) for i, d in enumerate(dig)) for dig in digits
+        )
+        self.support_masks = tuple(sum(1 << i for i, d in enumerate(dig) if d) for dig in digits)
+        self.basis_norms = tuple(
+            self._product(self.cell_norms_sq[i][d] for i, d in enumerate(dig)) for dig in digits
+        )
 
         # k x k transform matrices per cell: analysis maps values along one
         # axis to per-cell coefficients, synthesis maps back.
-        self._analysis = []
-        self._synthesis = []
+        analysis = []
+        synthesis = []
         for i, cell in enumerate(self.cells):
             probs = [num(p) for p in cell.probs]
             vecs = self.cell_vectors[i]
             norms = self.cell_norms_sq[i]
             k = cell.k
-            self._analysis.append(
-                [[vecs[j][o] * probs[o] / norms[j] for o in range(k)] for j in range(k)]
+            analysis.append(
+                tuple(tuple(vecs[j][o] * probs[o] / norms[j] for o in range(k)) for j in range(k))
             )
-            self._synthesis.append([[vecs[j][o] for j in range(k)] for o in range(k)])
-
-        self._support_masks: list[int] | None = None
-        self._walsh_rv_cache: dict[int, RandomVariable] = {}
+            synthesis.append(tuple(tuple(vecs[j][o] for j in range(k)) for o in range(k)))
+        self._analysis = tuple(analysis)
+        self._synthesis = tuple(synthesis)
 
     # -- numeric backend ------------------------------------------------
 
@@ -195,33 +203,11 @@ class NoiseModel:
             digits.append(idx // self.strides[i] % self.radices[i])
         return tuple(digits)
 
-    def point_index(self, digits: Sequence[int]) -> int:
-        return sum(d * s for d, s in zip(digits, self.strides))
-
-    def support_masks(self) -> list[int]:
-        """Support (bitmask of cells with nonzero digit) per flat multi-index."""
-        if self._support_masks is None:
-            masks = [0] * self.n_points
-            for idx in range(self.n_points):
-                m = 0
-                for i, d in enumerate(self.point_digits(idx)):
-                    if d:
-                        m |= 1 << i
-                masks[idx] = m
-            self._support_masks = masks
-        return self._support_masks
-
     def multi_indices_supported_in(self, x: BoolElem, nonzero: bool = False) -> Iterator[int]:
         """Flat multi-indices whose support lies inside x (optionally nonzero)."""
-        for idx, mask in enumerate(self.support_masks()):
+        for idx, mask in enumerate(self.support_masks):
             if mask & ~x.mask == 0 and not (nonzero and mask == 0):
                 yield idx
-
-    def basis_norm_sq(self, idx: int):
-        out = self._num(Fraction(1))
-        for i, d in enumerate(self.point_digits(idx)):
-            out = out * self.cell_norms_sq[i][d]
-        return out
 
     # -- vectors ----------------------------------------------------------
 
@@ -235,19 +221,12 @@ class NoiseModel:
         return RandomVariable(vals)
 
     def walsh_vector(self, idx: int) -> RandomVariable:
-        """Materialize basis vector e_m for flat multi-index m (cached)."""
-        rv = self._walsh_rv_cache.get(idx)
-        if rv is None:
-            mdig = self.point_digits(idx)
-            values = []
-            for w in range(self.n_points):
-                acc = self._num(Fraction(1))
-                for i, o in enumerate(self.point_digits(w)):
-                    acc = acc * self.cell_vectors[i][mdig[i]][o]
-                values.append(acc)
-            rv = RandomVariable(tuple(values))
-            self._walsh_rv_cache[idx] = rv
-        return rv
+        """Materialize basis vector e_m for flat multi-index m: the Kronecker
+        product of its per-cell vectors, in cell order."""
+        values = [self._num(Fraction(1))]
+        for vectors, d in zip(self.cell_vectors, self.point_digits(idx)):
+            values = [a * b for a in values for b in vectors[d]]
+        return RandomVariable(tuple(values))
 
     def random_rv(self, rng, zero_mean: bool = False) -> RandomVariable:
         if self.backend == "float":
@@ -314,12 +293,25 @@ def walsh_reconstruct(model: NoiseModel, wc: WalshCoeffs) -> RandomVariable:
 def support_masses(model: NoiseModel, coeffs) -> dict[int, object]:
     """Parseval mass per support: the sum of c_m^2 |e_m|^2 over the
     multi-indices m with that support, keyed by every cell-set mask in
-    increasing order. |Q_x f|^2 is the total mass of the supports inside x."""
+    increasing order."""
     zero = model._num(Fraction(0))
     masses = dict.fromkeys(range(1 << model.n_cells), zero)
-    for idx, (c, m) in enumerate(zip(coeffs, model.support_masks())):
-        masses[m] = masses[m] + c * c * model.basis_norm_sq(idx)
+    for c, m, e in zip(coeffs, model.support_masks, model.basis_norms):
+        masses[m] = masses[m] + c * c * e
     return masses
+
+
+def mass_inside(model: NoiseModel, coeffs, x: BoolElem):
+    """Parseval: |Q_x f|^2 is the sum of c_m^2 |e_m|^2 over the multi-indices
+    m supported inside x, added in flat-index order."""
+    return sum(
+        (
+            c * c * e
+            for c, e, s in zip(coeffs, model.basis_norms, model.support_masks)
+            if s & ~x.mask == 0
+        ),
+        model._num(Fraction(0)),
+    )
 
 
 # -- sigma-fields and projections -----------------------------------------
@@ -347,7 +339,7 @@ def masked_coeffs(model: NoiseModel, coeffs, x: BoolElem) -> list:
     if x.n != model.n_cells:
         raise ValueError("element from a different algebra")
     zero = model._num(Fraction(0))
-    return [c if s & ~x.mask == 0 else zero for c, s in zip(coeffs, model.support_masks())]
+    return [c if s & ~x.mask == 0 else zero for c, s in zip(coeffs, model.support_masks)]
 
 
 def project(model: NoiseModel, x: BoolElem, f: RandomVariable) -> RandomVariable:
@@ -400,10 +392,10 @@ def verify_projection_laws(
     depend only on a coefficient's support); a handful of pairs additionally
     get full projection applications on basis vectors and a random vector.
     The superadditivity norms come from Parseval on the orthogonal basis
-    (sum of c_m^2 |e_m|^2 over the kept indices), without synthesis; the
-    point-space side of that identity, norm_sq(project(...)), is compared
-    with the Parseval masses by acceptance criterion 07 and by the suite
-    check spectrum__projection_measure.
+    (mass_inside), without synthesis; the point-space side of that identity,
+    norm_sq(project(...)), is compared with the Parseval masses by
+    acceptance criterion 07 and by the suite check
+    spectrum__projection_measure.
     """
     n = model.n_cells
     size = 1 << n
@@ -422,20 +414,10 @@ def verify_projection_laws(
             b = rng.randrange(size) & ~a
             pairs.append((a, b))
 
-    supports = sorted(set(model.support_masks()))
-    all_masks = model.support_masks()
-    basis_norms = [model.basis_norm_sq(i) for i in range(model.n_points)]
-    zero = model._num(Fraction(0))
+    supports = sorted(set(model.support_masks))
     deep_budget = deep_pairs
     fixed_probe = _default_probe(model)
     fixed_coeffs = walsh_decompose(model, fixed_probe).coeffs
-
-    def masked_norm(coeffs, mask: int):
-        # Parseval: |Q_x f|^2 = sum of c_m^2 |e_m|^2 over m supported in x.
-        return sum(
-            (c * c * e for c, e, s in zip(coeffs, basis_norms, all_masks) if s & ~mask == 0),
-            zero,
-        )
 
     for a, b in pairs:
         x = BoolElem(a, n)
@@ -459,9 +441,9 @@ def verify_projection_laws(
                 coeffs = fixed_coeffs
             else:
                 coeffs = walsh_decompose(model, model.random_rv(rng, zero_mean=True)).coeffs
-            nx = masked_norm(coeffs, a)
-            ny = masked_norm(coeffs, b)
-            nj = masked_norm(coeffs, join)
+            nx = mass_inside(model, coeffs, x)
+            ny = mass_inside(model, coeffs, y)
+            nj = mass_inside(model, coeffs, BoolElem(join, n))
             if not model.leq(nx + ny, nj):
                 failures.append(f"superadditivity fails at x={x} y={y}")
             elif strict_witness is None and not model.eq(nx + ny, nj):

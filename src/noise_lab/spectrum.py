@@ -67,7 +67,7 @@ def build_spectral_space(model: NoiseModel) -> SpectralSpace:
     cell contributes at least one zero-mean direction), with multiplicity
     the product of (k_i - 1) over the support."""
     counts: dict[int, int] = {}
-    for mask in model.support_masks():
+    for mask in model.support_masks:
         counts[mask] = counts.get(mask, 0) + 1
     masks = sorted(counts)
     if masks != list(range(1 << model.n_cells)):
@@ -113,7 +113,7 @@ class EventSubspace:
 
     def contains(self, rv: RandomVariable) -> bool:
         coeffs = walsh_decompose(self.model, rv).coeffs
-        masks = self.model.support_masks()
+        masks = self.model.support_masks
         return all(
             self.model.eq(c, 0) for idx, c in enumerate(coeffs) if masks[idx] not in self.members
         )
@@ -126,7 +126,7 @@ def subspace_of_event(space: SpectralSpace, event) -> EventSubspace:
         raise ValueError("event contains unknown atoms")
     model = space.model
     indices = tuple(
-        idx for idx, m in enumerate(model.support_masks()) if m in members
+        idx for idx, m in enumerate(model.support_masks) if m in members
     )
     return EventSubspace(model=model, members=members, indices=indices)
 

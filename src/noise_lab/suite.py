@@ -24,7 +24,7 @@ from .boolalg import (
     Subalgebra,
     random_partition_blocks,
 )
-from .config import ModelConfig, decimal12, format_fraction
+from .config import ModelConfig, decimal12
 from .model import (
     EXACT_CAP_DEFAULT,
     WalshCoeffs,
@@ -249,7 +249,7 @@ def laws__tensor_basis(ctx: _Ctx):
     _need_capacity(ctx)
     m = ctx.model
     rng = ctx.rng("laws.tensor")
-    masks = m.support_masks()
+    masks = m.support_masks
     if m.n_points <= 100:
         pairs = [
             (i, j)
@@ -264,12 +264,14 @@ def laws__tensor_basis(ctx: _Ctx):
             j = rng.randrange(m.n_points)
             if masks[i] & masks[j] == 0:
                 pairs.append((i, j))
+    needed = {k for i, j in pairs for k in (i, j, i + j)}
+    vectors = {k: m.walsh_vector(k) for k in needed}
     bad = []
     for i, j in pairs:
-        prod = m.walsh_vector(i) * m.walsh_vector(j)
-        if not m.rv_eq(prod, m.walsh_vector(i + j)):
+        prod = vectors[i] * vectors[j]
+        if not m.rv_eq(prod, vectors[i + j]):
             bad.append(f"product fails at {i},{j}")
-        if not m.eq(norm_sq(m, prod), m.basis_norm_sq(i) * m.basis_norm_sq(j)):
+        if not m.eq(norm_sq(m, prod), m.basis_norms[i] * m.basis_norms[j]):
             bad.append(f"norm product fails at {i},{j}")
     return f"{len(pairs)} disjoint-support pairs", bad, not bad
 
@@ -518,16 +520,17 @@ def spectrum__event_subspaces(ctx: _Ctx):
         if set(union.indices) != set(h1.indices) | set(h2.indices):
             bad.append("union identity fails")
         if not (e1 & e2):
+            right = [m.walsh_vector(j) for j in h2.indices[:6]]
             for i in h1.indices[:6]:
-                for j in h2.indices[:6]:
-                    if not m.eq(inner_product(m, m.walsh_vector(i), m.walsh_vector(j)), 0):
+                ei = m.walsh_vector(i)
+                for ej in right:
+                    if not m.eq(inner_product(m, ei, ej), 0):
                         bad.append("disjoint events not orthogonal")
     if m.n_points <= 64:
+        basis = [m.walsh_vector(i) for i in range(m.n_points)]
         for x in ctx.elements(rng, sample=4):
             hx = spec_mod.subspace_of_event(space, spec_mod.spectral_set(space, x).members)
-            image_rows = [
-                list(project(m, x, m.walsh_vector(i)).values) for i in range(m.n_points)
-            ]
+            image_rows = [list(project(m, x, e).values) for e in basis]
             basis_rows = [list(v.values) for v in hx.basis_rvs()]
             if not linalg.span_equal([r for r in image_rows if any(r)], basis_rows):
                 bad.append(f"H(S_x) != range of projection at x={x}")
@@ -874,7 +877,7 @@ def emit_spectrum_report(cfg: ModelConfig, vector_name: str) -> list[tuple[str, 
     rows = []
     for i, atom in enumerate(space.atoms):
         exact = (
-            format_fraction(sm.masses[i])
+            str(sm.masses[i])
             if model.backend == "exact"
             else decimal12(sm.masses[i])
         )
@@ -882,7 +885,7 @@ def emit_spectrum_report(cfg: ModelConfig, vector_name: str) -> list[tuple[str, 
             (
                 repr(atom),
                 str(space.dims[i]),
-                format_fraction(space.measure[i]),
+                str(space.measure[i]),
                 exact,
                 decimal12(sm.masses[i]),
             )

@@ -13,6 +13,11 @@ def sign_rv(model, cell):
     return model.from_values(vals)
 
 
+def point_index(model, digits):
+    """Flat index of the point with the given per-cell digits."""
+    return sum(d * s for d, s in zip(digits, model.strides))
+
+
 def full_subalgebra(model):
     alg = FinitePowerAlgebra(model.n_cells)
     return Subalgebra(alg, alg.atoms())

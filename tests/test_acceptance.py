@@ -140,7 +140,7 @@ def test_criterion_03_first_chaos():
         singles = [
             list(m.walsh_vector(i).values)
             for i in range(m.n_points)
-            if bin(m.support_masks()[i]).count("1") == 1
+            if bin(m.support_masks[i]).count("1") == 1
         ]
         if not linalg.span_equal([list(v.values) for v in fc.basis], singles):
             failures.append(f"{m.radices}: span mismatch")

@@ -10,10 +10,49 @@ from noise_lab.boolalg import (
     filter_to_closed_set,
     iter_partitions_of_unity,
     random_partition_blocks,
-    stone_membership_law,
     subsets_of,
-    verify_boolean_axioms,
 )
+
+
+def verify_boolean_axioms(n: int, triples) -> list[str]:
+    """Check lattice/Boolean axioms on the given (x, y, z) mask triples.
+
+    Returns a list of human-readable violation witnesses (empty = all pass).
+    """
+    failures = []
+    for xm, ym, zm in triples:
+        x, y, z = BoolElem(xm, n), BoolElem(ym, n), BoolElem(zm, n)
+        checks = [
+            ("meet assoc", (x & y) & z == x & (y & z)),
+            ("join assoc", (x | y) | z == x | (y | z)),
+            ("meet comm", x & y == y & x),
+            ("join comm", x | y == y | x),
+            ("distrib meet", x & (y | z) == (x & y) | (x & z)),
+            ("distrib join", x | (y & z) == (x | y) & (x | z)),
+            ("de morgan meet", ~(x & y) == ~x | ~y),
+            ("de morgan join", ~(x | y) == ~x & ~y),
+            ("complement meet", (x & ~x).is_zero),
+            ("complement join", (x | ~x).is_one),
+            ("absorption", x & (x | y) == x and x | (x & y) == x),
+        ]
+        for name, ok in checks:
+            if not ok:
+                failures.append(f"{name} fails at x={x} y={y} z={z}")
+    return failures
+
+
+def stone_membership_law(n: int) -> bool:
+    """closed(filter) inside clopen(x) iff x in filter, for every principal
+    filter and every x; exhaustive."""
+    for gen_mask in range(1 << n):
+        f = Filter(BoolElem(gen_mask, n))
+        closed = filter_to_closed_set(f)
+        for x_mask in range(1 << n):
+            x = BoolElem(x_mask, n)
+            inside = closed <= set(x.indices())
+            if inside != f.member(x):
+                return False
+    return True
 
 
 def test_build_power_algebra_sizes():

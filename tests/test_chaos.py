@@ -18,11 +18,20 @@ from noise_lab.chaos import (
     sigma_field_generated,
     split_check,
     split_solution_space,
+    _split_constraint_rows,
     _split_span_rows,
 )
-from noise_lab.model import NoiseModel, expectation, fair_coin, norm_sq, project, uniform_cell
+from noise_lab.model import (
+    NoiseModel,
+    expectation,
+    fair_coin,
+    norm_sq,
+    project,
+    sigma_field_of,
+    uniform_cell,
+)
 
-from conftest import block_subalgebra, full_subalgebra, model_family, sign_rv
+from conftest import block_subalgebra, full_subalgebra, model_family, point_index, sign_rv
 
 F = Fraction
 
@@ -143,6 +152,34 @@ def test_split_solution_space_matches_walsh_span(coin_and_triple):
         )
 
 
+def _dense_conditioning_matrix(m, x):
+    """Conditioning on x as a dense N x N matrix of block averages: the
+    reference definition of the constraint rows."""
+    n = m.n_points
+    mat = [[F(0)] * n for _ in range(n)]
+    for block in sigma_field_of(m, x):
+        wtot = sum(m.point_weights[w] for w in block)
+        row = [m.point_weights[w] / wtot for w in block]
+        for w in block:
+            for w2, v in zip(block, row):
+                mat[w][w2] = v
+    return mat
+
+
+def test_split_constraint_rows_match_dense_definition():
+    for m in model_family(3, (2, 3)):
+        n = m.n_cells
+        for mask in range(1 << n):
+            x = BoolElem(mask, n)
+            kx = _dense_conditioning_matrix(m, x)
+            kxc = _dense_conditioning_matrix(m, x.complement())
+            expected = [
+                [int(w == w2) - a - b for w2, (a, b) in enumerate(zip(kx[w], kxc[w]))]
+                for w in range(m.n_points)
+            ]
+            assert _split_constraint_rows(m, x) == expected
+
+
 def test_product_test_examples(two_coins):
     m = two_coins
     r1, r2 = sign_rv(m, 0), sign_rv(m, 1)
@@ -253,7 +290,7 @@ def test_first_chaos_is_intersection_of_split_spaces(coin_and_triple):
         [list(v.values) for v in surviving], [list(v.values) for v in fc.basis]
     )
     # And a genuinely mixed vector fails some split.
-    mixed = m.walsh_vector(m.point_index((1, 1)))
+    mixed = m.walsh_vector(point_index(m, (1, 1)))
     assert not all(split_check(m, mixed, BoolElem(mask, 2)) for mask in range(4))
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -7,7 +8,6 @@ from noise_lab.config import (
     ConfigError,
     decimal12,
     emit_config_dict,
-    format_fraction,
     load_config_dict,
     load_model_config,
     parse_fraction,
@@ -36,7 +36,7 @@ def test_parse_fraction():
 
 def test_format_round_trip():
     for x in (F(1, 3), F(-7, 2), F(4)):
-        assert parse_fraction(format_fraction(x), "p") == x
+        assert parse_fraction(str(x), "p") == x
 
 
 def test_load_two_coins():
@@ -85,6 +85,15 @@ def test_semantic_errors_with_paths():
         load_config_dict({"cells": TWO_COINS["cells"], "backend": "quantum"})
     with pytest.raises(ConfigError, match="seed"):
         load_config_dict({"cells": TWO_COINS["cells"], "seed": -1})
+
+
+def test_replaced_fields_pass_the_same_checks():
+    cfg = load_config_dict(TWO_COINS)
+    for name, value in (("backend", "quantum"), ("seed", -5), ("depth", -1), ("exhaustive_limit", 0)):
+        with pytest.raises(ConfigError, match=name) as info:
+            dataclasses.replace(cfg, **{name: value})
+        assert info.value.path == name
+    assert dataclasses.replace(cfg, seed=5, depth=0).seed == 5
 
 
 def test_parse_error_reports_position(tmp_path):

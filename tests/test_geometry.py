@@ -1,4 +1,5 @@
 import dataclasses
+import math
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,6 @@ from noise_lab.geometry import (
     closed_set_of_atom,
     closure_cells,
     inner_approx,
-    inner_approx_detail,
     is_dyadic,
     monotone_limit_check,
     sample_hom,
@@ -29,6 +29,31 @@ from noise_lab.model import NoiseModel, fair_coin
 from noise_lab.regopen import EMPTY, FULL, dyadic_grid_regopens, make_regopen, random_regopen
 
 F = Fraction
+
+
+def inner_approx_detail(emb, r):
+    """inner_approx(emb, r) together with the dyadic depth at which the
+    supremum is reached: the smallest depth whose grid provides, around each
+    captured sample point, an interval compactly inside r."""
+    elem = inner_approx(emb, r)
+    worst = 0
+    for i in elem.indices():
+        t = emb.sample_points[i]
+        a, b = next((a, b) for a, b in r.intervals if a < t < b or (a == t == 0) or (b == t == 1))
+        d = 0
+        while True:
+            q = 1 << d
+            lo = F(math.floor(t * q), q)
+            hi = lo + F(1, q)
+            lo_ok = lo > a or (a == 0 and lo >= 0)
+            hi_ok = hi < b or (b == 1 and hi <= 1)
+            if lo < t < hi and lo_ok and hi_ok:
+                break
+            d += 1
+            if d > 64:
+                raise RuntimeError("no dyadic neighborhood found")
+        worst = max(worst, d)
+    return elem, worst
 
 
 @pytest.fixture
@@ -176,8 +201,6 @@ def test_inner_approx_examples(emb):
     # Reported depth really suffices: the dyadic cell around 1/5 at that
     # depth is compactly inside [0, 1/3).
     q = 1 << depth
-    import math
-
     lo = F(math.floor(F(1, 5) * q), q)
     assert lo + F(1, q) < F(1, 3)
 

@@ -19,7 +19,7 @@ from noise_lab.model import (
     walsh_reconstruct,
 )
 
-from conftest import sign_rv
+from conftest import point_index, sign_rv
 
 F = Fraction
 
@@ -29,13 +29,13 @@ def test_two_fair_coins_walsh_structure(two_coins):
     assert m.n_points == 4
     assert all(w == F(1, 4) for w in m.point_weights)
     # Supports: every subset of the two cells, each one-dimensional.
-    assert sorted(m.support_masks()) == [0, 1, 2, 3]
+    assert sorted(m.support_masks) == [0, 1, 2, 3]
 
 
 def test_three_valued_cell_dimensions():
     m = NoiseModel([uniform_cell(3)])
     assert m.n_points == 3
-    supports = m.support_masks()
+    supports = m.support_masks
     assert supports.count(0) == 1
     assert supports.count(1) == 2  # k-1 zero-mean directions
 
@@ -115,13 +115,13 @@ def test_walsh_roundtrip_and_reconstruction(coin_and_triple, rng):
 
 def test_tensor_product_identity(four_coins):
     m = four_coins
-    masks = m.support_masks()
+    masks = m.support_masks
     for i in range(m.n_points):
         for j in range(m.n_points):
             if masks[i] & masks[j] == 0:
                 prod = m.walsh_vector(i) * m.walsh_vector(j)
                 assert prod == m.walsh_vector(i + j)
-                assert norm_sq(m, prod) == m.basis_norm_sq(i) * m.basis_norm_sq(j)
+                assert norm_sq(m, prod) == m.basis_norms[i] * m.basis_norms[j]
 
 
 def test_projection_laws_two_coins(two_coins):
@@ -159,4 +159,4 @@ def test_mixed_radix_ordering():
     assert [m.point_digits(i) for i in range(6)] == [
         (0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2),
     ]
-    assert m.point_index((1, 2)) == 5
+    assert point_index(m, (1, 2)) == 5

@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import json
 import subprocess
 import sys
@@ -32,20 +34,32 @@ def test_suite_two_coins_all_pass():
     assert report.exit_code() == 0
 
 
+def _assert_immutable(value, where):
+    assert not isinstance(value, (list, dict)), f"{where} is a {type(value).__name__}"
+    if isinstance(value, tuple):
+        for i, item in enumerate(value):
+            _assert_immutable(item, f"{where}[{i}]")
+
+
 def test_suite_leaves_no_state_on_the_model(monkeypatch):
     built = []
     build_model = ModelConfig.build_model
 
     def build_and_record(cfg):
         model = build_model(cfg)
-        built.append((model, set(vars(model))))
+        built.append((model, copy.deepcopy(vars(model))))
         return model
 
     monkeypatch.setattr(ModelConfig, "build_model", build_and_record)
-    report = run_verification_suite(load_model_config(str(FOUR_COINS)), "all")
-    assert report.n_fail == 0
-    [(model, keys)] = built
-    assert set(vars(model)) == keys
+    cfg = load_model_config(str(FOUR_COINS))
+    for backend in ("exact", "float"):
+        report = run_verification_suite(dataclasses.replace(cfg, backend=backend), "all")
+        assert report.n_fail == 0
+        model, before = built.pop()
+        assert model.backend == backend
+        assert vars(model) == before
+        for name, value in vars(model).items():
+            _assert_immutable(value, name)
 
 
 def test_split_space_solves_once_per_complementary_pair(monkeypatch):
@@ -149,6 +163,14 @@ def test_cli_input_error_exit_2(tmp_path):
 
     missing = run_cli("verify", str(tmp_path / "nope.json"))
     assert missing.returncode == 2
+
+
+@pytest.mark.parametrize("flag, value", [("--depth", "-1"), ("--seed", "-5")])
+def test_cli_overrides_are_validated(flag, value, capsys):
+    assert main(["verify", str(TWO_COINS), flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"input error: {flag[2:]}: " in captured.err
 
 
 def test_cli_strict_skip_exit_3(tmp_path):
