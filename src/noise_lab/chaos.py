@@ -23,6 +23,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Sequence
 
 from . import linalg
 from .boolalg import BoolElem, Subalgebra, iter_partitions_of_unity
@@ -335,22 +336,28 @@ def _split_span_rows(model: NoiseModel, x: BoolElem) -> list[list]:
     return rows
 
 
-def product_test(model: NoiseModel, psi: RandomVariable, x: BoolElem) -> bool:
-    """Zero mean and zero mixed third moments against spanning zero-mean
-    factors from x and from its complement (computed pointwise, exactly)."""
-    if not model.eq(expectation(model, psi), 0):
-        return False
-    left = list(model.multi_indices_supported_in(x, nonzero=True))
-    right = list(model.multi_indices_supported_in(x.complement(), nonzero=True))
-    if not (left and right):
-        return True
-    right_vectors = [model.walsh_vector(k) for k in right]
-    for j in left:
-        partial = psi * model.walsh_vector(j)
-        for ek in right_vectors:
+def _mixed_moments_vanish(model: NoiseModel, psi: RandomVariable, left: list, right: list) -> bool:
+    for ej in left:
+        partial = psi * ej
+        for ek in right:
             if not model.eq(inner_product(model, partial, ek), 0):
                 return False
     return True
+
+
+def product_test(model: NoiseModel, psis: Sequence[RandomVariable], x: BoolElem) -> list[bool]:
+    """Per vector: zero mean and zero mixed third moments against spanning
+    zero-mean factors from x and from its complement (computed pointwise,
+    exactly). The factors are built once for all the vectors."""
+    left = [model.walsh_vector(j) for j in model.multi_indices_supported_in(x, nonzero=True)]
+    right = [
+        model.walsh_vector(k)
+        for k in model.multi_indices_supported_in(x.complement(), nonzero=True)
+    ]
+    return [
+        model.eq(expectation(model, psi), 0) and _mixed_moments_vanish(model, psi, left, right)
+        for psi in psis
+    ]
 
 
 # -- classification -----------------------------------------------------------

@@ -58,15 +58,16 @@ class ModelConfig:
 
     def __post_init__(self) -> None:
         """The scalar fields are checked here, so a config loaded from JSON and
-        one with fields replaced afterwards pass the same checks."""
+        one with fields replaced afterwards pass the same checks. The integer
+        fields take exact ints: JSON true/false would pass isinstance(int)."""
         if self.backend not in ("exact", "float"):
             raise ConfigError(f"unknown backend {self.backend!r}", "backend")
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 1 << 64:
+        if type(self.seed) is not int or not 0 <= self.seed < 1 << 64:
             raise ConfigError("seed must be an unsigned 64-bit integer", "seed")
-        if not isinstance(self.depth, int) or not 0 <= self.depth <= 16:
+        if type(self.depth) is not int or not 0 <= self.depth <= 16:
             raise ConfigError("depth must be an integer in 0..16", "depth")
         limit = self.exhaustive_limit
-        if not isinstance(limit, int) or limit < 1:
+        if type(limit) is not int or limit < 1:
             raise ConfigError("exhaustive_limit must be a positive integer", "exhaustive_limit")
 
     @property
@@ -153,7 +154,7 @@ def load_config_dict(data: dict) -> ModelConfig:
         seen: set[int] = set()
         for b in blocks:
             for i in b:
-                if not isinstance(i, int) or not 0 <= i < n:
+                if type(i) is not int or not 0 <= i < n:
                     raise ConfigError(f"cell index {i} out of range", spath)
                 if i in seen:
                     raise ConfigError(f"cell index {i} repeated across blocks", spath)

@@ -14,12 +14,22 @@ every basis coefficient whose support is not inside x. A naive
 block-averaging conditional expectation is kept alongside as an independent
 oracle.
 
+Walsh analysis and synthesis apply one k x k matrix along each cell axis.
+On the exact backend those matrices are stored as integers: each is scaled
+by the LCD of its entries, and the model keeps the product of the scales. A
+transform puts the input vector over its common denominator D, runs the
+per-cell loop over Python ints, and divides each entry once, by D times that
+product (fraction-free, as linalg.rref is); only the returned entries are
+Fractions.
+
 Two numeric backends: exact rationals (default) and binary floats for larger
-randomized sweeps (absolute tolerance 1e-9).
+randomized sweeps (absolute tolerance 1e-9). The float backend applies float
+matrices with the same loop and no scaling.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -77,19 +87,19 @@ class RandomVariable:
 
     def __add__(self, other: "RandomVariable") -> "RandomVariable":
         self._check(other)
-        return RandomVariable(tuple(a + b for a, b in zip(self.values, other.values)))
+        return RandomVariable(tuple([a + b for a, b in zip(self.values, other.values)]))
 
     def __sub__(self, other: "RandomVariable") -> "RandomVariable":
         self._check(other)
-        return RandomVariable(tuple(a - b for a, b in zip(self.values, other.values)))
+        return RandomVariable(tuple([a - b for a, b in zip(self.values, other.values)]))
 
     def __mul__(self, other: "RandomVariable") -> "RandomVariable":
         """Pointwise product."""
         self._check(other)
-        return RandomVariable(tuple(a * b for a, b in zip(self.values, other.values)))
+        return RandomVariable(tuple([a * b for a, b in zip(self.values, other.values)]))
 
     def scale(self, c) -> "RandomVariable":
-        return RandomVariable(tuple(c * v for v in self.values))
+        return RandomVariable(tuple([c * v for v in self.values]))
 
     def is_zero(self) -> bool:
         return all(v == 0 for v in self.values)
@@ -160,7 +170,8 @@ class NoiseModel:
         )
 
         # k x k transform matrices per cell: analysis maps values along one
-        # axis to per-cell coefficients, synthesis maps back.
+        # axis to per-cell coefficients, synthesis maps back (as integer
+        # matrices and a scale on the exact backend).
         analysis = []
         synthesis = []
         for i, cell in enumerate(self.cells):
@@ -172,8 +183,12 @@ class NoiseModel:
                 tuple(tuple(vecs[j][o] * probs[o] / norms[j] for o in range(k)) for j in range(k))
             )
             synthesis.append(tuple(tuple(vecs[j][o] for j in range(k)) for o in range(k)))
-        self._analysis = tuple(analysis)
-        self._synthesis = tuple(synthesis)
+        if backend == "exact":
+            self._analysis, self._analysis_scale = _integer_matrices(analysis)
+            self._synthesis, self._synthesis_scale = _integer_matrices(synthesis)
+        else:
+            self._analysis, self._analysis_scale = tuple(analysis), 1
+            self._synthesis, self._synthesis_scale = tuple(synthesis), 1
 
     # -- numeric backend ------------------------------------------------
 
@@ -215,7 +230,7 @@ class NoiseModel:
         return RandomVariable((self._num(Fraction(c)) if isinstance(c, (int, Fraction)) else c,) * self.n_points)
 
     def from_values(self, values) -> RandomVariable:
-        vals = tuple(self._num(v) if isinstance(v, (int, Fraction)) else v for v in values)
+        vals = tuple([self._num(v) if isinstance(v, (int, Fraction)) else v for v in values])
         if len(vals) != self.n_points:
             raise ValueError(f"expected {self.n_points} values, got {len(vals)}")
         return RandomVariable(vals)
@@ -278,16 +293,40 @@ def _apply_per_cell(model: NoiseModel, values: list, matrices: list) -> list:
     return vals
 
 
+def _integer_matrices(matrices: list) -> tuple[tuple, int]:
+    """Each rational matrix times the LCD of its entries, as an int matrix,
+    and the product of those LCDs."""
+    scaled = []
+    scale = 1
+    for mat in matrices:
+        d = math.lcm(*[v.denominator for row in mat for v in row])
+        scaled.append(tuple(tuple(v.numerator * (d // v.denominator) for v in row) for row in mat))
+        scale *= d
+    return tuple(scaled), scale
+
+
+def _transform(model: NoiseModel, values: tuple, matrices: tuple, scale: int) -> tuple:
+    """Apply the per-cell matrices. Exact: the vector over its common
+    denominator D goes through the integer matrices as ints, and each entry
+    is divided once, by D * scale."""
+    if model.backend == "float":
+        return tuple(_apply_per_cell(model, values, matrices))
+    d = math.lcm(*[v.denominator for v in values])
+    ints = _apply_per_cell(model, [v.numerator * (d // v.denominator) for v in values], matrices)
+    d *= scale
+    return tuple([Fraction(r, d) for r in ints])
+
+
 def walsh_decompose(model: NoiseModel, f: RandomVariable) -> WalshCoeffs:
     if len(f) != model.n_points:
         raise ValueError("random variable does not match the model")
-    return WalshCoeffs(tuple(_apply_per_cell(model, list(f.values), model._analysis)))
+    return WalshCoeffs(_transform(model, f.values, model._analysis, model._analysis_scale))
 
 
 def walsh_reconstruct(model: NoiseModel, wc: WalshCoeffs) -> RandomVariable:
     if len(wc.coeffs) != model.n_points:
         raise ValueError("coefficient vector does not match the model")
-    return RandomVariable(tuple(_apply_per_cell(model, list(wc.coeffs), model._synthesis)))
+    return RandomVariable(_transform(model, wc.coeffs, model._synthesis, model._synthesis_scale))
 
 
 def support_masses(model: NoiseModel, coeffs) -> dict[int, object]:

@@ -303,8 +303,9 @@ def chaos__split_product_equiv(ctx: _Ctx):
     family = ctx.spanning_family(rng)
     bad = []
     for x in ctx.elements(rng, sample=6):
-        for k, psi in enumerate(family):
-            if chaos_mod.split_check(m, psi, x) != chaos_mod.product_test(m, psi, x):
+        products = chaos_mod.product_test(m, family, x)
+        for k, (psi, product) in enumerate(zip(family, products)):
+            if chaos_mod.split_check(m, psi, x) != product:
                 bad.append(f"x={x} vector {k}")
     return f"{len(family)} vectors per element", bad, not bad
 

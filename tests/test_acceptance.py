@@ -160,8 +160,9 @@ def test_criterion_04_split_product_and_subspace():
         family.append(mixed)
         for mask in range(1 << m.n_cells):
             x = BoolElem(mask, m.n_cells)
-            for k, psi in enumerate(family):
-                if split_check(m, psi, x) != product_test(m, psi, x):
+            products = product_test(m, family, x)
+            for k, (psi, product) in enumerate(zip(family, products)):
+                if split_check(m, psi, x) != product:
                     failures.append(f"{shape} x={x} vec {k}")
             space = split_solution_space(m, x)
             if not linalg.span_equal(

@@ -184,9 +184,7 @@ def test_product_test_examples(two_coins):
     m = two_coins
     r1, r2 = sign_rv(m, 0), sign_rv(m, 1)
     x = BoolElem(1, 2)
-    assert product_test(m, r1, x)
-    assert not product_test(m, r1 * r2, x)
-    assert not product_test(m, m.constant(1), x)
+    assert product_test(m, [r1, r1 * r2, m.constant(1)], x) == [True, False, False]
 
 
 def test_split_iff_product_exhaustive(coin_and_triple):
@@ -196,8 +194,7 @@ def test_split_iff_product_exhaustive(coin_and_triple):
     family.append(combo)
     for mask in range(4):
         x = BoolElem(mask, 2)
-        for psi in family:
-            assert split_check(m, psi, x) == product_test(m, psi, x)
+        assert [split_check(m, psi, x) for psi in family] == product_test(m, family, x)
 
 
 def test_classify_examples(two_coins):
@@ -346,6 +343,5 @@ def test_split_check_runs_no_elimination(coin_and_triple, monkeypatch):
     m = coin_and_triple
     for mask in range(4):
         x = BoolElem(mask, 2)
-        for idx in range(m.n_points):
-            psi = m.walsh_vector(idx)
-            assert split_check(m, psi, x) == product_test(m, psi, x)
+        family = [m.walsh_vector(idx) for idx in range(m.n_points)]
+        assert [split_check(m, psi, x) for psi in family] == product_test(m, family, x)

@@ -96,6 +96,19 @@ def test_replaced_fields_pass_the_same_checks():
     assert dataclasses.replace(cfg, seed=5, depth=0).seed == 5
 
 
+@pytest.mark.parametrize("name", ["seed", "depth", "exhaustive_limit"])
+def test_boolean_integer_fields_rejected(name):
+    with pytest.raises(ConfigError, match=f"^{name}: ") as info:
+        load_config_dict({"cells": [], name: True})
+    assert info.value.path == name
+    assert getattr(load_config_dict({"cells": [], name: 1}), name) == 1
+
+
+def test_boolean_cell_index_rejected():
+    with pytest.raises(ConfigError, match=r"^subalgebras\.s: cell index True out of range"):
+        load_config_dict({"cells": TWO_COINS["cells"], "subalgebras": {"s": [[True], [0]]}})
+
+
 def test_parse_error_reports_position(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"cells": [\n  {"k": 2, "probs": ["1/2" "1/2"]}\n]}')

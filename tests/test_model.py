@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,9 @@ from noise_lab.boolalg import BoolElem
 from noise_lab.model import (
     Cell,
     NoiseModel,
+    RandomVariable,
+    WalshCoeffs,
+    _apply_per_cell,
     expectation,
     fair_coin,
     inner_product,
@@ -111,6 +115,77 @@ def test_walsh_roundtrip_and_reconstruction(coin_and_triple, rng):
         v = m.random_rv(rng)
         wc = walsh_decompose(m, v)
         assert walsh_reconstruct(m, wc) == v
+
+
+def reference_transform(model, values, synthesis=False):
+    """The per-cell transform with k x k matrices of the backend's own numbers
+    (Fraction or float): the reference that the integer kernel of
+    walsh_decompose / walsh_reconstruct is checked against."""
+    matrices = []
+    for cell, vecs, norms in zip(model.cells, model.cell_vectors, model.cell_norms_sq):
+        probs = [model._num(p) for p in cell.probs]
+        k = cell.k
+        if synthesis:
+            matrices.append([[vecs[j][o] for j in range(k)] for o in range(k)])
+        else:
+            matrices.append(
+                [[vecs[j][o] * probs[o] / norms[j] for o in range(k)] for j in range(k)]
+            )
+    return _apply_per_cell(model, list(values), matrices)
+
+
+def _random_cells(rng, n_cells):
+    """Cells with k in {2, 3, 4} and probabilities over one denominator up to 10^6."""
+    cells = []
+    for _ in range(n_cells):
+        k = rng.choice((2, 3, 4))
+        q = rng.randint(k, 10**6)
+        cuts = sorted(rng.sample(range(1, q), k - 1))
+        parts = [b - a for a, b in zip([0, *cuts], [*cuts, q])]
+        cells.append(Cell(tuple(F(a, q) for a in parts)))
+    return cells
+
+
+def _transform_inputs(rng, n):
+    ints = [rng.randint(-50, 50) for _ in range(n)]
+    mixed = [
+        rng.randint(-9, 9)
+        if rng.random() < 0.5
+        else F(rng.randint(-(10**4), 10**4), rng.randint(1, 10**6))
+        for _ in range(n)
+    ]
+    return ints, mixed, [0] * n
+
+
+def test_integer_walsh_kernel_matches_fraction_reference():
+    rng = random.Random(8)
+    for trial in range(40):
+        m = NoiseModel(_random_cells(rng, trial % 5))
+        for values in _transform_inputs(rng, m.n_points):
+            coeffs = walsh_decompose(m, RandomVariable(tuple(values))).coeffs
+            points = walsh_reconstruct(m, WalshCoeffs(tuple(values))).values
+            for got, expected in (
+                (coeffs, reference_transform(m, values)),
+                (points, reference_transform(m, values, synthesis=True)),
+            ):
+                assert all(type(v) is Fraction for v in got)
+                assert list(got) == expected
+            assert walsh_reconstruct(m, WalshCoeffs(coeffs)).values == tuple(values)
+
+
+def test_float_walsh_transforms_match_the_float_matrix_path():
+    rng = random.Random(9)
+    for trial in range(20):
+        m = NoiseModel(_random_cells(rng, trial % 5), backend="float")
+        values = tuple(rng.uniform(-1.0, 1.0) for _ in range(m.n_points))
+        coeffs = walsh_decompose(m, RandomVariable(values)).coeffs
+        assert all(type(v) is float for v in coeffs)
+        points = walsh_reconstruct(m, WalshCoeffs(values)).values
+        for got, expected in (
+            (coeffs, reference_transform(m, values)),
+            (points, reference_transform(m, values, synthesis=True)),
+        ):
+            assert [v.hex() for v in got] == [v.hex() for v in expected]
 
 
 def test_tensor_product_identity(four_coins):

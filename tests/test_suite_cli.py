@@ -173,6 +173,15 @@ def test_cli_overrides_are_validated(flag, value, capsys):
     assert f"input error: {flag[2:]}: " in captured.err
 
 
+def test_cli_boolean_seed_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "boolseed.json"
+    cfg.write_text('{"cells": [{"k": 2, "probs": ["1/2", "1/2"]}], "seed": true}')
+    assert main(["verify", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "input error: seed: " in captured.err
+
+
 def test_cli_strict_skip_exit_3(tmp_path):
     cfg = tmp_path / "noemb.json"
     cfg.write_text('{"cells": [{"k": 2, "probs": ["1/2", "1/2"]}]}')
