@@ -348,12 +348,14 @@ def _mixed_moments_vanish(model: NoiseModel, psi: RandomVariable, left: list, ri
 def product_test(model: NoiseModel, psis: Sequence[RandomVariable], x: BoolElem) -> list[bool]:
     """Per vector: zero mean and zero mixed third moments against spanning
     zero-mean factors from x and from its complement (computed pointwise,
-    exactly). The factors are built once for all the vectors."""
-    left = [model.walsh_vector(j) for j in model.multi_indices_supported_in(x, nonzero=True)]
-    right = [
-        model.walsh_vector(k)
-        for k in model.multi_indices_supported_in(x.complement(), nonzero=True)
-    ]
+    exactly). The factors are built once for all the vectors, and not at all
+    when one side has none (x = 0 or 1), where only the mean test remains."""
+    left = list(model.multi_indices_supported_in(x, nonzero=True))
+    right = list(model.multi_indices_supported_in(x.complement(), nonzero=True))
+    if not (left and right):
+        left = right = []
+    left = [model.walsh_vector(j) for j in left]
+    right = [model.walsh_vector(k) for k in right]
     return [
         model.eq(expectation(model, psi), 0) and _mixed_moments_vanish(model, psi, left, right)
         for psi in psis

@@ -1,6 +1,7 @@
 """Command line front end.
 
-Exit codes: 0 all checks pass, 1 at least one failure, 2 input error,
+Exit codes: 0 all checks pass, 1 at least one failure, 2 input error
+(including a config that `chaos` refuses for its backend or size),
 3 a check was skipped while --strict was requested.
 """
 
@@ -13,7 +14,8 @@ import sys
 from . import chaos as chaos_mod
 from .boolalg import BoolElem, FinitePowerAlgebra, Subalgebra
 from .config import decimal12, load_model_config
-from .suite import GROUPS, SPECTRUM_HEADERS, emit_spectrum_report, run_verification_suite
+from .suite import EXACT_CAP, GROUPS, SPECTRUM_HEADERS, skip_reason
+from .suite import emit_spectrum_report, run_verification_suite
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -85,6 +87,9 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_chaos(args) -> int:
     cfg = load_model_config(args.config)
+    refusal = skip_reason(cfg, exact=True, points=EXACT_CAP)
+    if refusal is not None:
+        raise ValueError(refusal)
     model = cfg.build_model()
     chaos = chaos_mod.first_chaos_basis(model)
     result = chaos_mod.classify(model, chaos)

@@ -37,7 +37,6 @@ from typing import Iterator, Sequence
 from .boolalg import BoolElem
 
 FLOAT_TOL = 1e-9
-EXACT_CAP_DEFAULT = 4096
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,6 @@ from .boolalg import (
 )
 from .config import ModelConfig, decimal12
 from .model import (
-    EXACT_CAP_DEFAULT,
     WalshCoeffs,
     inner_product,
     norm_sq,
@@ -38,6 +37,11 @@ from .model import (
 )
 
 GROUPS = ("laws", "chaos", "spectrum", "regopen", "geometry")
+
+# Largest N a check runs on with the exact backend: EXACT_CAP for most checks,
+# ELIMINATION_CAP for those that solve a dense N x N system.
+EXACT_CAP = 4096
+ELIMINATION_CAP = 128
 
 
 @dataclass(frozen=True)
@@ -158,47 +162,61 @@ class _Ctx:
         return fam
 
 
-def _check(fn):
-    """Turn assertion-style check bodies into CheckResult producers."""
+def skip_reason(
+    cfg: ModelConfig,
+    *,
+    exact: bool = False,
+    points: int | None = None,
+    cells: bool = False,
+    embedding: bool = False,
+) -> str | None:
+    """Why a check with these needs cannot run on cfg, or None if it can.
 
-    def wrapper(ctx: _Ctx) -> CheckResult:
+    Reads only the config, so the answer comes before any model is built.
+    `exact` asks for the exact backend; `points` caps N on the exact backend
+    (the suffix names the float backend only for checks that run there too);
+    `cells` asks for at least one cell; `embedding` for sample points."""
+    if exact and cfg.backend != "exact":
+        return "requires the exact backend"
+    if points is not None and cfg.backend == "exact" and cfg.n_points > points:
+        reason = f"exact backend cap exceeded (N={cfg.n_points} > {points})"
+        return reason if exact else reason + "; select the float backend"
+    if cells and cfg.n_cells == 0:
+        return "no cells"
+    if embedding and cfg.sample_points is None:
+        return "no embedding in config"
+    return None
+
+
+def _check(**needs):
+    """Turn an assertion-style check body into a CheckResult producer that
+    skips, with skip_reason(cfg, **needs), before the body runs."""
+
+    def decorate(fn):
         group, name = fn.__name__.split("__")
-        try:
-            out = fn(ctx)
-        except _Skip as s:
-            return CheckResult(group, name, "skip", detail=str(s))
-        except Exception as exc:  # a check crash is a failure with a witness
-            return CheckResult(group, name, "fail", witnesses=(repr(exc),))
-        detail, witnesses, ok = out
-        return CheckResult(group, name, "pass" if ok else "fail", detail, tuple(witnesses))
 
-    wrapper.__name__ = fn.__name__
-    return wrapper
+        def wrapper(ctx: _Ctx) -> CheckResult:
+            reason = skip_reason(ctx.cfg, **needs)
+            if reason is not None:
+                return CheckResult(group, name, "skip", detail=reason)
+            try:
+                detail, witnesses, ok = fn(ctx)
+            except Exception as exc:  # a check crash is a failure with a witness
+                return CheckResult(group, name, "fail", witnesses=(repr(exc),))
+            return CheckResult(group, name, "pass" if ok else "fail", detail, tuple(witnesses))
 
+        wrapper.__name__ = fn.__name__
+        wrapper.needs = needs
+        return wrapper
 
-class _Skip(Exception):
-    pass
-
-
-def _need_exact(ctx: _Ctx) -> None:
-    if ctx.model.backend != "exact":
-        raise _Skip("requires the exact backend")
-
-
-def _need_capacity(ctx: _Ctx) -> None:
-    if ctx.model.backend == "exact" and ctx.model.n_points > EXACT_CAP_DEFAULT:
-        raise _Skip(
-            f"exact backend cap exceeded (N={ctx.model.n_points} > {EXACT_CAP_DEFAULT}); "
-            "select the float backend"
-        )
+    return decorate
 
 
 # -- laws group ---------------------------------------------------------------
 
 
-@_check
+@_check(points=EXACT_CAP)
 def laws__projection_lattice(ctx: _Ctx):
-    _need_capacity(ctx)
     rep = verify_projection_laws(
         ctx.model, exhaustive_limit=ctx.cfg.exhaustive_limit, rng=ctx.rng("laws.lattice")
     )
@@ -208,9 +226,8 @@ def laws__projection_lattice(ctx: _Ctx):
     return f"{rep.pairs_checked} pairs", wit, rep.passed
 
 
-@_check
+@_check(points=EXACT_CAP)
 def laws__oracle_equivalence(ctx: _Ctx):
-    _need_capacity(ctx)
     m = ctx.model
     rng = ctx.rng("laws.oracle")
     elements = ctx.elements(rng)
@@ -227,9 +244,8 @@ def laws__oracle_equivalence(ctx: _Ctx):
     return f"{len(elements)} elements x {len(basis)} vectors", bad, not bad
 
 
-@_check
+@_check(points=EXACT_CAP)
 def laws__projection_operator(ctx: _Ctx):
-    _need_capacity(ctx)
     m = ctx.model
     rng = ctx.rng("laws.operator")
     f = m.random_rv(rng)
@@ -244,9 +260,8 @@ def laws__projection_operator(ctx: _Ctx):
     return "idempotence + self-adjointness", bad, not bad
 
 
-@_check
+@_check(points=EXACT_CAP)
 def laws__tensor_basis(ctx: _Ctx):
-    _need_capacity(ctx)
     m = ctx.model
     rng = ctx.rng("laws.tensor")
     masks = m.support_masks
@@ -276,9 +291,8 @@ def laws__tensor_basis(ctx: _Ctx):
     return f"{len(pairs)} disjoint-support pairs", bad, not bad
 
 
-@_check
+@_check(points=EXACT_CAP)
 def laws__walsh_roundtrip(ctx: _Ctx):
-    _need_capacity(ctx)
     m = ctx.model
     rng = ctx.rng("laws.roundtrip")
     probes = [m.random_rv(rng) for _ in range(4)]
@@ -294,10 +308,8 @@ def laws__walsh_roundtrip(ctx: _Ctx):
 # -- chaos group --------------------------------------------------------------
 
 
-@_check
+@_check(exact=True, points=EXACT_CAP)
 def chaos__split_product_equiv(ctx: _Ctx):
-    _need_exact(ctx)
-    _need_capacity(ctx)
     m = ctx.model
     rng = ctx.rng("chaos.splitprod")
     family = ctx.spanning_family(rng)
@@ -310,10 +322,8 @@ def chaos__split_product_equiv(ctx: _Ctx):
     return f"{len(family)} vectors per element", bad, not bad
 
 
-@_check
+@_check(exact=True, points=ELIMINATION_CAP)
 def chaos__split_space(ctx: _Ctx):
-    _need_exact(ctx)
-    _need_capacity(ctx)
     m = ctx.model
     xs = ctx.elements(ctx.rng("chaos.splitspace"), sample=6)
     # I - K_x - K_x' is one system for x and ~x: solve once per pair.
@@ -331,13 +341,9 @@ def chaos__split_space(ctx: _Ctx):
     return f"solution space vs basis span, {scope}", bad, not bad
 
 
-@_check
+@_check(exact=True, points=ELIMINATION_CAP)
 def chaos__first_chaos(ctx: _Ctx):
-    _need_exact(ctx)
-    _need_capacity(ctx)
     m = ctx.model
-    if m.n_points > 128:
-        raise _Skip(f"first-chaos elimination capped at 128 points (N={m.n_points})")
     fc = ctx.chaos
     expected = sum(k - 1 for k in m.radices)
     bad = []
@@ -359,13 +365,9 @@ def chaos__first_chaos(ctx: _Ctx):
     return f"dimension {fc.dimension}", bad, not bad
 
 
-@_check
+@_check(exact=True, points=ELIMINATION_CAP)
 def chaos__classification(ctx: _Ctx):
-    _need_exact(ctx)
-    _need_capacity(ctx)
     m = ctx.model
-    if m.n_points > 128:
-        raise _Skip(f"classification elimination capped at 128 points (N={m.n_points})")
     res = chaos_mod.classify(m, ctx.chaos)
     if res.degenerate:
         return "degenerate zero-cell model", (f"kind={res.kind.value} (flagged degenerate)",), True
@@ -373,13 +375,9 @@ def chaos__classification(ctx: _Ctx):
     return f"kind={res.kind.value}, dim={res.dimension}", [] if ok else [f"kind={res.kind.value}"], ok
 
 
-@_check
+@_check(exact=True, points=ELIMINATION_CAP)
 def chaos__additive_norm(ctx: _Ctx):
-    _need_exact(ctx)
-    _need_capacity(ctx)
     m = ctx.model
-    if m.n_points > 128:
-        raise _Skip(f"capped at 128 points (N={m.n_points})")
     fc = ctx.chaos
     rng = ctx.rng("chaos.addnorm")
     probes = list(fc.basis)
@@ -400,13 +398,9 @@ def chaos__additive_norm(ctx: _Ctx):
     return f"{len(probes)} first-chaos vectors", bad, not bad
 
 
-@_check
+@_check(exact=True, points=EXACT_CAP, cells=True)
 def chaos__defect_zero(ctx: _Ctx):
-    _need_exact(ctx)
-    _need_capacity(ctx)
     m = ctx.model
-    if m.n_cells == 0:
-        raise _Skip("no cells")
     rng = ctx.rng("chaos.defectzero")
     bad = []
     zero_cases = 0
@@ -426,13 +420,9 @@ def chaos__defect_zero(ctx: _Ctx):
     return f"30 additive vectors ({zero_cases} with zero defect)", bad, not bad
 
 
-@_check
+@_check(exact=True, points=EXACT_CAP, cells=True)
 def chaos__defect_bound(ctx: _Ctx):
-    _need_exact(ctx)
-    _need_capacity(ctx)
     m = ctx.model
-    if m.n_cells == 0:
-        raise _Skip("no cells")
     rng = ctx.rng("chaos.defectbound")
     bad = []
     for _ in range(25):
@@ -450,9 +440,8 @@ def chaos__defect_bound(ctx: _Ctx):
 # -- spectrum group -----------------------------------------------------------
 
 
-@_check
+@_check(points=EXACT_CAP)
 def spectrum__spectral_sets(ctx: _Ctx):
-    _need_capacity(ctx)
     space = ctx.space
     rng = ctx.rng("spectrum.sets")
     elements = ctx.elements(rng)
@@ -479,9 +468,8 @@ def spectrum__spectral_sets(ctx: _Ctx):
     return f"{len(elements)}^2 pairs", wit + bad, not bad
 
 
-@_check
+@_check(points=EXACT_CAP)
 def spectrum__projection_measure(ctx: _Ctx):
-    _need_capacity(ctx)
     m = ctx.model
     space = ctx.space
     rng = ctx.rng("spectrum.measure")
@@ -500,10 +488,8 @@ def spectrum__projection_measure(ctx: _Ctx):
     return "20 random vectors", bad, not bad
 
 
-@_check
+@_check(exact=True, points=EXACT_CAP)
 def spectrum__event_subspaces(ctx: _Ctx):
-    _need_exact(ctx)
-    _need_capacity(ctx)
     m = ctx.model
     space = ctx.space
     rng = ctx.rng("spectrum.events")
@@ -538,9 +524,8 @@ def spectrum__event_subspaces(ctx: _Ctx):
     return "10 random event pairs", bad, not bad
 
 
-@_check
+@_check(points=EXACT_CAP)
 def spectrum__sigma_lattice(ctx: _Ctx):
-    _need_capacity(ctx)
     space = ctx.space
     rng = ctx.rng("spectrum.sigma")
     elements = ctx.elements(rng, sample=8)
@@ -562,9 +547,8 @@ def spectrum__sigma_lattice(ctx: _Ctx):
     return f"{len(elements)}^2 pairs", bad, not bad
 
 
-@_check
+@_check(points=EXACT_CAP)
 def spectrum__independence(ctx: _Ctx):
-    _need_capacity(ctx)
     space = ctx.space
     rng = ctx.rng("spectrum.indep")
     elements = ctx.elements(rng, sample=8)
@@ -578,9 +562,8 @@ def spectrum__independence(ctx: _Ctx):
     return "all sampled disjoint pairs", bad, not bad
 
 
-@_check
+@_check(points=EXACT_CAP)
 def spectrum__atom_block(ctx: _Ctx):
-    _need_capacity(ctx)
     space = ctx.space
     bad = []
     for x in ctx.elements(ctx.rng("spectrum.atom"), sample=10):
@@ -589,10 +572,8 @@ def spectrum__atom_block(ctx: _Ctx):
     return "complement spectral set is one block", bad, not bad
 
 
-@_check
+@_check(exact=True, points=EXACT_CAP)
 def spectrum__measure_class(ctx: _Ctx):
-    _need_exact(ctx)
-    _need_capacity(ctx)
     m = ctx.model
     space = ctx.space
     generic = walsh_reconstruct(m, WalshCoeffs(tuple(Fraction(1) for _ in range(m.n_points))))
@@ -615,7 +596,7 @@ def spectrum__measure_class(ctx: _Ctx):
 # -- regopen group ------------------------------------------------------------
 
 
-@_check
+@_check()
 def regopen__laws(ctx: _Ctx):
     rep = reg_mod.verify_reg_laws(ctx.rng("regopen.laws"), iterations=1000)
     wit = list(rep.join_strict_witnesses[:2]) + list(rep.meet_strict_witnesses[:2])
@@ -623,7 +604,7 @@ def regopen__laws(ctx: _Ctx):
     return f"{rep.checked} pairs", wit, rep.passed
 
 
-@_check
+@_check()
 def regopen__finite_spaces(ctx: _Ctx):
     bad = []
     sier = reg_mod.FiniteSpace(
@@ -680,15 +661,9 @@ def regopen__finite_spaces(ctx: _Ctx):
 # -- geometry group -----------------------------------------------------------
 
 
-def _need_embedding(ctx: _Ctx):
-    if ctx.embedding is None:
-        raise _Skip("no embedding in config")
-    return ctx.embedding
-
-
-@_check
+@_check(embedding=True)
 def geometry__homomorphism(ctx: _Ctx):
-    emb = _need_embedding(ctx)
+    emb = ctx.embedding
     rng = ctx.rng("geometry.hom")
     family = reg_mod.dyadic_grid_regopens(3)
     pairs = [(a, b) for a in family for b in family]
@@ -710,9 +685,9 @@ def geometry__homomorphism(ctx: _Ctx):
     return f"{len(pairs)} pairs", bad, not bad
 
 
-@_check
+@_check(embedding=True)
 def geometry__spectral_identity(ctx: _Ctx):
-    emb = _need_embedding(ctx)
+    emb = ctx.embedding
     depth = min(ctx.cfg.depth, 6)
     bad = []
     if not geo_mod.verify_spectral_map_uniqueness(emb, min(depth, 4)):
@@ -732,9 +707,9 @@ def geometry__spectral_identity(ctx: _Ctx):
     return f"{count} dyadic elements, depth {depth}", bad, not bad
 
 
-@_check
+@_check(embedding=True)
 def geometry__approximant(ctx: _Ctx):
-    emb = _need_embedding(ctx)
+    emb = ctx.embedding
     depth = min(ctx.cfg.depth, 8)
     bad = []
     for mask in range(1 << emb.n):
@@ -749,9 +724,9 @@ def geometry__approximant(ctx: _Ctx):
     return f"all atoms, depths 1..{depth}", bad, not bad
 
 
-@_check
+@_check(embedding=True)
 def geometry__shrink_chains(ctx: _Ctx):
-    emb = _need_embedding(ctx)
+    emb = ctx.embedding
     bad = []
     family = reg_mod.dyadic_grid_regopens(3)
     rng = ctx.rng("geometry.shrink")
@@ -765,9 +740,9 @@ def geometry__shrink_chains(ctx: _Ctx):
     return f"{len(family)} dyadic elements", bad, not bad
 
 
-@_check
+@_check(embedding=True)
 def geometry__monotone_limit(ctx: _Ctx):
-    emb = _need_embedding(ctx)
+    emb = ctx.embedding
     bad = []
     chain = [reg_mod.make_regopen([(0, 1 - Fraction(1, 1 << n))]) for n in range(1, 9)]
     if not geo_mod.monotone_limit_check(emb, chain):
@@ -789,9 +764,9 @@ def geometry__monotone_limit(ctx: _Ctx):
     return "structured + 25 random chains", bad, not bad
 
 
-@_check
+@_check(embedding=True)
 def geometry__boundary_dichotomy(ctx: _Ctx):
-    emb = _need_embedding(ctx)
+    emb = ctx.embedding
     rng = ctx.rng("geometry.dichotomy")
     holds = misses = 0
     bad = []

@@ -187,6 +187,26 @@ def test_product_test_examples(two_coins):
     assert product_test(m, [r1, r1 * r2, m.constant(1)], x) == [True, False, False]
 
 
+def test_product_test_builds_no_factors_when_one_side_is_empty(coin_and_triple, monkeypatch):
+    m = coin_and_triple
+    family = [m.walsh_vector(i) for i in range(m.n_points)] + [m.constant(2)]
+    built = []
+    walsh_vector = NoiseModel.walsh_vector
+
+    def count_and_build(model, idx):
+        built.append(idx)
+        return walsh_vector(model, idx)
+
+    monkeypatch.setattr(NoiseModel, "walsh_vector", count_and_build)
+    # x = 0 or 1 leaves only the mean test: e_0 and the constant fail it.
+    expected = [False] + [True] * (m.n_points - 1) + [False]
+    for mask in (0, 0b11):
+        assert product_test(m, family, BoolElem(mask, 2)) == expected
+    assert built == []
+    product_test(m, family, BoolElem(0b01, 2))
+    assert len(built) == sum(k - 1 for k in m.radices)  # 1 + 2 factor vectors
+
+
 def test_split_iff_product_exhaustive(coin_and_triple):
     m = coin_and_triple
     family = [m.walsh_vector(i) for i in range(m.n_points)]

@@ -21,6 +21,8 @@ CASES = {
     "four-coins-seed3": ["examples/four-coins.json", "--seed", "3"],
     "four-coins-float-seed0": ["examples/four-coins.json", "--backend", "float", "--seed", "0"],
     "five-ternary-float-seed0": ["tests/golden/five-ternary-float.json", "--seed", "0"],
+    # 13 fair coins, exact, no embedding (N=8192): every size and embedding skip line.
+    "thirteen-coins-seed0": ["tests/golden/thirteen-coins.json", "--seed", "0"],
 }
 
 

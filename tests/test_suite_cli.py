@@ -1,3 +1,4 @@
+import ast
 import copy
 import dataclasses
 import json
@@ -8,13 +9,26 @@ from pathlib import Path
 import pytest
 
 from noise_lab import chaos as chaos_mod
+from noise_lab import linalg
 from noise_lab.cli import main
 from noise_lab.config import ModelConfig, load_config_dict, load_model_config
-from noise_lab.suite import CheckResult, Report, _Ctx, chaos__split_space, run_verification_suite
+from noise_lab.suite import (
+    _ALL_CHECKS,
+    CheckResult,
+    Report,
+    _Ctx,
+    chaos__additive_norm,
+    chaos__classification,
+    chaos__first_chaos,
+    chaos__split_space,
+    run_verification_suite,
+)
 
 REPO = Path(__file__).resolve().parent.parent
 TWO_COINS = REPO / "examples" / "two-coins.json"
 FOUR_COINS = REPO / "examples" / "four-coins.json"
+COIN = {"k": 2, "probs": ["1/2", "1/2"]}
+TERNARY = {"k": 3, "probs": ["1/3", "1/3", "1/3"]}
 
 
 def run_cli(*args, cwd=REPO):
@@ -120,6 +134,48 @@ def test_suite_skips_oversized_exact_model():
     assert all(r.status == "skip" for r in report.results)
     assert any("cap exceeded" in r.detail for r in report.results)
     assert report.exit_code(strict=True) == 3
+
+
+def test_elimination_checks_skip_above_their_cap(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an elimination ran")
+
+    monkeypatch.setattr(linalg, "rref", refuse)
+    ctx = _Ctx(load_config_dict({"cells": [COIN] + [TERNARY] * 4}))
+    for check in (chaos__split_space, chaos__first_chaos, chaos__classification, chaos__additive_norm):
+        result = check(ctx)
+        assert (result.status, result.detail) == ("skip", "exact backend cap exceeded (N=162 > 128)")
+
+
+@pytest.mark.parametrize(
+    "cfg, numbers",
+    [({"cells": [COIN] * 13}, ("8192", "4096")), ({"cells": [COIN], "backend": "float"}, ("exact",))],
+)
+def test_cli_chaos_refuses_before_building(cfg, numbers, tmp_path, monkeypatch, capsys):
+    def refuse(self):
+        raise AssertionError("the model was built")
+
+    monkeypatch.setattr(ModelConfig, "build_model", refuse)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["chaos", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ")
+    assert all(n in err for n in numbers)
+
+
+def _perfbench_float_skips():
+    """FLOAT_SKIPS from perfbench/run.py, read from its source, not imported."""
+    tree = ast.parse((REPO / "perfbench" / "run.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["FLOAT_SKIPS"]:
+            return set(ast.literal_eval(node.value.args[0]))
+    raise AssertionError("perfbench/run.py defines no FLOAT_SKIPS")
+
+
+def test_perfbench_float_skips_are_the_exact_only_checks():
+    exact_only = {c.__name__.replace("__", ".") for c in _ALL_CHECKS if c.needs.get("exact")}
+    assert _perfbench_float_skips() == exact_only
 
 
 def test_report_exit_codes_and_renderings():
