@@ -1,8 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 all checks pass, 1 at least one failure, 2 input error
-(including a config that `chaos` refuses for its backend or size),
-3 a check was skipped while --strict was requested.
+(including a config that `chaos` or `spectrum` refuses for its backend or
+size), 3 a check was skipped while --strict was requested.
 """
 
 from __future__ import annotations
@@ -67,8 +67,18 @@ def _cmd_verify(args) -> int:
     return report.exit_code(strict=args.strict)
 
 
+def _load_admitted(path, **needs):
+    """Load a config, refusing it before any model is built when a command
+    with these needs (as in suite.skip_reason) cannot run on it."""
+    cfg = load_model_config(path)
+    refusal = skip_reason(cfg, **needs)
+    if refusal is not None:
+        raise ValueError(refusal)
+    return cfg
+
+
 def _cmd_spectrum(args) -> int:
-    cfg = load_model_config(args.config)
+    cfg = _load_admitted(args.config, points=EXACT_CAP)
     rows = emit_spectrum_report(cfg, args.vector)
     headers = SPECTRUM_HEADERS
     widths = [max(len(h), *(len(r[c]) for r in rows)) for c, h in enumerate(headers)]
@@ -86,10 +96,7 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_chaos(args) -> int:
-    cfg = load_model_config(args.config)
-    refusal = skip_reason(cfg, exact=True, points=EXACT_CAP)
-    if refusal is not None:
-        raise ValueError(refusal)
+    cfg = _load_admitted(args.config, exact=True, points=EXACT_CAP)
     model = cfg.build_model()
     chaos = chaos_mod.first_chaos_basis(model)
     result = chaos_mod.classify(model, chaos)

@@ -14,17 +14,20 @@ every basis coefficient whose support is not inside x. A naive
 block-averaging conditional expectation is kept alongside as an independent
 oracle.
 
-Walsh analysis and synthesis apply one k x k matrix along each cell axis.
-On the exact backend those matrices are stored as integers: each is scaled
-by the LCD of its entries, and the model keeps the product of the scales. A
-transform puts the input vector over its common denominator D, runs the
-per-cell loop over Python ints, and divides each entry once, by D times that
-product (fraction-free, as linalg.rref is); only the returned entries are
-Fractions.
+Walsh analysis and synthesis apply one k x k matrix along each cell axis,
+with the shuffle algorithm for Kronecker products (Davio 1981; Fernandes,
+Plateau and Stewart 1998): the axis being transformed is kept slowest, so
+it is k contiguous slices combined by list comprehensions, and interleaving
+the results rotates the next cell to the front. On the exact backend those
+matrices are stored as integers: each is scaled by the LCD of its entries,
+and the model keeps the product of the scales. A transform puts the input
+vector over its common denominator D, runs the kernel over Python ints, and
+divides each entry once, by D times that product (fraction-free, as
+linalg.rref is); only the returned entries are Fractions.
 
 Two numeric backends: exact rationals (default) and binary floats for larger
-randomized sweeps (absolute tolerance 1e-9). The float backend applies float
-matrices with the same loop and no scaling.
+randomized sweeps (absolute tolerance 1e-9). The float backend runs its
+float matrices through the same kernel with no scaling.
 """
 
 from __future__ import annotations
@@ -273,22 +276,25 @@ def norm_sq(model: NoiseModel, f: RandomVariable):
 
 
 def _apply_per_cell(model: NoiseModel, values: list, matrices: list) -> list:
-    """Apply one k x k matrix along each cell axis of the mixed-radix array."""
+    """Apply one k x k matrix along each cell axis of the mixed-radix array
+    (the shuffle algorithm for Kronecker products).
+
+    The axis being transformed is always the slowest: its k contiguous
+    slices are combined row by row, and interleaving the k results moves
+    that axis to the fastest position, which puts the next cell in front.
+    After the last cell the layout is back in point order. Each entry is
+    accumulated as row[0]*v[0] + row[1]*v[1] + ... in that order."""
     vals = list(values)
-    for i in range(model.n_cells):
-        k = model.radices[i]
-        stride = model.strides[i]
-        mat = matrices[i]
-        block = k * stride
-        for base in range(0, model.n_points, block):
-            for off in range(base, base + stride):
-                cur = [vals[off + o * stride] for o in range(k)]
-                for j in range(k):
-                    row = mat[j]
-                    acc = row[0] * cur[0]
-                    for o in range(1, k):
-                        acc += row[o] * cur[o]
-                    vals[off + j * stride] = acc
+    for k, mat in zip(model.radices, matrices):
+        s = len(vals) // k
+        slices = [vals[o * s : (o + 1) * s] for o in range(k)]
+        outs = []
+        for row in mat:
+            acc = [row[0] * c for c in slices[0]]
+            for r, sl in zip(row[1:], slices[1:]):
+                acc = [a + r * c for a, c in zip(acc, sl)]
+            outs.append(acc)
+        vals = [x for t in zip(*outs) for x in t]
     return vals
 
 
@@ -362,12 +368,10 @@ def sigma_field_of(model: NoiseModel, x: BoolElem) -> tuple[tuple[int, ...], ...
     """
     if x.n != model.n_cells:
         raise ValueError("element from a different algebra")
-    idxs = x.indices()
+    axes = [(model.strides[i], model.radices[i]) for i in x.indices()]
     blocks: dict[tuple[int, ...], list[int]] = {}
     for w in range(model.n_points):
-        digits = model.point_digits(w)
-        key = tuple(digits[i] for i in idxs)
-        blocks.setdefault(key, []).append(w)
+        blocks.setdefault(tuple([w // s % r for s, r in axes]), []).append(w)
     return tuple(tuple(b) for b in blocks.values())
 
 

@@ -115,14 +115,21 @@ class Report:
 class _Ctx:
     def __init__(self, cfg: ModelConfig):
         self.cfg = cfg
-        self.model = cfg.build_model()
         self.algebra = FinitePowerAlgebra(cfg.n_cells)
+        self._model = None
         self._space = None
         self._chaos = None
         self._embedding = None
 
     def rng(self, name: str) -> random.Random:
         return random.Random(f"{self.cfg.seed}:{name}")
+
+    @property
+    def model(self):
+        # Built on first use, so a run whose model checks all skip builds none.
+        if self._model is None:
+            self._model = self.cfg.build_model()
+        return self._model
 
     @property
     def space(self):

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from noise_lab.cli import main
+from noise_lab.config import ModelConfig
 
 REPO = Path(__file__).resolve().parent.parent
 GOLDEN = REPO / "tests" / "golden"
@@ -34,6 +35,16 @@ def test_verify_report_matches_golden(name, tmp_path, capsys):
     assert code == 0
     assert capsys.readouterr().out.encode("utf-8") == (GOLDEN / f"{name}.txt").read_bytes()
     assert report.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
+
+
+def test_verify_builds_no_model_when_every_model_check_skips(monkeypatch, capsys):
+    def refuse(self):
+        raise AssertionError("the model was built")
+
+    monkeypatch.setattr(ModelConfig, "build_model", refuse)
+    name = "thirteen-coins-seed0"
+    assert main(["verify", str(REPO / CASES[name][0]), *CASES[name][1:]]) == 0
+    assert capsys.readouterr().out.encode("utf-8") == (GOLDEN / f"{name}.txt").read_bytes()
 
 
 # name -> chaos arguments; the output is GOLDEN/<name>.txt. pairsum-2323.json

@@ -9,7 +9,6 @@ from noise_lab.model import (
     NoiseModel,
     RandomVariable,
     WalshCoeffs,
-    _apply_per_cell,
     expectation,
     fair_coin,
     inner_product,
@@ -117,10 +116,31 @@ def test_walsh_roundtrip_and_reconstruction(coin_and_triple, rng):
         assert walsh_reconstruct(m, wc) == v
 
 
+def _reference_apply_per_cell(model, values, matrices):
+    """Index-loop form of the per-cell transform: every output entry is
+    computed in place at its mixed-radix position, cell 0 first."""
+    vals = list(values)
+    for i in range(model.n_cells):
+        k = model.radices[i]
+        stride = model.strides[i]
+        mat = matrices[i]
+        block = k * stride
+        for base in range(0, model.n_points, block):
+            for off in range(base, base + stride):
+                cur = [vals[off + o * stride] for o in range(k)]
+                for j in range(k):
+                    row = mat[j]
+                    acc = row[0] * cur[0]
+                    for o in range(1, k):
+                        acc += row[o] * cur[o]
+                    vals[off + j * stride] = acc
+    return vals
+
+
 def reference_transform(model, values, synthesis=False):
     """The per-cell transform with k x k matrices of the backend's own numbers
-    (Fraction or float): the reference that the integer kernel of
-    walsh_decompose / walsh_reconstruct is checked against."""
+    (Fraction or float), applied by the index loop: the independent reference
+    that walsh_decompose / walsh_reconstruct are checked against."""
     matrices = []
     for cell, vecs, norms in zip(model.cells, model.cell_vectors, model.cell_norms_sq):
         probs = [model._num(p) for p in cell.probs]
@@ -131,14 +151,14 @@ def reference_transform(model, values, synthesis=False):
             matrices.append(
                 [[vecs[j][o] * probs[o] / norms[j] for o in range(k)] for j in range(k)]
             )
-    return _apply_per_cell(model, list(values), matrices)
+    return _reference_apply_per_cell(model, values, matrices)
 
 
 def _random_cells(rng, n_cells):
-    """Cells with k in {2, 3, 4} and probabilities over one denominator up to 10^6."""
+    """Cells with k in 2..5 and probabilities over one denominator up to 10^6."""
     cells = []
     for _ in range(n_cells):
-        k = rng.choice((2, 3, 4))
+        k = rng.randint(2, 5)
         q = rng.randint(k, 10**6)
         cuts = sorted(rng.sample(range(1, q), k - 1))
         parts = [b - a for a, b in zip([0, *cuts], [*cuts, q])]
@@ -159,8 +179,8 @@ def _transform_inputs(rng, n):
 
 def test_integer_walsh_kernel_matches_fraction_reference():
     rng = random.Random(8)
-    for trial in range(40):
-        m = NoiseModel(_random_cells(rng, trial % 5))
+    for trial in range(36):
+        m = NoiseModel(_random_cells(rng, trial % 6))
         for values in _transform_inputs(rng, m.n_points):
             coeffs = walsh_decompose(m, RandomVariable(tuple(values))).coeffs
             points = walsh_reconstruct(m, WalshCoeffs(tuple(values))).values
@@ -175,8 +195,8 @@ def test_integer_walsh_kernel_matches_fraction_reference():
 
 def test_float_walsh_transforms_match_the_float_matrix_path():
     rng = random.Random(9)
-    for trial in range(20):
-        m = NoiseModel(_random_cells(rng, trial % 5), backend="float")
+    for trial in range(24):
+        m = NoiseModel(_random_cells(rng, trial % 6), backend="float")
         values = tuple(rng.uniform(-1.0, 1.0) for _ in range(m.n_points))
         coeffs = walsh_decompose(m, RandomVariable(values)).coeffs
         assert all(type(v) is float for v in coeffs)

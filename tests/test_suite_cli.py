@@ -164,6 +164,23 @@ def test_cli_chaos_refuses_before_building(cfg, numbers, tmp_path, monkeypatch, 
     assert all(n in err for n in numbers)
 
 
+def test_cli_spectrum_refuses_before_building(tmp_path, monkeypatch, capsys):
+    def refuse(self):
+        raise AssertionError("the model was built")
+
+    monkeypatch.setattr(ModelConfig, "build_model", refuse)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"cells": [COIN] * 13}))
+    assert main(["spectrum", str(path), "--vector", "demo"]) == 2
+    assert capsys.readouterr().err == (
+        "input error: exact backend cap exceeded (N=8192 > 4096); select the float backend\n"
+    )
+    # The float backend has no size cap, so the same cells get to the build.
+    path.write_text(json.dumps({"cells": [COIN] * 13, "backend": "float"}))
+    with pytest.raises(AssertionError, match="the model was built"):
+        main(["spectrum", str(path), "--vector", "demo"])
+
+
 def _perfbench_float_skips():
     """FLOAT_SKIPS from perfbench/run.py, read from its source, not imported."""
     tree = ast.parse((REPO / "perfbench" / "run.py").read_text(encoding="utf-8"))
