@@ -63,7 +63,6 @@ from .regopen import (
 )
 from .spectrum import (
     SpectralMeasure,
-    SpectralSet,
     SpectralSpace,
     build_spectral_space,
     check_atom_of_sigma_x,

@@ -2,13 +2,17 @@
 
 All the conditioning projections act diagonally on the orthogonal tensor
 basis, so they are simultaneously diagonalized by grouping basis indices by
-support. The distinct supports are the atoms of the spectral space; each
-carries a multiplicity (its eigenspace dimension) and a canonical rational
-mass (multiplicity over the space size), which happens to be a product
-measure over cells and therefore witnesses every independence statement.
+support. The distinct supports are the atoms of the spectral space, one per
+cell subset, and an atom is its mask. Each carries a multiplicity (its
+eigenspace dimension) and a canonical rational mass (multiplicity over the
+space size), which happens to be a product measure over cells and therefore
+witnesses every independence statement.
 
-Sub-sigma-fields on the spectral space are finite partitions of the atom
-set; joins are common refinements.
+Events are sets of atom masks. A sub-sigma-field on the spectral space is a
+partition of the atoms, a frozenset of blocks, and the one attached to x
+groups atoms by their trace m & x. The join of the fields of x and y is the
+partition by the pair of traces, and independence is read off one table of
+masses keyed by that pair.
 """
 
 from __future__ import annotations
@@ -33,25 +37,6 @@ class SpectralSpace:
     @property
     def n(self) -> int:
         return self.model.n_cells
-
-    def mass(self, masks) -> Fraction:
-        return sum((self.measure[m] for m in masks), Fraction(0))
-
-
-@dataclass(frozen=True)
-class SpectralSet:
-    members: frozenset[int]
-    n: int
-
-
-@dataclass(frozen=True)
-class SigmaOnSpectrum:
-    """A finite sub-sigma-field of the spectral space: a partition of atoms."""
-
-    blocks: tuple[frozenset[int], ...]
-
-    def as_set(self) -> frozenset[frozenset[int]]:
-        return frozenset(self.blocks)
 
 
 @dataclass(frozen=True)
@@ -84,11 +69,15 @@ def build_spectral_space(model: NoiseModel) -> SpectralSpace:
     return SpectralSpace(model=model, atoms=atoms, dims=dims, measure=measure)
 
 
-def spectral_set(space: SpectralSpace, x: BoolElem) -> SpectralSet:
-    """Atoms on which conditioning on x acts as identity: supports inside x."""
+def _require_same_algebra(space: SpectralSpace, x: BoolElem) -> None:
     if x.n != space.n:
         raise ValueError("element from a different algebra")
-    return SpectralSet(frozenset(m.mask for m in space.atoms if m.le(x)), space.n)
+
+
+def spectral_set(space: SpectralSpace, x: BoolElem) -> frozenset[int]:
+    """Atoms on which conditioning on x acts as identity: supports inside x."""
+    _require_same_algebra(space, x)
+    return frozenset(s.mask for s in subsets_of(x))
 
 
 def spectral_measure(model: NoiseModel, psi: RandomVariable) -> SpectralMeasure:
@@ -111,18 +100,10 @@ class EventSubspace:
     def basis_rvs(self) -> list[RandomVariable]:
         return [self.model.walsh_vector(i) for i in self.indices]
 
-    def contains(self, rv: RandomVariable) -> bool:
-        coeffs = walsh_decompose(self.model, rv).coeffs
-        masks = self.model.support_masks
-        return all(
-            self.model.eq(c, 0) for idx, c in enumerate(coeffs) if masks[idx] not in self.members
-        )
-
 
 def subspace_of_event(space: SpectralSpace, event) -> EventSubspace:
-    members = frozenset(m.mask if isinstance(m, BoolElem) else m for m in event)
-    known = {a.mask for a in space.atoms}
-    if not members <= known:
+    members = frozenset(event)
+    if not members <= frozenset(range(len(space.atoms))):
         raise ValueError("event contains unknown atoms")
     model = space.model
     indices = tuple(
@@ -131,75 +112,67 @@ def subspace_of_event(space: SpectralSpace, event) -> EventSubspace:
     return EventSubspace(model=model, members=members, indices=indices)
 
 
-def sigma_x(space: SpectralSpace, x: BoolElem) -> SigmaOnSpectrum:
-    """Partition of atoms by their trace on x, blocks ordered by their
-    smallest atom. It equals the partition generated by the spectral sets of
-    every y whose join with x is full (``sigma_x_generated``), which the
-    suite check ``spectrum.sigma_lattice`` compares with it."""
-    if x.n != space.n:
-        raise ValueError("element from a different algebra")
-    by_trace: dict[int, set[int]] = {}
-    for atom in space.atoms:
-        by_trace.setdefault(atom.mask & x.mask, set()).add(atom.mask)
-    return SigmaOnSpectrum(tuple(sorted((frozenset(v) for v in by_trace.values()), key=min)))
+def _partition(space: SpectralSpace, key) -> frozenset[frozenset[int]]:
+    """The atoms grouped into blocks by the value of key(mask)."""
+    blocks: dict[object, list[int]] = {}
+    for m in range(len(space.atoms)):
+        blocks.setdefault(key(m), []).append(m)
+    return frozenset(frozenset(b) for b in blocks.values())
 
 
-def sigma_x_generated(space: SpectralSpace, x: BoolElem) -> SigmaOnSpectrum:
+def sigma_x(space: SpectralSpace, x: BoolElem) -> frozenset[frozenset[int]]:
+    """Partition of atoms by their trace on x. It equals the partition
+    generated by the spectral sets of every y whose join with x is full
+    (``sigma_x_generated``), which the suite check ``spectrum.sigma_lattice``
+    compares with it."""
+    _require_same_algebra(space, x)
+    return _partition(space, lambda m: m & x.mask)
+
+
+def sigma_x_generated(space: SpectralSpace, x: BoolElem) -> frozenset[frozenset[int]]:
     """Partition of atoms generated by the spectral sets of every y whose
     join with x is full: atoms are grouped by which of them they belong to."""
-    if x.n != space.n:
-        raise ValueError("element from a different algebra")
-    generators = []
+    _require_same_algebra(space, x)
     comp_mask = x.complement().mask
-    for extra in subsets_of(x):
-        y = BoolElem(comp_mask | extra.mask, space.n)
-        generators.append(spectral_set(space, y).members)
-    signature: dict[tuple[bool, ...], set[int]] = {}
-    for atom in space.atoms:
-        sig = tuple(atom.mask in g for g in generators)
-        signature.setdefault(sig, set()).add(atom.mask)
-    return SigmaOnSpectrum(tuple(sorted((frozenset(v) for v in signature.values()), key=min)))
-
-
-def refine(p1: SigmaOnSpectrum, p2: SigmaOnSpectrum) -> SigmaOnSpectrum:
-    blocks = []
-    for b1 in p1.blocks:
-        for b2 in p2.blocks:
-            inter = b1 & b2
-            if inter:
-                blocks.append(inter)
-    return SigmaOnSpectrum(tuple(sorted(blocks, key=min)))
+    generators = [
+        spectral_set(space, BoolElem(comp_mask | extra.mask, space.n)) for extra in subsets_of(x)
+    ]
+    return _partition(space, lambda m: tuple(m in g for g in generators))
 
 
 def verify_sigma_join(space: SpectralSpace, x: BoolElem, y: BoolElem) -> bool:
-    joined = sigma_x(space, x.join(y))
-    return refine(sigma_x(space, x), sigma_x(space, y)).as_set() == joined.as_set()
+    """The field of x | y is the common refinement of the fields of x and y:
+    the partition of atoms by the pair of their traces on x and on y."""
+    joined = _partition(space, lambda m: (m & x.mask, m & y.mask))
+    return joined == sigma_x(space, x.join(y))
 
 
 def verify_independence(space: SpectralSpace, x: BoolElem, y: BoolElem) -> bool:
     """For disjoint x, y: the canonical product measure makes the two
     spectral sub-sigma-fields independent; with y the complement of x their
     join must moreover be everything."""
+    _require_same_algebra(space, x)
     if not x.disjoint(y):
         raise ValueError("independence check requires disjoint elements")
-    px = sigma_x(space, x)
-    py = sigma_x(space, y)
-    for a in px.blocks:
-        for b in py.blocks:
-            if space.mass(a & b) != space.mass(a) * space.mass(b):
+    joint: dict[tuple[int, int], Fraction] = {}
+    on_x: dict[int, Fraction] = {}
+    on_y: dict[int, Fraction] = {}
+    for m, mu in enumerate(space.measure):
+        a, b = m & x.mask, m & y.mask
+        joint[a, b] = joint.get((a, b), 0) + mu
+        on_x[a] = on_x.get(a, 0) + mu
+        on_y[b] = on_y.get(b, 0) + mu
+    for a, pa in on_x.items():
+        for b, pb in on_y.items():
+            if joint.get((a, b), 0) != pa * pb:
                 return False
-    if y.mask == x.complement().mask:
-        discrete = frozenset(frozenset([a.mask]) for a in space.atoms)
-        if refine(px, py).as_set() != discrete:
-            return False
-    return True
+    return y.mask != x.complement().mask or len(joint) == len(space.measure)
 
 
 def check_atom_of_sigma_x(space: SpectralSpace, x: BoolElem) -> bool:
     """The spectral set of the complement of x is a single block of the
     sub-sigma-field attached to x."""
-    target = spectral_set(space, x.complement()).members
-    return target in sigma_x(space, x).as_set()
+    return spectral_set(space, ~x) in sigma_x(space, x)
 
 
 def spectral_filter(space: SpectralSpace, s: BoolElem) -> Filter:

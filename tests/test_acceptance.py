@@ -241,10 +241,10 @@ def test_criterion_07_spectrum():
         n = m.n_cells
         elements = [BoolElem(mask, n) for mask in range(1 << n)]
         for x in elements:
-            sx = spectral_set(sp, x).members
+            sx = spectral_set(sp, x)
             for y in elements:
-                sy = spectral_set(sp, y).members
-                if sx & sy != spectral_set(sp, x.meet(y)).members:
+                sy = spectral_set(sp, y)
+                if sx & sy != spectral_set(sp, x.meet(y)):
                     failures.append(f"{shape}: intersection law at {x},{y}")
                 if not verify_sigma_join(sp, x, y):
                     failures.append(f"{shape}: sigma join at {x},{y}")
@@ -263,7 +263,7 @@ def test_criterion_07_spectrum():
         sm = spectral_measure(m, psi)
         for mask in range(1 << m.n_cells):
             x = BoolElem(mask, m.n_cells)
-            members = spectral_set(sp, x).members
+            members = spectral_set(sp, x)
             mass = sum(
                 (sm.masses[i] for i, a in enumerate(sp.atoms) if a.mask in members),
                 F(0),

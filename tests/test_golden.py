@@ -24,6 +24,10 @@ CASES = {
     "five-ternary-float-seed0": ["tests/golden/five-ternary-float.json", "--seed", "0"],
     # 13 fair coins, exact, no embedding (N=8192): every size and embedding skip line.
     "thirteen-coins-seed0": ["tests/golden/thirteen-coins.json", "--seed", "0"],
+    # 10 float cells, radices (2,3,2,2,3,2,2,2,2,2): the spectrum group on 1024 atoms.
+    "ten-cells-float-spectrum-seed0": [
+        "tests/golden/ten-cells-float.json", "--only", "spectrum", "--seed", "0"
+    ],
 }
 
 
