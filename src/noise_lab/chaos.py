@@ -3,8 +3,9 @@
 A vector lies in the first chaos when conditioning splits it additively
 across every disjoint pair of cell sets. On a finite model this space is
 cut out by a linear system; we build that system from block averages
-(the oracle path), eliminate exactly, then cross-check the solution against
-the single-cell directions of the orthogonal basis.
+(the oracle path) and eliminate exactly. The comparison of the solution
+with the single-cell directions of the orthogonal basis runs once, in the
+suite check chaos.first_chaos.
 
 Everything else works on one Walsh decomposition of the vector at hand:
 conditioning on x keeps the coefficients whose support lies inside x, so
@@ -14,7 +15,9 @@ sums over the kept coefficients.
 The atomless defect of a vector, relative to a subalgebra it is additive
 on, is the largest conditional norm over the subalgebra's atoms; the
 defect bounds every mixed third moment E(psi*xi*eta), which is the
-quantitative heart of the classicality criterion.
+quantitative heart of the classicality criterion. That no coarser
+partition of unity does better is brute-forced once, in the suite check
+chaos.defect_bound.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import linalg
-from .boolalg import BoolElem, Subalgebra, iter_partitions_of_unity
+from .boolalg import BoolElem, Subalgebra
 from .model import (
     NoiseModel,
     RandomVariable,
@@ -130,25 +133,16 @@ def first_chaos_basis(model: NoiseModel) -> ChaosSubspace:
 
     Constraints: zero mean, plus the per-complement split identity for every
     single cell (sufficient: any coefficient on two or more cells violates
-    the split across a cell separating them). The resulting span must equal
-    the span of single-cell basis vectors, which is cross-checked.
+    the split across a cell separating them). The span of the returned basis
+    is the span of the single-cell basis vectors; the suite check
+    chaos.first_chaos compares the two.
     """
     _require_exact(model, "first_chaos_basis")
-    n_pts = model.n_points
     rows: list[list[Fraction]] = [list(model.point_weights)]
     for i in range(model.n_cells):
         rows.extend(_split_constraint_rows(model, BoolElem(1 << i, model.n_cells)))
-    basis_vecs = linalg.nullspace(rows, n_pts)
-    basis = tuple(RandomVariable(tuple(v)) for v in basis_vecs)
-
-    single = [
-        list(model.walsh_vector(idx).values)
-        for idx, mask in enumerate(model.support_masks)
-        if bin(mask).count("1") == 1
-    ]
-    if not linalg.span_equal(basis_vecs, single):
-        raise RuntimeError("first chaos space does not match single-cell directions")
-    return ChaosSubspace(basis)
+    basis = linalg.nullspace(rows, model.n_points)
+    return ChaosSubspace(tuple(RandomVariable(tuple(v)) for v in basis))
 
 
 # -- coefficient space ----------------------------------------------------------
@@ -166,31 +160,21 @@ def _coeffs_eq(model: NoiseModel, f: list, g: list) -> bool:
 
 
 def satisfies_additivity(model: NoiseModel, psi: RandomVariable, b: Subalgebra) -> bool:
-    """Exact additivity of conditioning over the subalgebra b.
-
-    Checked in both shapes: the disjoint-pair split, and the join+meet
-    rearrangement over all pairs; the two must agree. Synthesis is a
-    bijection, so the projections are compared as masked coefficient
-    vectors; the mean of psi is its coefficient on e_0 = 1.
+    """Exact additivity of conditioning over the subalgebra b: zero mean,
+    and the disjoint-pair split. Synthesis is a bijection, so the
+    projections are compared as masked coefficient vectors; the mean of psi
+    is its coefficient on e_0 = 1.
     """
     coeffs = walsh_decompose(model, psi).coeffs
     if not model.eq(coeffs[0], 0):
         return False
     proj = {e.mask: masked_coeffs(model, coeffs, e) for e in b.elements()}
-    disjoint_form = all(
+    return all(
         _coeffs_eq(model, proj[x | y], _plus(proj[x], proj[y]))
         for x in proj
         for y in proj
         if x & y == 0
     )
-    rearranged_form = all(
-        _coeffs_eq(model, _plus(proj[x | y], proj[x & y]), _plus(proj[x], proj[y]))
-        for x in proj
-        for y in proj
-    )
-    if disjoint_form != rearranged_form:
-        raise RuntimeError("disjoint-pair and join+meet additivity disagree")
-    return disjoint_form
 
 
 def additive_vector(model: NoiseModel, b: Subalgebra, seedling: RandomVariable) -> RandomVariable:
@@ -208,27 +192,18 @@ def additive_vector(model: NoiseModel, b: Subalgebra, seedling: RandomVariable) 
 def atomless_defect(
     model: NoiseModel, psi: RandomVariable, b: Subalgebra
 ) -> DefectCertificate:
-    """delta = max over atoms of b of the conditional norm of psi.
-
-    The finest partition of unity minimizes the largest per-part norm among
-    all partitions of unity in b (superadditivity); brute-forced against all
-    partitions when b has at most 5 atoms. Conditional norms are Parseval
-    sums over the coefficients of psi. Raises NotAdditiveError when psi
-    is not additive on b.
+    """delta = max over atoms of b of the conditional norm of psi: the
+    defect of the finest partition of unity, which by superadditivity is the
+    least largest per-part norm over all partitions of unity in b (the suite
+    check chaos.defect_bound brute-forces that). Conditional norms are
+    Parseval sums over the coefficients of psi. Raises NotAdditiveError when
+    psi is not additive on b.
     """
     if not satisfies_additivity(model, psi, b):
         raise NotAdditiveError("additivity on b fails")
     coeffs = walsh_decompose(model, psi).coeffs
-    zero = model._num(Fraction(0))
     per_atom = [(block, mass_inside(model, coeffs, block)) for block in b.blocks]
-    delta_sq = max((nsq for _, nsq in per_atom), default=zero)
-
-    if len(b.blocks) <= 5:
-        for partition in iter_partitions_of_unity(b):
-            worst = max((mass_inside(model, coeffs, part) for part in partition), default=zero)
-            if not model.leq(delta_sq, worst):
-                raise RuntimeError("finest partition is not minimal for the defect")
-
+    delta_sq = max((nsq for _, nsq in per_atom), default=model._num(Fraction(0)))
     delta = math.sqrt(float(delta_sq))
     witnesses = tuple(
         DefectWitness(x=block, passed=model.leq(nsq, delta_sq), attained=math.sqrt(float(nsq)))

@@ -355,7 +355,7 @@ def verify_shrink_chain(emb: Embedding, a: RegOpen, max_terms: int = 12) -> bool
             )
             if not inside:
                 return False
-    target = sample_hom(emb, a.complement()) if is_dyadic_regopen(a.complement()) else None
+    target = sample_hom(emb, ~a)
     images = [~closure_cells(emb, an) for an in chain]
     for f, g in zip(images, images[1:]):
         if not g.le(f):

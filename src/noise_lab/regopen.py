@@ -53,9 +53,6 @@ class RegOpen:
     def contains_closure(self, t: Fraction) -> bool:
         return any(a <= t <= b for a, b in self.intervals)
 
-    def closure_intervals(self) -> tuple[Interval, ...]:
-        return self.intervals
-
     def boundary_points(self) -> tuple[Fraction, ...]:
         """Excludes the space edges 0 and 1, which have no exterior side in
         [0,1]."""
@@ -68,7 +65,9 @@ class RegOpen:
         return tuple(pts)
 
     def le(self, other: "RegOpen") -> bool:
-        """Interior inclusion; equivalently closure inclusion."""
+        """The order of the algebra: interior inclusion, equivalently closure
+        inclusion (the closure of an element is the union of its closed
+        intervals)."""
         return all(
             any(c <= a and b <= d for c, d in other.intervals) for a, b in self.intervals
         )
@@ -139,25 +138,6 @@ def make_regopen(raw: Sequence[tuple]) -> RegOpen:
     return RegOpen(_merge_hulls(pieces))
 
 
-# -- closed-set helpers (for inclusion laws; degenerate points allowed) ------
-
-
-def closed_intersection(
-    a: Sequence[Interval], b: Sequence[Interval]
-) -> tuple[Interval, ...]:
-    pieces = []
-    for p, q in a:
-        for u, v in b:
-            lo, hi = max(p, u), min(q, v)
-            if lo <= hi:
-                pieces.append((lo, hi))
-    return tuple(sorted(pieces))
-
-
-def closed_subset(a: Sequence[Interval], b: Sequence[Interval]) -> bool:
-    return all(any(u <= p and q <= v for u, v in b) for p, q in a)
-
-
 # -- law verification ---------------------------------------------------------
 
 
@@ -192,8 +172,7 @@ def _pair_laws(r: RegOpen, s: RegOpen) -> Iterator[tuple[str, bool]]:
     yield "de morgan join", ~(r | s) == (~r & ~s)
     yield "absorption", (r & (r | s)) == r and (r | (r & s)) == r
     yield "canonical idempotent", make_regopen(r.intervals) == r
-    yield "regularity", make_regopen(r.closure_intervals()) == r
-    yield "order equivalence", r.le(s) == closed_subset(r.closure_intervals(), s.closure_intervals())
+    yield "order equivalence", r.le(s) == ((r & s) == r) == ((r | s) == s)
 
 
 def _inclusion_laws(r: RegOpen, s: RegOpen) -> tuple[bool, bool, str | None, str | None]:
@@ -202,10 +181,8 @@ def _inclusion_laws(r: RegOpen, s: RegOpen) -> tuple[bool, bool, str | None, str
     are finite and the detection is exact."""
     meet = r & s
     join = r | s
-    cl_meet_ok = closed_subset(meet.closure_intervals(), closed_intersection(r.closure_intervals(), s.closure_intervals()))
-    join_ok = all(
-        any(c <= a and b <= d for c, d in join.intervals) for a, b in r.intervals + s.intervals
-    )
+    cl_meet_ok = meet.le(r) and meet.le(s)
+    join_ok = r.le(join) and s.le(join)
     candidates = set(r.boundary_points()) | set(s.boundary_points()) | {ZERO, ONE}
     join_witness = None
     for t in sorted(candidates):

@@ -12,6 +12,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from . import chaos as chaos_mod
 from . import geometry as geo_mod
@@ -22,12 +23,14 @@ from .boolalg import (
     BoolElem,
     FinitePowerAlgebra,
     Subalgebra,
+    iter_partitions_of_unity,
     random_partition_blocks,
 )
 from .config import ModelConfig, decimal12
 from .model import (
     WalshCoeffs,
     inner_product,
+    mass_inside,
     norm_sq,
     project,
     project_oracle,
@@ -116,38 +119,27 @@ class _Ctx:
     def __init__(self, cfg: ModelConfig):
         self.cfg = cfg
         self.algebra = FinitePowerAlgebra(cfg.n_cells)
-        self._model = None
-        self._space = None
-        self._chaos = None
-        self._embedding = None
 
     def rng(self, name: str) -> random.Random:
         return random.Random(f"{self.cfg.seed}:{name}")
 
-    @property
+    @cached_property
     def model(self):
         # Built on first use, so a run whose model checks all skip builds none.
-        if self._model is None:
-            self._model = self.cfg.build_model()
-        return self._model
+        return self.cfg.build_model()
 
-    @property
+    @cached_property
     def space(self):
-        if self._space is None:
-            self._space = spec_mod.build_spectral_space(self.model)
-        return self._space
+        return spec_mod.build_spectral_space(self.model)
 
-    @property
+    @cached_property
     def chaos(self):
-        if self._chaos is None:
-            self._chaos = chaos_mod.first_chaos_basis(self.model)
-        return self._chaos
+        return chaos_mod.first_chaos_basis(self.model)
 
-    @property
+    @cached_property
     def embedding(self):
-        if self._embedding is None and self.cfg.sample_points is not None:
-            self._embedding = geo_mod.build_embedding(self.model, self.cfg.sample_points)
-        return self._embedding
+        # Only checks that need an embedding read this, and they skip without one.
+        return geo_mod.build_embedding(self.model, self.cfg.sample_points)
 
     def exhaustive(self) -> bool:
         return (1 << self.cfg.n_cells) <= self.cfg.exhaustive_limit
@@ -356,6 +348,13 @@ def chaos__first_chaos(ctx: _Ctx):
     bad = []
     if fc.dimension != expected:
         bad.append(f"dimension {fc.dimension} != {expected}")
+    single = [
+        list(m.walsh_vector(idx).values)
+        for idx, mask in enumerate(m.support_masks)
+        if bin(mask).count("1") == 1
+    ]
+    if not linalg.span_equal([list(v.values) for v in fc.basis], single):
+        bad.append("span differs from the single-cell Walsh directions")
     # Full pairwise additivity as an oracle on every basis vector.
     n = m.n_cells
     for v in fc.basis:
@@ -438,6 +437,14 @@ def chaos__defect_bound(ctx: _Ctx):
         psi = chaos_mod.additive_vector(m, sub, m.random_rv(rng))
         x = BoolElem(rng.randrange(1 << m.n_cells), m.n_cells)
         cert = chaos_mod.atomless_defect(m, psi, sub)
+        if len(blocks) <= 5:
+            # delta^2 is the least largest part-mass over all partitions of unity.
+            least = min(
+                max(mass_inside(m, cert.coeffs, part) for part in partition)
+                for partition in iter_partitions_of_unity(sub)
+            )
+            if cert.delta_sq != least:
+                bad.append(f"b={blocks}: delta^2={cert.delta_sq} != least part-mass {least}")
         rep = chaos_mod.defect_bound_check(m, psi, sub, x, certificate=cert)
         if not rep.passed:
             bad.append(f"x={x} sigma={rep.sigma_max} delta={rep.delta}")

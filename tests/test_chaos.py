@@ -5,7 +5,13 @@ from fractions import Fraction
 import pytest
 
 from noise_lab import linalg
-from noise_lab.boolalg import BoolElem, FinitePowerAlgebra, Subalgebra, random_partition_blocks
+from noise_lab.boolalg import (
+    BoolElem,
+    FinitePowerAlgebra,
+    Subalgebra,
+    iter_partitions_of_unity,
+    random_partition_blocks,
+)
 from noise_lab.chaos import (
     Classification,
     additive_vector,
@@ -325,6 +331,19 @@ def _additive_by_projection(m, psi, b):
     )
 
 
+def _additive_by_rearrangement(m, psi, b):
+    """Additivity on b in its join+meet shape: zero mean, and
+    Q_(x|y) + Q_(x&y) = Q_x + Q_y for every pair of elements."""
+    if expectation(m, psi) != 0:
+        return False
+    elems = list(b.elements())
+    return all(
+        project(m, x | y, psi) + project(m, x & y, psi) == project(m, x, psi) + project(m, y, psi)
+        for x in elems
+        for y in elems
+    )
+
+
 def test_coefficient_space_matches_point_space_oracle():
     rng = random.Random(7)
     for m in model_family(3, (2, 3)):
@@ -341,11 +360,19 @@ def test_coefficient_space_matches_point_space_oracle():
             assert psi == expected
 
             for v in (psi, seedling, m.random_rv(rng, zero_mean=True)):
-                assert satisfies_additivity(m, v, sub) == _additive_by_projection(m, v, sub)
+                additive = _additive_by_projection(m, v, sub)
+                assert satisfies_additivity(m, v, sub) == additive
+                assert _additive_by_rearrangement(m, v, sub) == additive
 
             cert = atomless_defect(m, psi, sub)
             norms = [norm_sq(m, project(m, block, psi)) for block in sub.blocks]
             assert cert.delta_sq == max(norms, default=0)
+            # Reference: the least, over all partitions of unity in b, of the
+            # largest part-mass.
+            assert cert.delta_sq == min(
+                max((norm_sq(m, project(m, part, psi)) for part in partition), default=0)
+                for partition in iter_partitions_of_unity(sub)
+            )
             assert [w.attained for w in cert.witnesses] == [math.sqrt(float(v)) for v in norms]
 
             for mask in range(1 << n):

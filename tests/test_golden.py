@@ -6,10 +6,12 @@ bytes. A change meant to alter a report regenerates the affected files with
 the command in ``CASES`` or ``CHAOS_CASES`` and says so.
 """
 
+import sys
 from pathlib import Path
 
 import pytest
 
+from noise_lab import boolalg, linalg
 from noise_lab.cli import main
 from noise_lab.config import ModelConfig
 
@@ -64,6 +66,30 @@ CHAOS_CASES = {
 
 @pytest.mark.parametrize("name", sorted(CHAOS_CASES))
 def test_chaos_output_matches_golden(name, capsys):
+    args = CHAOS_CASES[name]
+    assert main(["chaos", str(REPO / args[0]), *args[1:]]) == 0
+    assert capsys.readouterr().out.encode("utf-8") == (GOLDEN / f"{name}.txt").read_bytes()
+
+
+def _refuse_everywhere(monkeypatch, fn):
+    """Make every noise_lab module attribute bound to fn raise when called."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{fn.__name__} ran")
+
+    for name, module in list(sys.modules.items()):
+        if name == "noise_lab" or name.startswith("noise_lab."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, refuse)
+
+
+@pytest.mark.parametrize("name", sorted(CHAOS_CASES))
+def test_chaos_output_runs_no_suite_oracle(name, monkeypatch, capsys):
+    # The span comparison and the partition brute force run only in their
+    # suite checks (chaos.first_chaos, chaos.defect_bound).
+    _refuse_everywhere(monkeypatch, linalg.span_equal)
+    _refuse_everywhere(monkeypatch, boolalg.iter_partitions_of_unity)
     args = CHAOS_CASES[name]
     assert main(["chaos", str(REPO / args[0]), *args[1:]]) == 0
     assert capsys.readouterr().out.encode("utf-8") == (GOLDEN / f"{name}.txt").read_bytes()

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,8 +9,7 @@ from noise_lab.regopen import (
     EMPTY,
     FULL,
     FiniteSpace,
-    closed_intersection,
-    closed_subset,
+    RegOpen,
     dyadic_quotient_space,
     finite_space_regopen,
     make_regopen,
@@ -62,12 +62,12 @@ def test_reg_ops_examples():
 
 def test_interior_closure_boundary_examples():
     r = make_regopen([(0, F(1, 2))])
-    interior, closure, boundary = r.intervals, r.closure_intervals(), r.boundary_points()
-    assert interior == ((F(0), F(1, 2)),)
-    assert closure == ((F(0), F(1, 2)),)
-    assert boundary == (F(1, 2),)
+    # The closure of an element is the union of its intervals, closed.
+    assert r.intervals == ((F(0), F(1, 2)),)
+    assert r.contains_closure(F(1, 2)) and not r.contains_interior(F(1, 2))
+    assert r.boundary_points() == (F(1, 2),)
 
-    assert (EMPTY.intervals, EMPTY.closure_intervals(), EMPTY.boundary_points()) == ((), (), ())
+    assert (EMPTY.intervals, EMPTY.boundary_points()) == ((), ())
 
     mid = make_regopen([(F(1, 4), F(3, 4))])
     assert mid.boundary_points() == (F(1, 4), F(3, 4))
@@ -95,14 +95,7 @@ def test_equal_elements_give_equalities():
     r = make_regopen([(F(1, 8), F(3, 8)), (F(1, 2), F(3, 4))])
     assert (r & r) == r
     assert (r | r) == r
-    assert closed_subset(
-        (r & r).closure_intervals(),
-        closed_intersection(r.closure_intervals(), r.closure_intervals()),
-    )
-    assert closed_subset(
-        closed_intersection(r.closure_intervals(), r.closure_intervals()),
-        (r & r).closure_intervals(),
-    )
+    assert (r & r).le(r) and r.le(r & r)
 
 
 @st.composite
@@ -127,9 +120,8 @@ def test_canonical_form_properties(pieces):
         assert b < c
     for a, b in r.intervals:
         assert 0 <= a < b <= 1
-    # idempotent and regular
+    # idempotent, hence regular: the interior of the closure is r
     assert make_regopen(r.intervals) == r
-    assert make_regopen(r.closure_intervals()) == r
     # double complement
     assert ~~r == r
 
@@ -138,7 +130,19 @@ def test_canonical_form_properties(pieces):
 @given(raw_intervals(), raw_intervals())
 def test_order_equivalence(p1, p2):
     r, s = make_regopen(p1), make_regopen(p2)
-    assert r.le(s) == closed_subset(r.closure_intervals(), s.closure_intervals())
+    assert r.le(s) == ((r & s) == r) == ((r | s) == s)
+
+
+def test_reg_laws_catch_a_broken_order(monkeypatch):
+    def le_ignoring_last(self, other):
+        return all(
+            any(c <= a and b <= d for c, d in other.intervals) for a, b in self.intervals[:-1]
+        )
+
+    monkeypatch.setattr(RegOpen, "le", le_ignoring_last)
+    rep = verify_reg_laws(random.Random(0), iterations=50)
+    assert not rep.passed
+    assert any(f.startswith("order equivalence fails") for f in rep.failures)
 
 
 def test_sierpinski_space():

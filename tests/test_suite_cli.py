@@ -4,6 +4,7 @@ import dataclasses
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,7 @@ from noise_lab.suite import (
     _Ctx,
     chaos__additive_norm,
     chaos__classification,
+    chaos__defect_bound,
     chaos__first_chaos,
     chaos__split_space,
     run_verification_suite,
@@ -90,6 +92,36 @@ def test_split_space_solves_once_per_complementary_pair(monkeypatch):
     assert result.detail == "solution space vs basis span, all elements"
     assert len(solved) == 8
     assert {min(m, m ^ 0b1111) for m in solved} == set(range(8))
+
+
+def test_first_chaos_check_compares_span_with_single_cell_directions(monkeypatch):
+    def swapped(model):
+        # Cell 1's direction replaced by the two-cell e_(1,1): right dimension, wrong span.
+        single, two_cell = (
+            [i for i, s in enumerate(model.support_masks) if s == mask] for mask in (0b01, 0b11)
+        )
+        return chaos_mod.ChaosSubspace(tuple(model.walsh_vector(i) for i in single + two_cell))
+
+    monkeypatch.setattr(chaos_mod, "first_chaos_basis", swapped)
+    result = chaos__first_chaos(_Ctx(load_model_config(str(TWO_COINS))))
+    assert result.status == "fail"
+    assert result.detail == "dimension 2"
+    assert "span differs from the single-cell Walsh directions" in result.witnesses
+
+
+def test_defect_bound_check_brute_forces_the_partitions(monkeypatch):
+    defect = chaos_mod.atomless_defect
+
+    def inflated(model, psi, b):
+        cert = defect(model, psi, b)
+        return dataclasses.replace(cert, delta_sq=cert.delta_sq + Fraction(1, 7))
+
+    monkeypatch.setattr(chaos_mod, "atomless_defect", inflated)
+    result = chaos__defect_bound(_Ctx(load_model_config(str(FOUR_COINS))))
+    assert result.status == "fail"
+    # A larger delta only loosens the moment bound: the partitions catch it.
+    assert result.witnesses
+    assert all("!= least part-mass" in w for w in result.witnesses)
 
 
 def test_split_space_detail_says_sampled():
