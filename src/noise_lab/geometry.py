@@ -78,17 +78,13 @@ def inner_approx(emb: Embedding, r: RegOpen) -> BoolElem:
     """Best approximation of r from compactly-included dyadic pieces: the
     cells whose sample point is interior to r. Works for arbitrary rational
     endpoints."""
-    return BoolElem.from_indices(
-        (i for i, t in enumerate(emb.sample_points) if r.contains_interior(t)), emb.n
-    )
+    return BoolElem(r.interior_mask(emb.sample_points), emb.n)
 
 
 def closure_cells(emb: Embedding, r: RegOpen) -> BoolElem:
     """The cells whose sample point lies in the closure of r. An atom's closed
     set sits inside cl(r) exactly when the atom is below this mask."""
-    return BoolElem.from_indices(
-        (i for i, t in enumerate(emb.sample_points) if r.contains_closure(t)), emb.n
-    )
+    return BoolElem(r.closure_mask(emb.sample_points), emb.n)
 
 
 def sample_hom(emb: Embedding, a: RegOpen) -> BoolElem:

@@ -8,7 +8,13 @@ interior of the closure) would fuse them.
 
 Meet is intersection of interiors, join is the interior of the union of
 closures, complement is the space minus the closure. All comparisons are
-exact; no tolerances anywhere.
+exact; no tolerances anywhere. The operations work on the sorted tuples by
+sweeps: meet and the order test walk both tuples once with two pointers,
+join merges the hulls sorted by their starts, and the point masks
+(``interior_mask``, ``closure_mask``) place a sorted run of points against
+the intervals in one pass. Since every step is a ``Fraction`` comparison,
+the number of comparisons is the cost; ``contains_interior`` and
+``contains_closure`` stay as the per-point reference.
 
 A small brute-force twin for arbitrary finite topological spaces is
 included, with the quotient-of-the-interval construction used to
@@ -17,9 +23,11 @@ cross-check the two against each other.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 Interval = tuple[Fraction, Fraction]
@@ -64,22 +72,60 @@ class RegOpen:
                 pts.append(b)
         return tuple(pts)
 
+    def interior_mask(self, points: Sequence[Fraction]) -> int:
+        """Bit i is set when the increasing ``points[i]`` lies in the open
+        set. One pass: each interval bisects the points from where the
+        previous one ended."""
+        mask = i = 0
+        for a, b in self.intervals:
+            i = (bisect_left if a == 0 else bisect_right)(points, a, i)
+            j = (bisect_right if b == 1 else bisect_left)(points, b, i)
+            mask |= (1 << j) - (1 << i)
+            i = j
+        return mask
+
+    def closure_mask(self, points: Sequence[Fraction]) -> int:
+        """Bit i is set when the increasing ``points[i]`` lies in the
+        closure, the union of the closed intervals."""
+        mask = i = 0
+        for a, b in self.intervals:
+            i = bisect_left(points, a, i)
+            j = bisect_right(points, b, i)
+            mask |= (1 << j) - (1 << i)
+            i = j
+        return mask
+
     def le(self, other: "RegOpen") -> bool:
         """The order of the algebra: interior inclusion, equivalently closure
         inclusion (the closure of an element is the union of its closed
-        intervals)."""
-        return all(
-            any(c <= a and b <= d for c, d in other.intervals) for a, b in self.intervals
-        )
+        intervals). The only interval of ``other`` that can hold (a, b) is
+        the first one ending at or after b."""
+        ys = other.intervals
+        j, m = 0, len(ys)
+        for a, b in self.intervals:
+            while j < m and ys[j][1] < b:
+                j += 1
+            if j == m or a < ys[j][0]:
+                return False
+        return True
 
     def meet(self, other: "RegOpen") -> "RegOpen":
+        xs, ys = self.intervals, other.intervals
+        i = j = 0
         pieces = []
-        for a, b in self.intervals:
-            for c, d in other.intervals:
-                lo, hi = max(a, c), min(b, d)
-                if lo < hi:
-                    pieces.append((lo, hi))
-        return RegOpen(tuple(sorted(pieces)))
+        while i < len(xs) and j < len(ys):
+            a, b = xs[i]
+            c, d = ys[j]
+            lo = a if c < a else c
+            if b < d:
+                hi = b
+                i += 1
+            else:
+                hi = d
+                j += 1
+            if lo < hi:
+                pieces.append((lo, hi))
+        return RegOpen(tuple(pieces))
 
     def join(self, other: "RegOpen") -> "RegOpen":
         return RegOpen(_merge_hulls(self.intervals + other.intervals))
@@ -113,14 +159,19 @@ FULL = RegOpen(((ZERO, ONE),))
 
 def _merge_hulls(pieces: Iterable[Interval]) -> tuple[Interval, ...]:
     """Merge closed hulls [a,b]; touching hulls fuse (regularization)."""
-    items = sorted(pieces)
-    merged: list[list[Fraction]] = []
-    for a, b in items:
-        if merged and a <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], b)
-        else:
-            merged.append([a, b])
-    return tuple((a, b) for a, b in merged)
+    items = sorted(pieces, key=itemgetter(0))
+    if not items:
+        return ()
+    merged = []
+    lo, hi = items[0]
+    for a, b in items[1:]:
+        if hi < a:
+            merged.append((lo, hi))
+            lo, hi = a, b
+        elif hi < b:
+            hi = b
+    merged.append((lo, hi))
+    return tuple(merged)
 
 
 def make_regopen(raw: Sequence[tuple]) -> RegOpen:
@@ -128,7 +179,10 @@ def make_regopen(raw: Sequence[tuple]) -> RegOpen:
     the interior of the closure of the union, produce canonical form."""
     pieces = []
     for a, b in raw:
-        a, b = Fraction(a), Fraction(b)
+        if not isinstance(a, Fraction):
+            a = Fraction(a)
+        if not isinstance(b, Fraction):
+            b = Fraction(b)
         if not (0 <= a <= 1 and 0 <= b <= 1):
             raise ValueError(f"endpoint outside [0,1]: ({a},{b})")
         if a > b:
@@ -162,39 +216,45 @@ def random_regopen(rng, max_pieces: int = 3, denominators: Sequence[int] = (2, 3
     return make_regopen(pieces)
 
 
-def _pair_laws(r: RegOpen, s: RegOpen) -> Iterator[tuple[str, bool]]:
-    yield "double complement", (~~r) == r
-    yield "meet complement", (r & ~r) == EMPTY
-    yield "join complement", (r | ~r) == FULL
-    yield "meet comm", (r & s) == (s & r)
-    yield "join comm", (r | s) == (s | r)
-    yield "de morgan meet", ~(r & s) == (~r | ~s)
-    yield "de morgan join", ~(r | s) == (~r & ~s)
-    yield "absorption", (r & (r | s)) == r and (r | (r & s)) == r
+def _pair_laws(r: RegOpen, s: RegOpen, meet: RegOpen, join: RegOpen) -> Iterator[tuple[str, bool]]:
+    """Laws of the pair, given ``meet = r & s`` and ``join = r | s``; each
+    still compares two different computations."""
+    nr, ns = ~r, ~s
+    yield "double complement", ~nr == r
+    yield "meet complement", (r & nr) == EMPTY
+    yield "join complement", (r | nr) == FULL
+    yield "meet comm", meet == (s & r)
+    yield "join comm", join == (s | r)
+    yield "de morgan meet", ~meet == (nr | ns)
+    yield "de morgan join", ~join == (nr & ns)
+    yield "absorption", (r & join) == r and (r | meet) == r
     yield "canonical idempotent", make_regopen(r.intervals) == r
-    yield "order equivalence", r.le(s) == ((r & s) == r) == ((r | s) == s)
+    yield "order equivalence", r.le(s) == (meet == r) == (join == s)
 
 
-def _inclusion_laws(r: RegOpen, s: RegOpen) -> tuple[bool, bool, str | None, str | None]:
+def _lowest_bit(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
+
+
+def _inclusion_laws(
+    r: RegOpen, s: RegOpen, meet: RegOpen, join: RegOpen
+) -> tuple[bool, bool, str | None, str | None]:
     """The closure-of-meet and interior-of-join inclusions, with strictness
     witnesses. Any witness point must come from a boundary, so candidates
-    are finite and the detection is exact."""
-    meet = r & s
-    join = r | s
+    are finite and the detection is exact; the witness is the lowest
+    candidate in a mask expression over them."""
     cl_meet_ok = meet.le(r) and meet.le(s)
     join_ok = r.le(join) and s.le(join)
-    candidates = set(r.boundary_points()) | set(s.boundary_points()) | {ZERO, ONE}
+    # Every endpoint of r or s, and the space edges; repeats are harmless.
+    cands = sorted(chain((ZERO, ONE), *r.intervals, *s.intervals))
+    join_only = join.interior_mask(cands) & ~(r.interior_mask(cands) | s.interior_mask(cands))
     join_witness = None
-    for t in sorted(candidates):
-        if join.contains_interior(t) and not (r.contains_interior(t) or s.contains_interior(t)):
-            join_witness = f"{t} interior to the join only"
-            break
+    if join_only:
+        join_witness = f"{cands[_lowest_bit(join_only)]} interior to the join only"
+    both_only = r.closure_mask(cands) & s.closure_mask(cands) & ~meet.closure_mask(cands)
     meet_witness = None
-    for t in sorted(candidates):
-        in_both = r.contains_closure(t) and s.contains_closure(t)
-        if in_both and not meet.contains_closure(t):
-            meet_witness = f"{t} in both closures, outside the meet closure"
-            break
+    if both_only:
+        meet_witness = f"{cands[_lowest_bit(both_only)]} in both closures, outside the meet closure"
     return cl_meet_ok, join_ok, join_witness, meet_witness
 
 
@@ -225,10 +285,11 @@ def verify_reg_laws(rng, iterations: int = 1000) -> RegLawReport:
     def run_pair(r: RegOpen, s: RegOpen) -> None:
         nonlocal checked
         checked += 1
-        for name, ok in _pair_laws(r, s):
+        meet, join = r & s, r | s
+        for name, ok in _pair_laws(r, s, meet, join):
             if not ok:
                 failures.append(f"{name} fails: r={r} s={s}")
-        cl_ok, join_ok, jw, mw = _inclusion_laws(r, s)
+        cl_ok, join_ok, jw, mw = _inclusion_laws(r, s, meet, join)
         if not cl_ok:
             failures.append(f"closure-of-meet inclusion fails: r={r} s={s}")
         if not join_ok:

@@ -1,10 +1,23 @@
+import os
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from noise_lab.boolalg import BoolElem, FinitePowerAlgebra, Subalgebra
 from noise_lab.model import Cell, NoiseModel, fair_coin, uniform_cell
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def cli_env() -> dict[str, str]:
+    """The environment for a ``python -m noise_lab`` subprocess: the
+    repository's ``src`` first on ``PYTHONPATH``, since pytest's
+    ``pythonpath`` setting reaches only the pytest process itself."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(REPO / "src"), env.get("PYTHONPATH"))))
+    return env
 
 
 def sign_rv(model, cell):

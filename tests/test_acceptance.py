@@ -64,7 +64,7 @@ from noise_lab.spectrum import (
     verify_sigma_join,
 )
 
-from conftest import block_subalgebra, full_subalgebra, model_family, sign_rv, varied_probs
+from conftest import block_subalgebra, cli_env, full_subalgebra, model_family, sign_rv, varied_probs
 
 F = Fraction
 REPO = Path(__file__).resolve().parent.parent
@@ -347,10 +347,10 @@ def test_criterion_10_cli_reproducibility(tmp_path):
     t0 = time.monotonic()
     cmd = [sys.executable, "-m", "noise_lab", "verify", str(config), "--seed", "0"]
     run1 = subprocess.run(
-        cmd + ["--json", str(tmp_path / "r1.json")], capture_output=True, cwd=REPO
+        cmd + ["--json", str(tmp_path / "r1.json")], capture_output=True, cwd=REPO, env=cli_env()
     )
     run2 = subprocess.run(
-        cmd + ["--json", str(tmp_path / "r2.json")], capture_output=True, cwd=REPO
+        cmd + ["--json", str(tmp_path / "r2.json")], capture_output=True, cwd=REPO, env=cli_env()
     )
     elapsed = time.monotonic() - t0
     if run1.returncode != 0:

@@ -133,6 +133,80 @@ def test_order_equivalence(p1, p2):
     assert r.le(s) == ((r & s) == r) == ((r | s) == s)
 
 
+def reference_meet(r, s):
+    """Meet by intersecting every pair of intervals, then sorting."""
+    pieces = []
+    for a, b in r.intervals:
+        for c, d in s.intervals:
+            lo, hi = max(a, c), min(b, d)
+            if lo < hi:
+                pieces.append((lo, hi))
+    return RegOpen(tuple(sorted(pieces)))
+
+
+def reference_le(r, s):
+    """Order by asking, for each interval of r, whether any interval of s
+    holds it."""
+    return all(any(c <= a and b <= d for c, d in s.intervals) for a, b in r.intervals)
+
+
+def point_mask(points, member):
+    return sum(1 << i for i, t in enumerate(points) if member(t))
+
+
+@settings(max_examples=300, derandomize=True)
+@given(raw_intervals(), raw_intervals(), st.data())
+def test_sweeps_match_references(p1, p2, data):
+    r, s = make_regopen(p1), make_regopen(p2)
+    meet, join = r & s, r | s
+    assert meet == reference_meet(r, s)
+    assert join == ~reference_meet(~r, ~s)
+    assert r.le(s) == reference_le(r, s)
+    assert s.le(r) == reference_le(s, r)
+
+    # Both elements' endpoints, the space edges and the midpoints between
+    # them: every cell of the common grid is probed, and every boundary.
+    grid = sorted({F(0), F(1)} | {t for a, b in r.intervals + s.intervals for t in (a, b)})
+    mids = [(u + v) / 2 for u, v in zip(grid, grid[1:])]
+    pool = sorted(grid + mids)
+    some = sorted(data.draw(st.sets(st.sampled_from(pool))))
+    for points in (pool, some):
+        for e in (r, s, meet, join):
+            assert e.interior_mask(points) == point_mask(points, e.contains_interior)
+            assert e.closure_mask(points) == point_mask(points, e.contains_closure)
+    # On the midpoints, interior inclusion is the order.
+    assert r.le(s) == (r.interior_mask(mids) & ~s.interior_mask(mids) == 0)
+
+
+def test_reg_laws_catch_a_join_that_keeps_touching_hulls(monkeypatch):
+    def join_without_fusing(self, other):
+        merged = []
+        for a, b in sorted(self.intervals + other.intervals):
+            if merged and a < merged[-1][1]:
+                merged[-1] = (merged[-1][0], max(merged[-1][1], b))
+            else:
+                merged.append((a, b))
+        return RegOpen(tuple(merged))
+
+    # The operator aliases are bound to the original functions.
+    monkeypatch.setattr(RegOpen, "join", join_without_fusing)
+    monkeypatch.setattr(RegOpen, "__or__", join_without_fusing)
+    rep = verify_reg_laws(random.Random(0), iterations=50)
+    assert any(f.startswith("join complement fails") for f in rep.failures)
+
+
+def test_reg_laws_catch_a_meet_that_drops_its_last_piece(monkeypatch):
+    meet = RegOpen.meet
+
+    def meet_dropping_last(self, other):
+        return RegOpen(meet(self, other).intervals[:-1])
+
+    monkeypatch.setattr(RegOpen, "meet", meet_dropping_last)
+    monkeypatch.setattr(RegOpen, "__and__", meet_dropping_last)
+    rep = verify_reg_laws(random.Random(0), iterations=50)
+    assert any(f.startswith("de morgan meet fails") for f in rep.failures)
+
+
 def test_reg_laws_catch_a_broken_order(monkeypatch):
     def le_ignoring_last(self, other):
         return all(

@@ -26,6 +26,8 @@ from noise_lab.suite import (
     run_verification_suite,
 )
 
+from conftest import cli_env
+
 REPO = Path(__file__).resolve().parent.parent
 TWO_COINS = REPO / "examples" / "two-coins.json"
 FOUR_COINS = REPO / "examples" / "four-coins.json"
@@ -38,6 +40,7 @@ def run_cli(*args, cwd=REPO):
         [sys.executable, "-m", "noise_lab", *args],
         capture_output=True,
         cwd=cwd,
+        env=cli_env(),
     )
 
 
