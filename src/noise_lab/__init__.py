@@ -6,13 +6,7 @@ projections, and checks the chaos-decomposition, spectral and
 regular-open-set identities of that setting with exact rational arithmetic.
 """
 
-from .boolalg import (
-    BoolElem,
-    Filter,
-    FinitePowerAlgebra,
-    Subalgebra,
-    filter_to_closed_set,
-)
+from .boolalg import BoolElem, FinitePowerAlgebra, Subalgebra
 from .chaos import (
     ChaosSubspace,
     Classification,
@@ -67,7 +61,6 @@ from .spectrum import (
     build_spectral_space,
     check_atom_of_sigma_x,
     sigma_x,
-    spectral_filter,
     spectral_measure,
     spectral_set,
     subspace_of_event,

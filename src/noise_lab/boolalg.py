@@ -1,9 +1,10 @@
 """Finite Boolean algebras as power sets of cell indices.
 
 Elements are bitmask-backed subsets of {0..n-1}; subalgebras are block
-partitions; filters are principal (complete in the finite case). The Stone
-space of such an algebra is the discrete space of its n atoms, so closed
-subsets are plain index sets.
+partitions. Every filter is principal (complete in the finite case): the
+up-set of its generator g, so x is a member exactly when ``g.le(x)``. The
+Stone space of such an algebra is the discrete space of its n atoms, so the
+closed set of that filter is the index set ``g.indices()``.
 """
 
 from __future__ import annotations
@@ -171,32 +172,6 @@ def iter_partitions_of_unity(b: Subalgebra) -> Iterator[tuple[BoolElem, ...]]:
 
     for grouping in rec(0, []):
         yield tuple(b.from_block_indices(g) for g in grouping)
-
-
-@dataclass(frozen=True)
-class Filter:
-    """A filter on the finite algebra, stored by its principal generator.
-
-    member(x) iff generator <= x; improper iff generator = 0.
-    """
-
-    generator: BoolElem
-
-    def member(self, x: BoolElem) -> bool:
-        return self.generator.le(x)
-
-    @property
-    def is_improper(self) -> bool:
-        return self.generator.is_zero
-
-
-def filter_to_closed_set(f: Filter) -> frozenset[int]:
-    """Closed subset of the discrete Stone space: atoms below the generator.
-
-    An atom i lies in the clopen set of x iff i is in x, so the closed set
-    sits inside clopen(x) exactly when x is a member of the filter.
-    """
-    return frozenset(f.generator.indices())
 
 
 def subsets_of(x: BoolElem) -> Iterator[BoolElem]:

@@ -7,10 +7,13 @@ it contains, and that map respects meet, join and complement precisely
 because no sample point can sit on a dyadic boundary.
 
 Each spectral atom M is attached to the finite closed set of sample points
-it names. That closed set is recovered from below: remove the interior of
-every dyadic piece (up to a working depth) avoiding the atom's points; what
-is left is a union of closed grid cells shrinking onto the points as the
-depth grows, with a certified Hausdorff bound.
+it names. That closed set is recovered by removing every dyadic open
+piece (up to a working depth) avoiding the atom's points. What is left is
+the closure of a regular open set, the union of the grid cells that hold a
+point, so the depth-D approximant is a ``RegOpen`` and its closure; it
+shrinks onto the points as the depth grows, with a certified Hausdorff
+bound. The suite's oracle compares that shortcut with the literal union
+over the dyadic family.
 """
 
 from __future__ import annotations
@@ -111,68 +114,40 @@ class SpectralMapResult:
     hausdorff_bound: Fraction
 
 
-def _assemble_closed(cell_uncov: list[bool], point_uncov: list[bool], depth: int) -> tuple[Interval, ...]:
-    """Closed intervals from uncovered grid units (points and open cells)."""
+def _grid_cover(targets, depth: int) -> RegOpen:
+    """The regular open set made of the depth-D grid cells that hold a
+    target; its closure is the depth-D approximant. No target is dyadic, so
+    the dyadic pieces missing every target leave a cell uncovered exactly
+    when it holds a target, and a grid point exactly when a neighbouring
+    cell holds one. Runs of adjacent cells fuse over ``int`` before any
+    endpoint becomes a ``Fraction``."""
     q = 1 << depth
-    out: list[Interval] = []
-    run_start: Fraction | None = None
+    runs: list[list[int]] = []
+    for c in sorted({int(t * q) for t in targets}):
+        if runs and runs[-1][1] == c:
+            runs[-1][1] = c + 1
+        else:
+            runs.append([c, c + 1])
+    return RegOpen(tuple((Fraction(a, q), Fraction(b, q)) for a, b in runs))
+
+
+def _uncovered_probes(targets, depth: int) -> int:
+    """The literal definition, read on the probes i/2^(D+1): bit i is set
+    when probe i lies in no depth-D dyadic open interval that misses every
+    target. Probe 2j is the grid point j/2^D and probe 2j+1 the midpoint of
+    cell j, and these points fix a union of closed grid cells exactly."""
+    q = 1 << depth
+    covered = 0
     for j in range(q + 1):
-        if point_uncov[j] and run_start is None:
-            run_start = Fraction(j, q)
-        if not point_uncov[j]:
-            if run_start is not None:
-                out.append((run_start, Fraction(j - 1, q)))
-                run_start = None
-            # A cell cannot be uncovered while its endpoints are covered.
-            if j < q and cell_uncov[j]:
-                raise RuntimeError("uncovered cell with covered endpoints")
-        elif j < q and not cell_uncov[j] and run_start is not None:
-            out.append((run_start, Fraction(j, q)))
-            run_start = None
-    if run_start is not None:
-        out.append((run_start, ONE))
-    return tuple(out)
-
-
-def _cover_by_minimal_units(targets: tuple[Fraction, ...], depth: int) -> tuple[Interval, ...]:
-    """Complement of the union of all depth-limited dyadic interiors missing
-    every target, computed through minimal covering neighborhoods."""
-    q = 1 << depth
-    cell_hit = [False] * q
-    for t in targets:
-        cell_hit[int(t * q)] = True
-    # A grid point stays uncovered iff each dyadic interval around it meets a
-    # target, i.e. one of its two neighbor cells is hit.
-    point_uncov = [
-        (j > 0 and cell_hit[j - 1]) or (j < q and cell_hit[j]) for j in range(q + 1)
-    ]
-    return _assemble_closed(cell_hit, point_uncov, depth)
-
-
-def _cover_literal(targets: tuple[Fraction, ...], depth: int, reverse: bool = False) -> tuple[Interval, ...]:
-    """Same complement, by brute union over an explicit enumeration of the
-    dyadic family (any enumeration order must give the same set)."""
-    q = 1 << depth
-    cell_cov = [False] * q
-    point_cov = [False] * (q + 1)
-    family = [(j, l) for j in range(q + 1) for l in range(j + 1, q + 1)]
-    if reverse:
-        family.reverse()
-    for j, l in family:
-        lo, hi = Fraction(j, q), Fraction(l, q)
-        if any(lo < t < hi for t in targets):
-            continue
-        for c in range(j, l):
-            cell_cov[c] = True
-        for p in range(j + 1, l):
-            point_cov[p] = True
-        if j == 0:
-            point_cov[0] = True
-        if l == q:
-            point_cov[q] = True
-    return _assemble_closed(
-        [not c for c in cell_cov], [not p for p in point_cov], depth
-    )
+        for l in range(j + 1, q + 1):
+            lo, hi = Fraction(j, q), Fraction(l, q)
+            if any(lo < t < hi for t in targets):
+                continue
+            # The open interval holds probes 2j+1 .. 2l-1, and a space edge
+            # it reaches.
+            covered |= (1 << 2 * l) - (1 << 2 * j + 1)
+            covered |= (j == 0) | (l == q) << 2 * q
+    return ~covered & ((1 << 2 * q + 1) - 1)
 
 
 def closed_set_of_atom(emb: Embedding, s: BoolElem) -> tuple[Fraction, ...]:
@@ -185,11 +160,11 @@ def spectral_set_map(emb: Embedding, s: BoolElem, depth: int = 6) -> SpectralMap
     if s.n != emb.n:
         raise ValueError("atom from a different algebra")
     targets = closed_set_of_atom(emb, s)
-    approx = _cover_by_minimal_units(targets, depth)
+    approx = _grid_cover(targets, depth).intervals
 
     separation_depth = None
     for d in range(depth + 1):
-        if len(_cover_by_minimal_units(targets, d)) == len(targets):
+        if len(_grid_cover(targets, d).intervals) == len(targets):
             separation_depth = d
             break
 
@@ -210,15 +185,15 @@ def spectral_set_map(emb: Embedding, s: BoolElem, depth: int = 6) -> SpectralMap
 
 
 def verify_spectral_map_uniqueness(emb: Embedding, depth: int) -> bool:
-    """The defining union does not depend on how the dyadic family is
-    enumerated: two explicit enumeration orders and the minimal-unit shortcut
-    must produce identical sets, for every atom."""
+    """The depth-D approximant is the closed set its definition names: for
+    every atom, the closure of the grid cover holds the same probes
+    i/2^(D+1) as the complement of the union of every dyadic open interval
+    missing the atom's points."""
+    q = 1 << depth
+    probes = [Fraction(i, 2 * q) for i in range(2 * q + 1)]
     for mask in range(1 << emb.n):
         targets = closed_set_of_atom(emb, BoolElem(mask, emb.n))
-        a = _cover_by_minimal_units(targets, depth)
-        b = _cover_literal(targets, depth, reverse=False)
-        c = _cover_literal(targets, depth, reverse=True)
-        if not (a == b == c):
+        if _grid_cover(targets, depth).closure_mask(probes) != _uncovered_probes(targets, depth):
             return False
     return True
 
@@ -344,13 +319,11 @@ def verify_shrink_chain(emb: Embedding, a: RegOpen, max_terms: int = 12) -> bool
         if not f.le(g):
             return False
     for an in chain:
-        for p, q in an.intervals:
-            inside = any(
-                (u < p or (u == 0 == p)) and (q < v or (v == 1 == q))
-                for u, v in a.intervals
-            )
-            if not inside:
-                return False
+        # Given an <= a, cl(an) lies inside a (space edges absorbed) exactly
+        # when every endpoint of an is interior to a.
+        ends = [e for iv in an.intervals for e in iv]
+        if not an.le(a) or a.interior_mask(ends) != (1 << len(ends)) - 1:
+            return False
     target = sample_hom(emb, ~a)
     images = [~closure_cells(emb, an) for an in chain]
     for f, g in zip(images, images[1:]):

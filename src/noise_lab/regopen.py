@@ -61,17 +61,6 @@ class RegOpen:
     def contains_closure(self, t: Fraction) -> bool:
         return any(a <= t <= b for a, b in self.intervals)
 
-    def boundary_points(self) -> tuple[Fraction, ...]:
-        """Excludes the space edges 0 and 1, which have no exterior side in
-        [0,1]."""
-        pts = []
-        for a, b in self.intervals:
-            if a > 0:
-                pts.append(a)
-            if b < 1:
-                pts.append(b)
-        return tuple(pts)
-
     def interior_mask(self, points: Sequence[Fraction]) -> int:
         """Bit i is set when the increasing ``points[i]`` lies in the open
         set. One pass: each interval bisects the points from where the

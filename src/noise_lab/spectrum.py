@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .boolalg import BoolElem, Filter, subsets_of
+from .boolalg import BoolElem, subsets_of
 from .model import NoiseModel, RandomVariable, support_masses, walsh_decompose
 
 
@@ -173,14 +173,6 @@ def check_atom_of_sigma_x(space: SpectralSpace, x: BoolElem) -> bool:
     """The spectral set of the complement of x is a single block of the
     sub-sigma-field attached to x."""
     return spectral_set(space, ~x) in sigma_x(space, x)
-
-
-def spectral_filter(space: SpectralSpace, s: BoolElem) -> Filter:
-    """The elements whose spectral set contains the atom s: the principal
-    filter generated by s (improper exactly for the empty support)."""
-    if s.n != space.n:
-        raise ValueError("atom from a different algebra")
-    return Filter(generator=s)
 
 
 def mutually_absolutely_continuous(m1, m2) -> bool:

@@ -298,7 +298,7 @@ def test_criterion_09_geometry():
     emb = build_embedding(m, [F(1, 5), F(1, 3), F(2, 3)])
 
     if not verify_spectral_map_uniqueness(emb, 4):
-        failures.append("closed-set map depends on enumeration order")
+        failures.append("closed-set approximant differs from its definition")
     count = 0
     for a in dyadic_grid_regopens(6):
         count += 1

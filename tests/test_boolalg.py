@@ -4,10 +4,8 @@ from hypothesis import strategies as st
 
 from noise_lab.boolalg import (
     BoolElem,
-    Filter,
     FinitePowerAlgebra,
     Subalgebra,
-    filter_to_closed_set,
     iter_partitions_of_unity,
     random_partition_blocks,
     subsets_of,
@@ -42,15 +40,15 @@ def verify_boolean_axioms(n: int, triples) -> list[str]:
 
 
 def stone_membership_law(n: int) -> bool:
-    """closed(filter) inside clopen(x) iff x in filter, for every principal
-    filter and every x; exhaustive."""
+    """The closed set of the principal filter of g (the atoms of g) lies
+    inside the clopen set of x (the atoms of x) iff x is in the filter,
+    g <= x; for every g and x, exhaustive."""
     for gen_mask in range(1 << n):
-        f = Filter(BoolElem(gen_mask, n))
-        closed = filter_to_closed_set(f)
+        g = BoolElem(gen_mask, n)
+        closed = set(g.indices())
         for x_mask in range(1 << n):
             x = BoolElem(x_mask, n)
-            inside = closed <= set(x.indices())
-            if inside != f.member(x):
+            if (closed <= set(x.indices())) != g.le(x):
                 return False
     return True
 
@@ -171,20 +169,19 @@ def test_partitions_of_unity_count_is_bell_number():
 
 
 def test_filter_membership_and_closed_sets():
+    # The principal filter of g is {x : g <= x}; its closed set in the
+    # discrete Stone space is g.indices().
     g = BoolElem.from_indices([1], 2)
-    f = Filter(g)
-    assert filter_to_closed_set(f) == {1}
-    assert f.member(BoolElem.from_indices([1], 2))
-    assert f.member(BoolElem.from_indices([0, 1], 2))
-    assert not f.member(BoolElem.from_indices([0], 2))
+    assert g.indices() == (1,)
+    assert g.le(BoolElem.from_indices([1], 2))
+    assert g.le(BoolElem.from_indices([0, 1], 2))
+    assert not g.le(BoolElem.from_indices([0], 2))
 
-    improper = Filter(BoolElem(0, 2))
-    assert improper.is_improper
-    assert filter_to_closed_set(improper) == frozenset()
-    assert all(improper.member(BoolElem(m, 2)) for m in range(4))
+    improper = BoolElem(0, 2)
+    assert improper.indices() == ()
+    assert all(improper.le(BoolElem(m, 2)) for m in range(4))
 
-    full = Filter(BoolElem(3, 2))
-    assert filter_to_closed_set(full) == {0, 1}
+    assert BoolElem(3, 2).indices() == (0, 1)
 
 
 def test_stone_membership_law_exhaustive():

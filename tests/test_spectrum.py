@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from noise_lab import linalg, spectrum
-from noise_lab.boolalg import BoolElem, filter_to_closed_set
+from noise_lab.boolalg import BoolElem
 from noise_lab.config import load_model_config
 from noise_lab.model import Cell, NoiseModel, norm_sq, project, walsh_decompose
 from noise_lab.spectrum import (
@@ -15,14 +15,13 @@ from noise_lab.spectrum import (
     mutually_absolutely_continuous,
     sigma_x,
     sigma_x_generated,
-    spectral_filter,
     spectral_measure,
     spectral_set,
     subspace_of_event,
     verify_independence,
     verify_sigma_join,
 )
-from noise_lab.suite import _Ctx, spectrum__sigma_lattice
+from noise_lab.suite import _Ctx, spectrum__sigma_lattice, spectrum__spectral_sets
 
 from conftest import sign_rv, varied_probs
 
@@ -217,27 +216,29 @@ def test_atom_of_sigma_x(two_coins):
 
 
 def test_spectral_filters(two_coins):
+    # The spectral filter {x : s in S_x} of each atom s is its principal
+    # filter {x : s <= x}; the empty atom's is improper (every element).
     sp = build_spectral_space(two_coins)
-    improper = spectral_filter(sp, BoolElem(0, 2))
-    assert improper.is_improper
-    assert filter_to_closed_set(improper) == frozenset()
-
-    f = spectral_filter(sp, BoolElem(2, 2))
-    members = {m for m in range(4) if f.member(BoolElem(m, 2))}
-    assert members == {2, 3}
-    assert filter_to_closed_set(f) == {1}
-
-    top = spectral_filter(sp, BoolElem(3, 2))
-    assert {m for m in range(4) if top.member(BoolElem(m, 2))} == {3}
-    assert filter_to_closed_set(top) == {0, 1}
-
-    # Filter law: membership respects meets.
+    elements = [BoolElem(m, 2) for m in range(4)]
     for s in sp.atoms:
-        filt = spectral_filter(sp, s)
-        for xm in range(4):
-            for ym in range(4):
-                x, y = BoolElem(xm, 2), BoolElem(ym, 2)
-                assert (filt.member(x) and filt.member(y)) == filt.member(x.meet(y))
+        spectral = {x.mask for x in elements if s.mask in spectral_set(sp, x)}
+        assert spectral == {x.mask for x in elements if s.le(x)}
+    assert {x.mask for x in elements if 0 in spectral_set(sp, x)} == {0, 1, 2, 3}
+    assert {x.mask for x in elements if 2 in spectral_set(sp, x)} == {2, 3}
+    assert {x.mask for x in elements if 3 in spectral_set(sp, x)} == {3}
+
+
+def test_spectral_sets_check_catches_a_missing_top_atom(monkeypatch):
+    real = spectrum.spectral_set
+
+    def without_top(space, x):
+        out = real(space, x)
+        return out - {x.mask} if x.is_one else out
+
+    monkeypatch.setattr(spectrum, "spectral_set", without_top)
+    result = spectrum__spectral_sets(_Ctx(load_model_config(str(TWO_COINS))))
+    assert result.status == "fail"
+    assert "spectral filter of atom {0,1} differs from its up-set at {0,1}" in result.witnesses
 
 
 def test_refinement_operation(two_coins):

@@ -2,6 +2,7 @@ import ast
 import copy
 import dataclasses
 import json
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -228,6 +229,57 @@ def _perfbench_float_skips():
 def test_perfbench_float_skips_are_the_exact_only_checks():
     exact_only = {c.__name__.replace("__", ".") for c in _ALL_CHECKS if c.needs.get("exact")}
     assert _perfbench_float_skips() == exact_only
+
+
+def _readme_needs_table():
+    """The README's per-check needs table (the first table after the
+    ``suite.skip_reason`` paragraph), as {check name: row} with the row's
+    cells in the order Backend, Exact cap, Cells, Embedding."""
+    text = (REPO / "README.md").read_text(encoding="utf-8")
+    after = text[text.index("`suite.skip_reason`"):]
+    lines = after[after.index("\n|"):].strip().split("\n")
+    names = {c.__name__.replace("__", ".") for c in _ALL_CHECKS}
+    rows = {}
+    for line in lines[2:]:
+        if not line.startswith("|"):
+            break
+        checks, *needs = [cell.strip() for cell in line.strip("|").split("|")]
+        for segment in checks.split(";"):
+            head, *rest = re.findall(r"`([^`]+)`", segment)
+            if head.endswith(".*"):
+                named = {n for n in names if n.startswith(head[:-1])}
+            elif head.endswith("."):
+                named = {head + r for r in rest}
+            else:
+                named = {head, *rest}
+            for name in named:
+                assert name not in rows, f"{name} has two rows"
+                rows[name] = tuple(needs)
+    return rows
+
+
+def test_readme_needs_table_matches_the_check_decorators():
+    backend = {"either": False, "exact": True}
+    cell_need = {"": False, "≥ 1": True}
+    embedding_need = {"": False, "required": True}
+    rows = _readme_needs_table()
+    assert set(rows) == {c.__name__.replace("__", ".") for c in _ALL_CHECKS}
+    for check in _ALL_CHECKS:
+        name = check.__name__.replace("__", ".")
+        exact, cap, cells, embedding = rows[name]
+        documented = {
+            "exact": backend[exact],
+            "points": int(cap) if cap else None,
+            "cells": cell_need[cells],
+            "embedding": embedding_need[embedding],
+        }
+        declared = {
+            "exact": check.needs.get("exact", False),
+            "points": check.needs.get("points"),
+            "cells": check.needs.get("cells", False),
+            "embedding": check.needs.get("embedding", False),
+        }
+        assert documented == declared, name
 
 
 def test_report_exit_codes_and_renderings():
