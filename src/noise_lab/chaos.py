@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -34,8 +35,9 @@ from .model import (
     NoiseModel,
     RandomVariable,
     WalshCoeffs,
-    expectation,
-    inner_product,
+    _check_length,
+    _over_lcd,
+    _transform,
     mass_inside,
     masked_coeffs,
     sigma_field_of,
@@ -286,11 +288,13 @@ def split_check(model: NoiseModel, psi: RandomVariable, x: BoolElem) -> bool:
     """Does conditioning on x and on its complement reassemble psi exactly?
 
     Compared on coefficients: psi against the sum of its coefficient vector
-    masked to x and masked to the complement. The solution space of the
+    masked to x and masked to the complement, all over one common
+    denominator (ints on the exact backend). The solution space of the
     identity is matched against the basis span separately, by elimination
     (split_solution_space and the suite check chaos.split_space).
     """
-    coeffs = walsh_decompose(model, psi).coeffs
+    _check_length(model, psi)
+    coeffs, _ = _transform(model, psi.values, model._analysis, model._analysis_scale)
     parts = _plus(masked_coeffs(model, coeffs, x), masked_coeffs(model, coeffs, x.complement()))
     return _coeffs_eq(model, coeffs, parts)
 
@@ -311,11 +315,19 @@ def _split_span_rows(model: NoiseModel, x: BoolElem) -> list[list]:
     return rows
 
 
-def _mixed_moments_vanish(model: NoiseModel, psi: RandomVariable, left: list, right: list) -> bool:
+def _moments_vanish(model: NoiseModel, psi: RandomVariable, left: list, right: list) -> bool:
+    """E(psi) = 0 and E(psi*e_j*e_k) = 0 for every e_j in left and e_k in
+    right. psi*w is formed from psi and the weights over their common
+    denominators, as the factors are, so each sum below is the moment times
+    a positive constant."""
+    _check_length(model, psi)
+    psi_w = list(map(operator.mul, _over_lcd(model, psi.values)[0], model.point_weights_lcd[0]))
+    if not model.eq(sum(psi_w), 0):
+        return False
     for ej in left:
-        partial = psi * ej
+        partial = list(map(operator.mul, psi_w, ej))
         for ek in right:
-            if not model.eq(inner_product(model, partial, ek), 0):
+            if not model.eq(sum(map(operator.mul, partial, ek)), 0):
                 return False
     return True
 
@@ -323,18 +335,17 @@ def _mixed_moments_vanish(model: NoiseModel, psi: RandomVariable, left: list, ri
 def product_test(model: NoiseModel, psis: Sequence[RandomVariable], x: BoolElem) -> list[bool]:
     """Per vector: zero mean and zero mixed third moments against spanning
     zero-mean factors from x and from its complement (computed pointwise,
-    exactly). The factors are built once for all the vectors, and not at all
-    when one side has none (x = 0 or 1), where only the mean test remains."""
+    exactly: over ints on the exact backend, from psi*w and the factors over
+    their common denominators). The factors are built once for all the
+    vectors, and not at all when one side has none (x = 0 or 1), where only
+    the mean test remains."""
     left = list(model.multi_indices_supported_in(x, nonzero=True))
     right = list(model.multi_indices_supported_in(x.complement(), nonzero=True))
     if not (left and right):
         left = right = []
-    left = [model.walsh_vector(j) for j in left]
-    right = [model.walsh_vector(k) for k in right]
-    return [
-        model.eq(expectation(model, psi), 0) and _mixed_moments_vanish(model, psi, left, right)
-        for psi in psis
-    ]
+    left = [_over_lcd(model, model.walsh_vector(j).values)[0] for j in left]
+    right = [_over_lcd(model, model.walsh_vector(k).values)[0] for k in right]
+    return [_moments_vanish(model, psi, left, right) for psi in psis]
 
 
 # -- classification -----------------------------------------------------------

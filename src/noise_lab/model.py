@@ -23,7 +23,10 @@ matrices are stored as integers: each is scaled by the LCD of its entries,
 and the model keeps the product of the scales. A transform puts the input
 vector over its common denominator D, runs the kernel over Python ints, and
 divides each entry once, by D times that product (fraction-free, as
-linalg.rref is); only the returned entries are Fractions.
+linalg.rref is). A projection stays over ints from analysis through the mask
+to synthesis, and inner products, squared norms and expectations are one
+integer sum against the point weights, which the model also keeps over
+their LCD. Only the returned entries or scalars are Fractions.
 
 Two numeric backends: exact rationals (default) and binary floats for larger
 randomized sweeps (absolute tolerance 1e-9). The float backend runs its
@@ -159,13 +162,15 @@ class NoiseModel:
         self.cell_vectors = tuple(cell_vectors)
         self.cell_norms_sq = tuple(cell_norms_sq)
 
-        # Per point (equivalently, per multi-index): its weight, the support
-        # of the basis vector it indexes (bitmask of cells with a nonzero
-        # digit) and that vector's squared norm |e_m|^2.
+        # Per point (equivalently, per multi-index): its weight (also kept
+        # over the weights' LCD, for the integer sums), the support of the
+        # basis vector it indexes (bitmask of cells with a nonzero digit) and
+        # that vector's squared norm |e_m|^2.
         digits = [self.point_digits(idx) for idx in range(self.n_points)]
         self.point_weights = tuple(
             self._product(num(self.cells[i].probs[d]) for i, d in enumerate(dig)) for dig in digits
         )
+        self.point_weights_lcd = _over_lcd(self, self.point_weights)
         self.support_masks = tuple(sum(1 << i for i, d in enumerate(dig) if d) for dig in digits)
         self.basis_norms = tuple(
             self._product(self.cell_norms_sq[i][d] for i, d in enumerate(dig)) for dig in digits
@@ -259,16 +264,46 @@ class NoiseModel:
 # -- inner product and transforms -----------------------------------------
 
 
+def _over_lcd(model: NoiseModel, values) -> tuple[tuple, int]:
+    """A vector over a common denominator d, as (entries, d): on the exact
+    backend its rationals as ints over their LCD; on the float backend its
+    floats over 1."""
+    if model.backend == "float":
+        return tuple(values), 1
+    d = math.lcm(*[v.denominator for v in values])
+    return tuple([v.numerator * (d // v.denominator) for v in values]), d
+
+
+def _divided(model: NoiseModel, ints, d: int) -> tuple:
+    """The inverse of _over_lcd: each entry divided once by d, as a Fraction
+    on the exact backend (on the float backend d is 1)."""
+    if model.backend == "float":
+        return tuple(ints)
+    return tuple([Fraction(r, d) for r in ints])
+
+
+def _check_length(model: NoiseModel, *fs: RandomVariable) -> None:
+    for f in fs:
+        if len(f) != model.n_points:
+            raise ValueError("random variable does not match the model")
+
+
 def inner_product(model: NoiseModel, f: RandomVariable, g: RandomVariable):
-    if len(f) != model.n_points or len(g) != model.n_points:
-        raise ValueError("random variable does not match the model")
-    return sum(a * b * w for a, b, w in zip(f.values, g.values, model.point_weights))
+    """The sum of f*g*w over the points: on the exact backend one integer sum
+    over the product of the three common denominators, divided once."""
+    _check_length(model, f, g)
+    (a, da), (b, db) = _over_lcd(model, f.values), _over_lcd(model, g.values)
+    w, dw = model.point_weights_lcd
+    total = sum(x * y * z for x, y, z in zip(a, b, w))
+    return total if model.backend == "float" else Fraction(total, da * db * dw)
 
 
 def expectation(model: NoiseModel, f: RandomVariable):
-    if len(f) != model.n_points:
-        raise ValueError("random variable does not match the model")
-    return sum(a * w for a, w in zip(f.values, model.point_weights))
+    _check_length(model, f)
+    a, da = _over_lcd(model, f.values)
+    w, dw = model.point_weights_lcd
+    total = sum(x * z for x, z in zip(a, w))
+    return total if model.backend == "float" else Fraction(total, da * dw)
 
 
 def norm_sq(model: NoiseModel, f: RandomVariable):
@@ -310,28 +345,27 @@ def _integer_matrices(matrices: list) -> tuple[tuple, int]:
     return tuple(scaled), scale
 
 
-def _transform(model: NoiseModel, values: tuple, matrices: tuple, scale: int) -> tuple:
-    """Apply the per-cell matrices. Exact: the vector over its common
-    denominator D goes through the integer matrices as ints, and each entry
-    is divided once, by D * scale."""
-    if model.backend == "float":
-        return tuple(_apply_per_cell(model, values, matrices))
-    d = math.lcm(*[v.denominator for v in values])
-    ints = _apply_per_cell(model, [v.numerator * (d // v.denominator) for v in values], matrices)
-    d *= scale
-    return tuple([Fraction(r, d) for r in ints])
+def _transform(model: NoiseModel, values, matrices: tuple, scale: int) -> tuple[list, int]:
+    """Apply the per-cell matrices to the vector over its common denominator
+    D: the result is (out, D * scale), and entry i of the transform is
+    out[i] / (D * scale). Exact: out is ints, from the integer matrices."""
+    ints, d = _over_lcd(model, values)
+    return _apply_per_cell(model, ints, matrices), d * scale
 
 
 def walsh_decompose(model: NoiseModel, f: RandomVariable) -> WalshCoeffs:
-    if len(f) != model.n_points:
-        raise ValueError("random variable does not match the model")
-    return WalshCoeffs(_transform(model, f.values, model._analysis, model._analysis_scale))
+    _check_length(model, f)
+    return WalshCoeffs(
+        _divided(model, *_transform(model, f.values, model._analysis, model._analysis_scale))
+    )
 
 
 def walsh_reconstruct(model: NoiseModel, wc: WalshCoeffs) -> RandomVariable:
     if len(wc.coeffs) != model.n_points:
         raise ValueError("coefficient vector does not match the model")
-    return RandomVariable(_transform(model, wc.coeffs, model._synthesis, model._synthesis_scale))
+    return RandomVariable(
+        _divided(model, *_transform(model, wc.coeffs, model._synthesis, model._synthesis_scale))
+    )
 
 
 def support_masses(model: NoiseModel, coeffs) -> dict[int, object]:
@@ -380,21 +414,24 @@ def masked_coeffs(model: NoiseModel, coeffs, x: BoolElem) -> list:
     support lies inside x and zero every one whose support pokes outside."""
     if x.n != model.n_cells:
         raise ValueError("element from a different algebra")
-    zero = model._num(Fraction(0))
+    zero = model._num(0)
     return [c if s & ~x.mask == 0 else zero for c, s in zip(coeffs, model.support_masks)]
 
 
 def project(model: NoiseModel, x: BoolElem, f: RandomVariable) -> RandomVariable:
-    """Conditional expectation given the coordinates in x, via the basis."""
-    coeffs = masked_coeffs(model, walsh_decompose(model, f).coeffs, x)
-    return walsh_reconstruct(model, WalshCoeffs(tuple(coeffs)))
+    """Conditional expectation given the coordinates in x, via the basis:
+    analysis, the mask and synthesis over the vector's common denominator,
+    divided once at the end."""
+    _check_length(model, f)
+    coeffs, d = _transform(model, f.values, model._analysis, model._analysis_scale)
+    out = _apply_per_cell(model, masked_coeffs(model, coeffs, x), model._synthesis)
+    return RandomVariable(_divided(model, out, d * model._synthesis_scale))
 
 
 def project_oracle(model: NoiseModel, x: BoolElem, f: RandomVariable) -> RandomVariable:
     """Conditional expectation computed naively: weighted average over each
     block of the coordinate partition."""
-    if len(f) != model.n_points:
-        raise ValueError("random variable does not match the model")
+    _check_length(model, f)
     out = [None] * model.n_points
     for block in sigma_field_of(model, x):
         wtot = sum(model.point_weights[w] for w in block)

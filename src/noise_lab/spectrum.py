@@ -131,12 +131,12 @@ def sigma_x(space: SpectralSpace, x: BoolElem) -> frozenset[frozenset[int]]:
 
 def sigma_x_generated(space: SpectralSpace, x: BoolElem) -> frozenset[frozenset[int]]:
     """Partition of atoms generated by the spectral sets of every y whose
-    join with x is full: atoms are grouped by which of them they belong to."""
+    join with x is full: atoms are grouped by which of them they belong to.
+    Each such y is the meet of some of the maximal ones, 1 - {i} for i in x,
+    so by the meet identity S_(y & z) = S_y & S_z (checked by the suite check
+    spectrum.spectral_sets) those |x| sets generate the same partition."""
     _require_same_algebra(space, x)
-    comp_mask = x.complement().mask
-    generators = [
-        spectral_set(space, BoolElem(comp_mask | extra.mask, space.n)) for extra in subsets_of(x)
-    ]
+    generators = [spectral_set(space, ~BoolElem(1 << i, space.n)) for i in x.indices()]
     return _partition(space, lambda m: tuple(m in g for g in generators))
 
 

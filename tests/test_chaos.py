@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from noise_lab import linalg
+from noise_lab import chaos, linalg, model
 from noise_lab.boolalg import (
     BoolElem,
     FinitePowerAlgebra,
@@ -211,6 +211,28 @@ def test_product_test_builds_no_factors_when_one_side_is_empty(coin_and_triple, 
     assert built == []
     product_test(m, family, BoolElem(0b01, 2))
     assert len(built) == sum(k - 1 for k in m.radices)  # 1 + 2 factor vectors
+
+
+def test_product_test_reads_no_walsh_coefficients(coin_and_triple, monkeypatch):
+    m = coin_and_triple
+    family = [m.walsh_vector(i) for i in range(m.n_points)] + [m.constant(2)]
+    # A single coefficient on a support that straddles x = {cell 0}.
+    straddling = next(i for i, s in enumerate(m.support_masks) if s == 0b11)
+    psi = m.walsh_vector(straddling).scale(F(3, 7))
+    x = BoolElem(0b01, 2)
+    expected = [split_check(m, v, x) for v in family]
+    assert not split_check(m, psi, x)
+
+    def refuse(*args):
+        raise AssertionError("product_test read Walsh coefficients")
+
+    for module in (model, chaos):
+        monkeypatch.setattr(module, "walsh_decompose", refuse)
+        monkeypatch.setattr(module, "_transform", refuse)
+    assert product_test(m, family, x) == expected
+    assert product_test(m, [psi], x) == [False]
+    with pytest.raises(AssertionError):
+        split_check(m, psi, x)
 
 
 def test_split_iff_product_exhaustive(coin_and_triple):

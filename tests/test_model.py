@@ -12,6 +12,7 @@ from noise_lab.model import (
     expectation,
     fair_coin,
     inner_product,
+    masked_coeffs,
     norm_sq,
     project,
     project_oracle,
@@ -154,11 +155,11 @@ def reference_transform(model, values, synthesis=False):
     return _reference_apply_per_cell(model, values, matrices)
 
 
-def _random_cells(rng, n_cells):
-    """Cells with k in 2..5 and probabilities over one denominator up to 10^6."""
+def _random_cells(rng, n_cells, k_max=5):
+    """Cells with k in 2..k_max and probabilities over one denominator up to 10^6."""
     cells = []
     for _ in range(n_cells):
-        k = rng.randint(2, 5)
+        k = rng.randint(2, k_max)
         q = rng.randint(k, 10**6)
         cuts = sorted(rng.sample(range(1, q), k - 1))
         parts = [b - a for a, b in zip([0, *cuts], [*cuts, q])]
@@ -255,3 +256,35 @@ def test_mixed_radix_ordering():
         (0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2),
     ]
     assert point_index(m, (1, 2)) == 5
+
+
+def test_integer_paths_match_their_fraction_definitions():
+    rng = random.Random(15)
+    for trial in range(30):
+        m = NoiseModel(_random_cells(rng, trial % 5, k_max=4))
+        w = m.point_weights
+        vectors = [RandomVariable(tuple(v)) for v in _transform_inputs(rng, m.n_points)]
+        vectors.append(m.random_rv(rng))
+        for f in vectors:
+            assert expectation(m, f) == sum((a * p for a, p in zip(f.values, w)), F(0))
+            assert norm_sq(m, f) == sum((a * a * p for a, p in zip(f.values, w)), F(0))
+            for g in vectors:
+                expected = sum((a * b * p for a, b, p in zip(f.values, g.values, w)), F(0))
+                got = inner_product(m, f, g)
+                assert type(got) is Fraction and got == expected
+            coeffs = walsh_decompose(m, f).coeffs
+            for mask in range(1 << m.n_cells):
+                x = BoolElem(mask, m.n_cells)
+                expected = walsh_reconstruct(m, WalshCoeffs(tuple(masked_coeffs(m, coeffs, x))))
+                got = project(m, x, f)
+                assert all(type(v) is Fraction for v in got.values)
+                assert got == expected
+        short = RandomVariable((F(1),) * (m.n_points + 1))
+        for call in (
+            lambda: inner_product(m, vectors[0], short),
+            lambda: norm_sq(m, short),
+            lambda: expectation(m, short),
+            lambda: project(m, BoolElem(0, m.n_cells), short),
+        ):
+            with pytest.raises(ValueError):
+                call()

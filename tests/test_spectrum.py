@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from noise_lab import linalg, spectrum
-from noise_lab.boolalg import BoolElem
+from noise_lab.boolalg import BoolElem, subsets_of
 from noise_lab.config import load_model_config
 from noise_lab.model import Cell, NoiseModel, norm_sq, project, walsh_decompose
 from noise_lab.spectrum import (
@@ -67,6 +67,16 @@ def reference_independence(space, x, y):
         if set(reference_refine(px, py)) != discrete:
             return False
     return True
+
+
+def reference_sigma_x_generated(space, x):
+    """The partition generated by the spectral sets of every y whose join
+    with x is full, all 2^|x| of them: atoms grouped by membership."""
+    comp = x.complement().mask
+    generators = [
+        spectral_set(space, BoolElem(comp | extra.mask, space.n)) for extra in subsets_of(x)
+    ]
+    return spectrum._partition(space, lambda m: tuple(m in g for g in generators))
 
 
 def contains(sub, rv):
@@ -269,6 +279,17 @@ def test_sigma_x_generated_equals_trace_partition(two_coins, four_coins, coin_an
         for mask in range(1 << model.n_cells):
             x = BoolElem(mask, model.n_cells)
             assert sigma_x_generated(sp, x) == sigma_x(sp, x)
+
+
+def test_maximal_generators_give_the_full_family_partition():
+    rng = random.Random(15)
+    for n in range(7):
+        shape = [rng.choice((2, 3)) for _ in range(n)]
+        cells = [Cell(varied_probs(k, rng.randrange(4))) for k in shape]
+        sp = build_spectral_space(NoiseModel(cells))
+        for mask in range(1 << n):
+            x = BoolElem(mask, n)
+            assert sigma_x_generated(sp, x) == reference_sigma_x_generated(sp, x), (shape, x)
 
 
 def test_sigma_checks_run_no_generated_partition(coin_and_triple, monkeypatch):
