@@ -184,11 +184,11 @@ def subsets_of(x: BoolElem) -> Iterator[BoolElem]:
         sub = (sub - x.mask) & x.mask
 
 
-def random_partition_blocks(rng, n: int, max_blocks: int | None = None) -> list[BoolElem]:
+def random_partition_blocks(rng, n: int) -> list[BoolElem]:
     """A random block partition of {0..n-1}, for randomized sweeps."""
     if n == 0:
         return []
-    k = rng.randint(1, max_blocks or n)
+    k = rng.randint(1, n)
     assignment = [rng.randrange(k) for _ in range(n)]
     groups: dict[int, list[int]] = {}
     for i, g in enumerate(assignment):

@@ -167,7 +167,11 @@ def satisfies_additivity(model: NoiseModel, psi: RandomVariable, b: Subalgebra) 
     projections are compared as masked coefficient vectors; the mean of psi
     is its coefficient on e_0 = 1.
     """
-    coeffs = walsh_decompose(model, psi).coeffs
+    return _is_additive(model, walsh_decompose(model, psi).coeffs, b)
+
+
+def _is_additive(model: NoiseModel, coeffs, b: Subalgebra) -> bool:
+    """``satisfies_additivity`` on the Walsh coefficients of psi."""
     if not model.eq(coeffs[0], 0):
         return False
     proj = {e.mask: masked_coeffs(model, coeffs, e) for e in b.elements()}
@@ -201,9 +205,9 @@ def atomless_defect(
     Parseval sums over the coefficients of psi. Raises NotAdditiveError when
     psi is not additive on b.
     """
-    if not satisfies_additivity(model, psi, b):
-        raise NotAdditiveError("additivity on b fails")
     coeffs = walsh_decompose(model, psi).coeffs
+    if not _is_additive(model, coeffs, b):
+        raise NotAdditiveError("additivity on b fails")
     per_atom = [(block, mass_inside(model, coeffs, block)) for block in b.blocks]
     delta_sq = max((nsq for _, nsq in per_atom), default=model._num(Fraction(0)))
     delta = math.sqrt(float(delta_sq))
@@ -339,8 +343,8 @@ def product_test(model: NoiseModel, psis: Sequence[RandomVariable], x: BoolElem)
     their common denominators). The factors are built once for all the
     vectors, and not at all when one side has none (x = 0 or 1), where only
     the mean test remains."""
-    left = list(model.multi_indices_supported_in(x, nonzero=True))
-    right = list(model.multi_indices_supported_in(x.complement(), nonzero=True))
+    left = list(model.multi_indices_supported_in(x))
+    right = list(model.multi_indices_supported_in(x.complement()))
     if not (left and right):
         left = right = []
     left = [_over_lcd(model, model.walsh_vector(j).values)[0] for j in left]

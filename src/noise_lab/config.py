@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .boolalg import BoolElem, FinitePowerAlgebra, Subalgebra
-from .geometry import check_sample_points
+from .geometry import Embedding, build_embedding
 from .model import Cell, NoiseModel, RandomVariable
 
 FRACTION_RE = re.compile(r"^-?[0-9]+(/[1-9][0-9]*)?$")
@@ -50,7 +50,7 @@ class ModelConfig:
     cells: tuple[Cell, ...]
     subalgebras: tuple[tuple[str, tuple[tuple[int, ...], ...]], ...] = ()
     vectors: tuple[tuple[str, tuple[Fraction, ...]], ...] = ()
-    sample_points: tuple[Fraction, ...] | None = None
+    embedding: Embedding | None = None
     backend: str = "exact"
     seed: int = 0
     depth: int = 6
@@ -179,7 +179,7 @@ def load_config_dict(data: dict) -> ModelConfig:
             )
         vectors.append((name, parsed_v))
 
-    sample_points = None
+    embedding = None
     if "embedding" in data:
         epath = "embedding"
         emb = data["embedding"]
@@ -193,7 +193,7 @@ def load_config_dict(data: dict) -> ModelConfig:
             parse_fraction(p, f"{epath}.sample_points[{j}]") for j, p in enumerate(pts_raw)
         )
         try:
-            sample_points = check_sample_points(pts, n)
+            embedding = build_embedding(pts, n)
         except ValueError as exc:
             raise ConfigError(str(exc), f"{epath}.sample_points") from exc
 
@@ -201,7 +201,7 @@ def load_config_dict(data: dict) -> ModelConfig:
         cells=cells,
         subalgebras=tuple(subalgebras),
         vectors=tuple(vectors),
-        sample_points=sample_points,
+        embedding=embedding,
         backend=data.get("backend", "exact"),
         seed=data.get("seed", 0),
         depth=data.get("depth", 6),
@@ -237,9 +237,9 @@ def emit_config_dict(cfg: ModelConfig) -> dict:
         data["vectors"] = {
             name: [str(v) for v in values] for name, values in cfg.vectors
         }
-    if cfg.sample_points is not None:
+    if cfg.embedding is not None:
         data["embedding"] = {
-            "sample_points": [str(t) for t in cfg.sample_points]
+            "sample_points": [str(t) for t in cfg.embedding.sample_points]
         }
     data["backend"] = cfg.backend
     data["seed"] = cfg.seed

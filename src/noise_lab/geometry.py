@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .boolalg import BoolElem
-from .model import NoiseModel
 from .regopen import EMPTY, Interval, RegOpen, make_regopen
 
 ZERO = Fraction(0)
@@ -40,20 +39,23 @@ def is_dyadic_regopen(r: RegOpen) -> bool:
 
 @dataclass(frozen=True)
 class Embedding:
-    """A model whose cells are pinned to non-dyadic sample points."""
+    """Cells pinned to non-dyadic sample points, one per cell, increasing."""
 
-    model: NoiseModel
     sample_points: tuple[Fraction, ...]
 
     @property
     def n(self) -> int:
-        return self.model.n_cells
+        return len(self.sample_points)
 
 
-def check_sample_points(sample_points, n_cells: int) -> tuple[Fraction, ...]:
-    """The sample points as Fractions, after checking that there is one per
-    cell, each strictly inside (0,1) and not dyadic, in strictly increasing
-    order. Raises ValueError naming the first rule broken."""
+def build_embedding(sample_points, n_cells: int) -> Embedding:
+    """Pin n_cells cells to the sample points, after checking that there is
+    one per cell, each strictly inside (0,1) and not dyadic, in strictly
+    increasing order. Raises ValueError naming the first rule broken.
+
+    That evaluation at the points is a homomorphism is checked by the suite
+    check ``geometry.homomorphism``, not here.
+    """
     pts = tuple(Fraction(t) for t in sample_points)
     if len(pts) != n_cells:
         raise ValueError(f"need {n_cells} sample points, got {len(pts)}")
@@ -65,16 +67,7 @@ def check_sample_points(sample_points, n_cells: int) -> tuple[Fraction, ...]:
     for a, b in zip(pts, pts[1:]):
         if not a < b:
             raise ValueError("sample points must be strictly increasing")
-    return pts
-
-
-def build_embedding(model: NoiseModel, sample_points) -> Embedding:
-    """Validate the sample points and pin the cells to them.
-
-    That evaluation at the points is a homomorphism is checked by the suite
-    check ``geometry.homomorphism``, not here.
-    """
-    return Embedding(model, check_sample_points(sample_points, model.n_cells))
+    return Embedding(pts)
 
 
 def inner_approx(emb: Embedding, r: RegOpen) -> BoolElem:
@@ -251,39 +244,36 @@ def monotone_limit_check(emb: Embedding, chain) -> bool:
 
 @dataclass(frozen=True)
 class BoundaryDichotomyReport:
-    join: BoolElem
-    holds: bool
+    inner: BoolElem  # h(r): the cells whose point is interior to r
+    outer: BoolElem  # h(~r): the cells whose point is interior to ~r
     boundary_hits: tuple[int, ...]
-    witness_atom: BoolElem | None
-    complementary: bool | None
+
+    @property
+    def join(self) -> BoolElem:
+        return self.inner | self.outer
+
+    @property
+    def holds(self) -> bool:
+        return self.join.is_one
+
+    @property
+    def witness_atom(self) -> BoolElem | None:
+        # An atom's closed set meets the boundary exactly when it names a
+        # hit, so the lowest such atom is the lowest hit on its own.
+        hits = self.boundary_hits
+        return BoolElem(1 << hits[0], self.inner.n) if hits else None
 
 
 def boundary_dichotomy(emb: Embedding, r: RegOpen) -> BoundaryDichotomyReport:
-    """Inner approximations of r and its complement join to the full set
-    exactly when no sample point sits on the boundary of r; equivalently,
-    when every atom's closed set avoids the boundary. When they do, the two
-    approximations are complements of each other."""
+    """The inner approximations of r and of its complement, and the cells
+    whose sample point is on the boundary of r. By the dichotomy the two are
+    disjoint, and join to the full set (then as complements) exactly when no
+    point is on the boundary; the suite check compares that."""
     hr = inner_approx(emb, r)
-    hrc = inner_approx(emb, r.complement())
-    if not hr.disjoint(hrc):
-        raise RuntimeError("inner approximations of r and its complement overlap")
-    join = hr | hrc
-    holds = join.is_one
-    # An atom's closed set meets the boundary exactly when it names a hit,
-    # so the lowest such atom is the lowest hit on its own.
-    hits = (closure_cells(emb, r) & ~hr).indices()
-    if holds != (not hits):
-        raise RuntimeError("boundary dichotomy equivalence violated")
-    complementary = None
-    if holds:
-        complementary = hr.complement() == hrc
-    witness = BoolElem(1 << hits[0], emb.n) if hits else None
     return BoundaryDichotomyReport(
-        join=join,
-        holds=holds,
-        boundary_hits=hits,
-        witness_atom=witness,
-        complementary=complementary,
+        inner=hr,
+        outer=inner_approx(emb, r.complement()),
+        boundary_hits=(closure_cells(emb, r) & ~hr).indices(),
     )
 
 
@@ -309,12 +299,13 @@ def shrink_chain(a: RegOpen, count: int) -> list[RegOpen]:
     return out
 
 
-def verify_shrink_chain(emb: Embedding, a: RegOpen, max_terms: int = 12) -> bool:
-    """The chain is increasing, compactly inside a, and the images of the
-    complements decrease and stabilize at the complement's image."""
+def verify_shrink_chain(emb: Embedding, a: RegOpen) -> bool:
+    """The first 12 terms of the chain are increasing and compactly inside
+    a, and the images of the complements decrease and stabilize at the
+    complement's image."""
     if not is_dyadic_regopen(a):
         raise ValueError("shrink chains are built for dyadic-endpoint elements")
-    chain = shrink_chain(a, max_terms)
+    chain = shrink_chain(a, 12)
     for f, g in zip(chain, chain[1:]):
         if not f.le(g):
             return False

@@ -84,9 +84,9 @@ def span_equal(rows_a: Matrix, rows_b: Matrix) -> bool:
     return rank([*rows_a, *rows_b]) == ra
 
 
-def spectral_norm(mat: list[list[float]], iterations: int = 400) -> float:
-    """Largest singular value of a small dense float matrix, by power iteration
-    on the Gram matrix. Deterministic start vector."""
+def spectral_norm(mat: list[list[float]]) -> float:
+    """Largest singular value of a small dense float matrix, by at most 400
+    steps of power iteration on the Gram matrix. Deterministic start vector."""
     n_rows = len(mat)
     n_cols = len(mat[0]) if n_rows else 0
     if n_rows == 0 or n_cols == 0:
@@ -110,7 +110,7 @@ def spectral_norm(mat: list[list[float]], iterations: int = 400) -> float:
     norm = sum(x * x for x in v) ** 0.5
     v = [x / norm for x in v]
     lam = 0.0
-    for _ in range(iterations):
+    for _ in range(400):
         w = [sum(gram[i][j] * v[j] for j in range(dim)) for i in range(dim)]
         norm = sum(x * x for x in w) ** 0.5
         if norm == 0.0:

@@ -225,10 +225,10 @@ class NoiseModel:
             digits.append(idx // self.strides[i] % self.radices[i])
         return tuple(digits)
 
-    def multi_indices_supported_in(self, x: BoolElem, nonzero: bool = False) -> Iterator[int]:
-        """Flat multi-indices whose support lies inside x (optionally nonzero)."""
+    def multi_indices_supported_in(self, x: BoolElem) -> Iterator[int]:
+        """Flat multi-indices, other than 0, whose support lies inside x."""
         for idx, mask in enumerate(self.support_masks):
-            if mask & ~x.mask == 0 and not (nonzero and mask == 0):
+            if mask and mask & ~x.mask == 0:
                 yield idx
 
     # -- vectors ----------------------------------------------------------

@@ -26,7 +26,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import chain, combinations, product
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
@@ -193,9 +193,10 @@ class RegLawReport:
     meet_strict_witnesses: tuple[str, ...]
 
 
-def random_regopen(rng, max_pieces: int = 3, denominators: Sequence[int] = (2, 3, 4, 5, 6, 8, 12, 16)) -> RegOpen:
+def random_regopen(rng, denominators: Sequence[int] = (2, 3, 4, 5, 6, 8, 12, 16)) -> RegOpen:
+    """Up to three random pieces with endpoints over the given denominators."""
     pieces = []
-    for _ in range(rng.randint(0, max_pieces)):
+    for _ in range(rng.randint(0, 3)):
         q = rng.choice(denominators)
         a = Fraction(rng.randint(0, q), q)
         b = Fraction(rng.randint(0, q), q)
@@ -248,10 +249,14 @@ def _inclusion_laws(
 
 
 def _triple_laws(r: RegOpen, s: RegOpen, t: RegOpen) -> Iterator[tuple[str, bool]]:
-    yield "meet assoc", ((r & s) & t) == (r & (s & t))
-    yield "join assoc", ((r | s) | t) == (r | (s | t))
-    yield "distrib meet over join", (r & (s | t)) == ((r & s) | (r & t))
-    yield "distrib join over meet", (r | (s & t)) == ((r | s) & (r | t))
+    """Laws of the triple, sharing the pairwise meets and joins; each law
+    still compares two different computations."""
+    m_rs, m_st, m_rt = r & s, s & t, r & t
+    j_rs, j_st, j_rt = r | s, s | t, r | t
+    yield "meet assoc", (m_rs & t) == (r & m_st)
+    yield "join assoc", (j_rs | t) == (r | j_st)
+    yield "distrib meet over join", (r & j_st) == (m_rs | m_rt)
+    yield "distrib join over meet", (r | m_st) == (j_rs & j_rt)
 
 
 def dyadic_grid_regopens(depth: int) -> list[RegOpen]:
@@ -288,25 +293,21 @@ def verify_reg_laws(rng, iterations: int = 1000) -> RegLawReport:
         if mw and len(meet_strict) < 5:
             meet_strict.append(f"r={r} s={s}: {mw}")
 
-    grid = dyadic_grid_regopens(3)
-    for r, s in combinations(grid, 2):
+    def run_triple(r: RegOpen, s: RegOpen, t: RegOpen) -> None:
+        for name, ok in _triple_laws(r, s, t):
+            if not ok:
+                failures.append(f"{name} fails: r={r} s={s} t={t}")
+
+    for r, s in combinations(dyadic_grid_regopens(3), 2):
         run_pair(r, s)
-    small = dyadic_grid_regopens(2)
-    for r in small:
-        for s in small:
-            for t in small:
-                for name, ok in _triple_laws(r, s, t):
-                    if not ok:
-                        failures.append(f"{name} fails: r={r} s={s} t={t}")
+    for r, s, t in product(dyadic_grid_regopens(2), repeat=3):
+        run_triple(r, s, t)
 
     for _ in range(iterations):
         r = random_regopen(rng)
         s = random_regopen(rng)
         run_pair(r, s)
-        t = random_regopen(rng)
-        for name, ok in _triple_laws(r, s, t):
-            if not ok:
-                failures.append(f"{name} fails: r={r} s={s} t={t}")
+        run_triple(r, s, random_regopen(rng))
 
     return RegLawReport(
         passed=not failures,

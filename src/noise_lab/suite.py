@@ -136,11 +136,6 @@ class _Ctx:
     def chaos(self):
         return chaos_mod.first_chaos_basis(self.model)
 
-    @cached_property
-    def embedding(self):
-        # Only checks that need an embedding read this, and they skip without one.
-        return geo_mod.build_embedding(self.model, self.cfg.sample_points)
-
     def exhaustive(self) -> bool:
         return (1 << self.cfg.n_cells) <= self.cfg.exhaustive_limit
 
@@ -182,7 +177,7 @@ def skip_reason(
         return reason if exact else reason + "; select the float backend"
     if cells and cfg.n_cells == 0:
         return "no cells"
-    if embedding and cfg.sample_points is None:
+    if embedding and cfg.embedding is None:
         return "no embedding in config"
     return None
 
@@ -675,23 +670,24 @@ def regopen__finite_spaces(ctx: _Ctx):
 
 @_check(embedding=True)
 def geometry__homomorphism(ctx: _Ctx):
-    emb = ctx.embedding
+    emb = ctx.cfg.embedding
     rng = ctx.rng("geometry.hom")
-    family = reg_mod.dyadic_grid_regopens(3)
-    pairs = [(a, b) for a in family for b in family]
+
+    def with_images(family):
+        return [(a, geo_mod.sample_hom(emb, a)) for a in family]
+
     dyads = tuple(1 << d for d in range(1, 5))
-    pairs.extend(
-        (reg_mod.random_regopen(rng, denominators=dyads), reg_mod.random_regopen(rng, denominators=dyads))
-        for _ in range(1000)
-    )
+    grid = with_images(reg_mod.dyadic_grid_regopens(3))
+    drawn = with_images(reg_mod.random_regopen(rng, denominators=dyads) for _ in range(2000))
+    pairs = [(x, y) for x in grid for y in grid] + list(zip(drawn[::2], drawn[1::2]))
     bad = []
-    for a, b in pairs:
-        ha = geo_mod.sample_hom(emb, a)
-        hb = geo_mod.sample_hom(emb, b)
+    for (a, ha), (b, hb) in pairs:
         if geo_mod.sample_hom(emb, a & b) != ha & hb:
             bad.append(f"meet at {a},{b}")
         if geo_mod.sample_hom(emb, a | b) != ha | hb:
             bad.append(f"join at {a},{b}")
+    # Once per element: each grid element and the first of each random pair.
+    for a, ha in grid + drawn[::2]:
         if geo_mod.sample_hom(emb, ~a) != ~ha:
             bad.append(f"complement at {a}")
     return f"{len(pairs)} pairs", bad, not bad
@@ -699,7 +695,7 @@ def geometry__homomorphism(ctx: _Ctx):
 
 @_check(embedding=True)
 def geometry__spectral_identity(ctx: _Ctx):
-    emb = ctx.embedding
+    emb = ctx.cfg.embedding
     depth = min(ctx.cfg.depth, 6)
     bad = []
     if not geo_mod.verify_spectral_map_uniqueness(emb, min(depth, 4)):
@@ -721,7 +717,7 @@ def geometry__spectral_identity(ctx: _Ctx):
 
 @_check(embedding=True)
 def geometry__approximant(ctx: _Ctx):
-    emb = ctx.embedding
+    emb = ctx.cfg.embedding
     depth = min(ctx.cfg.depth, 8)
     bad = []
     for mask in range(1 << emb.n):
@@ -738,7 +734,7 @@ def geometry__approximant(ctx: _Ctx):
 
 @_check(embedding=True)
 def geometry__shrink_chains(ctx: _Ctx):
-    emb = ctx.embedding
+    emb = ctx.cfg.embedding
     bad = []
     family = reg_mod.dyadic_grid_regopens(3)
     rng = ctx.rng("geometry.shrink")
@@ -754,7 +750,7 @@ def geometry__shrink_chains(ctx: _Ctx):
 
 @_check(embedding=True)
 def geometry__monotone_limit(ctx: _Ctx):
-    emb = ctx.embedding
+    emb = ctx.cfg.embedding
     bad = []
     chain = [reg_mod.make_regopen([(0, 1 - Fraction(1, 1 << n))]) for n in range(1, 9)]
     if not geo_mod.monotone_limit_check(emb, chain):
@@ -778,7 +774,7 @@ def geometry__monotone_limit(ctx: _Ctx):
 
 @_check(embedding=True)
 def geometry__boundary_dichotomy(ctx: _Ctx):
-    emb = ctx.embedding
+    emb = ctx.cfg.embedding
     rng = ctx.rng("geometry.dichotomy")
     holds = misses = 0
     bad = []
@@ -791,14 +787,16 @@ def geometry__boundary_dichotomy(ctx: _Ctx):
             r = reg_mod.make_regopen([(lo, hi)]) if lo < hi else reg_mod.EMPTY
         else:
             r = reg_mod.random_regopen(rng)
-        try:
-            rep = geo_mod.boundary_dichotomy(emb, r)
-        except RuntimeError as exc:
-            bad.append(f"case {k}: {exc}")
+        rep = geo_mod.boundary_dichotomy(emb, r)
+        if not rep.inner.disjoint(rep.outer):
+            bad.append(f"case {k}: inner approximations of r and its complement overlap")
+            continue
+        if rep.holds != (not rep.boundary_hits):
+            bad.append(f"case {k}: boundary dichotomy equivalence violated")
             continue
         if rep.holds:
             holds += 1
-            if rep.complementary is not True:
+            if ~rep.inner != rep.outer:
                 bad.append(f"case {k}: complementarity fails")
         else:
             misses += 1

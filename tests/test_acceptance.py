@@ -294,8 +294,7 @@ def test_criterion_08_regular_open_algebra():
 
 def test_criterion_09_geometry():
     failures = []
-    m = NoiseModel([Cell((F(1, 2), F(1, 2)))] * 3)
-    emb = build_embedding(m, [F(1, 5), F(1, 3), F(2, 3)])
+    emb = build_embedding([F(1, 5), F(1, 3), F(2, 3)], 3)
 
     if not verify_spectral_map_uniqueness(emb, 4):
         failures.append("closed-set approximant differs from its definition")
@@ -334,10 +333,11 @@ def test_criterion_09_geometry():
             r = make_regopen([(lo, hi)]) if lo < hi else make_regopen([])
         else:
             r = random_regopen(rng)
-        try:
-            boundary_dichotomy(emb, r)  # raises if the equivalence breaks
-        except RuntimeError as exc:
-            failures.append(f"case {k}: {exc}")
+        rep = boundary_dichotomy(emb, r)
+        if not rep.inner.disjoint(rep.outer):
+            failures.append(f"case {k}: inner approximations of r and its complement overlap")
+        if rep.holds != (not rep.boundary_hits):
+            failures.append(f"case {k}: boundary dichotomy equivalence violated")
     _finish(9, "spectral identity, chains, boundary dichotomy", failures)
 
 

@@ -138,7 +138,7 @@ def test_defaults():
     assert cfg.seed == 0
     assert cfg.depth == 6
     assert cfg.exhaustive_limit == 16
-    assert cfg.sample_points is None
+    assert cfg.embedding is None
 
 
 def test_decimal12():

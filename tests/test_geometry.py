@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import math
 from fractions import Fraction
@@ -27,7 +28,6 @@ from noise_lab.geometry import (
     verify_spectral_set_identity,
 )
 from noise_lab.config import load_model_config
-from noise_lab.model import NoiseModel, fair_coin
 from noise_lab.regopen import (
     EMPTY,
     FULL,
@@ -36,9 +36,15 @@ from noise_lab.regopen import (
     make_regopen,
     random_regopen,
 )
-from noise_lab.suite import _Ctx, geometry__spectral_identity
+from noise_lab.suite import (
+    _Ctx,
+    geometry__boundary_dichotomy,
+    geometry__homomorphism,
+    geometry__spectral_identity,
+)
 
 F = Fraction
+SRC = Path(__file__).resolve().parent.parent / "src" / "noise_lab"
 TWO_COINS = Path(__file__).resolve().parent.parent / "examples" / "two-coins.json"
 
 
@@ -69,21 +75,19 @@ def inner_approx_detail(emb, r):
 
 @pytest.fixture
 def emb():
-    model = NoiseModel([fair_coin()] * 3)
-    return build_embedding(model, [F(1, 5), F(1, 3), F(2, 3)])
+    return build_embedding([F(1, 5), F(1, 3), F(2, 3)], 3)
 
 
 def test_build_embedding_validations():
-    model = NoiseModel([fair_coin()] * 3)
-    build_embedding(model, [F(1, 5), F(1, 3), F(2, 3)])  # fine
+    assert build_embedding([F(1, 5), F(1, 3), F(2, 3)], 3).n == 3
     with pytest.raises(ValueError, match="potential boundary"):
-        build_embedding(model, [F(1, 4), F(1, 3), F(2, 3)])
+        build_embedding([F(1, 4), F(1, 3), F(2, 3)], 3)
     with pytest.raises(ValueError, match="strictly increasing"):
-        build_embedding(model, [F(1, 3), F(1, 5), F(2, 3)])
+        build_embedding([F(1, 3), F(1, 5), F(2, 3)], 3)
     with pytest.raises(ValueError, match="sample points"):
-        build_embedding(model, [F(1, 5), F(1, 3)])
+        build_embedding([F(1, 5), F(1, 3)], 3)
     with pytest.raises(ValueError, match="outside"):
-        build_embedding(NoiseModel([fair_coin()]), [F(3, 2)])
+        build_embedding([F(3, 2)], 1)
 
 
 def test_build_embedding_runs_no_evaluation_map_check(monkeypatch):
@@ -91,7 +95,7 @@ def test_build_embedding_runs_no_evaluation_map_check(monkeypatch):
         raise AssertionError("build_embedding evaluated the map")
 
     monkeypatch.setattr(geometry, "sample_hom", refuse)
-    emb = build_embedding(NoiseModel([fair_coin()] * 3), [F(1, 5), F(1, 3), F(2, 3)])
+    emb = build_embedding([F(1, 5), F(1, 3), F(2, 3)], 3)
     assert emb.sample_points == (F(1, 5), F(1, 3), F(2, 3))
 
 
@@ -213,7 +217,7 @@ def _target_sets(rng):
 
 def test_approximant_matches_the_flag_array_reference(rng):
     for targets in _target_sets(rng):
-        emb = build_embedding(NoiseModel([fair_coin()] * len(targets)), targets)
+        emb = build_embedding(targets, len(targets))
         atom = BoolElem((1 << emb.n) - 1, emb.n)
         for depth in range(9):
             res = spectral_set_map(emb, atom, depth=depth)
@@ -318,7 +322,7 @@ def test_boundary_dichotomy_examples(emb):
     assert rep.witness_atom == BoolElem.from_indices([1], 3)
 
     rep2 = boundary_dichotomy(emb, make_regopen([(0, F(1, 2))]))
-    assert rep2.holds and rep2.join.is_one and rep2.complementary
+    assert rep2.holds and rep2.join.is_one and ~rep2.inner == rep2.outer
 
     rep3 = boundary_dichotomy(emb, EMPTY)
     assert rep3.holds and rep3.join.is_one
@@ -332,9 +336,74 @@ def test_boundary_dichotomy_random(emb, rng):
             r = make_regopen([(t, hi)]) if t < hi else EMPTY
         else:
             r = random_regopen(rng)
-        rep = boundary_dichotomy(emb, r)  # raises if the equivalence breaks
+        rep = boundary_dichotomy(emb, r)
+        assert rep.inner.disjoint(rep.outer)
+        assert rep.holds == (not rep.boundary_hits)
+        assert rep.boundary_hits == tuple(
+            i
+            for i, t in enumerate(emb.sample_points)
+            if r.contains_closure(t) and not r.contains_interior(t)
+        )
         if rep.holds:
-            assert rep.complementary
+            assert ~rep.inner == rep.outer
+
+
+def test_dichotomy_check_catches_a_report_that_holds_with_a_boundary_hit(monkeypatch):
+    def holds_with_a_hit(emb, r):
+        one = BoolElem((1 << emb.n) - 1, emb.n)
+        return geometry.BoundaryDichotomyReport(
+            inner=one, outer=BoolElem(0, emb.n), boundary_hits=(0,)
+        )
+
+    monkeypatch.setattr(geometry, "boundary_dichotomy", holds_with_a_hit)
+    result = geometry__boundary_dichotomy(_Ctx(load_model_config(str(TWO_COINS))))
+    assert result.status == "fail"
+    assert "case 0: boundary dichotomy equivalence violated" in result.witnesses
+
+
+def test_dichotomy_check_catches_overlapping_approximations(monkeypatch):
+    def overlapping(emb, r):
+        one = BoolElem((1 << emb.n) - 1, emb.n)
+        return geometry.BoundaryDichotomyReport(inner=one, outer=one, boundary_hits=())
+
+    monkeypatch.setattr(geometry, "boundary_dichotomy", overlapping)
+    result = geometry__boundary_dichotomy(_Ctx(load_model_config(str(TWO_COINS))))
+    assert result.status == "fail"
+    assert "case 0: inner approximations of r and its complement overlap" in result.witnesses
+
+
+def test_homomorphism_check_computes_each_image_once(monkeypatch):
+    calls = []
+    hom = geometry.sample_hom
+
+    def counted(emb, a):
+        calls.append(a)
+        return hom(emb, a)
+
+    monkeypatch.setattr(geometry, "sample_hom", counted)
+    result = geometry__homomorphism(_Ctx(load_model_config(str(TWO_COINS))))
+    assert (result.status, result.detail) == ("pass", "2296 pairs")
+    # 36 grid images, 36 grid complements, 2 x 36^2 grid meets and joins,
+    # and 5 per random pair.
+    assert len(calls) <= 7664
+
+
+@pytest.mark.parametrize("module", ["regopen", "geometry"])
+def test_regular_open_layer_imports_no_model_code(module):
+    tree = ast.parse((SRC / f"{module}.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0 and not module.startswith("noise_lab"):
+                continue
+            if module in ("", "noise_lab"):  # from . import x, from noise_lab import x
+                imported.update(alias.name for alias in node.names)
+            else:
+                imported.add(module.split(".")[-1])
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[-1] for alias in node.names)
+    assert not imported & {"model", "chaos", "spectrum", "linalg", "suite"}
 
 
 def test_shrink_chain_properties(emb):
@@ -364,8 +433,7 @@ def test_spectral_set_identity_across_cell_counts():
     # Cell counts 1..5, exhaustive dyadic single intervals of depth <= 4.
     points = [F(1, 7), F(1, 5), F(1, 3), F(3, 5), F(2, 3)]
     for n in range(1, 6):
-        model = NoiseModel([fair_coin()] * n)
-        e = build_embedding(model, points[:n])
+        e = build_embedding(points[:n], n)
         assert verify_spectral_map_uniqueness(e, 3)
         for a in dyadic_grid_regopens(4):
             assert verify_spectral_set_identity(e, a)
@@ -458,13 +526,13 @@ def _assert_mask_forms_match_atoms(emb, rng):
 def test_mask_forms_match_atom_definitions_across_cell_counts(rng):
     points = [F(1, 7), F(1, 5), F(1, 3), F(3, 5), F(2, 3)]
     for n in range(1, 6):
-        e = build_embedding(NoiseModel([fair_coin()] * n), points[:n])
+        e = build_embedding(points[:n], n)
         _assert_mask_forms_match_atoms(e, rng)
 
 
 def test_mask_forms_match_atom_definitions_on_a_dyadic_sample_point(rng):
     # Built directly, so build_embedding does not reject the point 1/2.
-    e = Embedding(NoiseModel([fair_coin()] * 3), (F(1, 5), F(1, 2), F(2, 3)))
+    e = Embedding((F(1, 5), F(1, 2), F(2, 3)))
     half = make_regopen([(0, F(1, 2))])
     assert not verify_spectral_set_identity(e, half)
     assert not _identity_by_atoms(e, half)

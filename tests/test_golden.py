@@ -53,6 +53,19 @@ def test_verify_builds_no_model_when_every_model_check_skips(monkeypatch, capsys
     assert capsys.readouterr().out.encode("utf-8") == (GOLDEN / f"{name}.txt").read_bytes()
 
 
+def test_verify_geometry_builds_no_model(monkeypatch, capsys):
+    def refuse(self):
+        raise AssertionError("the model was built")
+
+    monkeypatch.setattr(ModelConfig, "build_model", refuse)
+    assert main(["verify", str(REPO / "examples" / "two-coins.json"), "--only", "geometry", "--seed", "0"]) == 0
+    golden = (GOLDEN / "two-coins-seed0.txt").read_text(encoding="utf-8").splitlines(keepends=True)
+    geometry = [line for line in golden if line.startswith("PASS  geometry.")]
+    assert len(geometry) == 6
+    expected = "".join(geometry) + "summary: 6 passed, 0 failed, 0 skipped\n"
+    assert capsys.readouterr().out == expected
+
+
 # name -> chaos arguments; the output is GOLDEN/<name>.txt. pairsum-2323.json
 # is a perfbench-style chaos-cli config (radices 2,3,2,3) with delta^2 = 20/441.
 CHAOS_CASES = {

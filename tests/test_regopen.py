@@ -10,6 +10,7 @@ from noise_lab.regopen import (
     FULL,
     FiniteSpace,
     RegOpen,
+    _triple_laws,
     dyadic_quotient_space,
     finite_space_regopen,
     make_regopen,
@@ -223,6 +224,28 @@ def test_reg_laws_catch_a_broken_order(monkeypatch):
     rep = verify_reg_laws(random.Random(0), iterations=50)
     assert not rep.passed
     assert any(f.startswith("order equivalence fails") for f in rep.failures)
+
+
+def test_triple_laws_share_the_pairwise_meets_and_joins(monkeypatch):
+    ops = []
+    meet, join, complement = RegOpen.meet, RegOpen.join, RegOpen.complement
+
+    def counted(name, fn):
+        def op(*args):
+            ops.append(name)
+            return fn(*args)
+
+        return op
+
+    monkeypatch.setattr(RegOpen, "__and__", counted("meet", meet))
+    monkeypatch.setattr(RegOpen, "__or__", counted("join", join))
+    monkeypatch.setattr(RegOpen, "__invert__", counted("complement", complement))
+    r = make_regopen([(0, F(1, 2))])
+    s = make_regopen([(F(1, 4), F(3, 4))])
+    t = make_regopen([(F(1, 8), F(1, 3)), (F(2, 3), 1)])
+    laws = dict(_triple_laws(r, s, t))
+    assert all(laws.values()) and len(laws) == 4
+    assert len(ops) == 14
 
 
 def test_sierpinski_space():

@@ -391,25 +391,25 @@ def test_cli_chaos_decomposes_psi_at_most_twice(subalgebra, monkeypatch, capsys)
     decomposed = []
     additivity_calls = []
     decompose = chaos_mod.walsh_decompose
-    additive = chaos_mod.satisfies_additivity
+    additive = chaos_mod._is_additive
 
     def count_decompose(model, f):
         decomposed.append(f)
         return decompose(model, f)
 
-    def count_additivity(model, psi, b):
-        additivity_calls.append(psi)
-        return additive(model, psi, b)
+    def count_additivity(model, coeffs, b):
+        additivity_calls.append(coeffs)
+        return additive(model, coeffs, b)
 
     monkeypatch.setattr(chaos_mod, "walsh_decompose", count_decompose)
-    monkeypatch.setattr(chaos_mod, "satisfies_additivity", count_additivity)
+    monkeypatch.setattr(chaos_mod, "_is_additive", count_additivity)
     assert main(["chaos", str(FOUR_COINS), *subalgebra, "--vector", "pairsum"]) == 0
     out = capsys.readouterr().out
     cfg = load_model_config(str(FOUR_COINS))
-    psi = cfg.vector("pairsum", cfg.build_model())
-    assert len(additivity_calls) == 1
-    assert 1 <= len(decomposed) <= 2
-    assert all(f == psi for f in decomposed + additivity_calls)
+    model = cfg.build_model()
+    psi = cfg.vector("pairsum", model)
+    assert decomposed == [psi]
+    assert additivity_calls == [decompose(model, psi).coeffs]
     assert ("defect bound: pass" in out) == bool(subalgebra)
 
 
