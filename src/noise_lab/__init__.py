@@ -47,11 +47,10 @@ from .model import (
     walsh_reconstruct,
 )
 from .regopen import (
-    EMPTY,
-    FULL,
     FiniteSpace,
     RegOpen,
     finite_space_regopen,
+    grid_scale,
     make_regopen,
     verify_reg_laws,
 )

@@ -6,6 +6,10 @@ points maps any regular open set with dyadic endpoints to the set of cells
 it contains, and that map respects meet, join and complement precisely
 because no sample point can sit on a dyadic boundary.
 
+The elements evaluated at an embedding live on its grid (``scale``, which
+holds every sample point), and the embedding keeps its points as ticks of
+that grid, so each evaluation is one ``int`` mask over the points.
+
 Each spectral atom M is attached to the finite closed set of sample points
 it names. That closed set is recovered by removing every dyadic open
 piece (up to a working depth) avoiding the atom's points. What is left is
@@ -20,12 +24,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .boolalg import BoolElem
-from .regopen import EMPTY, Interval, RegOpen, make_regopen
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
+from .regopen import Interval, RegOpen, grid_scale, to_ticks
 
 
 def is_dyadic(x: Fraction) -> bool:
@@ -34,7 +36,10 @@ def is_dyadic(x: Fraction) -> bool:
 
 
 def is_dyadic_regopen(r: RegOpen) -> bool:
-    return all(is_dyadic(a) and is_dyadic(b) for a, b in r.intervals)
+    """Every endpoint k/L is dyadic exactly when k is a multiple of the odd
+    part of L."""
+    odd = r.scale // (r.scale & -r.scale)
+    return all(a % odd == 0 and b % odd == 0 for a, b in r.ticks)
 
 
 @dataclass(frozen=True)
@@ -46,6 +51,16 @@ class Embedding:
     @property
     def n(self) -> int:
         return len(self.sample_points)
+
+    @cached_property
+    def scale(self) -> int:
+        """The grid of the elements evaluated here."""
+        return grid_scale(self.sample_points)
+
+    @cached_property
+    def ticks(self) -> tuple[int, ...]:
+        """The sample points as ticks of the grid 1/scale."""
+        return tuple(to_ticks(t.numerator, t.denominator, self.scale) for t in self.sample_points)
 
 
 def build_embedding(sample_points, n_cells: int) -> Embedding:
@@ -60,7 +75,7 @@ def build_embedding(sample_points, n_cells: int) -> Embedding:
     if len(pts) != n_cells:
         raise ValueError(f"need {n_cells} sample points, got {len(pts)}")
     for t in pts:
-        if not ZERO < t < ONE:
+        if not 0 < t < 1:
             raise ValueError(f"sample point {t} outside (0,1)")
         if is_dyadic(t):
             raise ValueError(f"sample point on a potential boundary: {t}")
@@ -70,17 +85,23 @@ def build_embedding(sample_points, n_cells: int) -> Embedding:
     return Embedding(pts)
 
 
+def _point_ticks(emb: Embedding, r: RegOpen) -> tuple[int, ...]:
+    if r.scale != emb.scale:
+        raise ValueError(f"element on the grid 1/{r.scale}, sample points on 1/{emb.scale}")
+    return emb.ticks
+
+
 def inner_approx(emb: Embedding, r: RegOpen) -> BoolElem:
     """Best approximation of r from compactly-included dyadic pieces: the
-    cells whose sample point is interior to r. Works for arbitrary rational
-    endpoints."""
-    return BoolElem(r.interior_mask(emb.sample_points), emb.n)
+    cells whose sample point is interior to r. Works for any endpoints on
+    the embedding's grid."""
+    return BoolElem(r.interior_mask(_point_ticks(emb, r)), emb.n)
 
 
 def closure_cells(emb: Embedding, r: RegOpen) -> BoolElem:
     """The cells whose sample point lies in the closure of r. An atom's closed
     set sits inside cl(r) exactly when the atom is below this mask."""
-    return BoolElem(r.closure_mask(emb.sample_points), emb.n)
+    return BoolElem(r.closure_mask(_point_ticks(emb, r)), emb.n)
 
 
 def sample_hom(emb: Embedding, a: RegOpen) -> BoolElem:
@@ -107,33 +128,35 @@ class SpectralMapResult:
     hausdorff_bound: Fraction
 
 
-def _grid_cover(targets, depth: int) -> RegOpen:
+def _grid_cover(targets, scale: int, depth: int) -> RegOpen:
     """The regular open set made of the depth-D grid cells that hold a
-    target; its closure is the depth-D approximant. No target is dyadic, so
-    the dyadic pieces missing every target leave a cell uncovered exactly
-    when it holds a target, and a grid point exactly when a neighbouring
-    cell holds one. Runs of adjacent cells fuse over ``int`` before any
-    endpoint becomes a ``Fraction``."""
-    q = 1 << depth
+    target tick; its closure is the depth-D approximant. No target is
+    dyadic, so the dyadic pieces missing every target leave a cell uncovered
+    exactly when it holds a target, and a grid point exactly when a
+    neighbouring cell holds one. Runs of adjacent cells fuse before they
+    become ticks."""
+    step = to_ticks(1, 1 << depth, scale)
     runs: list[list[int]] = []
-    for c in sorted({int(t * q) for t in targets}):
+    for c in sorted({t // step for t in targets}):
         if runs and runs[-1][1] == c:
             runs[-1][1] = c + 1
         else:
             runs.append([c, c + 1])
-    return RegOpen(tuple((Fraction(a, q), Fraction(b, q)) for a, b in runs))
+    return RegOpen(tuple((a * step, b * step) for a, b in runs), scale)
 
 
-def _uncovered_probes(targets, depth: int) -> int:
+def _uncovered_probes(targets, scale: int, depth: int) -> int:
     """The literal definition, read on the probes i/2^(D+1): bit i is set
     when probe i lies in no depth-D dyadic open interval that misses every
-    target. Probe 2j is the grid point j/2^D and probe 2j+1 the midpoint of
-    cell j, and these points fix a union of closed grid cells exactly."""
+    target tick. Probe 2j is the grid point j/2^D and probe 2j+1 the
+    midpoint of cell j, and these points fix a union of closed grid cells
+    exactly."""
     q = 1 << depth
+    step = to_ticks(1, q, scale)
     covered = 0
     for j in range(q + 1):
         for l in range(j + 1, q + 1):
-            lo, hi = Fraction(j, q), Fraction(l, q)
+            lo, hi = j * step, l * step
             if any(lo < t < hi for t in targets):
                 continue
             # The open interval holds probes 2j+1 .. 2l-1, and a space edge
@@ -147,32 +170,37 @@ def closed_set_of_atom(emb: Embedding, s: BoolElem) -> tuple[Fraction, ...]:
     return tuple(sorted(emb.sample_points[i] for i in s.indices()))
 
 
+def _atom_ticks(emb: Embedding, s: BoolElem) -> tuple[int, ...]:
+    return tuple(emb.ticks[i] for i in s.indices())
+
+
 def spectral_set_map(emb: Embedding, s: BoolElem, depth: int = 6) -> SpectralMapResult:
     """The closed set of sample points named by an atom, with its depth-D
     outer approximation (a union of closed dyadic cells around the points)."""
     if s.n != emb.n:
         raise ValueError("atom from a different algebra")
-    targets = closed_set_of_atom(emb, s)
-    approx = _grid_cover(targets, depth).intervals
+    targets = _atom_ticks(emb, s)
+    cover = _grid_cover(targets, emb.scale, depth)
 
     separation_depth = None
     for d in range(depth + 1):
-        if len(_grid_cover(targets, d).intervals) == len(targets):
+        if len(_grid_cover(targets, emb.scale, d).ticks) == len(targets):
             separation_depth = d
             break
 
-    hausdorff = ZERO
-    for a, b in approx:
+    # Twice the distance, so that half a gap stays a whole number of ticks.
+    twice = 0
+    for a, b in cover.ticks:
         inside = [t for t in targets if a <= t <= b]
-        gaps = [inside[0] - a, b - inside[-1]]
-        gaps.extend((v - u) / 2 for u, v in zip(inside, inside[1:]))
-        hausdorff = max(hausdorff, max(gaps))
+        gaps = [2 * (inside[0] - a), 2 * (b - inside[-1])]
+        gaps.extend(v - u for u, v in zip(inside, inside[1:]))
+        twice = max(twice, max(gaps))
     return SpectralMapResult(
-        points=targets,
-        approx=approx,
+        points=closed_set_of_atom(emb, s),
+        approx=cover.intervals,
         depth=depth,
         separation_depth=separation_depth,
-        hausdorff_distance=hausdorff,
+        hausdorff_distance=Fraction(twice, 2 * emb.scale),
         hausdorff_bound=Fraction(2, 1 << depth),
     )
 
@@ -182,11 +210,12 @@ def verify_spectral_map_uniqueness(emb: Embedding, depth: int) -> bool:
     every atom, the closure of the grid cover holds the same probes
     i/2^(D+1) as the complement of the union of every dyadic open interval
     missing the atom's points."""
-    q = 1 << depth
-    probes = [Fraction(i, 2 * q) for i in range(2 * q + 1)]
+    half = to_ticks(1, 2 << depth, emb.scale)
+    probes = [i * half for i in range((2 << depth) + 1)]
     for mask in range(1 << emb.n):
-        targets = closed_set_of_atom(emb, BoolElem(mask, emb.n))
-        if _grid_cover(targets, depth).closure_mask(probes) != _uncovered_probes(targets, depth):
+        targets = _atom_ticks(emb, BoolElem(mask, emb.n))
+        cover = _grid_cover(targets, emb.scale, depth)
+        if cover.closure_mask(probes) != _uncovered_probes(targets, emb.scale, depth):
             return False
     return True
 
@@ -282,20 +311,25 @@ def boundary_dichotomy(emb: Embedding, r: RegOpen) -> BoundaryDichotomyReport:
 
 def shrink_chain(a: RegOpen, count: int) -> list[RegOpen]:
     """Increasing dyadic elements compactly included in a: each component is
-    pulled back from its interior endpoints by a halving dyadic margin."""
+    pulled back from its interior endpoints by a halving dyadic margin.
+    Raises ValueError when a margin is off the grid."""
     if a.is_empty:
-        return [EMPTY] * count
-    min_len = min(b - x for x, b in a.intervals)
+        return [a] * count
+    scale = a.scale
+    min_len = min(b - x for x, b in a.ticks)
     out = []
     for n in range(1, count + 1):
-        margin = min_len / (1 << (n + 1))
-        pieces = []
-        for lo, hi in a.intervals:
-            new_lo = lo if lo == 0 else lo + margin
-            new_hi = hi if hi == 1 else hi - margin
-            if new_lo < new_hi:
-                pieces.append((new_lo, new_hi))
-        out.append(make_regopen(pieces))
+        margin, rem = divmod(min_len, 1 << (n + 1))
+        if rem:
+            margin = Fraction(min_len, scale << n + 1)
+            raise ValueError(f"margin {margin} is off the grid 1/{scale}")
+        # Each margin is at most a quarter of the shortest piece, so the
+        # pieces stay non-empty, apart and in order: the form is canonical.
+        pieces = tuple(
+            (lo if lo == 0 else lo + margin, hi if hi == scale else hi - margin)
+            for lo, hi in a.ticks
+        )
+        out.append(RegOpen(pieces, scale))
     return out
 
 
@@ -312,7 +346,7 @@ def verify_shrink_chain(emb: Embedding, a: RegOpen) -> bool:
     for an in chain:
         # Given an <= a, cl(an) lies inside a (space edges absorbed) exactly
         # when every endpoint of an is interior to a.
-        ends = [e for iv in an.intervals for e in iv]
+        ends = [e for iv in an.ticks for e in iv]
         if not an.le(a) or a.interior_mask(ends) != (1 << len(ends)) - 1:
             return False
     target = sample_hom(emb, ~a)

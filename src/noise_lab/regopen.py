@@ -1,4 +1,4 @@
-"""Regular open subsets of X = [0,1] with exact rational endpoints.
+"""Regular open subsets of X = [0,1] with exact rational endpoints on a grid.
 
 A canonical element is a sorted tuple of disjoint, non-touching intervals
 (a, b); the represented point set is open in [0,1], absorbing the space
@@ -6,15 +6,23 @@ edges: an interval starting at 0 contains 0, one ending at 1 contains 1.
 Touching intervals cannot appear in canonical form: regularization (the
 interior of the closure) would fuse them.
 
+Every endpoint sits on one grid 1/L, fixed before a run makes any element:
+L is ``grid_scale`` of the rational points the run evaluates elements at.
+An element stores L as ``scale`` and its intervals as ``ticks``, pairs of
+integers k standing for k/L. ``make_regopen`` takes rationals and refuses an
+endpoint off the grid; an operation on elements of two grids raises rather
+than rescale. ``intervals`` is the rational view, and reprs print reduced
+fractions.
+
 Meet is intersection of interiors, join is the interior of the union of
 closures, complement is the space minus the closure. All comparisons are
-exact; no tolerances anywhere. The operations work on the sorted tuples by
-sweeps: meet and the order test walk both tuples once with two pointers,
+exact; no tolerances anywhere. The operations work on the sorted tick tuples
+by sweeps: meet and the order test walk both tuples once with two pointers,
 join merges the hulls sorted by their starts, and the point masks
-(``interior_mask``, ``closure_mask``) place a sorted run of points against
-the intervals in one pass. Since every step is a ``Fraction`` comparison,
-the number of comparisons is the cost; ``contains_interior`` and
-``contains_closure`` stay as the per-point reference.
+(``interior_mask``, ``closure_mask``) place a sorted run of point ticks
+against the intervals in one pass. Every step is an ``int`` comparison;
+``contains_interior`` and ``contains_closure`` stay as the per-point
+reference, read on the rational view.
 
 A small brute-force twin for arbitrary finite topological spaces is
 included, with the quotient-of-the-interval construction used to
@@ -27,28 +35,63 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, product
+from math import lcm
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 Interval = tuple[Fraction, Fraction]
+Ticks = tuple[int, int]
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+# Denominators of the random law elements.
+LAW_POOL = (2, 3, 4, 5, 6, 8, 12, 16)
+
+# What every grid holds: the law pool (lcm 240) and the finest dyadic a
+# check makes. Shrink-chain margins halve a piece at least 1/16 long up to
+# 2^13 times, down to 2^-17; the depth-8 grid covers and the probes of the
+# approximant oracle are coarser.
+BASE_SCALE = lcm(*LAW_POOL, 1 << 17)
+
+
+def grid_scale(points: Iterable = ()) -> int:
+    """The grid denominator L of a run that evaluates its elements at the
+    given rational points: the lcm of BASE_SCALE and their denominators."""
+    return lcm(BASE_SCALE, *(Fraction(t).denominator for t in points))
+
+
+def to_ticks(num: int, den: int, scale: int) -> int:
+    """The point num/den as ticks of the grid 1/scale; raises ValueError
+    naming the point when it is off the grid."""
+    if scale % den:
+        raise ValueError(f"{Fraction(num, den)} is off the grid 1/{scale}")
+    return num * (scale // den)
+
+
+def _same_grid(r: "RegOpen", s: "RegOpen") -> int:
+    if r.scale != s.scale:
+        raise ValueError(f"elements on two grids: 1/{r.scale} and 1/{s.scale}")
+    return r.scale
 
 
 @dataclass(frozen=True)
 class RegOpen:
-    intervals: tuple[Interval, ...]
+    ticks: tuple[Ticks, ...]  # the interval (a, b) is (a/scale, b/scale)
+    scale: int
+
+    @property
+    def intervals(self) -> tuple[Interval, ...]:
+        """The rational view: each interval as a pair of fractions."""
+        return tuple((Fraction(a, self.scale), Fraction(b, self.scale)) for a, b in self.ticks)
 
     @property
     def is_empty(self) -> bool:
-        return not self.intervals
+        return not self.ticks
 
     @property
     def is_full(self) -> bool:
-        return self.intervals == ((ZERO, ONE),)
+        return self.ticks == ((0, self.scale),)
 
     def contains_interior(self, t: Fraction) -> bool:
+        """Whether the rational t lies in the open set."""
         for a, b in self.intervals:
             if a < t < b:
                 return True
@@ -59,25 +102,26 @@ class RegOpen:
         return False
 
     def contains_closure(self, t: Fraction) -> bool:
+        """Whether the rational t lies in the closure."""
         return any(a <= t <= b for a, b in self.intervals)
 
-    def interior_mask(self, points: Sequence[Fraction]) -> int:
-        """Bit i is set when the increasing ``points[i]`` lies in the open
-        set. One pass: each interval bisects the points from where the
+    def interior_mask(self, points: Sequence[int]) -> int:
+        """Bit i is set when the increasing tick ``points[i]`` lies in the
+        open set. One pass: each interval bisects the points from where the
         previous one ended."""
         mask = i = 0
-        for a, b in self.intervals:
+        for a, b in self.ticks:
             i = (bisect_left if a == 0 else bisect_right)(points, a, i)
-            j = (bisect_right if b == 1 else bisect_left)(points, b, i)
+            j = (bisect_right if b == self.scale else bisect_left)(points, b, i)
             mask |= (1 << j) - (1 << i)
             i = j
         return mask
 
-    def closure_mask(self, points: Sequence[Fraction]) -> int:
-        """Bit i is set when the increasing ``points[i]`` lies in the
+    def closure_mask(self, points: Sequence[int]) -> int:
+        """Bit i is set when the increasing tick ``points[i]`` lies in the
         closure, the union of the closed intervals."""
         mask = i = 0
-        for a, b in self.intervals:
+        for a, b in self.ticks:
             i = bisect_left(points, a, i)
             j = bisect_right(points, b, i)
             mask |= (1 << j) - (1 << i)
@@ -89,9 +133,10 @@ class RegOpen:
         inclusion (the closure of an element is the union of its closed
         intervals). The only interval of ``other`` that can hold (a, b) is
         the first one ending at or after b."""
-        ys = other.intervals
+        _same_grid(self, other)
+        ys = other.ticks
         j, m = 0, len(ys)
-        for a, b in self.intervals:
+        for a, b in self.ticks:
             while j < m and ys[j][1] < b:
                 j += 1
             if j == m or a < ys[j][0]:
@@ -99,7 +144,8 @@ class RegOpen:
         return True
 
     def meet(self, other: "RegOpen") -> "RegOpen":
-        xs, ys = self.intervals, other.intervals
+        scale = _same_grid(self, other)
+        xs, ys = self.ticks, other.ticks
         i = j = 0
         pieces = []
         while i < len(xs) and j < len(ys):
@@ -114,40 +160,35 @@ class RegOpen:
                 j += 1
             if lo < hi:
                 pieces.append((lo, hi))
-        return RegOpen(tuple(pieces))
+        return RegOpen(tuple(pieces), scale)
 
     def join(self, other: "RegOpen") -> "RegOpen":
-        return RegOpen(_merge_hulls(self.intervals + other.intervals))
+        return RegOpen(_merge_hulls(self.ticks + other.ticks), _same_grid(self, other))
 
     def complement(self) -> "RegOpen":
-        if not self.intervals:
-            return FULL
         pieces = []
-        prev = ZERO
-        for a, b in self.intervals:
+        prev = 0
+        for a, b in self.ticks:
             if prev < a:
                 pieces.append((prev, a))
             prev = b
-        if prev < ONE:
-            pieces.append((prev, ONE))
-        return RegOpen(tuple(pieces))
+        if prev < self.scale:
+            pieces.append((prev, self.scale))
+        return RegOpen(tuple(pieces), self.scale)
 
     __and__ = meet
     __or__ = join
     __invert__ = complement
 
     def __repr__(self) -> str:
-        if not self.intervals:
+        if not self.ticks:
             return "RegOpen(0)"
         return "RegOpen(" + " ".join(f"({a},{b})" for a, b in self.intervals) + ")"
 
 
-EMPTY = RegOpen(())
-FULL = RegOpen(((ZERO, ONE),))
-
-
-def _merge_hulls(pieces: Iterable[Interval]) -> tuple[Interval, ...]:
-    """Merge closed hulls [a,b]; touching hulls fuse (regularization)."""
+def _merge_hulls(pieces: Iterable[Ticks]) -> tuple[Ticks, ...]:
+    """Merge non-empty closed hulls [a,b]; touching hulls fuse
+    (regularization)."""
     items = sorted(pieces, key=itemgetter(0))
     if not items:
         return ()
@@ -163,22 +204,23 @@ def _merge_hulls(pieces: Iterable[Interval]) -> tuple[Interval, ...]:
     return tuple(merged)
 
 
-def make_regopen(raw: Sequence[tuple]) -> RegOpen:
-    """Regularize a raw list of rational intervals: drop empty pieces, take
-    the interior of the closure of the union, produce canonical form."""
+def make_regopen(raw: Sequence[tuple], scale: int) -> RegOpen:
+    """Regularize a raw list of rational intervals on the grid 1/scale: drop
+    empty pieces, take the interior of the closure of the union, produce
+    canonical form. Raises ValueError on an endpoint outside [0,1] or off
+    the grid, and on endpoints out of order."""
     pieces = []
     for a, b in raw:
-        if not isinstance(a, Fraction):
-            a = Fraction(a)
-        if not isinstance(b, Fraction):
-            b = Fraction(b)
+        a, b = Fraction(a), Fraction(b)
         if not (0 <= a <= 1 and 0 <= b <= 1):
             raise ValueError(f"endpoint outside [0,1]: ({a},{b})")
         if a > b:
             raise ValueError(f"interval endpoints out of order: ({a},{b})")
+        a = to_ticks(a.numerator, a.denominator, scale)
+        b = to_ticks(b.numerator, b.denominator, scale)
         if a < b:
             pieces.append((a, b))
-    return RegOpen(_merge_hulls(pieces))
+    return RegOpen(_merge_hulls(pieces), scale)
 
 
 # -- law verification ---------------------------------------------------------
@@ -193,17 +235,20 @@ class RegLawReport:
     meet_strict_witnesses: tuple[str, ...]
 
 
-def random_regopen(rng, denominators: Sequence[int] = (2, 3, 4, 5, 6, 8, 12, 16)) -> RegOpen:
-    """Up to three random pieces with endpoints over the given denominators."""
+def random_regopen(rng, scale: int, denominators: Sequence[int] = LAW_POOL) -> RegOpen:
+    """Up to three random pieces with endpoints over the given denominators,
+    on the grid 1/scale."""
     pieces = []
     for _ in range(rng.randint(0, 3)):
         q = rng.choice(denominators)
-        a = Fraction(rng.randint(0, q), q)
-        b = Fraction(rng.randint(0, q), q)
+        step = to_ticks(1, q, scale)
+        a = rng.randint(0, q) * step
+        b = rng.randint(0, q) * step
         if a > b:
             a, b = b, a
-        pieces.append((a, b))
-    return make_regopen(pieces)
+        if a < b:
+            pieces.append((a, b))
+    return RegOpen(_merge_hulls(pieces), scale)
 
 
 def _pair_laws(r: RegOpen, s: RegOpen, meet: RegOpen, join: RegOpen) -> Iterator[tuple[str, bool]]:
@@ -211,14 +256,14 @@ def _pair_laws(r: RegOpen, s: RegOpen, meet: RegOpen, join: RegOpen) -> Iterator
     still compares two different computations."""
     nr, ns = ~r, ~s
     yield "double complement", ~nr == r
-    yield "meet complement", (r & nr) == EMPTY
-    yield "join complement", (r | nr) == FULL
+    yield "meet complement", (r & nr).is_empty
+    yield "join complement", (r | nr).is_full
     yield "meet comm", meet == (s & r)
     yield "join comm", join == (s | r)
     yield "de morgan meet", ~meet == (nr | ns)
     yield "de morgan join", ~join == (nr & ns)
     yield "absorption", (r & join) == r and (r | meet) == r
-    yield "canonical idempotent", make_regopen(r.intervals) == r
+    yield "canonical idempotent", _merge_hulls(r.ticks) == r.ticks
     yield "order equivalence", r.le(s) == (meet == r) == (join == s)
 
 
@@ -228,23 +273,20 @@ def _lowest_bit(mask: int) -> int:
 
 def _inclusion_laws(
     r: RegOpen, s: RegOpen, meet: RegOpen, join: RegOpen
-) -> tuple[bool, bool, str | None, str | None]:
+) -> tuple[bool, bool, int | None, int | None]:
     """The closure-of-meet and interior-of-join inclusions, with strictness
-    witnesses. Any witness point must come from a boundary, so candidates
-    are finite and the detection is exact; the witness is the lowest
-    candidate in a mask expression over them."""
+    witnesses as ticks: a point interior to the join only, and a point in
+    both closures outside the meet closure. Any witness point must come from
+    a boundary, so candidates are finite and the detection is exact; the
+    witness is the lowest candidate in a mask expression over them."""
     cl_meet_ok = meet.le(r) and meet.le(s)
     join_ok = r.le(join) and s.le(join)
     # Every endpoint of r or s, and the space edges; repeats are harmless.
-    cands = sorted(chain((ZERO, ONE), *r.intervals, *s.intervals))
+    cands = sorted(chain((0, r.scale), *r.ticks, *s.ticks))
     join_only = join.interior_mask(cands) & ~(r.interior_mask(cands) | s.interior_mask(cands))
-    join_witness = None
-    if join_only:
-        join_witness = f"{cands[_lowest_bit(join_only)]} interior to the join only"
     both_only = r.closure_mask(cands) & s.closure_mask(cands) & ~meet.closure_mask(cands)
-    meet_witness = None
-    if both_only:
-        meet_witness = f"{cands[_lowest_bit(both_only)]} in both closures, outside the meet closure"
+    join_witness = cands[_lowest_bit(join_only)] if join_only else None
+    meet_witness = cands[_lowest_bit(both_only)] if both_only else None
     return cl_meet_ok, join_ok, join_witness, meet_witness
 
 
@@ -259,18 +301,19 @@ def _triple_laws(r: RegOpen, s: RegOpen, t: RegOpen) -> Iterator[tuple[str, bool
     yield "distrib join over meet", (r | m_st) == (j_rs & j_rt)
 
 
-def dyadic_grid_regopens(depth: int) -> list[RegOpen]:
-    """All single-interval elements with endpoints on the 2^-depth grid."""
+def dyadic_grid_regopens(depth: int, scale: int) -> list[RegOpen]:
+    """All single-interval elements with endpoints on the 2^-depth grid,
+    made on the grid 1/scale."""
     q = 1 << depth
-    out = []
-    for j in range(q + 1):
-        for l in range(j + 1, q + 1):
-            out.append(make_regopen([(Fraction(j, q), Fraction(l, q))]))
-    return out
+    step = to_ticks(1, q, scale)
+    return [
+        RegOpen(((j * step, l * step),), scale) for j in range(q + 1) for l in range(j + 1, q + 1)
+    ]
 
 
-def verify_reg_laws(rng, iterations: int = 1000) -> RegLawReport:
-    """Randomized pairs/triples plus an exhaustive dyadic-grid pass."""
+def verify_reg_laws(rng, scale: int, iterations: int = 1000) -> RegLawReport:
+    """Randomized pairs/triples plus an exhaustive dyadic-grid pass, on the
+    grid 1/scale."""
     failures: list[str] = []
     join_strict: list[str] = []
     meet_strict: list[str] = []
@@ -288,26 +331,28 @@ def verify_reg_laws(rng, iterations: int = 1000) -> RegLawReport:
             failures.append(f"closure-of-meet inclusion fails: r={r} s={s}")
         if not join_ok:
             failures.append(f"interior-of-join inclusion fails: r={r} s={s}")
-        if jw and len(join_strict) < 5:
-            join_strict.append(f"r={r} s={s}: {jw}")
-        if mw and len(meet_strict) < 5:
-            meet_strict.append(f"r={r} s={s}: {mw}")
+        if jw is not None and len(join_strict) < 5:
+            join_strict.append(f"r={r} s={s}: {Fraction(jw, scale)} interior to the join only")
+        if mw is not None and len(meet_strict) < 5:
+            meet_strict.append(
+                f"r={r} s={s}: {Fraction(mw, scale)} in both closures, outside the meet closure"
+            )
 
     def run_triple(r: RegOpen, s: RegOpen, t: RegOpen) -> None:
         for name, ok in _triple_laws(r, s, t):
             if not ok:
                 failures.append(f"{name} fails: r={r} s={s} t={t}")
 
-    for r, s in combinations(dyadic_grid_regopens(3), 2):
+    for r, s in combinations(dyadic_grid_regopens(3, scale), 2):
         run_pair(r, s)
-    for r, s, t in product(dyadic_grid_regopens(2), repeat=3):
+    for r, s, t in product(dyadic_grid_regopens(2, scale), repeat=3):
         run_triple(r, s, t)
 
     for _ in range(iterations):
-        r = random_regopen(rng)
-        s = random_regopen(rng)
+        r = random_regopen(rng, scale)
+        s = random_regopen(rng, scale)
         run_pair(r, s)
-        run_triple(r, s, random_regopen(rng))
+        run_triple(r, s, random_regopen(rng, scale))
 
     return RegLawReport(
         passed=not failures,

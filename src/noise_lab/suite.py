@@ -124,6 +124,13 @@ class _Ctx:
         return random.Random(f"{self.cfg.seed}:{name}")
 
     @cached_property
+    def scale(self) -> int:
+        """The grid of every regular open set this run makes: the
+        embedding's, when the config has one."""
+        emb = self.cfg.embedding
+        return reg_mod.grid_scale() if emb is None else emb.scale
+
+    @cached_property
     def model(self):
         # Built on first use, so a run whose model checks all skip builds none.
         return self.cfg.build_model()
@@ -605,7 +612,7 @@ def spectrum__measure_class(ctx: _Ctx):
 
 @_check()
 def regopen__laws(ctx: _Ctx):
-    rep = reg_mod.verify_reg_laws(ctx.rng("regopen.laws"), iterations=1000)
+    rep = reg_mod.verify_reg_laws(ctx.rng("regopen.laws"), ctx.scale, iterations=1000)
     wit = list(rep.join_strict_witnesses[:2]) + list(rep.meet_strict_witnesses[:2])
     wit = [f"strict inclusion: {w}" for w in wit] + list(rep.failures[:5])
     return f"{rep.checked} pairs", wit, rep.passed
@@ -650,7 +657,7 @@ def regopen__finite_spaces(ctx: _Ctx):
             pieces = [
                 (Fraction(j, q), Fraction(j + 1, q)) for j in range(q) if bits >> j & 1
             ]
-            interval_elems.append(reg_mod.make_regopen(pieces))
+            interval_elems.append(reg_mod.make_regopen(pieces, ctx.scale))
         images = {r: reg_mod.regopen_to_quotient(r, depth, cells) for r in interval_elems}
         if set(images.values()) != set(qalg.elements):
             bad.append(f"quotient depth {depth}: element sets differ")
@@ -677,8 +684,10 @@ def geometry__homomorphism(ctx: _Ctx):
         return [(a, geo_mod.sample_hom(emb, a)) for a in family]
 
     dyads = tuple(1 << d for d in range(1, 5))
-    grid = with_images(reg_mod.dyadic_grid_regopens(3))
-    drawn = with_images(reg_mod.random_regopen(rng, denominators=dyads) for _ in range(2000))
+    grid = with_images(reg_mod.dyadic_grid_regopens(3, ctx.scale))
+    drawn = with_images(
+        reg_mod.random_regopen(rng, ctx.scale, denominators=dyads) for _ in range(2000)
+    )
     pairs = [(x, y) for x in grid for y in grid] + list(zip(drawn[::2], drawn[1::2]))
     bad = []
     for (a, ha), (b, hb) in pairs:
@@ -701,14 +710,14 @@ def geometry__spectral_identity(ctx: _Ctx):
     if not geo_mod.verify_spectral_map_uniqueness(emb, min(depth, 4)):
         bad.append("closed-set approximant differs from its definition")
     count = 0
-    for a in reg_mod.dyadic_grid_regopens(depth):
+    for a in reg_mod.dyadic_grid_regopens(depth, ctx.scale):
         count += 1
         if not geo_mod.verify_spectral_set_identity(emb, a):
             bad.append(f"identity fails at {a}")
     rng = ctx.rng("geometry.identity")
     dyads = tuple(1 << d for d in range(1, depth + 1))
     for _ in range(60):
-        a = reg_mod.random_regopen(rng, denominators=dyads)
+        a = reg_mod.random_regopen(rng, ctx.scale, denominators=dyads)
         count += 1
         if not geo_mod.verify_spectral_set_identity(emb, a):
             bad.append(f"identity fails at {a}")
@@ -736,10 +745,10 @@ def geometry__approximant(ctx: _Ctx):
 def geometry__shrink_chains(ctx: _Ctx):
     emb = ctx.cfg.embedding
     bad = []
-    family = reg_mod.dyadic_grid_regopens(3)
+    family = reg_mod.dyadic_grid_regopens(3, ctx.scale)
     rng = ctx.rng("geometry.shrink")
     dyads = (2, 4, 8, 16)
-    family = family + [reg_mod.random_regopen(rng, denominators=dyads) for _ in range(40)]
+    family += [reg_mod.random_regopen(rng, ctx.scale, denominators=dyads) for _ in range(40)]
     for a in family:
         if a.is_empty:
             continue
@@ -752,20 +761,20 @@ def geometry__shrink_chains(ctx: _Ctx):
 def geometry__monotone_limit(ctx: _Ctx):
     emb = ctx.cfg.embedding
     bad = []
-    chain = [reg_mod.make_regopen([(0, 1 - Fraction(1, 1 << n))]) for n in range(1, 9)]
+    chain = [reg_mod.make_regopen([(0, 1 - Fraction(1, 1 << n))], ctx.scale) for n in range(1, 9)]
     if not geo_mod.monotone_limit_check(emb, chain):
         bad.append("growing chain equivalence fails")
     if not geo_mod.chain_sup(emb, chain).is_one:
         bad.append("growing chain does not reach the full set")
-    half = [reg_mod.make_regopen([(0, Fraction(1, 2))])] * 4
+    half = [reg_mod.make_regopen([(0, Fraction(1, 2))], ctx.scale)] * 4
     if not geo_mod.monotone_limit_check(emb, half):
         bad.append("constant chain equivalence fails")
     rng = ctx.rng("geometry.chain")
     for _ in range(25):
-        acc = reg_mod.EMPTY
+        acc = reg_mod.make_regopen((), ctx.scale)
         rand_chain = []
         for _ in range(rng.randint(1, 6)):
-            acc = acc | reg_mod.random_regopen(rng, denominators=(2, 4, 8, 16))
+            acc = acc | reg_mod.random_regopen(rng, ctx.scale, denominators=(2, 4, 8, 16))
             rand_chain.append(acc)
         if not geo_mod.monotone_limit_check(emb, rand_chain):
             bad.append("random chain equivalence fails")
@@ -784,9 +793,9 @@ def geometry__boundary_dichotomy(ctx: _Ctx):
             t = rng.choice(emb.sample_points)
             other = Fraction(rng.randint(0, 16), 16)
             lo, hi = min(t, other), max(t, other)
-            r = reg_mod.make_regopen([(lo, hi)]) if lo < hi else reg_mod.EMPTY
+            r = reg_mod.make_regopen([(lo, hi)] if lo < hi else [], ctx.scale)
         else:
-            r = reg_mod.random_regopen(rng)
+            r = reg_mod.random_regopen(rng, ctx.scale)
         rep = geo_mod.boundary_dichotomy(emb, r)
         if not rep.inner.disjoint(rep.outer):
             bad.append(f"case {k}: inner approximations of r and its complement overlap")

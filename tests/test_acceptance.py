@@ -54,7 +54,13 @@ from noise_lab.model import (
     project_oracle,
     verify_projection_laws,
 )
-from noise_lab.regopen import dyadic_grid_regopens, make_regopen, random_regopen, verify_reg_laws
+from noise_lab.regopen import (
+    dyadic_grid_regopens,
+    grid_scale,
+    make_regopen,
+    random_regopen,
+    verify_reg_laws,
+)
 from noise_lab.spectrum import (
     build_spectral_space,
     check_atom_of_sigma_x,
@@ -67,6 +73,7 @@ from noise_lab.spectrum import (
 from conftest import block_subalgebra, cli_env, full_subalgebra, model_family, sign_rv, varied_probs
 
 F = Fraction
+L = grid_scale()  # the grid of the elements made here
 REPO = Path(__file__).resolve().parent.parent
 
 
@@ -276,12 +283,12 @@ def test_criterion_07_spectrum():
 def test_criterion_08_regular_open_algebra():
     failures = []
     rng = random.Random(0)
-    rep = verify_reg_laws(rng, iterations=1000)
+    rep = verify_reg_laws(rng, L, iterations=1000)
     if not rep.passed:
         failures.append(f"law failures: {rep.failures[:3]}")
 
-    r = make_regopen([(0, F(1, 2))])
-    s = make_regopen([(F(1, 2), 1)])
+    r = make_regopen([(0, F(1, 2))], L)
+    s = make_regopen([(F(1, 2), 1)], L)
     join = r | s
     if not join.is_full:
         failures.append("join of the two halves is not the full space")
@@ -299,7 +306,7 @@ def test_criterion_09_geometry():
     if not verify_spectral_map_uniqueness(emb, 4):
         failures.append("closed-set approximant differs from its definition")
     count = 0
-    for a in dyadic_grid_regopens(6):
+    for a in dyadic_grid_regopens(6, L):
         count += 1
         if not verify_spectral_set_identity(emb, a):
             failures.append(f"spectral identity fails at {a}")
@@ -310,7 +317,7 @@ def test_criterion_09_geometry():
     if res.points != (F(1, 5), F(2, 3)):
         failures.append(f"closed set {res.points}")
 
-    chain = [make_regopen([(0, 1 - F(1, 2**n))]) for n in range(1, 10)]
+    chain = [make_regopen([(0, 1 - F(1, 2**n))], L) for n in range(1, 10)]
     if not monotone_limit_check(emb, chain):
         failures.append("chain equivalence fails")
     if not chain_sup(emb, chain).is_one:
@@ -318,7 +325,7 @@ def test_criterion_09_geometry():
     if uncovered_atoms(emb, chain):
         failures.append("chain leaves atoms uncovered")
 
-    rep = boundary_dichotomy(emb, make_regopen([(0, F(1, 3))]))
+    rep = boundary_dichotomy(emb, make_regopen([(0, F(1, 3))], L))
     if rep.holds or rep.join != BoolElem.from_indices([0, 2], 3):
         failures.append(f"dichotomy join {rep.join}")
     if rep.witness_atom != BoolElem.from_indices([1], 3):
@@ -330,9 +337,9 @@ def test_criterion_09_geometry():
             t = rng.choice(emb.sample_points)
             other = F(rng.randint(0, 16), 16)
             lo, hi = min(t, other), max(t, other)
-            r = make_regopen([(lo, hi)]) if lo < hi else make_regopen([])
+            r = make_regopen([(lo, hi)], L) if lo < hi else make_regopen([], L)
         else:
-            r = random_regopen(rng)
+            r = random_regopen(rng, L)
         rep = boundary_dichotomy(emb, r)
         if not rep.inner.disjoint(rep.outer):
             failures.append(f"case {k}: inner approximations of r and its complement overlap")

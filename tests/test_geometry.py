@@ -18,6 +18,7 @@ from noise_lab.geometry import (
     closure_cells,
     inner_approx,
     is_dyadic,
+    is_dyadic_regopen,
     monotone_limit_check,
     sample_hom,
     shrink_chain,
@@ -27,12 +28,11 @@ from noise_lab.geometry import (
     verify_spectral_map_uniqueness,
     verify_spectral_set_identity,
 )
-from noise_lab.config import load_model_config
+from noise_lab.config import load_config_dict, load_model_config
 from noise_lab.regopen import (
-    EMPTY,
-    FULL,
     RegOpen,
     dyadic_grid_regopens,
+    grid_scale,
     make_regopen,
     random_regopen,
 )
@@ -41,9 +41,14 @@ from noise_lab.suite import (
     geometry__boundary_dichotomy,
     geometry__homomorphism,
     geometry__spectral_identity,
+    run_verification_suite,
 )
 
 F = Fraction
+# The grid of the elements made here; it holds the sample points of ``emb``.
+L = grid_scale()
+EMPTY = make_regopen((), L)
+FULL = make_regopen([(0, 1)], L)
 SRC = Path(__file__).resolve().parent.parent / "src" / "noise_lab"
 TWO_COINS = Path(__file__).resolve().parent.parent / "examples" / "two-coins.json"
 
@@ -111,19 +116,51 @@ def test_is_dyadic():
     assert not is_dyadic(F(1, 3)) and not is_dyadic(F(1, 5)) and not is_dyadic(F(5, 6))
 
 
+def test_is_dyadic_regopen_matches_the_rational_definition(rng):
+    scale = grid_scale([F(1, 7), F(1, 3 << 9)])
+    for _ in range(300):
+        r = random_regopen(rng, scale, denominators=(2, 3, 7, 12, 64, 3 << 9))
+        assert is_dyadic_regopen(r) == all(is_dyadic(x) for iv in r.intervals for x in iv)
+
+
+def test_evaluation_refuses_an_element_of_another_grid():
+    e = build_embedding([F(1, 7), F(1, 3)], 2)
+    assert e.scale == grid_scale([F(1, 7)]) != L
+    assert e.ticks == (e.scale // 7, e.scale // 3)
+    half = make_regopen([(0, F(1, 2))], L)
+    for evaluate in (sample_hom, inner_approx, closure_cells):
+        with pytest.raises(ValueError, match="grid"):
+            evaluate(e, half)
+    assert sample_hom(e, make_regopen([(0, F(1, 2))], e.scale)) == BoolElem(0b11, 2)
+
+
+def test_geometry_checks_pass_with_awkward_sample_denominators():
+    # 786432 = 3 * 2^18, so the grid needs a power of two beyond what the
+    # checks themselves make.
+    cfg = load_config_dict(
+        {
+            "cells": [{"k": 2, "probs": ["1/2", "1/2"]}] * 2,
+            "embedding": {"sample_points": ["1/786432", "1/101"]},
+        }
+    )
+    assert cfg.embedding.scale % (101 << 18) == 0
+    report = run_verification_suite(cfg, "geometry")
+    assert [r.status for r in report.results] == ["pass"] * 6
+
+
 def test_sample_hom_example(emb):
-    assert sample_hom(emb, make_regopen([(0, F(1, 2))])) == BoolElem.from_indices([0, 1], 3)
+    assert sample_hom(emb, make_regopen([(0, F(1, 2))], L)) == BoolElem.from_indices([0, 1], 3)
     assert sample_hom(emb, FULL).is_one
     assert sample_hom(emb, EMPTY).is_zero
     with pytest.raises(ValueError):
-        sample_hom(emb, make_regopen([(F(1, 3), F(2, 3))]))
+        sample_hom(emb, make_regopen([(F(1, 3), F(2, 3))], L))
 
 
 def test_sample_hom_is_homomorphism_random(emb, rng):
     dyads = (2, 4, 8, 16, 32)
     for _ in range(300):
-        a = random_regopen(rng, denominators=dyads)
-        b = random_regopen(rng, denominators=dyads)
+        a = random_regopen(rng, L, denominators=dyads)
+        b = random_regopen(rng, L, denominators=dyads)
         assert sample_hom(emb, a & b) == sample_hom(emb, a) & sample_hom(emb, b)
         assert sample_hom(emb, a | b) == sample_hom(emb, a) | sample_hom(emb, b)
         assert sample_hom(emb, ~a) == ~sample_hom(emb, a)
@@ -231,13 +268,13 @@ def test_approximant_matches_the_flag_array_reference(rng):
 def _drop_last_cell(monkeypatch):
     real = geometry._grid_cover
 
-    def dropped(targets, depth):
-        r = real(targets, depth)
-        if not r.intervals:
+    def dropped(targets, scale, depth):
+        r = real(targets, scale, depth)
+        if not r.ticks:
             return r
-        a, b = r.intervals[-1]
-        b -= F(1, 1 << depth)
-        return RegOpen(r.intervals[:-1] + (((a, b),) if a < b else ()))
+        a, b = r.ticks[-1]
+        b -= scale >> depth
+        return RegOpen(r.ticks[:-1] + (((a, b),) if a < b else ()), scale)
 
     monkeypatch.setattr(geometry, "_grid_cover", dropped)
 
@@ -255,27 +292,27 @@ def test_spectral_set_identity_runs_no_uniqueness_oracle(emb, monkeypatch):
         raise AssertionError("identity check ran the uniqueness oracle")
 
     monkeypatch.setattr(geometry, "verify_spectral_map_uniqueness", refuse)
-    for a in dyadic_grid_regopens(2):
+    for a in dyadic_grid_regopens(2, L):
         assert verify_spectral_set_identity(emb, a)
 
 
 def test_spectral_set_identity(emb):
-    assert verify_spectral_set_identity(emb, make_regopen([(0, F(1, 2))]))
+    assert verify_spectral_set_identity(emb, make_regopen([(0, F(1, 2))], L))
     assert verify_spectral_set_identity(emb, FULL)
     assert verify_spectral_set_identity(emb, EMPTY)
-    for a in dyadic_grid_regopens(3):
+    for a in dyadic_grid_regopens(3, L):
         assert verify_spectral_set_identity(emb, a)
 
 
 def test_monotone_limit_growing_chain(emb):
-    chain = [make_regopen([(0, 1 - F(1, 2**n))]) for n in range(1, 9)]
+    chain = [make_regopen([(0, 1 - F(1, 2**n))], L) for n in range(1, 9)]
     assert monotone_limit_check(emb, chain)
     assert chain_sup(emb, chain).is_one
     assert uncovered_atoms(emb, chain) == []
 
 
 def test_monotone_limit_constant_chain(emb):
-    chain = [make_regopen([(0, F(1, 2))])] * 4
+    chain = [make_regopen([(0, F(1, 2))], L)] * 4
     assert monotone_limit_check(emb, chain)  # both sides of the equivalence fail
     assert chain_sup(emb, chain) == BoolElem.from_indices([0, 1], 3)
     stuck = uncovered_atoms(emb, chain)
@@ -287,15 +324,15 @@ def test_monotone_limit_input_errors(emb):
         monotone_limit_check(emb, [])
     with pytest.raises(ValueError, match="increasing"):
         monotone_limit_check(
-            emb, [make_regopen([(0, F(1, 2))]), make_regopen([(F(1, 2), 1)])]
+            emb, [make_regopen([(0, F(1, 2))], L), make_regopen([(F(1, 2), 1)], L)]
         )
 
 
 def test_inner_approx_examples(emb):
-    r = make_regopen([(0, F(1, 3))])
+    r = make_regopen([(0, F(1, 3))], L)
     assert inner_approx(emb, r) == BoolElem.from_indices([0], 3)  # 1/3 is on the boundary
     assert inner_approx(emb, FULL).is_one
-    half = make_regopen([(0, F(1, 2))])
+    half = make_regopen([(0, F(1, 2))], L)
     assert inner_approx(emb, half) == sample_hom(emb, half)
 
     elem, depth = inner_approx_detail(emb, r)
@@ -310,18 +347,18 @@ def test_inner_approx_examples(emb):
 
 def test_inner_approx_disjointness(emb, rng):
     for _ in range(200):
-        r = random_regopen(rng)
+        r = random_regopen(rng, L)
         assert inner_approx(emb, r).disjoint(inner_approx(emb, ~r))
 
 
 def test_boundary_dichotomy_examples(emb):
-    rep = boundary_dichotomy(emb, make_regopen([(0, F(1, 3))]))
+    rep = boundary_dichotomy(emb, make_regopen([(0, F(1, 3))], L))
     assert not rep.holds
     assert rep.join == BoolElem.from_indices([0, 2], 3)
     assert rep.boundary_hits == (1,)
     assert rep.witness_atom == BoolElem.from_indices([1], 3)
 
-    rep2 = boundary_dichotomy(emb, make_regopen([(0, F(1, 2))]))
+    rep2 = boundary_dichotomy(emb, make_regopen([(0, F(1, 2))], L))
     assert rep2.holds and rep2.join.is_one and ~rep2.inner == rep2.outer
 
     rep3 = boundary_dichotomy(emb, EMPTY)
@@ -333,9 +370,9 @@ def test_boundary_dichotomy_random(emb, rng):
         if k % 4 == 0:
             t = rng.choice(emb.sample_points)
             hi = max(t, F(7, 8))
-            r = make_regopen([(t, hi)]) if t < hi else EMPTY
+            r = make_regopen([(t, hi)], L) if t < hi else EMPTY
         else:
-            r = random_regopen(rng)
+            r = random_regopen(rng, L)
         rep = boundary_dichotomy(emb, r)
         assert rep.inner.disjoint(rep.outer)
         assert rep.holds == (not rep.boundary_hits)
@@ -407,24 +444,24 @@ def test_regular_open_layer_imports_no_model_code(module):
 
 
 def test_shrink_chain_properties(emb):
-    a = make_regopen([(F(1, 4), F(3, 8)), (F(1, 2), F(3, 4))])
+    a = make_regopen([(F(1, 4), F(3, 8)), (F(1, 2), F(3, 4))], L)
     chain = shrink_chain(a, 6)
     for f, g in zip(chain, chain[1:]):
         assert f.le(g)
     assert verify_shrink_chain(emb, a)
     assert verify_shrink_chain(emb, FULL)
-    for x in dyadic_grid_regopens(2):
+    for x in dyadic_grid_regopens(2, L):
         assert verify_shrink_chain(emb, x)
 
 
 def test_shrink_chain_check_catches_a_chain_that_touches_the_boundary(emb, monkeypatch):
-    a = make_regopen([(F(1, 4), F(1, 2))])
+    a = make_regopen([(F(1, 4), F(1, 2))], L)
     assert verify_shrink_chain(emb, a)
     monkeypatch.setattr(geometry, "shrink_chain", lambda a, count: [a] * count)
     assert not verify_shrink_chain(emb, a)
     # Endpoints interior to a, but the chain spans the gap (3/8, 1/2).
-    two = make_regopen([(F(1, 4), F(3, 8)), (F(1, 2), F(3, 4))])
-    bridge = make_regopen([(F(5, 16), F(11, 16))])
+    two = make_regopen([(F(1, 4), F(3, 8)), (F(1, 2), F(3, 4))], L)
+    bridge = make_regopen([(F(5, 16), F(11, 16))], L)
     monkeypatch.setattr(geometry, "shrink_chain", lambda a, count: [bridge] * count)
     assert not verify_shrink_chain(emb, two)
 
@@ -435,7 +472,7 @@ def test_spectral_set_identity_across_cell_counts():
     for n in range(1, 6):
         e = build_embedding(points[:n], n)
         assert verify_spectral_map_uniqueness(e, 3)
-        for a in dyadic_grid_regopens(4):
+        for a in dyadic_grid_regopens(4, e.scale):
             assert verify_spectral_set_identity(e, a)
 
 
@@ -447,7 +484,7 @@ def test_dyadic_base_is_a_base(emb):
         for depth in (4, 6):
             hits = [
                 iv
-                for iv in dyadic_grid_regopens(depth)
+                for iv in dyadic_grid_regopens(depth, L)
                 if iv.contains_interior(t)
             ]
             assert hits
@@ -460,12 +497,12 @@ def test_mask_forms_build_no_closed_sets(emb, monkeypatch):
         raise AssertionError("closed set of an atom was built")
 
     monkeypatch.setattr(geometry, "closed_set_of_atom", refuse)
-    for a in dyadic_grid_regopens(3):
+    for a in dyadic_grid_regopens(3, L):
         assert verify_spectral_set_identity(emb, a)
-    rep = boundary_dichotomy(emb, make_regopen([(0, F(1, 3))]))
+    rep = boundary_dichotomy(emb, make_regopen([(0, F(1, 3))], L))
     assert rep.witness_atom == BoolElem.from_indices([1], 3)
-    assert monotone_limit_check(emb, [make_regopen([(0, 1 - F(1, 2**n))]) for n in range(1, 9)])
-    assert monotone_limit_check(emb, [make_regopen([(0, F(1, 2))])] * 4)
+    assert monotone_limit_check(emb, [make_regopen([(0, 1 - F(1, 2**n))], L) for n in range(1, 9)])
+    assert monotone_limit_check(emb, [make_regopen([(0, F(1, 2))], L)] * 4)
 
 
 # The per-atom definitions the mask forms replace, written out over the
@@ -503,12 +540,12 @@ def _dichotomy_witness_by_atoms(emb, r):
 
 
 def _assert_mask_forms_match_atoms(emb, rng):
-    family = dyadic_grid_regopens(4)
+    family = dyadic_grid_regopens(4, emb.scale)
     for a in family:
         assert verify_spectral_set_identity(emb, a) == _identity_by_atoms(emb, a)
         assert uncovered_atoms(emb, [a]) == _uncovered_by_atoms(emb, [a])
     for _ in range(40):
-        acc = EMPTY
+        acc = make_regopen((), emb.scale)
         chain = []
         for _ in range(rng.randint(1, 4)):
             acc = acc | rng.choice(family)
@@ -519,7 +556,7 @@ def _assert_mask_forms_match_atoms(emb, rng):
     for lo in ends:
         for hi in ends:
             if lo < hi:
-                r = make_regopen([(lo, hi)])
+                r = make_regopen([(lo, hi)], emb.scale)
                 assert boundary_dichotomy(emb, r).witness_atom == _dichotomy_witness_by_atoms(emb, r)
 
 
@@ -533,7 +570,7 @@ def test_mask_forms_match_atom_definitions_across_cell_counts(rng):
 def test_mask_forms_match_atom_definitions_on_a_dyadic_sample_point(rng):
     # Built directly, so build_embedding does not reject the point 1/2.
     e = Embedding((F(1, 5), F(1, 2), F(2, 3)))
-    half = make_regopen([(0, F(1, 2))])
+    half = make_regopen([(0, F(1, 2))], e.scale)
     assert not verify_spectral_set_identity(e, half)
     assert not _identity_by_atoms(e, half)
     assert closure_cells(e, half) == BoolElem.from_indices([0, 1], 3)

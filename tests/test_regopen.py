@@ -6,13 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from noise_lab.regopen import (
-    EMPTY,
-    FULL,
     FiniteSpace,
     RegOpen,
     _triple_laws,
     dyadic_quotient_space,
     finite_space_regopen,
+    grid_scale,
     make_regopen,
     random_regopen,
     regopen_to_quotient,
@@ -20,19 +19,31 @@ from noise_lab.regopen import (
 )
 
 F = Fraction
+# The grid of the elements made here; it holds every drawn endpoint and the
+# midpoints between them.
+L = grid_scale()
+EMPTY = make_regopen((), L)
+FULL = make_regopen([(0, 1)], L)
+
+
+def on_grid(points):
+    """The rational points as ticks of the grid 1/L."""
+    ticks = [t * L for t in points]
+    assert all(x.denominator == 1 for x in ticks)
+    return [int(x) for x in ticks]
 
 
 def test_make_regopen_fills_punctures():
-    r = make_regopen([(0, F(1, 2)), (F(1, 2), 1)])
+    r = make_regopen([(0, F(1, 2)), (F(1, 2), 1)], L)
     assert r.is_full
 
 
 def test_make_regopen_empty_interval():
-    assert make_regopen([(F(1, 4), F(1, 4))]).is_empty
+    assert make_regopen([(F(1, 4), F(1, 4))], L).is_empty
 
 
 def test_make_regopen_edge_absorption():
-    r = make_regopen([(0, F(1, 2))])
+    r = make_regopen([(0, F(1, 2))], L)
     assert r.intervals == ((F(0), F(1, 2)),)
     assert r.contains_interior(F(0))       # [0, 1/2) contains the space edge
     assert not r.contains_interior(F(1, 2))
@@ -40,22 +51,68 @@ def test_make_regopen_edge_absorption():
 
 def test_make_regopen_rejects_bad_endpoints():
     with pytest.raises(ValueError):
-        make_regopen([(F(-1, 4), F(1, 2))])
+        make_regopen([(F(-1, 4), F(1, 2))], L)
     with pytest.raises(ValueError):
-        make_regopen([(F(1, 2), F(5, 4))])
+        make_regopen([(F(1, 2), F(5, 4))], L)
     with pytest.raises(ValueError):
-        make_regopen([(F(3, 4), F(1, 4))])
+        make_regopen([(F(3, 4), F(1, 4))], L)
+
+
+def test_make_regopen_refuses_an_endpoint_off_the_grid():
+    with pytest.raises(ValueError, match="3/7 is off the grid"):
+        make_regopen([(F(3, 7), F(1, 2))], L)
+    with pytest.raises(ValueError, match="1/7 is off the grid"):
+        make_regopen([(F(1, 7), F(1, 7))], L)
+    r = make_regopen([(F(1, 7), F(1, 2))], grid_scale([F(1, 7)]))
+    assert r.intervals == ((F(1, 7), F(1, 2)),)
+    assert repr(r) == "RegOpen((1/7,1/2))"
+
+
+def test_operations_on_two_grids_raise():
+    r = make_regopen([(0, F(1, 2))], L)
+    s = make_regopen([(0, F(1, 2))], grid_scale([F(1, 7)]))
+    assert r != s
+    for op in (RegOpen.meet, RegOpen.join, RegOpen.le):
+        with pytest.raises(ValueError, match="two grids"):
+            op(r, s)
+        with pytest.raises(ValueError, match="two grids"):
+            op(s, r)
+
+
+def test_sweeps_use_no_fraction(monkeypatch):
+    from noise_lab import regopen
+
+    rng = random.Random(5)
+    elems = [random_regopen(rng, L) for _ in range(60)] + [EMPTY, FULL]
+    # Every endpoint the pool can draw, and every midpoint between two.
+    points = list(range(0, L + 1, L // 480))
+
+    def answers():
+        out = []
+        for r in elems:
+            out += [~r, r.interior_mask(points), r.closure_mask(points)]
+            for s in elems[:20]:
+                out += [r & s, r | s, r.le(s)]
+        return out
+
+    expected = answers()
+
+    def refuse(*args):
+        raise AssertionError("a sweep made a Fraction")
+
+    monkeypatch.setattr(regopen, "Fraction", refuse)
+    assert answers() == expected
 
 
 def test_reg_ops_examples():
-    r = make_regopen([(0, F(1, 2))])
+    r = make_regopen([(0, F(1, 2))], L)
     s = ~r
     meet, join, comp = r.meet(s), r.join(s), r.complement()
     assert comp.intervals == ((F(1, 2), F(1)),)
     assert join.is_full          # the point 1/2 is absorbed
     assert meet.is_empty
 
-    s = make_regopen([(F(1, 4), 1)])
+    s = make_regopen([(F(1, 4), 1)], L)
     meet, join = r.meet(s), r.join(s)
     assert meet.intervals == ((F(1, 4), F(1, 2)),)
     assert join.is_full
@@ -68,7 +125,7 @@ def boundary_points(r):
 
 
 def test_interior_closure_boundary_examples():
-    r = make_regopen([(0, F(1, 2))])
+    r = make_regopen([(0, F(1, 2))], L)
     # The closure of an element is the union of its intervals, closed.
     assert r.intervals == ((F(0), F(1, 2)),)
     assert r.contains_closure(F(1, 2)) and not r.contains_interior(F(1, 2))
@@ -76,22 +133,22 @@ def test_interior_closure_boundary_examples():
 
     assert (EMPTY.intervals, boundary_points(EMPTY)) == ((), ())
 
-    mid = make_regopen([(F(1, 4), F(3, 4))])
+    mid = make_regopen([(F(1, 4), F(3, 4))], L)
     assert boundary_points(mid) == (F(1, 4), F(3, 4))
 
     assert boundary_points(FULL) == ()
 
 
 def test_verify_reg_laws(rng):
-    rep = verify_reg_laws(rng, iterations=400)
+    rep = verify_reg_laws(rng, L, iterations=400)
     assert rep.passed
     assert rep.join_strict_witnesses
     assert rep.meet_strict_witnesses
 
 
 def test_strictness_witness_at_half():
-    r = make_regopen([(0, F(1, 2))])
-    s = make_regopen([(F(1, 2), 1)])
+    r = make_regopen([(0, F(1, 2))], L)
+    s = make_regopen([(F(1, 2), 1)], L)
     join = r | s
     assert join.is_full
     assert not r.contains_interior(F(1, 2)) and not s.contains_interior(F(1, 2))
@@ -99,7 +156,7 @@ def test_strictness_witness_at_half():
 
 
 def test_equal_elements_give_equalities():
-    r = make_regopen([(F(1, 8), F(3, 8)), (F(1, 2), F(3, 4))])
+    r = make_regopen([(F(1, 8), F(3, 8)), (F(1, 2), F(3, 4))], L)
     assert (r & r) == r
     assert (r | r) == r
     assert (r & r).le(r) and r.le(r & r)
@@ -121,14 +178,14 @@ def raw_intervals(draw):
 @settings(max_examples=300, derandomize=True)
 @given(raw_intervals())
 def test_canonical_form_properties(pieces):
-    r = make_regopen(pieces)
+    r = make_regopen(pieces, L)
     # canonical: ordered, strict gaps between closures
     for (a, b), (c, d) in zip(r.intervals, r.intervals[1:]):
         assert b < c
     for a, b in r.intervals:
         assert 0 <= a < b <= 1
     # idempotent, hence regular: the interior of the closure is r
-    assert make_regopen(r.intervals) == r
+    assert make_regopen(r.intervals, L) == r
     # double complement
     assert ~~r == r
 
@@ -136,19 +193,19 @@ def test_canonical_form_properties(pieces):
 @settings(max_examples=200, derandomize=True)
 @given(raw_intervals(), raw_intervals())
 def test_order_equivalence(p1, p2):
-    r, s = make_regopen(p1), make_regopen(p2)
+    r, s = make_regopen(p1, L), make_regopen(p2, L)
     assert r.le(s) == ((r & s) == r) == ((r | s) == s)
 
 
 def reference_meet(r, s):
     """Meet by intersecting every pair of intervals, then sorting."""
     pieces = []
-    for a, b in r.intervals:
-        for c, d in s.intervals:
+    for a, b in r.ticks:
+        for c, d in s.ticks:
             lo, hi = max(a, c), min(b, d)
             if lo < hi:
                 pieces.append((lo, hi))
-    return RegOpen(tuple(sorted(pieces)))
+    return RegOpen(tuple(sorted(pieces)), r.scale)
 
 
 def reference_le(r, s):
@@ -164,7 +221,7 @@ def point_mask(points, member):
 @settings(max_examples=300, derandomize=True)
 @given(raw_intervals(), raw_intervals(), st.data())
 def test_sweeps_match_references(p1, p2, data):
-    r, s = make_regopen(p1), make_regopen(p2)
+    r, s = make_regopen(p1, L), make_regopen(p2, L)
     meet, join = r & s, r | s
     assert meet == reference_meet(r, s)
     assert join == ~reference_meet(~r, ~s)
@@ -178,27 +235,29 @@ def test_sweeps_match_references(p1, p2, data):
     pool = sorted(grid + mids)
     some = sorted(data.draw(st.sets(st.sampled_from(pool))))
     for points in (pool, some):
+        ticks = on_grid(points)
         for e in (r, s, meet, join):
-            assert e.interior_mask(points) == point_mask(points, e.contains_interior)
-            assert e.closure_mask(points) == point_mask(points, e.contains_closure)
+            assert e.interior_mask(ticks) == point_mask(points, e.contains_interior)
+            assert e.closure_mask(ticks) == point_mask(points, e.contains_closure)
     # On the midpoints, interior inclusion is the order.
-    assert r.le(s) == (r.interior_mask(mids) & ~s.interior_mask(mids) == 0)
+    at_mids = on_grid(mids)
+    assert r.le(s) == (r.interior_mask(at_mids) & ~s.interior_mask(at_mids) == 0)
 
 
 def test_reg_laws_catch_a_join_that_keeps_touching_hulls(monkeypatch):
     def join_without_fusing(self, other):
         merged = []
-        for a, b in sorted(self.intervals + other.intervals):
+        for a, b in sorted(self.ticks + other.ticks):
             if merged and a < merged[-1][1]:
                 merged[-1] = (merged[-1][0], max(merged[-1][1], b))
             else:
                 merged.append((a, b))
-        return RegOpen(tuple(merged))
+        return RegOpen(tuple(merged), self.scale)
 
     # The operator aliases are bound to the original functions.
     monkeypatch.setattr(RegOpen, "join", join_without_fusing)
     monkeypatch.setattr(RegOpen, "__or__", join_without_fusing)
-    rep = verify_reg_laws(random.Random(0), iterations=50)
+    rep = verify_reg_laws(random.Random(0), L, iterations=50)
     assert any(f.startswith("join complement fails") for f in rep.failures)
 
 
@@ -206,11 +265,12 @@ def test_reg_laws_catch_a_meet_that_drops_its_last_piece(monkeypatch):
     meet = RegOpen.meet
 
     def meet_dropping_last(self, other):
-        return RegOpen(meet(self, other).intervals[:-1])
+        m = meet(self, other)
+        return RegOpen(m.ticks[:-1], m.scale)
 
     monkeypatch.setattr(RegOpen, "meet", meet_dropping_last)
     monkeypatch.setattr(RegOpen, "__and__", meet_dropping_last)
-    rep = verify_reg_laws(random.Random(0), iterations=50)
+    rep = verify_reg_laws(random.Random(0), L, iterations=50)
     assert any(f.startswith("de morgan meet fails") for f in rep.failures)
 
 
@@ -221,7 +281,7 @@ def test_reg_laws_catch_a_broken_order(monkeypatch):
         )
 
     monkeypatch.setattr(RegOpen, "le", le_ignoring_last)
-    rep = verify_reg_laws(random.Random(0), iterations=50)
+    rep = verify_reg_laws(random.Random(0), L, iterations=50)
     assert not rep.passed
     assert any(f.startswith("order equivalence fails") for f in rep.failures)
 
@@ -240,9 +300,9 @@ def test_triple_laws_share_the_pairwise_meets_and_joins(monkeypatch):
     monkeypatch.setattr(RegOpen, "__and__", counted("meet", meet))
     monkeypatch.setattr(RegOpen, "__or__", counted("join", join))
     monkeypatch.setattr(RegOpen, "__invert__", counted("complement", complement))
-    r = make_regopen([(0, F(1, 2))])
-    s = make_regopen([(F(1, 4), F(3, 4))])
-    t = make_regopen([(F(1, 8), F(1, 3)), (F(2, 3), 1)])
+    r = make_regopen([(0, F(1, 2))], L)
+    s = make_regopen([(F(1, 4), F(3, 4))], L)
+    t = make_regopen([(F(1, 8), F(1, 3)), (F(2, 3), 1)], L)
     laws = dict(_triple_laws(r, s, t))
     assert all(laws.values()) and len(laws) == 4
     assert len(ops) == 14
@@ -293,7 +353,7 @@ def test_dyadic_quotient_agreement():
         elems = []
         for bits in range(1 << q):
             pieces = [(F(j, q), F(j + 1, q)) for j in range(q) if bits >> j & 1]
-            elems.append(make_regopen(pieces))
+            elems.append(make_regopen(pieces, L))
         images = {r: regopen_to_quotient(r, depth, cells) for r in elems}
         assert set(images.values()) == set(qalg.elements)
         for r in elems:
@@ -305,5 +365,5 @@ def test_dyadic_quotient_agreement():
 
 def test_random_regopen_is_canonical(rng):
     for _ in range(200):
-        r = random_regopen(rng)
-        assert make_regopen(r.intervals) == r
+        r = random_regopen(rng, L)
+        assert make_regopen(r.intervals, L) == r
