@@ -8,7 +8,6 @@ regular-open-set identities of that setting with exact rational arithmetic.
 
 from .boolalg import BoolElem, FinitePowerAlgebra, Subalgebra
 from .chaos import (
-    ChaosSubspace,
     Classification,
     DefectCertificate,
     NotAdditiveError,
@@ -55,7 +54,6 @@ from .regopen import (
     verify_reg_laws,
 )
 from .spectrum import (
-    SpectralMeasure,
     SpectralSpace,
     build_spectral_space,
     check_atom_of_sigma_x,

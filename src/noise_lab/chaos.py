@@ -12,12 +12,13 @@ conditioning on x keeps the coefficients whose support lies inside x, so
 projections are masked coefficient vectors and projected norms are Parseval
 sums over the kept coefficients.
 
-The atomless defect of a vector, relative to a subalgebra it is additive
-on, is the largest conditional norm over the subalgebra's atoms; the
-defect bounds every mixed third moment E(psi*xi*eta), which is the
-quantitative heart of the classicality criterion. That no coarser
-partition of unity does better is brute-forced once, in the suite check
-chaos.defect_bound.
+The first chaos is returned as a tuple of basis vectors. The atomless
+defect of a vector, relative to a subalgebra it is additive on, is the
+largest conditional norm over the subalgebra's atoms; its certificate holds
+delta^2, delta and the coefficients it was read from. The defect bounds
+every mixed third moment E(psi*xi*eta), which is the quantitative heart of
+the classicality criterion. That no coarser partition of unity does better
+is brute-forced once, in the suite check chaos.defect_bound.
 """
 
 from __future__ import annotations
@@ -52,22 +53,6 @@ def _require_exact(model: NoiseModel, what: str) -> None:
 
 
 @dataclass(frozen=True)
-class ChaosSubspace:
-    basis: tuple[RandomVariable, ...]
-
-    @property
-    def dimension(self) -> int:
-        return len(self.basis)
-
-
-@dataclass(frozen=True)
-class DefectWitness:
-    x: BoolElem
-    passed: bool
-    attained: float
-
-
-@dataclass(frozen=True)
 class DefectCertificate:
     """Atomless defect delta: recorded as exact delta^2 plus a float delta
     (delta itself is a square root, hence usually irrational), with the
@@ -75,7 +60,6 @@ class DefectCertificate:
 
     delta_sq: Fraction
     delta: float
-    witnesses: tuple[DefectWitness, ...]
     coeffs: tuple = field(repr=False)
 
 
@@ -85,14 +69,12 @@ class NotAdditiveError(ValueError):
 
 @dataclass
 class DefectBoundReport:
+    """Whether every entry of the mixed matrix and its operator norm
+    sigma_max are within delta."""
+
     passed: bool
     delta: float
-    delta_sq: Fraction
     sigma_max: float
-    entrywise_ok: bool
-    sigma_ok: bool
-    matrix_shape: tuple[int, int]
-    counterexamples: tuple[tuple[int, int], ...] = ()
 
 
 class Classification(enum.Enum):
@@ -106,7 +88,6 @@ class ClassifyResult:
     kind: Classification
     degenerate: bool
     dimension: int
-    generated_blocks: int
 
 
 # -- linear-system machinery -------------------------------------------------
@@ -130,7 +111,7 @@ def _split_constraint_rows(model: NoiseModel, x: BoolElem) -> list[list[Fraction
     return rows
 
 
-def first_chaos_basis(model: NoiseModel) -> ChaosSubspace:
+def first_chaos_basis(model: NoiseModel) -> tuple[RandomVariable, ...]:
     """Solve the additivity system by exact elimination.
 
     Constraints: zero mean, plus the per-complement split identity for every
@@ -144,7 +125,7 @@ def first_chaos_basis(model: NoiseModel) -> ChaosSubspace:
     for i in range(model.n_cells):
         rows.extend(_split_constraint_rows(model, BoolElem(1 << i, model.n_cells)))
     basis = linalg.nullspace(rows, model.n_points)
-    return ChaosSubspace(tuple(RandomVariable(tuple(v)) for v in basis))
+    return tuple(RandomVariable(tuple(v)) for v in basis)
 
 
 # -- coefficient space ----------------------------------------------------------
@@ -208,14 +189,11 @@ def atomless_defect(
     coeffs = walsh_decompose(model, psi).coeffs
     if not _is_additive(model, coeffs, b):
         raise NotAdditiveError("additivity on b fails")
-    per_atom = [(block, mass_inside(model, coeffs, block)) for block in b.blocks]
-    delta_sq = max((nsq for _, nsq in per_atom), default=model._num(Fraction(0)))
-    delta = math.sqrt(float(delta_sq))
-    witnesses = tuple(
-        DefectWitness(x=block, passed=model.leq(nsq, delta_sq), attained=math.sqrt(float(nsq)))
-        for block, nsq in per_atom
+    delta_sq = max(
+        (mass_inside(model, coeffs, block) for block in b.blocks),
+        default=model._num(Fraction(0)),
     )
-    return DefectCertificate(delta_sq=delta_sq, delta=delta, witnesses=witnesses, coeffs=coeffs)
+    return DefectCertificate(delta_sq=delta_sq, delta=math.sqrt(float(delta_sq)), coeffs=coeffs)
 
 
 def _restrict_index(model: NoiseModel, idx: int, mask: int) -> int:
@@ -258,10 +236,7 @@ def defect_bound_check(
             k = _restrict_index(model, idx, comp.mask)
             entries[(j, k)] = (c, model.basis_norms[j], model.basis_norms[k])
 
-    entry_fail: list[tuple[int, int]] = []
-    for (j, k), (c, nj, nk) in entries.items():
-        if not model.leq(c * c * nj * nk, delta_sq):
-            entry_fail.append((j, k))
+    entrywise = all(model.leq(c * c * nj * nk, delta_sq) for c, nj, nk in entries.values())
 
     row_ids = sorted({j for j, _ in entries})
     col_ids = sorted({k for _, k in entries})
@@ -271,18 +246,7 @@ def defect_bound_check(
     for (j, k), (c, nj, nk) in entries.items():
         mat[row_pos[j]][col_pos[k]] = float(c) * math.sqrt(float(nj) * float(nk))
     sigma = linalg.spectral_norm(mat) if entries else 0.0
-    sigma_ok = sigma <= delta + 1e-9
-
-    return DefectBoundReport(
-        passed=not entry_fail and sigma_ok,
-        delta=delta,
-        delta_sq=delta_sq,
-        sigma_max=sigma,
-        entrywise_ok=not entry_fail,
-        sigma_ok=sigma_ok,
-        matrix_shape=(len(row_ids), len(col_ids)),
-        counterexamples=tuple(entry_fail),
-    )
+    return DefectBoundReport(passed=entrywise and sigma <= delta + 1e-9, delta=delta, sigma_max=sigma)
 
 
 # -- split identity and the product criterion ---------------------------------
@@ -368,27 +332,18 @@ def sigma_field_generated(
     return tuple(tuple(b) for b in blocks.values())
 
 
-def classify(model: NoiseModel, chaos: ChaosSubspace) -> ClassifyResult:
-    """Classical when the first chaos (from first_chaos_basis) separates all
-    points; black when it is trivial. A zero-cell model is black only by
-    letter and is flagged degenerate rather than reported as a genuine
-    example."""
-    if chaos.dimension == 0:
+def classify(model: NoiseModel, basis: tuple[RandomVariable, ...]) -> ClassifyResult:
+    """Classical when the first chaos (the basis from first_chaos_basis)
+    separates all points; black when it is trivial. A zero-cell model is
+    black only by letter and is flagged degenerate rather than reported as a
+    genuine example."""
+    if not basis:
         return ClassifyResult(
-            kind=Classification.BLACK,
-            degenerate=model.n_cells == 0,
-            dimension=0,
-            generated_blocks=1,
+            kind=Classification.BLACK, degenerate=model.n_cells == 0, dimension=0
         )
-    partition = sigma_field_generated(model, chaos.basis)
     kind = (
         Classification.CLASSICAL
-        if len(partition) == model.n_points
+        if len(sigma_field_generated(model, basis)) == model.n_points
         else Classification.INTERMEDIATE
     )
-    return ClassifyResult(
-        kind=kind,
-        degenerate=False,
-        dimension=chaos.dimension,
-        generated_blocks=len(partition),
-    )
+    return ClassifyResult(kind=kind, degenerate=False, dimension=len(basis))

@@ -2,7 +2,8 @@
 
 Exit codes: 0 all checks pass, 1 at least one failure, 2 input error
 (including a config that `chaos` or `spectrum` refuses for its backend or
-size), 3 a check was skipped while --strict was requested.
+size, and an output path that cannot be written), 3 a check was skipped
+while --strict was requested.
 """
 
 from __future__ import annotations
@@ -62,9 +63,17 @@ def _cmd_verify(args) -> int:
     report = run_verification_suite(cfg, args.only)
     sys.stdout.write(report.render_text())
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json())
+        _write(args.json, report.to_json())
     return report.exit_code(strict=args.strict)
+
+
+def _write(path, text):
+    """Write an output file; a path that cannot be written is an input error."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def _load_admitted(path, **needs):
@@ -88,29 +97,28 @@ def _cmd_spectrum(args) -> int:
     sys.stdout.write("\n".join(out) + "\n")
 
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(",".join(headers) + "\n")
-            for r in rows:
-                fh.write(",".join(f'"{r[0]}"' if c == 0 else r[c] for c in range(len(headers))) + "\n")
+        csv = [",".join(headers)]
+        csv.extend(",".join(f'"{r[0]}"' if c == 0 else r[c] for c in range(len(headers))) for r in rows)
+        _write(args.csv, "\n".join(csv) + "\n")
     return 0
 
 
 def _cmd_chaos(args) -> int:
     cfg = _load_admitted(args.config, exact=True, points=EXACT_CAP)
+    if args.subalgebra is not None:
+        sub = cfg.subalgebra(args.subalgebra)
+    else:
+        sub = _full_subalgebra(cfg)
     model = cfg.build_model()
-    chaos = chaos_mod.first_chaos_basis(model)
-    result = chaos_mod.classify(model, chaos)
+    basis = chaos_mod.first_chaos_basis(model)
+    result = chaos_mod.classify(model, basis)
     lines = [
-        f"first-chaos dimension: {chaos.dimension}",
+        f"first-chaos dimension: {len(basis)}",
         f"classification: {result.kind.value}"
         + (" (degenerate)" if result.degenerate else ""),
     ]
     if args.vector is not None:
         psi = cfg.vector(args.vector, model)
-        if args.subalgebra is not None:
-            sub = cfg.subalgebra(args.subalgebra)
-        else:
-            sub = _full_subalgebra(cfg)
         try:
             cert = chaos_mod.atomless_defect(model, psi, sub)
         except chaos_mod.NotAdditiveError:

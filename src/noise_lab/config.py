@@ -134,6 +134,14 @@ def _parse_cells(raw, path: str) -> tuple[Cell, ...]:
     return tuple(cells)
 
 
+def _named(data: dict, key: str):
+    """The (name, value) pairs of an optional field that maps names to values."""
+    raw = data.get(key, {})
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{key} must be an object mapping names to values", key)
+    return raw.items()
+
+
 def load_config_dict(data: dict) -> ModelConfig:
     if not isinstance(data, dict):
         raise ConfigError("top level must be an object")
@@ -147,7 +155,7 @@ def load_config_dict(data: dict) -> ModelConfig:
         n_points *= c.k
 
     subalgebras = []
-    for name, blocks in dict(data.get("subalgebras", {})).items():
+    for name, blocks in _named(data, "subalgebras"):
         spath = f"subalgebras.{name}"
         if not isinstance(blocks, list) or not all(isinstance(b, list) for b in blocks):
             raise ConfigError("blocks must be a list of index lists", spath)
@@ -155,9 +163,9 @@ def load_config_dict(data: dict) -> ModelConfig:
         for b in blocks:
             for i in b:
                 if type(i) is not int or not 0 <= i < n:
-                    raise ConfigError(f"cell index {i} out of range", spath)
+                    raise ConfigError(f"cell index {i!r} out of range", spath)
                 if i in seen:
-                    raise ConfigError(f"cell index {i} repeated across blocks", spath)
+                    raise ConfigError(f"cell index {i!r} repeated across blocks", spath)
                 seen.add(i)
             if not b:
                 raise ConfigError("empty block", spath)
@@ -166,7 +174,7 @@ def load_config_dict(data: dict) -> ModelConfig:
         subalgebras.append((name, tuple(tuple(b) for b in blocks)))
 
     vectors = []
-    for name, values in dict(data.get("vectors", {})).items():
+    for name, values in _named(data, "vectors"):
         vpath = f"vectors.{name}"
         if not isinstance(values, list):
             raise ConfigError("vector must be a list of fraction strings", vpath)

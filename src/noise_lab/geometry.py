@@ -14,10 +14,10 @@ Each spectral atom M is attached to the finite closed set of sample points
 it names. That closed set is recovered by removing every dyadic open
 piece (up to a working depth) avoiding the atom's points. What is left is
 the closure of a regular open set, the union of the grid cells that hold a
-point, so the depth-D approximant is a ``RegOpen`` and its closure; it
-shrinks onto the points as the depth grows, with a certified Hausdorff
-bound. The suite's oracle compares that shortcut with the literal union
-over the dyadic family.
+point, so the depth-D approximant is the closure of a ``RegOpen``, the
+cover that ``spectral_set_map`` returns; it shrinks onto the points as the
+depth grows, with a certified Hausdorff bound. The suite's oracle compares
+that shortcut with the literal union over the dyadic family.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .boolalg import BoolElem
-from .regopen import Interval, RegOpen, grid_scale, to_ticks
+from .regopen import RegOpen, grid_scale, to_ticks
 
 
 def is_dyadic(x: Fraction) -> bool:
@@ -120,10 +120,7 @@ def sample_hom(emb: Embedding, a: RegOpen) -> BoolElem:
 
 @dataclass(frozen=True)
 class SpectralMapResult:
-    points: tuple[Fraction, ...]
-    approx: tuple[Interval, ...]
-    depth: int
-    separation_depth: int | None
+    cover: RegOpen  # its closure is the depth-D approximant
     hausdorff_distance: Fraction
     hausdorff_bound: Fraction
 
@@ -166,28 +163,18 @@ def _uncovered_probes(targets, scale: int, depth: int) -> int:
     return ~covered & ((1 << 2 * q + 1) - 1)
 
 
-def closed_set_of_atom(emb: Embedding, s: BoolElem) -> tuple[Fraction, ...]:
-    return tuple(sorted(emb.sample_points[i] for i in s.indices()))
-
-
 def _atom_ticks(emb: Embedding, s: BoolElem) -> tuple[int, ...]:
     return tuple(emb.ticks[i] for i in s.indices())
 
 
 def spectral_set_map(emb: Embedding, s: BoolElem, depth: int = 6) -> SpectralMapResult:
-    """The closed set of sample points named by an atom, with its depth-D
-    outer approximation (a union of closed dyadic cells around the points)."""
+    """The depth-D outer approximation of the closed set of sample points
+    named by an atom: the grid cover whose closure is the union of closed
+    dyadic cells around the points, with its Hausdorff distance to them."""
     if s.n != emb.n:
         raise ValueError("atom from a different algebra")
     targets = _atom_ticks(emb, s)
     cover = _grid_cover(targets, emb.scale, depth)
-
-    separation_depth = None
-    for d in range(depth + 1):
-        if len(_grid_cover(targets, emb.scale, d).ticks) == len(targets):
-            separation_depth = d
-            break
-
     # Twice the distance, so that half a gap stays a whole number of ticks.
     twice = 0
     for a, b in cover.ticks:
@@ -196,10 +183,7 @@ def spectral_set_map(emb: Embedding, s: BoolElem, depth: int = 6) -> SpectralMap
         gaps.extend(v - u for u, v in zip(inside, inside[1:]))
         twice = max(twice, max(gaps))
     return SpectralMapResult(
-        points=closed_set_of_atom(emb, s),
-        approx=cover.intervals,
-        depth=depth,
-        separation_depth=separation_depth,
+        cover=cover,
         hausdorff_distance=Fraction(twice, 2 * emb.scale),
         hausdorff_bound=Fraction(2, 1 << depth),
     )

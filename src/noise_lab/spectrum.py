@@ -3,7 +3,8 @@
 All the conditioning projections act diagonally on the orthogonal tensor
 basis, so they are simultaneously diagonalized by grouping basis indices by
 support. The distinct supports are the atoms of the spectral space, one per
-cell subset, and an atom is its mask. Each carries a multiplicity (its
+cell subset, and an atom is its mask; a vector's spectral measure is the
+tuple of its masses, indexed by mask. Each carries a multiplicity (its
 eigenspace dimension) and a canonical rational mass (multiplicity over the
 space size), which happens to be a product measure over cells and therefore
 witnesses every independence statement.
@@ -39,14 +40,6 @@ class SpectralSpace:
         return self.model.n_cells
 
 
-@dataclass(frozen=True)
-class SpectralMeasure:
-    """Mass per atom: squared norm of the component of a vector in each
-    support eigenspace. Total mass is the squared norm."""
-
-    masses: tuple
-
-
 def build_spectral_space(model: NoiseModel) -> SpectralSpace:
     """Group basis indices by support; every subset of cells occurs (each
     cell contributes at least one zero-mean direction), with multiplicity
@@ -80,9 +73,10 @@ def spectral_set(space: SpectralSpace, x: BoolElem) -> frozenset[int]:
     return frozenset(s.mask for s in subsets_of(x))
 
 
-def spectral_measure(model: NoiseModel, psi: RandomVariable) -> SpectralMeasure:
-    masses = support_masses(model, walsh_decompose(model, psi).coeffs)
-    return SpectralMeasure(tuple(masses.values()))
+def spectral_measure(model: NoiseModel, psi: RandomVariable) -> tuple:
+    """Mass per atom, indexed by atom mask: the squared norm of the component
+    of psi in each support eigenspace. Total mass is the squared norm."""
+    return tuple(support_masses(model, walsh_decompose(model, psi).coeffs).values())
 
 
 @dataclass(frozen=True)

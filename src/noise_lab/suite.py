@@ -348,18 +348,18 @@ def chaos__first_chaos(ctx: _Ctx):
     fc = ctx.chaos
     expected = sum(k - 1 for k in m.radices)
     bad = []
-    if fc.dimension != expected:
-        bad.append(f"dimension {fc.dimension} != {expected}")
+    if len(fc) != expected:
+        bad.append(f"dimension {len(fc)} != {expected}")
     single = [
         list(m.walsh_vector(idx).values)
         for idx, mask in enumerate(m.support_masks)
         if bin(mask).count("1") == 1
     ]
-    if not linalg.span_equal([list(v.values) for v in fc.basis], single):
+    if not linalg.span_equal([list(v.values) for v in fc], single):
         bad.append("span differs from the single-cell Walsh directions")
     # Full pairwise additivity as an oracle on every basis vector.
     n = m.n_cells
-    for v in fc.basis:
+    for v in fc:
         proj = {}
         for x_mask in range(1 << n):
             proj[x_mask] = project(m, BoolElem(x_mask, n), v)
@@ -370,7 +370,7 @@ def chaos__first_chaos(ctx: _Ctx):
                     rhs = proj[x_mask] + proj[y_mask]
                     if not m.rv_eq(lhs, rhs):
                         bad.append(f"pairwise additivity fails at {x_mask},{y_mask}")
-    return f"dimension {fc.dimension}", bad, not bad
+    return f"dimension {len(fc)}", bad, not bad
 
 
 @_check(exact=True, points=ELIMINATION_CAP)
@@ -388,10 +388,10 @@ def chaos__additive_norm(ctx: _Ctx):
     m = ctx.model
     fc = ctx.chaos
     rng = ctx.rng("chaos.addnorm")
-    probes = list(fc.basis)
-    if fc.basis:
+    probes = list(fc)
+    if fc:
         combo = m.constant(0)
-        for v in fc.basis:
+        for v in fc:
             combo = combo + v.scale(Fraction(rng.randint(-3, 3)))
         probes.append(combo)
     bad = []
@@ -491,10 +491,10 @@ def spectrum__projection_measure(ctx: _Ctx):
     bad = []
     for _ in range(20):
         psi = m.random_rv(rng)
-        sm = spec_mod.spectral_measure(m, psi)
+        masses = spec_mod.spectral_measure(m, psi)
         for x in ctx.elements(rng, sample=6):
             mass = sum(
-                (sm.masses[a] for a in sorted(spec_mod.spectral_set(space, x))),
+                (masses[a] for a in sorted(spec_mod.spectral_set(space, x))),
                 m._num(Fraction(0)),
             )
             if not m.eq(mass, norm_sq(m, project(m, x, psi))):
@@ -591,11 +591,11 @@ def spectrum__measure_class(ctx: _Ctx):
     m = ctx.model
     space = ctx.space
     generic = walsh_reconstruct(m, WalshCoeffs(tuple(Fraction(1) for _ in range(m.n_points))))
-    sm = spec_mod.spectral_measure(m, generic)
-    ok = spec_mod.mutually_absolutely_continuous(sm.masses, space.measure)
+    masses = spec_mod.spectral_measure(m, generic)
+    ok = spec_mod.mutually_absolutely_continuous(masses, space.measure)
     concentrated = spec_mod.spectral_measure(m, m.constant(1))
     negative = (
-        spec_mod.mutually_absolutely_continuous(concentrated.masses, space.measure)
+        spec_mod.mutually_absolutely_continuous(concentrated, space.measure)
         if m.n_cells > 0
         else False
     )
@@ -733,9 +733,10 @@ def geometry__approximant(ctx: _Ctx):
         atom = BoolElem(mask, emb.n)
         for d in range(1, depth + 1):
             res = geo_mod.spectral_set_map(emb, atom, depth=d)
-            for t in res.points:
-                if not any(a <= t <= b for a, b in res.approx):
-                    bad.append(f"point {t} escapes the depth-{d} cover")
+            missed = atom & ~geo_mod.closure_cells(emb, res.cover)
+            bad.extend(
+                f"point {emb.sample_points[i]} escapes the depth-{d} cover" for i in missed.indices()
+            )
             if res.hausdorff_distance > res.hausdorff_bound:
                 bad.append(f"Hausdorff bound broken at atom {atom}, depth {d}")
     return f"all atoms, depths 1..{depth}", bad, not bad
@@ -868,21 +869,17 @@ def emit_spectrum_report(cfg: ModelConfig, vector_name: str) -> list[tuple[str, 
     model = cfg.build_model()
     psi = cfg.vector(vector_name, model)
     space = spec_mod.build_spectral_space(model)
-    sm = spec_mod.spectral_measure(model, psi)
+    masses = spec_mod.spectral_measure(model, psi)
     rows = []
     for i, atom in enumerate(space.atoms):
-        exact = (
-            str(sm.masses[i])
-            if model.backend == "exact"
-            else decimal12(sm.masses[i])
-        )
+        exact = str(masses[i]) if model.backend == "exact" else decimal12(masses[i])
         rows.append(
             (
                 repr(atom),
                 str(space.dims[i]),
                 str(space.measure[i]),
                 exact,
-                decimal12(sm.masses[i]),
+                decimal12(masses[i]),
             )
         )
     return rows

@@ -44,22 +44,22 @@ F = Fraction
 
 def test_first_chaos_two_coins(two_coins):
     fc = first_chaos_basis(two_coins)
-    assert fc.dimension == 2
+    assert len(fc) == 2
     r1 = sign_rv(two_coins, 0)
     r2 = sign_rv(two_coins, 1)
     assert linalg.span_equal(
-        [list(v.values) for v in fc.basis], [list(r1.values), list(r2.values)]
+        [list(v.values) for v in fc], [list(r1.values), list(r2.values)]
     )
 
 
 def test_first_chaos_three_valued():
     m = NoiseModel([uniform_cell(3)])
-    assert first_chaos_basis(m).dimension == 2
+    assert len(first_chaos_basis(m)) == 2
 
 
 def test_first_chaos_zero_cells():
     m = NoiseModel([])
-    assert first_chaos_basis(m).dimension == 0
+    assert first_chaos_basis(m) == ()
 
 
 def test_satisfies_additivity_examples(four_coins):
@@ -92,7 +92,6 @@ def test_atomless_defect_examples(four_coins, two_coins):
     blocks = block_subalgebra(m4, [[0, 1], [2, 3]])
     cert4 = atomless_defect(m4, psi, blocks)
     assert cert4.delta_sq == 1
-    assert all(w.passed for w in cert4.witnesses)
 
 
 def test_atomless_defect_requires_additivity(four_coins):
@@ -125,7 +124,6 @@ def test_defect_bound_first_chaos_vector_trivial(four_coins):
     )
     assert rep.passed
     assert rep.sigma_max == 0.0
-    assert rep.matrix_shape == (0, 0)
 
 
 def test_defect_bound_trivial_subalgebra_cauchy_schwarz(four_coins, rng):
@@ -300,7 +298,7 @@ def test_defect_zero_forces_zero_vector(four_coins, rng):
 def test_norm_additivity_on_first_chaos(coin_and_triple):
     m = coin_and_triple
     fc = first_chaos_basis(m)
-    psi = fc.basis[0] + fc.basis[-1].scale(F(3))
+    psi = fc[0] + fc[-1].scale(F(3))
     for xm in range(4):
         for ym in range(4):
             if xm & ym == 0:
@@ -332,7 +330,7 @@ def test_first_chaos_is_intersection_of_split_spaces(coin_and_triple):
         if all(split_check(m, v, BoolElem(mask, 2)) for mask in range(4))
     ]
     assert linalg.span_equal(
-        [list(v.values) for v in surviving], [list(v.values) for v in fc.basis]
+        [list(v.values) for v in surviving], [list(v.values) for v in fc]
     )
     # And a genuinely mixed vector fails some split.
     mixed = m.walsh_vector(point_index(m, (1, 1)))
@@ -395,7 +393,7 @@ def test_coefficient_space_matches_point_space_oracle():
                 max((norm_sq(m, project(m, part, psi)) for part in partition), default=0)
                 for partition in iter_partitions_of_unity(sub)
             )
-            assert [w.attained for w in cert.witnesses] == [math.sqrt(float(v)) for v in norms]
+            assert cert.delta == math.sqrt(float(max(norms, default=0)))
 
             for mask in range(1 << n):
                 x = BoolElem(mask, n)

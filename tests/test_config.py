@@ -109,6 +109,21 @@ def test_boolean_cell_index_rejected():
         load_config_dict({"cells": TWO_COINS["cells"], "subalgebras": {"s": [[True], [0]]}})
 
 
+@pytest.mark.parametrize(
+    "key, raw",
+    [("subalgebras", [1]), ("subalgebras", [[0, 1]]), ("vectors", "ab"), ("vectors", [])],
+)
+def test_named_fields_must_be_objects(key, raw):
+    with pytest.raises(ConfigError, match=f"^{key}: {key} must be an object") as info:
+        load_config_dict({"cells": TWO_COINS["cells"], key: raw})
+    assert info.value.path == key
+
+
+def test_string_cell_index_reads_as_a_string():
+    with pytest.raises(ConfigError, match=r"^subalgebras\.s: cell index '1' out of range"):
+        load_config_dict({"cells": TWO_COINS["cells"], "subalgebras": {"s": [["1"], [0]]}})
+
+
 def test_parse_error_reports_position(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"cells": [\n  {"k": 2, "probs": ["1/2" "1/2"]}\n]}')

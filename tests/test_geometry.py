@@ -14,7 +14,6 @@ from noise_lab.geometry import (
     boundary_dichotomy,
     build_embedding,
     chain_sup,
-    closed_set_of_atom,
     closure_cells,
     inner_approx,
     is_dyadic,
@@ -38,6 +37,7 @@ from noise_lab.regopen import (
 )
 from noise_lab.suite import (
     _Ctx,
+    geometry__approximant,
     geometry__boundary_dichotomy,
     geometry__homomorphism,
     geometry__spectral_identity,
@@ -167,14 +167,13 @@ def test_sample_hom_is_homomorphism_random(emb, rng):
 
 
 def test_spectral_set_map_examples(emb):
-    assert spectral_set_map(emb, BoolElem(0, 3)).points == ()
-    assert spectral_set_map(emb, BoolElem(0, 3)).approx == ()
+    assert spectral_set_map(emb, BoolElem(0, 3)).cover.intervals == ()
 
-    res = spectral_set_map(emb, BoolElem.from_indices([0, 2], 3))
-    assert res.points == (F(1, 5), F(2, 3))
+    atom = BoolElem.from_indices([0, 2], 3)
+    assert closure_cells(emb, spectral_set_map(emb, atom).cover) == atom
 
     res3 = spectral_set_map(emb, BoolElem.from_indices([1], 3), depth=3)
-    assert res3.approx == ((F(1, 4), F(3, 8)),)  # the depth-3 cell around 1/3
+    assert res3.cover.intervals == ((F(1, 4), F(3, 8)),)  # the depth-3 cell around 1/3
 
 
 def test_spectral_set_map_shrinks(emb):
@@ -182,16 +181,17 @@ def test_spectral_set_map_shrinks(emb):
     previous = None
     for depth in range(1, 9):
         res = spectral_set_map(emb, atom, depth=depth)
-        for t in res.points:
-            assert any(a <= t <= b for a, b in res.approx)
+        for t in emb.sample_points:
+            assert any(a <= t <= b for a, b in res.cover.intervals)
         assert res.hausdorff_distance <= res.hausdorff_bound
-        total = sum((b - a for a, b in res.approx), F(0))
+        total = sum((b - a for a, b in res.cover.intervals), F(0))
         if previous is not None:
             assert total <= previous
         previous = total
     # 1/5 and 1/3 fall in adjacent cells up to depth 3, so the components
     # first separate at depth 4.
-    assert res.separation_depth == 4
+    assert len(spectral_set_map(emb, atom, depth=3).cover.ticks) == 2
+    assert len(spectral_set_map(emb, atom, depth=4).cover.ticks) == 3
 
 
 def test_uniqueness_of_the_union(emb):
@@ -258,11 +258,7 @@ def test_approximant_matches_the_flag_array_reference(rng):
         atom = BoolElem((1 << emb.n) - 1, emb.n)
         for depth in range(9):
             res = spectral_set_map(emb, atom, depth=depth)
-            assert res.approx == reference_cover(targets, depth)
-            assert res.separation_depth == next(
-                (d for d in range(depth + 1) if len(reference_cover(targets, d)) == len(targets)),
-                None,
-            )
+            assert res.cover.intervals == reference_cover(targets, depth)
 
 
 def _drop_last_cell(monkeypatch):
@@ -285,6 +281,14 @@ def test_uniqueness_oracle_catches_a_cover_without_its_last_cell(emb, monkeypatc
     result = geometry__spectral_identity(_Ctx(load_model_config(str(TWO_COINS))))
     assert result.status == "fail"
     assert "closed-set approximant differs from its definition" in result.witnesses
+
+
+def test_approximant_check_catches_a_cover_without_its_last_cell(monkeypatch):
+    _drop_last_cell(monkeypatch)
+    result = geometry__approximant(_Ctx(load_model_config(str(TWO_COINS))))
+    assert result.status == "fail"
+    assert result.witnesses
+    assert all(" escapes the depth-" in w for w in result.witnesses)
 
 
 def test_spectral_set_identity_runs_no_uniqueness_oracle(emb, monkeypatch):
@@ -496,7 +500,7 @@ def test_mask_forms_build_no_closed_sets(emb, monkeypatch):
     def refuse(emb, s):
         raise AssertionError("closed set of an atom was built")
 
-    monkeypatch.setattr(geometry, "closed_set_of_atom", refuse)
+    monkeypatch.setattr(geometry, "_atom_ticks", refuse)
     for a in dyadic_grid_regopens(3, L):
         assert verify_spectral_set_identity(emb, a)
     rep = boundary_dichotomy(emb, make_regopen([(0, F(1, 3))], L))
@@ -509,13 +513,17 @@ def test_mask_forms_build_no_closed_sets(emb, monkeypatch):
 # closed set of every atom.
 
 
+def _closed_set(emb, atom):
+    return tuple(emb.sample_points[i] for i in atom.indices())
+
+
 def _identity_by_atoms(emb, a):
     ha = sample_hom(emb, a)
     lhs = {m for m in range(1 << emb.n) if m & ~ha.mask == 0}
     rhs = {
         m
         for m in range(1 << emb.n)
-        if all(a.contains_closure(t) for t in closed_set_of_atom(emb, BoolElem(m, emb.n)))
+        if all(a.contains_closure(t) for t in _closed_set(emb, BoolElem(m, emb.n)))
     }
     return lhs == rhs
 
@@ -524,7 +532,7 @@ def _uncovered_by_atoms(emb, chain):
     out = []
     for m in range(1 << emb.n):
         atom = BoolElem(m, emb.n)
-        pts = closed_set_of_atom(emb, atom)
+        pts = _closed_set(emb, atom)
         if not any(all(a.contains_closure(t) for t in pts) for a in chain):
             out.append(atom)
     return out
@@ -533,7 +541,7 @@ def _uncovered_by_atoms(emb, chain):
 def _dichotomy_witness_by_atoms(emb, r):
     for m in range(1, 1 << emb.n):
         atom = BoolElem(m, emb.n)
-        pts = closed_set_of_atom(emb, atom)
+        pts = _closed_set(emb, atom)
         if any(r.contains_closure(t) and not r.contains_interior(t) for t in pts):
             return atom
     return None

@@ -104,7 +104,7 @@ def test_first_chaos_check_compares_span_with_single_cell_directions(monkeypatch
         single, two_cell = (
             [i for i, s in enumerate(model.support_masks) if s == mask] for mask in (0b01, 0b11)
         )
-        return chaos_mod.ChaosSubspace(tuple(model.walsh_vector(i) for i in single + two_cell))
+        return tuple(model.walsh_vector(i) for i in single + two_cell)
 
     monkeypatch.setattr(chaos_mod, "first_chaos_basis", swapped)
     result = chaos__first_chaos(_Ctx(load_model_config(str(TWO_COINS))))
@@ -362,6 +362,27 @@ def test_cli_spectrum_table_and_csv(tmp_path):
     assert rows[1] == '"{}",1,1/4,9,9'
     assert rows[3] == '"{1}",1,1/4,0,0'
     assert rows[4] == '"{0,1}",1,1/4,4,4'
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", str(TWO_COINS), "--only", "regopen", "--json"],
+        ["spectrum", str(TWO_COINS), "--vector", "demo", "--csv"],
+    ],
+    ids=["verify-json", "spectrum-csv"],
+)
+def test_cli_unwritable_output_path_is_an_input_error(argv, tmp_path, capsys):
+    path = tmp_path / "missing" / "out"
+    assert main([*argv, str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"input error: cannot write {path}: ")
+
+
+def test_cli_chaos_resolves_the_subalgebra_without_a_vector(capsys):
+    assert main(["chaos", str(FOUR_COINS), "--subalgebra", "ghost"]) == 2
+    assert "unknown subalgebra 'ghost'" in capsys.readouterr().err
 
 
 def test_cli_spectrum_unknown_vector():
