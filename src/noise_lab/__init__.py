@@ -6,7 +6,7 @@ projections, and checks the chaos-decomposition, spectral and
 regular-open-set identities of that setting with exact rational arithmetic.
 """
 
-from .boolalg import BoolElem, FinitePowerAlgebra, Subalgebra
+from .boolalg import BoolElem, Subalgebra
 from .chaos import (
     Classification,
     DefectCertificate,
@@ -34,7 +34,6 @@ from .model import (
     Cell,
     NoiseModel,
     RandomVariable,
-    WalshCoeffs,
     fair_coin,
     inner_product,
     project,

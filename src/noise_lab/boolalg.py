@@ -1,10 +1,11 @@
 """Finite Boolean algebras as power sets of cell indices.
 
-Elements are bitmask-backed subsets of {0..n-1}; subalgebras are block
-partitions. Every filter is principal (complete in the finite case): the
-up-set of its generator g, so x is a member exactly when ``g.le(x)``. The
-Stone space of such an algebra is the discrete space of its n atoms, so the
-closed set of that filter is the index set ``g.indices()``.
+The power set of {0..n-1} has no object of its own: an element is a
+``BoolElem(mask, n)``, and a subalgebra is ``Subalgebra(n, blocks)``, a
+block partition of the n atoms. Every filter is principal (complete in the
+finite case): the up-set of its generator g, so x is a member exactly when
+``g.le(x)``. The Stone space of such an algebra is the discrete space of its
+n atoms, so the closed set of that filter is the index set ``g.indices()``.
 """
 
 from __future__ import annotations
@@ -80,36 +81,6 @@ class BoolElem:
 
 
 @dataclass(frozen=True)
-class FinitePowerAlgebra:
-    """The power set algebra on n_cells atoms; 2**n_cells elements."""
-
-    n_cells: int
-
-    def __post_init__(self) -> None:
-        if self.n_cells < 0:
-            raise ValueError("n_cells must be nonnegative")
-
-    @property
-    def size(self) -> int:
-        return 1 << self.n_cells
-
-    @property
-    def zero(self) -> BoolElem:
-        return BoolElem(0, self.n_cells)
-
-    @property
-    def one(self) -> BoolElem:
-        return BoolElem((1 << self.n_cells) - 1, self.n_cells)
-
-    def elements(self) -> Iterator[BoolElem]:
-        for mask in range(self.size):
-            yield BoolElem(mask, self.n_cells)
-
-    def atoms(self) -> tuple[BoolElem, ...]:
-        return tuple(BoolElem(1 << i, self.n_cells) for i in range(self.n_cells))
-
-
-@dataclass(frozen=True)
 class Subalgebra:
     """Boolean subalgebra given by its atoms: a block partition of the full set.
 
@@ -117,27 +88,23 @@ class Subalgebra:
     blocks are its finest partition of unity.
     """
 
-    algebra: FinitePowerAlgebra
+    n: int
     blocks: tuple[BoolElem, ...]
 
     def __post_init__(self) -> None:
+        if self.n < 0:
+            raise ValueError(f"algebra size must be nonnegative, got {self.n}")
         union = 0
         for b in self.blocks:
-            if b.n != self.algebra.n_cells:
+            if b.n != self.n:
                 raise ValueError("block from a different algebra")
             if b.is_zero:
                 raise ValueError("empty block in subalgebra")
             if union & b.mask:
                 raise ValueError("overlapping blocks in subalgebra")
             union |= b.mask
-        if union != (1 << self.algebra.n_cells) - 1:
+        if union != (1 << self.n) - 1:
             raise ValueError("blocks do not cover the full set")
-
-    def contains(self, x: BoolElem) -> bool:
-        """x belongs to the subalgebra iff it splits no block."""
-        if x.n != self.algebra.n_cells:
-            raise ValueError("element from a different algebra")
-        return all(b.mask & x.mask in (0, b.mask) for b in self.blocks)
 
     def elements(self) -> Iterator[BoolElem]:
         for subset in range(1 << len(self.blocks)):
@@ -145,13 +112,13 @@ class Subalgebra:
             for i, b in enumerate(self.blocks):
                 if subset >> i & 1:
                     mask |= b.mask
-            yield BoolElem(mask, self.algebra.n_cells)
+            yield BoolElem(mask, self.n)
 
     def from_block_indices(self, indices) -> BoolElem:
         mask = 0
         for i in indices:
             mask |= self.blocks[i].mask
-        return BoolElem(mask, self.algebra.n_cells)
+        return BoolElem(mask, self.n)
 
 
 def iter_partitions_of_unity(b: Subalgebra) -> Iterator[tuple[BoolElem, ...]]:

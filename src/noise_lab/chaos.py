@@ -35,7 +35,6 @@ from .boolalg import BoolElem, Subalgebra
 from .model import (
     NoiseModel,
     RandomVariable,
-    WalshCoeffs,
     _check_length,
     _over_lcd,
     _transform,
@@ -148,7 +147,7 @@ def satisfies_additivity(model: NoiseModel, psi: RandomVariable, b: Subalgebra) 
     projections are compared as masked coefficient vectors; the mean of psi
     is its coefficient on e_0 = 1.
     """
-    return _is_additive(model, walsh_decompose(model, psi).coeffs, b)
+    return _is_additive(model, walsh_decompose(model, psi), b)
 
 
 def _is_additive(model: NoiseModel, coeffs, b: Subalgebra) -> bool:
@@ -171,9 +170,9 @@ def additive_vector(model: NoiseModel, b: Subalgebra, seedling: RandomVariable) 
     zero = model._num(Fraction(0))
     kept = [
         c if s and any(s & ~block.mask == 0 for block in b.blocks) else zero
-        for c, s in zip(walsh_decompose(model, seedling).coeffs, model.support_masks)
+        for c, s in zip(walsh_decompose(model, seedling), model.support_masks)
     ]
-    return walsh_reconstruct(model, WalshCoeffs(tuple(kept)))
+    return walsh_reconstruct(model, kept)
 
 
 def atomless_defect(
@@ -186,7 +185,7 @@ def atomless_defect(
     Parseval sums over the coefficients of psi. Raises NotAdditiveError when
     psi is not additive on b.
     """
-    coeffs = walsh_decompose(model, psi).coeffs
+    coeffs = walsh_decompose(model, psi)
     if not _is_additive(model, coeffs, b):
         raise NotAdditiveError("additivity on b fails")
     delta_sq = max(

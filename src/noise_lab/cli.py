@@ -2,8 +2,8 @@
 
 Exit codes: 0 all checks pass, 1 at least one failure, 2 input error
 (including a config that `chaos` or `spectrum` refuses for its backend or
-size, and an output path that cannot be written), 3 a check was skipped
-while --strict was requested.
+size, and an output path that cannot be written, which is refused before
+any check runs), 3 a check was skipped while --strict was requested.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import dataclasses
 import sys
 
 from . import chaos as chaos_mod
-from .boolalg import BoolElem, FinitePowerAlgebra, Subalgebra
+from .boolalg import BoolElem, Subalgebra
 from .config import decimal12, load_model_config
 from .suite import EXACT_CAP, GROUPS, SPECTRUM_HEADERS, skip_reason
 from .suite import emit_spectrum_report, run_verification_suite
@@ -60,6 +60,8 @@ def _override(cfg, args):
 
 def _cmd_verify(args) -> int:
     cfg = _override(load_model_config(args.config), args)
+    if args.json:
+        _write(args.json, "")  # refuse an unwritable path before any check runs
     report = run_verification_suite(cfg, args.only)
     sys.stdout.write(report.render_text())
     if args.json:
@@ -88,6 +90,8 @@ def _load_admitted(path, **needs):
 
 def _cmd_spectrum(args) -> int:
     cfg = _load_admitted(args.config, points=EXACT_CAP)
+    if args.csv:
+        _write(args.csv, "")  # refuse an unwritable path before the report is built
     rows = emit_spectrum_report(cfg, args.vector)
     headers = SPECTRUM_HEADERS
     widths = [max(len(h), *(len(r[c]) for r in rows)) for c, h in enumerate(headers)]
@@ -145,8 +149,8 @@ def _cmd_chaos(args) -> int:
 
 
 def _full_subalgebra(cfg):
-    alg = FinitePowerAlgebra(cfg.n_cells)
-    return Subalgebra(alg, alg.atoms())
+    n = cfg.n_cells
+    return Subalgebra(n, tuple(BoolElem(1 << i, n) for i in range(n)))
 
 
 def main(argv=None) -> int:

@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .boolalg import BoolElem, FinitePowerAlgebra, Subalgebra
+from .boolalg import BoolElem, Subalgebra
 from .geometry import Embedding, build_embedding
 from .model import Cell, NoiseModel, RandomVariable
 
@@ -67,8 +67,9 @@ class ModelConfig:
         if type(self.depth) is not int or not 0 <= self.depth <= 16:
             raise ConfigError("depth must be an integer in 0..16", "depth")
         limit = self.exhaustive_limit
-        if type(limit) is not int or limit < 1:
-            raise ConfigError("exhaustive_limit must be a positive integer", "exhaustive_limit")
+        # Past 64 elements an exhaustive run (all pairs, in laws) takes minutes.
+        if type(limit) is not int or not 1 <= limit <= 64:
+            raise ConfigError("exhaustive_limit must be an integer in 1..64", "exhaustive_limit")
 
     @property
     def n_cells(self) -> int:
@@ -87,9 +88,8 @@ class ModelConfig:
     def subalgebra(self, name: str) -> Subalgebra:
         for key, blocks in self.subalgebras:
             if key == name:
-                alg = FinitePowerAlgebra(self.n_cells)
                 return Subalgebra(
-                    alg, tuple(BoolElem.from_indices(b, self.n_cells) for b in blocks)
+                    self.n_cells, tuple(BoolElem.from_indices(b, self.n_cells) for b in blocks)
                 )
         raise ConfigError(f"unknown subalgebra {name!r}", "subalgebras")
 

@@ -110,18 +110,6 @@ class RandomVariable:
         return all(v == 0 for v in self.values)
 
 
-@dataclass(frozen=True)
-class WalshCoeffs:
-    """Coefficients against the unnormalized tensor basis, multi-index order.
-
-    Multi-indices share the mixed-radix layout of points: entry at flat index
-    m has digit m_i for cell i; the coefficient of basis vector e_m is
-    <psi, e_m> / |e_m|^2, so reconstruction is an exact identity.
-    """
-
-    coeffs: tuple
-
-
 class NoiseModel:
     """Immutable product-space model with precomputed per-cell basis tables."""
 
@@ -353,18 +341,21 @@ def _transform(model: NoiseModel, values, matrices: tuple, scale: int) -> tuple[
     return _apply_per_cell(model, ints, matrices), d * scale
 
 
-def walsh_decompose(model: NoiseModel, f: RandomVariable) -> WalshCoeffs:
+def walsh_decompose(model: NoiseModel, f: RandomVariable) -> tuple:
+    """Coefficients of f against the unnormalized tensor basis, as a tuple
+    in multi-index order (the mixed-radix layout of points: entry m has digit
+    m_i for cell i). The coefficient of e_m is <f, e_m> / |e_m|^2, so
+    walsh_reconstruct is an exact inverse."""
     _check_length(model, f)
-    return WalshCoeffs(
-        _divided(model, *_transform(model, f.values, model._analysis, model._analysis_scale))
-    )
+    return _divided(model, *_transform(model, f.values, model._analysis, model._analysis_scale))
 
 
-def walsh_reconstruct(model: NoiseModel, wc: WalshCoeffs) -> RandomVariable:
-    if len(wc.coeffs) != model.n_points:
+def walsh_reconstruct(model: NoiseModel, coeffs: Sequence) -> RandomVariable:
+    """The random variable with the given N basis coefficients."""
+    if len(coeffs) != model.n_points:
         raise ValueError("coefficient vector does not match the model")
     return RandomVariable(
-        _divided(model, *_transform(model, wc.coeffs, model._synthesis, model._synthesis_scale))
+        _divided(model, *_transform(model, coeffs, model._synthesis, model._synthesis_scale))
     )
 
 
@@ -496,7 +487,7 @@ def verify_projection_laws(
     supports = sorted(set(model.support_masks))
     deep_budget = deep_pairs
     fixed_probe = _default_probe(model)
-    fixed_coeffs = walsh_decompose(model, fixed_probe).coeffs
+    fixed_coeffs = walsh_decompose(model, fixed_probe)
 
     for a, b in pairs:
         x = BoolElem(a, n)
@@ -519,7 +510,7 @@ def verify_projection_laws(
             if rng is None:
                 coeffs = fixed_coeffs
             else:
-                coeffs = walsh_decompose(model, model.random_rv(rng, zero_mean=True)).coeffs
+                coeffs = walsh_decompose(model, model.random_rv(rng, zero_mean=True))
             nx = mass_inside(model, coeffs, x)
             ny = mass_inside(model, coeffs, y)
             nj = mass_inside(model, coeffs, BoolElem(join, n))
@@ -547,4 +538,4 @@ def _default_probe(model: NoiseModel) -> RandomVariable:
     """A deterministic zero-mean vector touching every basis direction."""
     coeffs = [model._num(Fraction(1 + (idx % 3))) for idx in range(model.n_points)]
     coeffs[0] = model._num(Fraction(0))
-    return walsh_reconstruct(model, WalshCoeffs(tuple(coeffs)))
+    return walsh_reconstruct(model, coeffs)

@@ -9,11 +9,12 @@ eigenspace dimension) and a canonical rational mass (multiplicity over the
 space size), which happens to be a product measure over cells and therefore
 witnesses every independence statement.
 
-Events are sets of atom masks. A sub-sigma-field on the spectral space is a
-partition of the atoms, a frozenset of blocks, and the one attached to x
-groups atoms by their trace m & x. The join of the fields of x and y is the
-partition by the pair of traces, and independence is read off one table of
-masses keyed by that pair.
+Events are sets of atom masks; an event's subspace is the span of the basis
+vectors at the flat indices ``subspace_of_event`` returns. A sub-sigma-field
+on the spectral space is a partition of the atoms, a frozenset of blocks,
+and the one attached to x groups atoms by their trace m & x. The join of the
+fields of x and y is the partition by the pair of traces, and independence
+is read off one table of masses keyed by that pair.
 """
 
 from __future__ import annotations
@@ -76,34 +77,16 @@ def spectral_set(space: SpectralSpace, x: BoolElem) -> frozenset[int]:
 def spectral_measure(model: NoiseModel, psi: RandomVariable) -> tuple:
     """Mass per atom, indexed by atom mask: the squared norm of the component
     of psi in each support eigenspace. Total mass is the squared norm."""
-    return tuple(support_masses(model, walsh_decompose(model, psi).coeffs).values())
+    return tuple(support_masses(model, walsh_decompose(model, psi)).values())
 
 
-@dataclass(frozen=True)
-class EventSubspace:
-    """Span of the basis vectors whose support lies in the given atom set."""
-
-    model: NoiseModel
-    members: frozenset[int]
-    indices: tuple[int, ...]
-
-    @property
-    def dimension(self) -> int:
-        return len(self.indices)
-
-    def basis_rvs(self) -> list[RandomVariable]:
-        return [self.model.walsh_vector(i) for i in self.indices]
-
-
-def subspace_of_event(space: SpectralSpace, event) -> EventSubspace:
+def subspace_of_event(space: SpectralSpace, event) -> tuple[int, ...]:
+    """The subspace of an event (a set of atom masks), as the flat indices
+    of the basis vectors whose support is in the event; they span it."""
     members = frozenset(event)
     if not members <= frozenset(range(len(space.atoms))):
         raise ValueError("event contains unknown atoms")
-    model = space.model
-    indices = tuple(
-        idx for idx, m in enumerate(model.support_masks) if m in members
-    )
-    return EventSubspace(model=model, members=members, indices=indices)
+    return tuple(idx for idx, m in enumerate(space.model.support_masks) if m in members)
 
 
 def _partition(space: SpectralSpace, key) -> frozenset[frozenset[int]]:

@@ -21,14 +21,12 @@ from . import regopen as reg_mod
 from . import spectrum as spec_mod
 from .boolalg import (
     BoolElem,
-    FinitePowerAlgebra,
     Subalgebra,
     iter_partitions_of_unity,
     random_partition_blocks,
 )
 from .config import ModelConfig, decimal12
 from .model import (
-    WalshCoeffs,
     inner_product,
     mass_inside,
     norm_sq,
@@ -118,7 +116,6 @@ class Report:
 class _Ctx:
     def __init__(self, cfg: ModelConfig):
         self.cfg = cfg
-        self.algebra = FinitePowerAlgebra(cfg.n_cells)
 
     def rng(self, name: str) -> random.Random:
         return random.Random(f"{self.cfg.seed}:{name}")
@@ -149,9 +146,9 @@ class _Ctx:
     def elements(self, rng: random.Random | None = None, sample: int = 12) -> list[BoolElem]:
         n = self.cfg.n_cells
         if self.exhaustive():
-            return list(self.algebra.elements())
+            return [BoolElem(mask, n) for mask in range(1 << n)]
         assert rng is not None
-        out = [self.algebra.zero, self.algebra.one]
+        out = [BoolElem(0, n), BoolElem((1 << n) - 1, n)]
         out.extend(BoolElem(rng.randrange(1 << n), n) for _ in range(sample))
         return out
 
@@ -414,7 +411,7 @@ def chaos__defect_zero(ctx: _Ctx):
     zero_cases = 0
     for trial in range(30):
         blocks = random_partition_blocks(rng, m.n_cells)
-        sub = Subalgebra(ctx.algebra, tuple(blocks))
+        sub = Subalgebra(m.n_cells, tuple(blocks))
         if trial % 3 == 0:
             seed_rv = m.constant(rng.randint(-3, 3))  # collapses to zero
         else:
@@ -435,7 +432,7 @@ def chaos__defect_bound(ctx: _Ctx):
     bad = []
     for _ in range(25):
         blocks = random_partition_blocks(rng, m.n_cells)
-        sub = Subalgebra(ctx.algebra, tuple(blocks))
+        sub = Subalgebra(m.n_cells, tuple(blocks))
         psi = chaos_mod.additive_vector(m, sub, m.random_rv(rng))
         x = BoolElem(rng.randrange(1 << m.n_cells), m.n_cells)
         cert = chaos_mod.atomless_defect(m, psi, sub)
@@ -516,13 +513,13 @@ def spectrum__event_subspaces(ctx: _Ctx):
         h2 = spec_mod.subspace_of_event(space, e2)
         inter = spec_mod.subspace_of_event(space, e1 & e2)
         union = spec_mod.subspace_of_event(space, e1 | e2)
-        if set(inter.indices) != set(h1.indices) & set(h2.indices):
+        if set(inter) != set(h1) & set(h2):
             bad.append("intersection identity fails")
-        if set(union.indices) != set(h1.indices) | set(h2.indices):
+        if set(union) != set(h1) | set(h2):
             bad.append("union identity fails")
         if not (e1 & e2):
-            right = [m.walsh_vector(j) for j in h2.indices[:6]]
-            for i in h1.indices[:6]:
+            right = [m.walsh_vector(j) for j in h2[:6]]
+            for i in h1[:6]:
                 ei = m.walsh_vector(i)
                 for ej in right:
                     if not m.eq(inner_product(m, ei, ej), 0):
@@ -532,7 +529,7 @@ def spectrum__event_subspaces(ctx: _Ctx):
         for x in ctx.elements(rng, sample=4):
             hx = spec_mod.subspace_of_event(space, spec_mod.spectral_set(space, x))
             image_rows = [list(project(m, x, e).values) for e in basis]
-            basis_rows = [list(v.values) for v in hx.basis_rvs()]
+            basis_rows = [list(m.walsh_vector(i).values) for i in hx]
             if not linalg.span_equal([r for r in image_rows if any(r)], basis_rows):
                 bad.append(f"H(S_x) != range of projection at x={x}")
     return "10 random event pairs", bad, not bad
@@ -590,7 +587,7 @@ def spectrum__atom_block(ctx: _Ctx):
 def spectrum__measure_class(ctx: _Ctx):
     m = ctx.model
     space = ctx.space
-    generic = walsh_reconstruct(m, WalshCoeffs(tuple(Fraction(1) for _ in range(m.n_points))))
+    generic = walsh_reconstruct(m, [Fraction(1)] * m.n_points)
     masses = spec_mod.spectral_measure(m, generic)
     ok = spec_mod.mutually_absolutely_continuous(masses, space.measure)
     concentrated = spec_mod.spectral_measure(m, m.constant(1))

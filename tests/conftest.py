@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from noise_lab.boolalg import BoolElem, FinitePowerAlgebra, Subalgebra
+from noise_lab.boolalg import BoolElem, Subalgebra
 from noise_lab.model import Cell, NoiseModel, fair_coin, uniform_cell
 
 REPO = Path(__file__).resolve().parent.parent
@@ -32,14 +32,13 @@ def point_index(model, digits):
 
 
 def full_subalgebra(model):
-    alg = FinitePowerAlgebra(model.n_cells)
-    return Subalgebra(alg, alg.atoms())
+    n = model.n_cells
+    return Subalgebra(n, tuple(BoolElem(1 << i, n) for i in range(n)))
 
 
 def block_subalgebra(model, blocks):
-    alg = FinitePowerAlgebra(model.n_cells)
     return Subalgebra(
-        alg, tuple(BoolElem.from_indices(b, model.n_cells) for b in blocks)
+        model.n_cells, tuple(BoolElem.from_indices(b, model.n_cells) for b in blocks)
     )
 
 

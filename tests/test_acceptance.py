@@ -17,7 +17,6 @@ from pathlib import Path
 from noise_lab import linalg
 from noise_lab.boolalg import (
     BoolElem,
-    FinitePowerAlgebra,
     Subalgebra,
     random_partition_blocks,
 )
@@ -200,10 +199,9 @@ def test_criterion_05_defect_bound_quantitative():
         failures.append(f"sigma {rep.sigma_max} not tight")
 
     rng = random.Random(0)
-    alg = FinitePowerAlgebra(4)
     violations = 0
     for _ in range(1000):
-        sub = Subalgebra(alg, tuple(random_partition_blocks(rng, 4)))
+        sub = Subalgebra(4, tuple(random_partition_blocks(rng, 4)))
         vec = additive_vector(m, sub, m.random_rv(rng))
         xr = BoolElem(rng.randrange(16), 4)
         crep = defect_bound_check(m, vec, sub, xr)
@@ -220,9 +218,8 @@ def test_criterion_06_zero_defect_degenerate_direction():
     zero_cases = 0
     for shape in [(2, 2), (2, 3, 2), (2, 2, 2, 2)]:
         m = NoiseModel([Cell(varied_probs(k, i)) for i, k in enumerate(shape)])
-        alg = FinitePowerAlgebra(m.n_cells)
         for trial in range(120):
-            sub = Subalgebra(alg, tuple(random_partition_blocks(rng, m.n_cells)))
+            sub = Subalgebra(m.n_cells, tuple(random_partition_blocks(rng, m.n_cells)))
             if trial % 4 == 0:
                 seed_rv = m.constant(rng.randint(-5, 5))
             else:

@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 
 from noise_lab.boolalg import (
     BoolElem,
-    FinitePowerAlgebra,
     Subalgebra,
     iter_partitions_of_unity,
     random_partition_blocks,
@@ -53,15 +52,10 @@ def stone_membership_law(n: int) -> bool:
     return True
 
 
-def test_build_power_algebra_sizes():
-    assert FinitePowerAlgebra(0).size == 1
-    assert [e.mask for e in FinitePowerAlgebra(2).elements()] == [0, 1, 2, 3]
-    assert FinitePowerAlgebra(3).size == 8
-
-
 def test_degenerate_algebra_zero_equals_one():
-    alg = FinitePowerAlgebra(0)
-    assert alg.zero == alg.one
+    x = BoolElem(0, 0)
+    assert x.is_zero and x.is_one
+    assert x.complement() == x
 
 
 def test_element_ops_examples():
@@ -109,35 +103,36 @@ def test_boolean_axioms_random_larger(n, data):
 
 
 def test_subalgebra_examples():
-    alg = FinitePowerAlgebra(4)
     sub = Subalgebra(
-        alg, (BoolElem.from_indices([0, 1], 4), BoolElem.from_indices([2, 3], 4))
+        4, (BoolElem.from_indices([0, 1], 4), BoolElem.from_indices([2, 3], 4))
     )
-    assert len(list(sub.elements())) == 4
-    assert sub.contains(BoolElem.from_indices([0, 1], 4))
-    assert not sub.contains(BoolElem.from_indices([0], 4))
+    assert [e.mask for e in sub.elements()] == [0, 0b0011, 0b1100, 0b1111]
 
-    alg2 = FinitePowerAlgebra(2)
-    finest = Subalgebra(alg2, (BoolElem(1, 2), BoolElem(2, 2)))
+    finest = Subalgebra(2, (BoolElem(1, 2), BoolElem(2, 2)))
     assert {e.mask for e in finest.elements()} == {0, 1, 2, 3}
-    coarsest = Subalgebra(alg2, (alg2.one,))
+    coarsest = Subalgebra(2, (BoolElem(3, 2),))
     assert {e.mask for e in coarsest.elements()} == {0, 3}
 
 
 def test_subalgebra_rejects_bad_blocks():
-    alg = FinitePowerAlgebra(3)
     with pytest.raises(ValueError):
-        Subalgebra(alg, (BoolElem(0b011, 3), BoolElem(0b110, 3)))  # overlap
+        Subalgebra(3, (BoolElem(0b011, 3), BoolElem(0b110, 3)))  # overlap
     with pytest.raises(ValueError):
-        Subalgebra(alg, (BoolElem(0b001, 3),))  # gap
+        Subalgebra(3, (BoolElem(0b001, 3),))  # gap
     with pytest.raises(ValueError):
-        Subalgebra(alg, (BoolElem(0, 3), BoolElem(0b111, 3)))  # empty block
+        Subalgebra(3, (BoolElem(0, 3), BoolElem(0b111, 3)))  # empty block
+    with pytest.raises(ValueError, match="different algebra"):
+        Subalgebra(2, (BoolElem(0b111, 3),))
+
+
+def test_subalgebra_rejects_negative_size():
+    with pytest.raises(ValueError, match="-1"):
+        Subalgebra(-1, ())
 
 
 def test_enumerate_partition_atoms():
-    alg = FinitePowerAlgebra(4)
     blocks = [BoolElem.from_indices([0, 1], 4), BoolElem.from_indices([2, 3], 4)]
-    sub = Subalgebra(alg, tuple(blocks))
+    sub = Subalgebra(4, tuple(blocks))
     atoms = list(sub.blocks)
     assert atoms == blocks
     union = 0
@@ -146,17 +141,15 @@ def test_enumerate_partition_atoms():
         union |= a.mask
         for b in atoms[i + 1 :]:
             assert a.disjoint(b)
-    assert union == alg.one.mask
+    assert union == 0b1111
 
-    alg3 = FinitePowerAlgebra(3)
-    finest = Subalgebra(alg3, (BoolElem(1, 3), BoolElem(2, 3), BoolElem(4, 3)))
+    finest = Subalgebra(3, (BoolElem(1, 3), BoolElem(2, 3), BoolElem(4, 3)))
     assert [a.mask for a in finest.blocks] == [1, 2, 4]
-    assert list(Subalgebra(alg3, (BoolElem(7, 3),)).blocks) == [BoolElem(7, 3)]
+    assert list(Subalgebra(3, (BoolElem(7, 3),)).blocks) == [BoolElem(7, 3)]
 
 
 def test_partitions_of_unity_count_is_bell_number():
-    alg = FinitePowerAlgebra(4)
-    sub = Subalgebra(alg, alg.atoms())
+    sub = Subalgebra(4, tuple(BoolElem(1 << i, 4) for i in range(4)))
     partitions = list(iter_partitions_of_unity(sub))
     assert len(partitions) == 15  # Bell(4)
     for parts in partitions:
@@ -165,7 +158,7 @@ def test_partitions_of_unity_count_is_bell_number():
             assert not p.is_zero
             assert union & p.mask == 0
             union |= p.mask
-        assert union == alg.one.mask
+        assert union == 0b1111
 
 
 def test_filter_membership_and_closed_sets():

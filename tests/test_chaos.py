@@ -7,7 +7,6 @@ import pytest
 from noise_lab import chaos, linalg, model
 from noise_lab.boolalg import (
     BoolElem,
-    FinitePowerAlgebra,
     Subalgebra,
     iter_partitions_of_unity,
     random_partition_blocks,
@@ -282,10 +281,8 @@ def test_sigma_field_generated(two_coins):
 def test_defect_zero_forces_zero_vector(four_coins, rng):
     m = four_coins
     for _ in range(20):
-        from noise_lab.boolalg import Subalgebra, FinitePowerAlgebra, random_partition_blocks
-
         blocks = random_partition_blocks(rng, 4)
-        sub = Subalgebra(FinitePowerAlgebra(4), tuple(blocks))
+        sub = Subalgebra(4, tuple(blocks))
         psi = additive_vector(m, sub, m.random_rv(rng))
         cert = atomless_defect(m, psi, sub)
         if cert.delta_sq == 0:
@@ -368,9 +365,8 @@ def test_coefficient_space_matches_point_space_oracle():
     rng = random.Random(7)
     for m in model_family(3, (2, 3)):
         n = m.n_cells
-        alg = FinitePowerAlgebra(n)
         for _ in range(3):
-            sub = Subalgebra(alg, tuple(random_partition_blocks(rng, n)))
+            sub = Subalgebra(n, tuple(random_partition_blocks(rng, n)))
             seedling = m.random_rv(rng)
             mean = project(m, BoolElem(0, n), seedling)
             expected = m.constant(0)

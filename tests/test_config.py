@@ -89,11 +89,18 @@ def test_semantic_errors_with_paths():
 
 def test_replaced_fields_pass_the_same_checks():
     cfg = load_config_dict(TWO_COINS)
-    for name, value in (("backend", "quantum"), ("seed", -5), ("depth", -1), ("exhaustive_limit", 0)):
+    for name, value in (
+        ("backend", "quantum"),
+        ("seed", -5),
+        ("depth", -1),
+        ("exhaustive_limit", 0),
+        ("exhaustive_limit", 65),
+    ):
         with pytest.raises(ConfigError, match=name) as info:
             dataclasses.replace(cfg, **{name: value})
         assert info.value.path == name
     assert dataclasses.replace(cfg, seed=5, depth=0).seed == 5
+    assert dataclasses.replace(cfg, exhaustive_limit=64).exhaustive_limit == 64
 
 
 @pytest.mark.parametrize("name", ["seed", "depth", "exhaustive_limit"])

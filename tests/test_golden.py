@@ -24,6 +24,8 @@ CASES = {
     "four-coins-seed3": ["examples/four-coins.json", "--seed", "3"],
     "four-coins-float-seed0": ["examples/four-coins.json", "--backend", "float", "--seed", "0"],
     "five-ternary-float-seed0": ["tests/golden/five-ternary-float.json", "--seed", "0"],
+    # Exact, radices (2,3,3) with unequal probabilities: the k = 3 exact path.
+    "mixed-233-exact-seed0": ["tests/golden/mixed-233-exact.json", "--seed", "0"],
     # 13 fair coins, exact, no embedding (N=8192): every size and embedding skip line.
     "thirteen-coins-seed0": ["tests/golden/thirteen-coins.json", "--seed", "0"],
     # 10 float cells, radices (2,3,2,2,3,2,2,2,2,2): the spectrum group on 1024 atoms.

@@ -8,7 +8,6 @@ from noise_lab.model import (
     Cell,
     NoiseModel,
     RandomVariable,
-    WalshCoeffs,
     expectation,
     fair_coin,
     inner_product,
@@ -183,15 +182,15 @@ def test_integer_walsh_kernel_matches_fraction_reference():
     for trial in range(36):
         m = NoiseModel(_random_cells(rng, trial % 6))
         for values in _transform_inputs(rng, m.n_points):
-            coeffs = walsh_decompose(m, RandomVariable(tuple(values))).coeffs
-            points = walsh_reconstruct(m, WalshCoeffs(tuple(values))).values
+            coeffs = walsh_decompose(m, RandomVariable(tuple(values)))
+            points = walsh_reconstruct(m, values).values
             for got, expected in (
                 (coeffs, reference_transform(m, values)),
                 (points, reference_transform(m, values, synthesis=True)),
             ):
                 assert all(type(v) is Fraction for v in got)
                 assert list(got) == expected
-            assert walsh_reconstruct(m, WalshCoeffs(coeffs)).values == tuple(values)
+            assert walsh_reconstruct(m, coeffs).values == tuple(values)
 
 
 def test_float_walsh_transforms_match_the_float_matrix_path():
@@ -199,9 +198,9 @@ def test_float_walsh_transforms_match_the_float_matrix_path():
     for trial in range(24):
         m = NoiseModel(_random_cells(rng, trial % 6), backend="float")
         values = tuple(rng.uniform(-1.0, 1.0) for _ in range(m.n_points))
-        coeffs = walsh_decompose(m, RandomVariable(values)).coeffs
+        coeffs = walsh_decompose(m, RandomVariable(values))
         assert all(type(v) is float for v in coeffs)
-        points = walsh_reconstruct(m, WalshCoeffs(values)).values
+        points = walsh_reconstruct(m, values).values
         for got, expected in (
             (coeffs, reference_transform(m, values)),
             (points, reference_transform(m, values, synthesis=True)),
@@ -272,10 +271,10 @@ def test_integer_paths_match_their_fraction_definitions():
                 expected = sum((a * b * p for a, b, p in zip(f.values, g.values, w)), F(0))
                 got = inner_product(m, f, g)
                 assert type(got) is Fraction and got == expected
-            coeffs = walsh_decompose(m, f).coeffs
+            coeffs = walsh_decompose(m, f)
             for mask in range(1 << m.n_cells):
                 x = BoolElem(mask, m.n_cells)
-                expected = walsh_reconstruct(m, WalshCoeffs(tuple(masked_coeffs(m, coeffs, x))))
+                expected = walsh_reconstruct(m, masked_coeffs(m, coeffs, x))
                 got = project(m, x, f)
                 assert all(type(v) is Fraction for v in got.values)
                 assert got == expected

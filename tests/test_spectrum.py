@@ -79,11 +79,11 @@ def reference_sigma_x_generated(space, x):
     return spectrum._partition(space, lambda m: tuple(m in g for g in generators))
 
 
-def contains(sub, rv):
-    """rv lies in the event subspace: no Walsh mass off its atoms."""
-    coeffs = walsh_decompose(sub.model, rv).coeffs
-    masks = sub.model.support_masks
-    return all(sub.model.eq(c, 0) for c, m in zip(coeffs, masks) if m not in sub.members)
+def in_span(model, indices, rv):
+    """rv lies in the span of the basis vectors at these flat indices: no
+    Walsh coefficient elsewhere."""
+    coeffs = walsh_decompose(model, rv)
+    return all(model.eq(c, 0) for i, c in enumerate(coeffs) if i not in indices)
 
 
 def moved_mass(space, src, dst, eps):
@@ -154,9 +154,9 @@ def test_subspace_of_event(two_coins):
     m = two_coins
     sp = build_spectral_space(m)
     consts = subspace_of_event(sp, {0})
-    assert consts.dimension == 1
-    assert contains(consts, m.constant(5))
-    assert not contains(consts, sign_rv(m, 0))
+    assert consts == (0,)
+    assert in_span(m, consts, m.constant(5))
+    assert not in_span(m, consts, sign_rv(m, 0))
 
     # H(S_x) equals the image of the conditioning projection.
     for mask in range(4):
@@ -164,16 +164,16 @@ def test_subspace_of_event(two_coins):
         hx = subspace_of_event(sp, spectral_set(sp, x))
         image = [list(project(m, x, m.walsh_vector(i)).values) for i in range(4)]
         image = [row for row in image if any(row)]
-        assert linalg.span_equal(image, [list(v.values) for v in hx.basis_rvs()])
+        assert linalg.span_equal(image, [list(m.walsh_vector(i).values) for i in hx])
 
     # Disjoint events give orthogonal subspaces.
     h1 = subspace_of_event(sp, {1})
     h2 = subspace_of_event(sp, {2, 3})
     from noise_lab.model import inner_product
 
-    for a in h1.basis_rvs():
-        for b in h2.basis_rvs():
-            assert inner_product(m, a, b) == 0
+    for i in h1:
+        for j in h2:
+            assert inner_product(m, m.walsh_vector(i), m.walsh_vector(j)) == 0
 
 
 def test_subspace_event_unknown_atom(two_coins):
@@ -261,11 +261,9 @@ def test_refinement_operation(two_coins):
 def test_measure_class_uniqueness(two_coins, rng):
     m = two_coins
     sp = build_spectral_space(m)
-    from noise_lab.model import WalshCoeffs, walsh_reconstruct
+    from noise_lab.model import walsh_reconstruct
 
-    generic = walsh_reconstruct(
-        m, WalshCoeffs(tuple(F(rng.randint(1, 5)) for _ in range(4)))
-    )
+    generic = walsh_reconstruct(m, [F(rng.randint(1, 5)) for _ in range(4)])
     assert mutually_absolutely_continuous(spectral_measure(m, generic), sp.measure)
     concentrated = spectral_measure(m, m.constant(1))
     assert not mutually_absolutely_continuous(concentrated, sp.measure)
