@@ -1,11 +1,11 @@
 """First chaos space, additivity on subalgebras, and the atomless defect.
 
 A vector lies in the first chaos when conditioning splits it additively
-across every disjoint pair of cell sets. On a finite model this space is
-cut out by a linear system; we build that system from block averages
-(the oracle path) and eliminate exactly. The comparison of the solution
-with the single-cell directions of the orthogonal basis runs once, in the
-suite check chaos.first_chaos.
+across every disjoint pair of cell sets. On a finite product that space is
+spanned by the single-cell vectors of the orthogonal basis, and
+first_chaos_basis reads them off it. The independent side is a linear
+system built from block averages and solved by exact elimination; it runs
+once, in the suite check chaos.first_chaos, which compares the two spans.
 
 Everything else works on one Walsh decomposition of the vector at hand:
 conditioning on x keeps the coefficients whose support lies inside x, so
@@ -89,15 +89,16 @@ class ClassifyResult:
     dimension: int
 
 
-# -- linear-system machinery -------------------------------------------------
+# -- first chaos and the additivity system ---------------------------------
 
 
-def _split_constraint_rows(model: NoiseModel, x: BoolElem) -> list[list[Fraction]]:
-    """Rows of I - K_x - K_x', where K_y averages over the blocks of the
-    partition by the coordinates in y (independent of the basis path)."""
+def _averaging_rows(model: NoiseModel, parts) -> list[list[Fraction]]:
+    """Rows of I - (sum of K_y over y in parts), where K_y averages over the
+    blocks of the partition by the coordinates in y (independent of the
+    basis path)."""
     n = model.n_points
     rows = [[Fraction(0)] * n for _ in range(n)]
-    for y in (x, x.complement()):
+    for y in parts:
         for block in sigma_field_of(model, y):
             wtot = sum(model.point_weights[w] for w in block)
             averages = [(w2, model.point_weights[w2] / wtot) for w2 in block]
@@ -110,21 +111,23 @@ def _split_constraint_rows(model: NoiseModel, x: BoolElem) -> list[list[Fraction
     return rows
 
 
-def first_chaos_basis(model: NoiseModel) -> tuple[RandomVariable, ...]:
-    """Solve the additivity system by exact elimination.
+def _additivity_rows(model: NoiseModel) -> list[list[Fraction]]:
+    """The additivity system of the first chaos, for elimination in the
+    suite check chaos.first_chaos: zero mean, and psi = sum over cells i of
+    E(psi | cell i), additivity across the atoms of the finest subalgebra.
+    Each cell's term is needed: without cell i's, the directions on cell i
+    drop out of the solution."""
+    _require_exact(model, "the additivity system")
+    cells = [BoolElem(1 << i, model.n_cells) for i in range(model.n_cells)]
+    return [list(model.point_weights), *_averaging_rows(model, cells)]
 
-    Constraints: zero mean, plus the per-complement split identity for every
-    single cell (sufficient: any coefficient on two or more cells violates
-    the split across a cell separating them). The span of the returned basis
-    is the span of the single-cell basis vectors; the suite check
-    chaos.first_chaos compares the two.
-    """
-    _require_exact(model, "first_chaos_basis")
-    rows: list[list[Fraction]] = [list(model.point_weights)]
-    for i in range(model.n_cells):
-        rows.extend(_split_constraint_rows(model, BoolElem(1 << i, model.n_cells)))
-    basis = linalg.nullspace(rows, model.n_points)
-    return tuple(RandomVariable(tuple(v)) for v in basis)
+
+def first_chaos_basis(model: NoiseModel) -> tuple[RandomVariable, ...]:
+    """The single-cell basis vectors e_m (support on exactly one cell), in
+    flat-index order: sum(k - 1) of them, spanning the first chaos."""
+    return tuple(
+        model.walsh_vector(idx) for idx, s in enumerate(model.support_masks) if s.bit_count() == 1
+    )
 
 
 # -- coefficient space ----------------------------------------------------------
@@ -269,7 +272,7 @@ def split_check(model: NoiseModel, psi: RandomVariable, x: BoolElem) -> bool:
 def split_solution_space(model: NoiseModel, x: BoolElem) -> tuple[RandomVariable, ...]:
     """Basis of {psi : psi = Q_x psi + Q_x' psi}, by exact elimination."""
     _require_exact(model, "split_solution_space")
-    rows = _split_constraint_rows(model, x)
+    rows = _averaging_rows(model, (x, x.complement()))
     return tuple(RandomVariable(tuple(v)) for v in linalg.nullspace(rows, model.n_points))
 
 

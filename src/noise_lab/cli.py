@@ -90,9 +90,10 @@ def _load_admitted(path, **needs):
 
 def _cmd_spectrum(args) -> int:
     cfg = _load_admitted(args.config, points=EXACT_CAP)
+    values = cfg.vector(args.vector)
     if args.csv:
         _write(args.csv, "")  # refuse an unwritable path before the report is built
-    rows = emit_spectrum_report(cfg, args.vector)
+    rows = emit_spectrum_report(cfg, values)
     headers = SPECTRUM_HEADERS
     widths = [max(len(h), *(len(r[c]) for r in rows)) for c, h in enumerate(headers)]
     out = ["  ".join(h.ljust(widths[c]) for c, h in enumerate(headers))]
@@ -113,6 +114,7 @@ def _cmd_chaos(args) -> int:
         sub = cfg.subalgebra(args.subalgebra)
     else:
         sub = _full_subalgebra(cfg)
+    values = None if args.vector is None else cfg.vector(args.vector)
     model = cfg.build_model()
     basis = chaos_mod.first_chaos_basis(model)
     result = chaos_mod.classify(model, basis)
@@ -122,7 +124,7 @@ def _cmd_chaos(args) -> int:
         + (" (degenerate)" if result.degenerate else ""),
     ]
     if args.vector is not None:
-        psi = cfg.vector(args.vector, model)
+        psi = model.from_values(values)
         try:
             cert = chaos_mod.atomless_defect(model, psi, sub)
         except chaos_mod.NotAdditiveError:

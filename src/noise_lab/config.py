@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .boolalg import BoolElem, Subalgebra
 from .geometry import Embedding, build_embedding
-from .model import Cell, NoiseModel, RandomVariable
+from .model import Cell, NoiseModel
 
 FRACTION_RE = re.compile(r"^-?[0-9]+(/[1-9][0-9]*)?$")
 
@@ -93,10 +93,11 @@ class ModelConfig:
                 )
         raise ConfigError(f"unknown subalgebra {name!r}", "subalgebras")
 
-    def vector(self, name: str, model: NoiseModel) -> RandomVariable:
+    def vector(self, name: str) -> tuple[Fraction, ...]:
+        """The values of a named vector, resolved from the config alone."""
         for key, values in self.vectors:
             if key == name:
-                return model.from_values(values)
+                return values
         raise ConfigError(f"unknown vector {name!r}", "vectors")
 
 

@@ -121,8 +121,7 @@ def sample_hom(emb: Embedding, a: RegOpen) -> BoolElem:
 @dataclass(frozen=True)
 class SpectralMapResult:
     cover: RegOpen  # its closure is the depth-D approximant
-    hausdorff_distance: Fraction
-    hausdorff_bound: Fraction
+    hausdorff_distance: Fraction  # below 2^-D: each cover cell holds a non-dyadic target
 
 
 def _grid_cover(targets, scale: int, depth: int) -> RegOpen:
@@ -182,11 +181,7 @@ def spectral_set_map(emb: Embedding, s: BoolElem, depth: int = 6) -> SpectralMap
         gaps = [2 * (inside[0] - a), 2 * (b - inside[-1])]
         gaps.extend(v - u for u, v in zip(inside, inside[1:]))
         twice = max(twice, max(gaps))
-    return SpectralMapResult(
-        cover=cover,
-        hausdorff_distance=Fraction(twice, 2 * emb.scale),
-        hausdorff_bound=Fraction(2, 1 << depth),
-    )
+    return SpectralMapResult(cover=cover, hausdorff_distance=Fraction(twice, 2 * emb.scale))
 
 
 def verify_spectral_map_uniqueness(emb: Embedding, depth: int) -> bool:

@@ -27,6 +27,7 @@ from .boolalg import (
 )
 from .config import ModelConfig, decimal12
 from .model import (
+    RandomVariable,
     inner_product,
     mass_inside,
     norm_sq,
@@ -40,7 +41,8 @@ from .model import (
 GROUPS = ("laws", "chaos", "spectrum", "regopen", "geometry")
 
 # Largest N a check runs on with the exact backend: EXACT_CAP for most checks,
-# ELIMINATION_CAP for those that solve a dense N x N system.
+# ELIMINATION_CAP for those that solve a dense N x N system and for two
+# first-chaos checks that do not (see chaos__classification).
 EXACT_CAP = 4096
 ELIMINATION_CAP = 128
 
@@ -342,21 +344,18 @@ def chaos__split_space(ctx: _Ctx):
 @_check(exact=True, points=ELIMINATION_CAP)
 def chaos__first_chaos(ctx: _Ctx):
     m = ctx.model
-    fc = ctx.chaos
+    # The oracle: the additivity system, solved once, here.
+    solution = linalg.nullspace(chaos_mod._additivity_rows(m), m.n_points)
     expected = sum(k - 1 for k in m.radices)
     bad = []
-    if len(fc) != expected:
-        bad.append(f"dimension {len(fc)} != {expected}")
-    single = [
-        list(m.walsh_vector(idx).values)
-        for idx, mask in enumerate(m.support_masks)
-        if bin(mask).count("1") == 1
-    ]
-    if not linalg.span_equal([list(v.values) for v in fc], single):
+    if len(solution) != expected:
+        bad.append(f"dimension {len(solution)} != {expected}")
+    if not linalg.span_equal(solution, [list(v.values) for v in ctx.chaos]):
         bad.append("span differs from the single-cell Walsh directions")
-    # Full pairwise additivity as an oracle on every basis vector.
+    # Full pairwise additivity as an oracle on every solution vector.
     n = m.n_cells
-    for v in fc:
+    for row in solution:
+        v = RandomVariable(tuple(row))
         proj = {}
         for x_mask in range(1 << n):
             proj[x_mask] = project(m, BoolElem(x_mask, n), v)
@@ -367,9 +366,11 @@ def chaos__first_chaos(ctx: _Ctx):
                     rhs = proj[x_mask] + proj[y_mask]
                     if not m.rv_eq(lhs, rhs):
                         bad.append(f"pairwise additivity fails at {x_mask},{y_mask}")
-    return f"dimension {len(fc)}", bad, not bad
+    return f"dimension {len(solution)}", bad, not bad
 
 
+# classification and additive_norm eliminate nothing; they keep the
+# elimination cap so that the thirteen-coins report keeps its skip lines.
 @_check(exact=True, points=ELIMINATION_CAP)
 def chaos__classification(ctx: _Ctx):
     m = ctx.model
@@ -734,7 +735,7 @@ def geometry__approximant(ctx: _Ctx):
             bad.extend(
                 f"point {emb.sample_points[i]} escapes the depth-{d} cover" for i in missed.indices()
             )
-            if res.hausdorff_distance > res.hausdorff_bound:
+            if res.hausdorff_distance >= Fraction(1, 1 << d):
                 bad.append(f"Hausdorff bound broken at atom {atom}, depth {d}")
     return f"all atoms, depths 1..{depth}", bad, not bad
 
@@ -859,12 +860,12 @@ def run_verification_suite(cfg: ModelConfig, selection: str = "all") -> Report:
 SPECTRUM_HEADERS = ("atom", "dim", "canonical", "mass", "mass_decimal")
 
 
-def emit_spectrum_report(cfg: ModelConfig, vector_name: str) -> list[tuple[str, ...]]:
-    """Rows of the per-atom spectral table for a named config vector:
+def emit_spectrum_report(cfg: ModelConfig, values) -> list[tuple[str, ...]]:
+    """Rows of the per-atom spectral table for a vector given by its values:
     atom label, multiplicity, canonical mass, spectral mass (exact fraction
     where the backend is exact), and a 12-significant-digit decimal."""
     model = cfg.build_model()
-    psi = cfg.vector(vector_name, model)
+    psi = model.from_values(values)
     space = spec_mod.build_spectral_space(model)
     masses = spec_mod.spectral_measure(model, psi)
     rows = []

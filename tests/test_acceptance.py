@@ -31,6 +31,7 @@ from noise_lab.chaos import (
     satisfies_additivity,
     split_check,
     split_solution_space,
+    _additivity_rows,
     _split_span_rows,
 )
 from noise_lab.config import load_model_config
@@ -140,16 +141,13 @@ def test_criterion_03_first_chaos():
     models = model_family(4, (2, 3), max_points=36)
     models.append(NoiseModel([Cell(varied_probs(3, i)) for i in range(4)]))  # N=81
     for m in models:
+        # The additivity system, eliminated, against the single-cell Walsh vectors.
+        solution = linalg.nullspace(_additivity_rows(m), m.n_points)
         fc = first_chaos_basis(m)
         expected = sum(k - 1 for k in m.radices)
-        if len(fc) != expected:
-            failures.append(f"{m.radices}: dim {len(fc)} != {expected}")
-        singles = [
-            list(m.walsh_vector(i).values)
-            for i in range(m.n_points)
-            if bin(m.support_masks[i]).count("1") == 1
-        ]
-        if not linalg.span_equal([list(v.values) for v in fc], singles):
+        if len(solution) != expected:
+            failures.append(f"{m.radices}: dim {len(solution)} != {expected}")
+        if not linalg.span_equal(solution, [list(v.values) for v in fc]):
             failures.append(f"{m.radices}: span mismatch")
         if m.n_cells > 0 and classify(m, fc).kind is not Classification.CLASSICAL:
             failures.append(f"{m.radices}: not classical")

@@ -45,7 +45,7 @@ def test_load_two_coins():
     assert cfg.n_points == 4
     model = cfg.build_model()
     assert model.n_points == 4
-    assert cfg.vector("r1", model).values == (-1, -1, 1, 1)
+    assert cfg.vector("r1") == (-1, -1, 1, 1)
     sub = cfg.subalgebra("full")
     assert len(sub.blocks) == 2
 

@@ -183,7 +183,7 @@ def test_spectral_set_map_shrinks(emb):
         res = spectral_set_map(emb, atom, depth=depth)
         for t in emb.sample_points:
             assert any(a <= t <= b for a, b in res.cover.intervals)
-        assert res.hausdorff_distance <= res.hausdorff_bound
+        assert res.hausdorff_distance < F(1, 1 << depth)
         total = sum((b - a for a, b in res.cover.intervals), F(0))
         if previous is not None:
             assert total <= previous

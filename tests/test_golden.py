@@ -101,10 +101,10 @@ def _refuse_everywhere(monkeypatch, fn):
 
 @pytest.mark.parametrize("name", sorted(CHAOS_CASES))
 def test_chaos_output_runs_no_suite_oracle(name, monkeypatch, capsys):
-    # The span comparison and the partition brute force run only in their
-    # suite checks (chaos.first_chaos, chaos.defect_bound).
-    _refuse_everywhere(monkeypatch, linalg.span_equal)
-    _refuse_everywhere(monkeypatch, boolalg.iter_partitions_of_unity)
+    # Elimination, the span comparison and the partition brute force run
+    # only in their suite checks (chaos.first_chaos, chaos.defect_bound).
+    for oracle in (linalg.rref, linalg.nullspace, linalg.span_equal, boolalg.iter_partitions_of_unity):
+        _refuse_everywhere(monkeypatch, oracle)
     args = CHAOS_CASES[name]
     assert main(["chaos", str(REPO / args[0]), *args[1:]]) == 0
     assert capsys.readouterr().out.encode("utf-8") == (GOLDEN / f"{name}.txt").read_bytes()

@@ -12,6 +12,7 @@ import pytest
 
 from noise_lab import chaos as chaos_mod
 from noise_lab import linalg
+from noise_lab.boolalg import BoolElem
 from noise_lab.cli import main
 from noise_lab.config import ModelConfig, load_config_dict, load_model_config
 from noise_lab.suite import (
@@ -113,6 +114,20 @@ def test_first_chaos_check_compares_span_with_single_cell_directions(monkeypatch
     assert "span differs from the single-cell Walsh directions" in result.witnesses
 
 
+@pytest.mark.parametrize("dropped", [0, 1])
+def test_first_chaos_check_fails_when_the_system_drops_a_cell(dropped, monkeypatch):
+    def without_cell(model):
+        n = model.n_cells
+        cells = [BoolElem(1 << i, n) for i in range(n) if i != dropped]
+        return [list(model.point_weights), *chaos_mod._averaging_rows(model, cells)]
+
+    monkeypatch.setattr(chaos_mod, "_additivity_rows", without_cell)
+    result = chaos__first_chaos(_Ctx(load_model_config(str(TWO_COINS))))
+    assert result.status == "fail"
+    assert result.detail == "dimension 1"
+    assert "span differs from the single-cell Walsh directions" in result.witnesses
+
+
 def test_defect_bound_check_brute_forces_the_partitions(monkeypatch):
     defect = chaos_mod.atomless_defect
 
@@ -211,8 +226,10 @@ def test_cli_spectrum_refuses_before_building(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err == (
         "input error: exact backend cap exceeded (N=8192 > 4096); select the float backend\n"
     )
-    # The float backend has no size cap, so the same cells get to the build.
-    path.write_text(json.dumps({"cells": [COIN] * 13, "backend": "float"}))
+    # The float backend has no size cap, so the same cells, with the named
+    # vector (resolved before the build), get to the build.
+    demo = {"demo": ["0"] * 8192}
+    path.write_text(json.dumps({"cells": [COIN] * 13, "backend": "float", "vectors": demo}))
     with pytest.raises(AssertionError, match="the model was built"):
         main(["spectrum", str(path), "--vector", "demo"])
 
@@ -394,6 +411,13 @@ def test_cli_spectrum_unknown_vector():
     assert b"unknown vector 'ghost'" in out.stderr
 
 
+def test_cli_spectrum_unknown_vector_leaves_no_csv(tmp_path, capsys):
+    path = tmp_path / "out.csv"
+    assert main(["spectrum", str(TWO_COINS), "--vector", "ghost", "--csv", str(path)]) == 2
+    assert "unknown vector 'ghost'" in capsys.readouterr().err
+    assert not path.exists()
+
+
 def test_cli_chaos_summary():
     out = run_cli("chaos", str(FOUR_COINS), "--subalgebra", "blocks", "--vector", "pairsum")
     assert out.returncode == 0
@@ -431,7 +455,7 @@ def test_cli_chaos_decomposes_psi_at_most_twice(subalgebra, monkeypatch, capsys)
     out = capsys.readouterr().out
     cfg = load_model_config(str(FOUR_COINS))
     model = cfg.build_model()
-    psi = cfg.vector("pairsum", model)
+    psi = model.from_values(cfg.vector("pairsum"))
     assert decomposed == [psi]
     assert additivity_calls == [decompose(model, psi)]
     assert ("defect bound: pass" in out) == bool(subalgebra)
