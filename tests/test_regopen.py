@@ -10,9 +10,12 @@ from noise_lab.regopen import (
     FiniteSpace,
     RegOpen,
     _triple_laws,
+    dyadic_quotient_space,
+    finite_space_regopen,
     grid_scale,
     make_regopen,
     random_regopen,
+    regopen_to_quotient,
     verify_reg_laws,
 )
 from noise_lab.suite import _Ctx, regopen__finite_spaces
@@ -307,6 +310,30 @@ def test_triple_laws_share_the_pairwise_meets_and_joins(monkeypatch):
     assert len(ops) == 14
 
 
+def test_sierpinski_space():
+    space = FiniteSpace(
+        points=("a", "b"),
+        opens=frozenset({frozenset(), frozenset({"a"}), frozenset({"a", "b"})}),
+    )
+    alg = finite_space_regopen(space)
+    assert [sorted(e) for e in alg.elements] == [[], ["a", "b"]]
+    assert alg.verify_laws() == []
+
+
+def test_discrete_and_indiscrete_spaces():
+    disc = FiniteSpace(
+        points=(0, 1, 2),
+        opens=frozenset(
+            frozenset(s)
+            for s in [set(), {0}, {1}, {2}, {0, 1}, {0, 2}, {1, 2}, {0, 1, 2}]
+        ),
+    )
+    assert len(finite_space_regopen(disc).elements) == 8
+
+    indis = FiniteSpace(points=(0, 1), opens=frozenset({frozenset(), frozenset({0, 1})}))
+    assert len(finite_space_regopen(indis).elements) == 2
+
+
 def test_finite_spaces_check():
     # Sierpinski, discrete and indiscrete spaces, and the dyadic quotients at
     # depths 1 and 2 against the interval algebra; the check reads no model.
@@ -325,6 +352,24 @@ def test_bad_topology_rejected():
                 frozenset(s) for s in [set(), {0}, {1}, {0, 1, 2}]
             ),
         )
+
+
+def test_dyadic_quotient_agreement():
+    for depth in (1, 2):
+        space, cells = dyadic_quotient_space(depth)
+        qalg = finite_space_regopen(space)
+        q = 1 << depth
+        elems = []
+        for bits in range(1 << q):
+            pieces = [(F(j, q), F(j + 1, q)) for j in range(q) if bits >> j & 1]
+            elems.append(make_regopen(pieces, L))
+        images = {r: regopen_to_quotient(r, depth, cells) for r in elems}
+        assert set(images.values()) == set(qalg.elements)
+        for r in elems:
+            assert images[~r] == qalg.complement(images[r])
+            for s in elems:
+                assert images[r & s] == qalg.meet(images[r], images[s])
+                assert images[r | s] == qalg.join(images[r], images[s])
 
 
 def test_random_regopen_is_canonical(rng):
