@@ -10,7 +10,11 @@ once, in the suite check chaos.first_chaos, which compares the two spans.
 Everything else works on one Walsh decomposition of the vector at hand:
 conditioning on x keeps the coefficients whose support lies inside x, so
 projections are masked coefficient vectors and projected norms are Parseval
-sums over the kept coefficients.
+sums over the kept coefficients. The split identity reads coefficients a
+caller has decomposed once, and product_test and defect_bound_check take
+the whole list of cell sets, so their per-vector work (factor vectors,
+weighted vectors, the mixed coefficients) is done once per call, not once
+per cell set.
 
 The first chaos is returned as a tuple of basis vectors. The atomless
 defect of a vector, relative to a subalgebra it is additive on, is the
@@ -37,7 +41,6 @@ from .model import (
     RandomVariable,
     _check_length,
     _over_lcd,
-    _transform,
     mass_inside,
     masked_coeffs,
     sigma_field_of,
@@ -130,17 +133,6 @@ def first_chaos_basis(model: NoiseModel) -> tuple[RandomVariable, ...]:
     )
 
 
-# -- coefficient space ----------------------------------------------------------
-
-
-def _plus(f: list, g: list) -> list:
-    return [a + b for a, b in zip(f, g)]
-
-
-def _coeffs_eq(model: NoiseModel, f: list, g: list) -> bool:
-    return all(model.eq(a, b) for a, b in zip(f, g))
-
-
 # -- additivity and defect ----------------------------------------------------
 
 
@@ -159,7 +151,7 @@ def _is_additive(model: NoiseModel, coeffs, b: Subalgebra) -> bool:
         return False
     proj = {e.mask: masked_coeffs(model, coeffs, e) for e in b.elements()}
     return all(
-        _coeffs_eq(model, proj[x | y], _plus(proj[x], proj[y]))
+        all(model.eq(u, v + w) for u, v, w in zip(proj[x | y], proj[x], proj[y]))
         for x in proj
         for y in proj
         if x & y == 0
@@ -198,75 +190,76 @@ def atomless_defect(
     return DefectCertificate(delta_sq=delta_sq, delta=math.sqrt(float(delta_sq)), coeffs=coeffs)
 
 
-def _restrict_index(model: NoiseModel, idx: int, mask: int) -> int:
-    """Zero the digits of a flat multi-index outside the given cell mask."""
-    out = 0
-    for i, d in enumerate(model.point_digits(idx)):
-        if mask >> i & 1:
-            out += d * model.strides[i]
-    return out
+def _restrict_index(model: NoiseModel, digits, mask: int) -> int:
+    """The flat multi-index with the given digits zeroed outside the cell
+    mask."""
+    return sum(d * model.strides[i] for i, d in enumerate(digits) if mask >> i & 1)
 
 
 def defect_bound_check(
-    model: NoiseModel,
-    psi: RandomVariable,
-    b: Subalgebra,
-    x: BoolElem,
-    certificate: DefectCertificate | None = None,
-) -> DefectBoundReport:
+    model: NoiseModel, certificate: DefectCertificate, xs: Sequence[BoolElem]
+) -> list[DefectBoundReport]:
     """Verify |E(psi*xi*eta)| <= delta for unit zero-mean xi measurable in x
-    and eta measurable in the complement.
+    and eta measurable in the complement, for each cell set x in xs, where
+    psi is the vector the certificate was computed from; one report per
+    cell set, in order.
 
-    The mixed component of psi against normalized tensor pairs forms a
-    matrix C; each |C_jk| <= delta is checked exactly on squares, and the
-    operator norm of C is checked in floats by power iteration. A given
-    certificate must be psi's; its coefficients are reused.
+    Only a coefficient whose support has two or more cells can meet both
+    sides, so the nonzero ones are collected once. For each x, those
+    meeting x and its complement form the mixed component of psi against
+    normalized tensor pairs, a matrix C; each |C_jk| <= delta is checked
+    exactly on squares, and the operator norm of C in floats by power
+    iteration.
     """
-    if certificate is None:
-        certificate = atomless_defect(model, psi, b)
-    delta_sq = certificate.delta_sq
-    delta = certificate.delta
+    delta_sq, delta = certificate.delta_sq, certificate.delta
+    mixed = [
+        (model.point_digits(idx), c, m)
+        for idx, (c, m) in enumerate(zip(certificate.coeffs, model.support_masks))
+        if c != 0 and m & (m - 1)
+    ]
+    reports = []
+    for x in xs:
+        comp = x.complement().mask
+        entries: dict[tuple[int, int], tuple] = {}
+        for digits, c, m in mixed:
+            if m & x.mask and m & comp:
+                j = _restrict_index(model, digits, x.mask)
+                k = _restrict_index(model, digits, comp)
+                entries[(j, k)] = (c, model.basis_norms[j], model.basis_norms[k])
+        entrywise = all(model.leq(c * c * nj * nk, delta_sq) for c, nj, nk in entries.values())
 
-    coeffs = certificate.coeffs
-    masks = model.support_masks
-    comp = x.complement()
-    entries: dict[tuple[int, int], tuple] = {}
-    for idx, c in enumerate(coeffs):
-        m = masks[idx]
-        if c != 0 and m & x.mask and m & comp.mask:
-            j = _restrict_index(model, idx, x.mask)
-            k = _restrict_index(model, idx, comp.mask)
-            entries[(j, k)] = (c, model.basis_norms[j], model.basis_norms[k])
-
-    entrywise = all(model.leq(c * c * nj * nk, delta_sq) for c, nj, nk in entries.values())
-
-    row_ids = sorted({j for j, _ in entries})
-    col_ids = sorted({k for _, k in entries})
-    row_pos = {j: a for a, j in enumerate(row_ids)}
-    col_pos = {k: a for a, k in enumerate(col_ids)}
-    mat = [[0.0] * len(col_ids) for _ in row_ids]
-    for (j, k), (c, nj, nk) in entries.items():
-        mat[row_pos[j]][col_pos[k]] = float(c) * math.sqrt(float(nj) * float(nk))
-    sigma = linalg.spectral_norm(mat) if entries else 0.0
-    return DefectBoundReport(passed=entrywise and sigma <= delta + 1e-9, delta=delta, sigma_max=sigma)
+        row_pos = {j: a for a, j in enumerate(sorted({j for j, _ in entries}))}
+        col_pos = {k: a for a, k in enumerate(sorted({k for _, k in entries}))}
+        mat = [[0.0] * len(col_pos) for _ in row_pos]
+        for (j, k), (c, nj, nk) in entries.items():
+            mat[row_pos[j]][col_pos[k]] = float(c) * math.sqrt(float(nj) * float(nk))
+        sigma = linalg.spectral_norm(mat) if entries else 0.0
+        reports.append(
+            DefectBoundReport(passed=entrywise and sigma <= delta + 1e-9, delta=delta, sigma_max=sigma)
+        )
+    return reports
 
 
 # -- split identity and the product criterion ---------------------------------
 
 
-def split_check(model: NoiseModel, psi: RandomVariable, x: BoolElem) -> bool:
+def split_check(model: NoiseModel, coeffs, x: BoolElem) -> bool:
     """Does conditioning on x and on its complement reassemble psi exactly?
 
-    Compared on coefficients: psi against the sum of its coefficient vector
-    masked to x and masked to the complement, all over one common
-    denominator (ints on the exact backend). The solution space of the
-    identity is matched against the basis span separately, by elimination
-    (split_solution_space and the suite check chaos.split_space).
+    Read on the Walsh coefficients of psi: Q_x psi + Q_x' psi keeps a
+    coefficient once when its support lies on one side, twice on the empty
+    support and not at all when the support meets both sides, so psi splits
+    exactly when its mean and every coefficient whose support meets both x
+    and ~x vanish. The solution space of the identity is matched against
+    the basis span separately, by elimination (split_solution_space and the
+    suite check chaos.split_space).
     """
-    _check_length(model, psi)
-    coeffs, _ = _transform(model, psi.values, model._analysis, model._analysis_scale)
-    parts = _plus(masked_coeffs(model, coeffs, x), masked_coeffs(model, coeffs, x.complement()))
-    return _coeffs_eq(model, coeffs, parts)
+    if x.n != model.n_cells:
+        raise ValueError("element from a different algebra")
+    comp = x.complement().mask
+    return model.eq(coeffs[0], 0) and all(
+        model.eq(c, 0) for c, s in zip(coeffs, model.support_masks) if s & x.mask and s & comp
+    )
 
 
 def split_solution_space(model: NoiseModel, x: BoolElem) -> tuple[RandomVariable, ...]:
@@ -285,15 +278,10 @@ def _split_span_rows(model: NoiseModel, x: BoolElem) -> list[list]:
     return rows
 
 
-def _moments_vanish(model: NoiseModel, psi: RandomVariable, left: list, right: list) -> bool:
-    """E(psi) = 0 and E(psi*e_j*e_k) = 0 for every e_j in left and e_k in
-    right. psi*w is formed from psi and the weights over their common
-    denominators, as the factors are, so each sum below is the moment times
-    a positive constant."""
-    _check_length(model, psi)
-    psi_w = list(map(operator.mul, _over_lcd(model, psi.values)[0], model.point_weights_lcd[0]))
-    if not model.eq(sum(psi_w), 0):
-        return False
+def _mixed_moments_vanish(model: NoiseModel, psi_w: list, left: list, right: list) -> bool:
+    """E(psi*e_j*e_k) = 0 for every e_j in left and e_k in right, read from
+    psi*w. psi*w and the factors are over their common denominators, so
+    each sum below is the moment times a positive constant."""
     for ej in left:
         partial = list(map(operator.mul, psi_w, ej))
         for ek in right:
@@ -302,20 +290,38 @@ def _moments_vanish(model: NoiseModel, psi: RandomVariable, left: list, right: l
     return True
 
 
-def product_test(model: NoiseModel, psis: Sequence[RandomVariable], x: BoolElem) -> list[bool]:
-    """Per vector: zero mean and zero mixed third moments against spanning
-    zero-mean factors from x and from its complement (computed pointwise,
-    exactly: over ints on the exact backend, from psi*w and the factors over
-    their common denominators). The factors are built once for all the
-    vectors, and not at all when one side has none (x = 0 or 1), where only
-    the mean test remains."""
-    left = list(model.multi_indices_supported_in(x))
-    right = list(model.multi_indices_supported_in(x.complement()))
-    if not (left and right):
-        left = right = []
-    left = [_over_lcd(model, model.walsh_vector(j).values)[0] for j in left]
-    right = [_over_lcd(model, model.walsh_vector(k).values)[0] for k in right]
-    return [_moments_vanish(model, psi, left, right) for psi in psis]
+def product_test(
+    model: NoiseModel, psis: Sequence[RandomVariable], xs: Sequence[BoolElem]
+) -> list[list[bool]]:
+    """Per cell set x in xs (one verdict list each), per vector: zero mean
+    and zero mixed third moments against spanning zero-mean factors from x
+    and from its complement, computed pointwise and exactly (over ints on
+    the exact backend, from psi*w and the factors over their common
+    denominators). Each psi*w and each factor is built once per call; a cell
+    set with an empty side (x = 0 or 1) needs no factors, only the mean."""
+    _check_length(model, *psis)
+    weights = model.point_weights_lcd[0]
+    psi_ws = [list(map(operator.mul, _over_lcd(model, psi.values)[0], weights)) for psi in psis]
+    means = [model.eq(sum(psi_w), 0) for psi_w in psi_ws]
+    factors: dict[int, tuple] = {}
+    verdicts = []
+    for x in xs:
+        left = list(model.multi_indices_supported_in(x))
+        right = list(model.multi_indices_supported_in(x.complement()))
+        if not (left and right):
+            left = right = []
+        for j in left + right:
+            if j not in factors:
+                factors[j] = _over_lcd(model, model.walsh_vector(j).values)[0]
+        left = [factors[j] for j in left]
+        right = [factors[k] for k in right]
+        verdicts.append(
+            [
+                mean and _mixed_moments_vanish(model, psi_w, left, right)
+                for psi_w, mean in zip(psi_ws, means)
+            ]
+        )
+    return verdicts
 
 
 # -- classification -----------------------------------------------------------

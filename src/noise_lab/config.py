@@ -64,8 +64,8 @@ class ModelConfig:
             raise ConfigError(f"unknown backend {self.backend!r}", "backend")
         if type(self.seed) is not int or not 0 <= self.seed < 1 << 64:
             raise ConfigError("seed must be an unsigned 64-bit integer", "seed")
-        if type(self.depth) is not int or not 0 <= self.depth <= 16:
-            raise ConfigError("depth must be an integer in 0..16", "depth")
+        if type(self.depth) is not int or not 1 <= self.depth <= 16:
+            raise ConfigError("depth must be an integer in 1..16", "depth")
         limit = self.exhaustive_limit
         # Past 64 elements an exhaustive run (all pairs, in laws) takes minutes.
         if type(limit) is not int or not 1 <= limit <= 64:

@@ -17,7 +17,10 @@ the closure of a regular open set, the union of the grid cells that hold a
 point, so the depth-D approximant is the closure of a ``RegOpen``, the
 cover that ``spectral_set_map`` returns; it shrinks onto the points as the
 depth grows, with a certified Hausdorff bound. The suite's oracle compares
-that shortcut with the literal union over the dyadic family.
+that shortcut with the literal union over the dyadic family on the atoms
+it is given. Nothing here walks all 2^n atoms: an atom's closed set lies
+in cl(r) exactly when the atom is below r's closure mask, so statements
+over every atom are read off one or two masks.
 """
 
 from __future__ import annotations
@@ -184,15 +187,15 @@ def spectral_set_map(emb: Embedding, s: BoolElem, depth: int = 6) -> SpectralMap
     return SpectralMapResult(cover=cover, hausdorff_distance=Fraction(twice, 2 * emb.scale))
 
 
-def verify_spectral_map_uniqueness(emb: Embedding, depth: int) -> bool:
+def verify_spectral_map_uniqueness(emb: Embedding, depth: int, atoms) -> bool:
     """The depth-D approximant is the closed set its definition names: for
-    every atom, the closure of the grid cover holds the same probes
+    each given atom, the closure of the grid cover holds the same probes
     i/2^(D+1) as the complement of the union of every dyadic open interval
     missing the atom's points."""
     half = to_ticks(1, 2 << depth, emb.scale)
     probes = [i * half for i in range((2 << depth) + 1)]
-    for mask in range(1 << emb.n):
-        targets = _atom_ticks(emb, BoolElem(mask, emb.n))
+    for atom in atoms:
+        targets = _atom_ticks(emb, atom)
         cover = _grid_cover(targets, emb.scale, depth)
         if cover.closure_mask(probes) != _uncovered_probes(targets, emb.scale, depth):
             return False
@@ -218,16 +221,6 @@ def chain_sup(emb: Embedding, chain) -> BoolElem:
     return out
 
 
-def uncovered_atoms(emb: Embedding, chain) -> list[BoolElem]:
-    """Atoms whose closed set lies inside no closure from the chain."""
-    closures = [closure_cells(emb, a).mask for a in chain]
-    return [
-        BoolElem(m, emb.n)
-        for m in range(1 << emb.n)
-        if not any(m & ~c == 0 for c in closures)
-    ]
-
-
 def monotone_limit_check(emb: Embedding, chain) -> bool:
     """Equivalence: the joined image reaches the full set iff every atom's
     closed set is eventually inside a closure from the chain. (Every atom
@@ -243,7 +236,8 @@ def monotone_limit_check(emb: Embedding, chain) -> bool:
         if not a.le(b):
             raise ValueError("chain must be increasing")
     reaches_one = chain_sup(emb, chain).is_one
-    all_covered = not uncovered_atoms(emb, chain)
+    # Every atom is below some closure mask iff the full atom is.
+    all_covered = any(closure_cells(emb, a).is_one for a in chain)
     return reaches_one == all_covered
 
 

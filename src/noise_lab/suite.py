@@ -313,11 +313,12 @@ def chaos__split_product_equiv(ctx: _Ctx):
     m = ctx.model
     rng = ctx.rng("chaos.splitprod")
     family = ctx.spanning_family(rng)
+    xs = ctx.elements(rng, sample=6)
+    coeffs = [walsh_decompose(m, psi) for psi in family]
     bad = []
-    for x in ctx.elements(rng, sample=6):
-        products = chaos_mod.product_test(m, family, x)
-        for k, (psi, product) in enumerate(zip(family, products)):
-            if chaos_mod.split_check(m, psi, x) != product:
+    for x, products in zip(xs, chaos_mod.product_test(m, family, xs)):
+        for k, (c, product) in enumerate(zip(coeffs, products)):
+            if chaos_mod.split_check(m, c, x) != product:
                 bad.append(f"x={x} vector {k}")
     return f"{len(family)} vectors per element", bad, not bad
 
@@ -445,7 +446,7 @@ def chaos__defect_bound(ctx: _Ctx):
             )
             if cert.delta_sq != least:
                 bad.append(f"b={blocks}: delta^2={cert.delta_sq} != least part-mass {least}")
-        rep = chaos_mod.defect_bound_check(m, psi, sub, x, certificate=cert)
+        (rep,) = chaos_mod.defect_bound_check(m, cert, [x])
         if not rep.passed:
             bad.append(f"x={x} sigma={rep.sigma_max} delta={rep.delta}")
     return "25 randomized (psi, b, x) cases", bad, not bad
@@ -473,7 +474,7 @@ def spectrum__spectral_sets(ctx: _Ctx):
                 strict = f"x={x} y={y}: union misses {len(sj - (sx | sy))} atoms"
     # The spectral filter {x : s in S_x} of each atom s is its principal
     # filter; the filter law then follows from the meet identity.
-    for atom in space.atoms:
+    for atom in ctx.elements(ctx.rng("spectrum.filter")):
         for x, sx in zip(elements, sets):
             if (atom.mask in sx) != atom.le(x):
                 bad.append(f"spectral filter of atom {atom} differs from its up-set at {x}")
@@ -705,7 +706,8 @@ def geometry__spectral_identity(ctx: _Ctx):
     emb = ctx.cfg.embedding
     depth = min(ctx.cfg.depth, 6)
     bad = []
-    if not geo_mod.verify_spectral_map_uniqueness(emb, min(depth, 4)):
+    atoms = ctx.elements(ctx.rng("geometry.uniqueness"))
+    if not geo_mod.verify_spectral_map_uniqueness(emb, min(depth, 4), atoms):
         bad.append("closed-set approximant differs from its definition")
     count = 0
     for a in reg_mod.dyadic_grid_regopens(depth, ctx.scale):
@@ -726,9 +728,9 @@ def geometry__spectral_identity(ctx: _Ctx):
 def geometry__approximant(ctx: _Ctx):
     emb = ctx.cfg.embedding
     depth = min(ctx.cfg.depth, 8)
+    atoms = ctx.elements(ctx.rng("geometry.approximant"))
     bad = []
-    for mask in range(1 << emb.n):
-        atom = BoolElem(mask, emb.n)
+    for atom in atoms:
         for d in range(1, depth + 1):
             res = geo_mod.spectral_set_map(emb, atom, depth=d)
             missed = atom & ~geo_mod.closure_cells(emb, res.cover)
@@ -737,7 +739,8 @@ def geometry__approximant(ctx: _Ctx):
             )
             if res.hausdorff_distance >= Fraction(1, 1 << d):
                 bad.append(f"Hausdorff bound broken at atom {atom}, depth {d}")
-    return f"all atoms, depths 1..{depth}", bad, not bad
+    scope = "all atoms" if ctx.exhaustive() else f"{len(atoms)} sampled atoms"
+    return f"{scope}, depths 1..{depth}", bad, not bad
 
 
 @_check(embedding=True)
@@ -780,7 +783,7 @@ def geometry__monotone_limit(ctx: _Ctx):
     return "structured + 25 random chains", bad, not bad
 
 
-@_check(embedding=True)
+@_check(cells=True, embedding=True)
 def geometry__boundary_dichotomy(ctx: _Ctx):
     emb = ctx.cfg.embedding
     rng = ctx.rng("geometry.dichotomy")

@@ -42,7 +42,6 @@ from noise_lab.geometry import (
     closure_cells,
     monotone_limit_check,
     spectral_set_map,
-    uncovered_atoms,
     verify_spectral_map_uniqueness,
     verify_spectral_set_identity,
 )
@@ -54,6 +53,7 @@ from noise_lab.model import (
     project,
     project_oracle,
     verify_projection_laws,
+    walsh_decompose,
 )
 from noise_lab.regopen import (
     dyadic_grid_regopens,
@@ -163,11 +163,11 @@ def test_criterion_04_split_product_and_subspace():
         family = [m.walsh_vector(i) for i in range(m.n_points)]
         mixed = family[1] + family[-1].scale(F(3, 2))
         family.append(mixed)
-        for mask in range(1 << m.n_cells):
-            x = BoolElem(mask, m.n_cells)
-            products = product_test(m, family, x)
-            for k, (psi, product) in enumerate(zip(family, products)):
-                if split_check(m, psi, x) != product:
+        coeffs = [walsh_decompose(m, psi) for psi in family]
+        xs = [BoolElem(mask, m.n_cells) for mask in range(1 << m.n_cells)]
+        for x, products in zip(xs, product_test(m, family, xs)):
+            for k, (c, product) in enumerate(zip(coeffs, products)):
+                if split_check(m, c, x) != product:
                     failures.append(f"{shape} x={x} vec {k}")
             space = split_solution_space(m, x)
             if not linalg.span_equal(
@@ -188,7 +188,7 @@ def test_criterion_05_defect_bound_quantitative():
     if cert.delta_sq != 1:
         failures.append(f"delta^2 = {cert.delta_sq} != 1")
     x = BoolElem.from_indices([0, 2], 4)
-    rep = defect_bound_check(m, psi, blocks, x, certificate=cert)
+    (rep,) = defect_bound_check(m, cert, [x])
     if not rep.passed:
         failures.append("tight case does not pass")
     if expectation(m, psi * r[0] * r[1]) != 1:
@@ -202,7 +202,7 @@ def test_criterion_05_defect_bound_quantitative():
         sub = Subalgebra(4, tuple(random_partition_blocks(rng, 4)))
         vec = additive_vector(m, sub, m.random_rv(rng))
         xr = BoolElem(rng.randrange(16), 4)
-        crep = defect_bound_check(m, vec, sub, xr)
+        (crep,) = defect_bound_check(m, atomless_defect(m, vec, sub), [xr])
         if not crep.passed:
             violations += 1
     if violations:
@@ -299,7 +299,7 @@ def test_criterion_09_geometry():
     failures = []
     emb = build_embedding([F(1, 5), F(1, 3), F(2, 3)], 3)
 
-    if not verify_spectral_map_uniqueness(emb, 4):
+    if not verify_spectral_map_uniqueness(emb, 4, [BoolElem(mask, 3) for mask in range(8)]):
         failures.append("closed-set approximant differs from its definition")
     count = 0
     for a in dyadic_grid_regopens(6, L):
@@ -319,7 +319,7 @@ def test_criterion_09_geometry():
         failures.append("chain equivalence fails")
     if not chain_sup(emb, chain).is_one:
         failures.append("chain sup misses the full set")
-    if uncovered_atoms(emb, chain):
+    if not any(closure_cells(emb, a).is_one for a in chain):
         failures.append("chain leaves atoms uncovered")
 
     rep = boundary_dichotomy(emb, make_regopen([(0, F(1, 3))], L))

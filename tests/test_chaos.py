@@ -35,6 +35,7 @@ from noise_lab.model import (
     project,
     sigma_field_of,
     uniform_cell,
+    walsh_decompose,
 )
 
 from conftest import block_subalgebra, full_subalgebra, model_family, point_index, sign_rv
@@ -115,7 +116,7 @@ def test_defect_bound_tight_case(four_coins):
     psi = r[0] * r[1] + r[2] * r[3]
     blocks = block_subalgebra(m, [[0, 1], [2, 3]])
     x = BoolElem.from_indices([0, 2], 4)
-    rep = defect_bound_check(m, psi, blocks, x)
+    (rep,) = defect_bound_check(m, atomless_defect(m, psi, blocks), [x])
     assert rep.passed
     assert rep.delta == 1.0
     # Attained with equality: the mixed moment against r_0, r_1 is exactly 1.
@@ -127,9 +128,8 @@ def test_defect_bound_tight_case(four_coins):
 
 def test_defect_bound_first_chaos_vector_trivial(four_coins):
     m = four_coins
-    rep = defect_bound_check(
-        m, sign_rv(m, 0), full_subalgebra(m), BoolElem.from_indices([0, 1], 4)
-    )
+    cert = atomless_defect(m, sign_rv(m, 0), full_subalgebra(m))
+    (rep,) = defect_bound_check(m, cert, [BoolElem.from_indices([0, 1], 4)])
     assert rep.passed
     assert rep.sigma_max == 0.0
 
@@ -140,18 +140,29 @@ def test_defect_bound_trivial_subalgebra_cauchy_schwarz(four_coins, rng):
     psi = m.random_rv(rng, zero_mean=True)
     cert = atomless_defect(m, psi, trivial)
     assert cert.delta_sq == norm_sq(m, psi)
-    for mask in (0b0001, 0b0011, 0b0101):
-        rep = defect_bound_check(m, psi, trivial, BoolElem(mask, 4), certificate=cert)
-        assert rep.passed
+    reports = defect_bound_check(m, cert, [BoolElem(mask, 4) for mask in (0b0001, 0b0011, 0b0101)])
+    assert [rep.passed for rep in reports] == [True] * 3
+
+
+def test_defect_bound_check_reports_each_cell_set_as_alone(rng):
+    m = NoiseModel([uniform_cell(2), uniform_cell(3), fair_coin(), uniform_cell(2)])
+    for blocks in ([[0, 1], [2, 3]], [[0], [1, 2, 3]], [[0, 1, 2, 3]]):
+        sub = block_subalgebra(m, blocks)
+        cert = atomless_defect(m, additive_vector(m, sub, m.random_rv(rng)), sub)
+        xs = [BoolElem(mask, 4) for mask in range(16)]
+        batch = defect_bound_check(m, cert, xs)
+        assert batch == [defect_bound_check(m, cert, [x])[0] for x in xs]
+        assert all(rep.passed and rep.delta == cert.delta for rep in batch)
+    assert defect_bound_check(m, cert, []) == []
 
 
 def test_split_check_examples(two_coins):
     m = two_coins
     r1, r2 = sign_rv(m, 0), sign_rv(m, 1)
     x = BoolElem(1, 2)
-    assert split_check(m, r1, x)
-    assert not split_check(m, r1 * r2, x)
-    assert not split_check(m, m.constant(2), x)  # constants double-count
+    assert split_check(m, walsh_decompose(m, r1), x)
+    assert not split_check(m, walsh_decompose(m, r1 * r2), x)
+    assert not split_check(m, walsh_decompose(m, m.constant(2)), x)  # constants double-count
 
 
 def test_split_solution_space_matches_walsh_span(coin_and_triple):
@@ -196,7 +207,7 @@ def test_product_test_examples(two_coins):
     m = two_coins
     r1, r2 = sign_rv(m, 0), sign_rv(m, 1)
     x = BoolElem(1, 2)
-    assert product_test(m, [r1, r1 * r2, m.constant(1)], x) == [True, False, False]
+    assert product_test(m, [r1, r1 * r2, m.constant(1)], [x])[0] == [True, False, False]
 
 
 def test_product_test_builds_no_factors_when_one_side_is_empty(coin_and_triple, monkeypatch):
@@ -212,11 +223,30 @@ def test_product_test_builds_no_factors_when_one_side_is_empty(coin_and_triple, 
     monkeypatch.setattr(NoiseModel, "walsh_vector", count_and_build)
     # x = 0 or 1 leaves only the mean test: e_0 and the constant fail it.
     expected = [False] + [True] * (m.n_points - 1) + [False]
-    for mask in (0, 0b11):
-        assert product_test(m, family, BoolElem(mask, 2)) == expected
+    assert product_test(m, family, [BoolElem(0, 2), BoolElem(0b11, 2)]) == [expected] * 2
     assert built == []
-    product_test(m, family, BoolElem(0b01, 2))
+    product_test(m, family, [BoolElem(0b01, 2)])
     assert len(built) == sum(k - 1 for k in m.radices)  # 1 + 2 factor vectors
+
+
+def test_product_test_builds_each_factor_once_per_call(monkeypatch):
+    m = NoiseModel([uniform_cell(2), uniform_cell(3), uniform_cell(3)])
+    family = [m.walsh_vector(i) for i in range(m.n_points)]
+    built = []
+    walsh_vector = NoiseModel.walsh_vector
+
+    def count_and_build(model, idx):
+        built.append(idx)
+        return walsh_vector(model, idx)
+
+    monkeypatch.setattr(NoiseModel, "walsh_vector", count_and_build)
+    xs = [BoolElem(mask, 3) for mask in range(8)] * 3
+    verdicts = product_test(m, family, xs)
+    assert len(verdicts) == len(xs)
+    assert len(built) == len(set(built)) <= m.n_points - 1
+    # Against one call per element, which builds each element's factors.
+    for x, row in zip(xs, verdicts):
+        assert product_test(m, family, [x]) == [row]
 
 
 def test_product_test_reads_no_walsh_coefficients(coin_and_triple, monkeypatch):
@@ -226,19 +256,30 @@ def test_product_test_reads_no_walsh_coefficients(coin_and_triple, monkeypatch):
     straddling = next(i for i, s in enumerate(m.support_masks) if s == 0b11)
     psi = m.walsh_vector(straddling).scale(F(3, 7))
     x = BoolElem(0b01, 2)
-    expected = [split_check(m, v, x) for v in family]
-    assert not split_check(m, psi, x)
+    expected = [split_check(m, walsh_decompose(m, v), x) for v in family]
+    assert not split_check(m, walsh_decompose(m, psi), x)
 
     def refuse(*args):
         raise AssertionError("product_test read Walsh coefficients")
 
     for module in (model, chaos):
         monkeypatch.setattr(module, "walsh_decompose", refuse)
-        monkeypatch.setattr(module, "_transform", refuse)
-    assert product_test(m, family, x) == expected
-    assert product_test(m, [psi], x) == [False]
+    monkeypatch.setattr(model, "_transform", refuse)
+    assert product_test(m, family, [x]) == [expected]
+    assert product_test(m, [psi], [x]) == [[False]]
     with pytest.raises(AssertionError):
-        split_check(m, psi, x)
+        chaos.walsh_decompose(m, psi)
+
+
+def test_split_check_reads_the_mean_and_the_straddling_coefficients(coin_and_triple):
+    m = coin_and_triple
+    for mask in range(4):
+        x = BoolElem(mask, 2)
+        for idx, s in enumerate(m.support_masks):
+            coeffs = [F(0)] * m.n_points
+            coeffs[idx] = F(1, 3)
+            straddles = s & x.mask and s & ~x.mask
+            assert split_check(m, coeffs, x) == (s != 0 and not straddles)
 
 
 def test_split_iff_product_exhaustive(coin_and_triple):
@@ -246,9 +287,10 @@ def test_split_iff_product_exhaustive(coin_and_triple):
     family = [m.walsh_vector(i) for i in range(m.n_points)]
     combo = family[1] + family[3].scale(F(2)) - family[4]
     family.append(combo)
-    for mask in range(4):
-        x = BoolElem(mask, 2)
-        assert [split_check(m, psi, x) for psi in family] == product_test(m, family, x)
+    coeffs = [walsh_decompose(m, psi) for psi in family]
+    xs = [BoolElem(mask, 2) for mask in range(4)]
+    for x, products in zip(xs, product_test(m, family, xs)):
+        assert [split_check(m, c, x) for c in coeffs] == products
 
 
 def test_classify_examples(two_coins):
@@ -333,12 +375,13 @@ def test_first_chaos_is_intersection_of_split_spaces(coin_and_triple):
     surviving = [
         v
         for v in family
-        if all(split_check(m, v, BoolElem(mask, 2)) for mask in range(4))
+        if all(split_check(m, walsh_decompose(m, v), BoolElem(mask, 2)) for mask in range(4))
     ]
     assert linalg.span_equal([list(v.values) for v in surviving], fc)
     # And a genuinely mixed vector fails some split.
     mixed = m.walsh_vector(point_index(m, (1, 1)))
-    assert not all(split_check(m, mixed, BoolElem(mask, 2)) for mask in range(4))
+    mixed_coeffs = walsh_decompose(m, mixed)
+    assert not all(split_check(m, mixed_coeffs, BoolElem(mask, 2)) for mask in range(4))
 
 
 def _additive_by_projection(m, psi, b):
@@ -402,7 +445,7 @@ def test_coefficient_space_matches_point_space_oracle():
                 x = BoolElem(mask, n)
                 for v in (psi, seedling):
                     split = project(m, x, v) + project(m, x.complement(), v)
-                    assert split_check(m, v, x) == (v == split)
+                    assert split_check(m, walsh_decompose(m, v), x) == (v == split)
 
 
 def test_split_check_runs_no_elimination(coin_and_triple, monkeypatch):
@@ -411,7 +454,8 @@ def test_split_check_runs_no_elimination(coin_and_triple, monkeypatch):
 
     monkeypatch.setattr(linalg, "rref", refuse)
     m = coin_and_triple
-    for mask in range(4):
-        x = BoolElem(mask, 2)
-        family = [m.walsh_vector(idx) for idx in range(m.n_points)]
-        assert [split_check(m, psi, x) for psi in family] == product_test(m, family, x)
+    family = [m.walsh_vector(idx) for idx in range(m.n_points)]
+    coeffs = [walsh_decompose(m, psi) for psi in family]
+    xs = [BoolElem(mask, 2) for mask in range(4)]
+    for x, products in zip(xs, product_test(m, family, xs)):
+        assert [split_check(m, c, x) for c in coeffs] == products

@@ -93,13 +93,14 @@ def test_replaced_fields_pass_the_same_checks():
         ("backend", "quantum"),
         ("seed", -5),
         ("depth", -1),
+        ("depth", 0),
         ("exhaustive_limit", 0),
         ("exhaustive_limit", 65),
     ):
         with pytest.raises(ConfigError, match=name) as info:
             dataclasses.replace(cfg, **{name: value})
         assert info.value.path == name
-    assert dataclasses.replace(cfg, seed=5, depth=0).seed == 5
+    assert dataclasses.replace(cfg, seed=5, depth=1).seed == 5
     assert dataclasses.replace(cfg, exhaustive_limit=64).exhaustive_limit == 64
 
 

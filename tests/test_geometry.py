@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import math
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -22,7 +23,6 @@ from noise_lab.geometry import (
     sample_hom,
     shrink_chain,
     spectral_set_map,
-    uncovered_atoms,
     verify_shrink_chain,
     verify_spectral_map_uniqueness,
     verify_spectral_set_identity,
@@ -194,9 +194,13 @@ def test_spectral_set_map_shrinks(emb):
     assert len(spectral_set_map(emb, atom, depth=4).cover.ticks) == 3
 
 
+def _all_atoms(emb):
+    return [BoolElem(mask, emb.n) for mask in range(1 << emb.n)]
+
+
 def test_uniqueness_of_the_union(emb):
     for depth in (2, 3, 4):
-        assert verify_spectral_map_uniqueness(emb, depth)
+        assert verify_spectral_map_uniqueness(emb, depth, _all_atoms(emb))
 
 
 # The flag-array construction the grid cover replaced: uncovered grid units
@@ -277,7 +281,7 @@ def _drop_last_cell(monkeypatch):
 
 def test_uniqueness_oracle_catches_a_cover_without_its_last_cell(emb, monkeypatch):
     _drop_last_cell(monkeypatch)
-    assert not verify_spectral_map_uniqueness(emb, 3)
+    assert not verify_spectral_map_uniqueness(emb, 3, _all_atoms(emb))
     result = geometry__spectral_identity(_Ctx(load_model_config(str(TWO_COINS))))
     assert result.status == "fail"
     assert "closed-set approximant differs from its definition" in result.witnesses
@@ -291,8 +295,40 @@ def test_approximant_check_catches_a_cover_without_its_last_cell(monkeypatch):
     assert all(" escapes the depth-" in w for w in result.witnesses)
 
 
+def test_per_atom_checks_take_their_atoms_from_the_element_policy(monkeypatch):
+    n = 12
+    cfg = load_config_dict(
+        {
+            "cells": [{"k": 2, "probs": ["1/2", "1/2"]}] * n,
+            "backend": "float",
+            "embedding": {"sample_points": [f"{k}/{2 * n + 1}" for k in range(1, n + 1)]},
+        }
+    )
+    ctx = _Ctx(cfg)
+    budget = len(ctx.elements(random.Random(0))) * cfg.depth
+    calls = {"spectral_set_map": 0, "_grid_cover": 0}
+
+    def counted(name):
+        real = getattr(geometry, name)
+
+        def count(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return count
+
+    for name in calls:
+        monkeypatch.setattr(geometry, name, counted(name))
+    for check in (geometry__spectral_identity, geometry__approximant):
+        calls.update(dict.fromkeys(calls, 0))
+        result = check(ctx)
+        assert result.status == "pass"
+        assert 0 < max(calls.values()) <= budget, (check.__name__, calls)
+    assert result.detail == f"14 sampled atoms, depths 1..{cfg.depth}"
+
+
 def test_spectral_set_identity_runs_no_uniqueness_oracle(emb, monkeypatch):
-    def refuse(emb, depth):
+    def refuse(emb, depth, atoms):
         raise AssertionError("identity check ran the uniqueness oracle")
 
     monkeypatch.setattr(geometry, "verify_spectral_map_uniqueness", refuse)
@@ -312,15 +348,17 @@ def test_monotone_limit_growing_chain(emb):
     chain = [make_regopen([(0, 1 - F(1, 2**n))], L) for n in range(1, 9)]
     assert monotone_limit_check(emb, chain)
     assert chain_sup(emb, chain).is_one
-    assert uncovered_atoms(emb, chain) == []
+    assert _uncovered_by_atoms(emb, chain) == []
+    assert _covered_side_matches_atoms(emb, chain)
 
 
 def test_monotone_limit_constant_chain(emb):
     chain = [make_regopen([(0, F(1, 2))], L)] * 4
     assert monotone_limit_check(emb, chain)  # both sides of the equivalence fail
     assert chain_sup(emb, chain) == BoolElem.from_indices([0, 1], 3)
-    stuck = uncovered_atoms(emb, chain)
+    stuck = _uncovered_by_atoms(emb, chain)
     assert BoolElem.from_indices([2], 3) in stuck
+    assert _covered_side_matches_atoms(emb, chain)
 
 
 def test_monotone_limit_input_errors(emb):
@@ -475,7 +513,7 @@ def test_spectral_set_identity_across_cell_counts():
     points = [F(1, 7), F(1, 5), F(1, 3), F(3, 5), F(2, 3)]
     for n in range(1, 6):
         e = build_embedding(points[:n], n)
-        assert verify_spectral_map_uniqueness(e, 3)
+        assert verify_spectral_map_uniqueness(e, 3, _all_atoms(e))
         for a in dyadic_grid_regopens(4, e.scale):
             assert verify_spectral_set_identity(e, a)
 
@@ -505,8 +543,12 @@ def test_mask_forms_build_no_closed_sets(emb, monkeypatch):
         assert verify_spectral_set_identity(emb, a)
     rep = boundary_dichotomy(emb, make_regopen([(0, F(1, 3))], L))
     assert rep.witness_atom == BoolElem.from_indices([1], 3)
-    assert monotone_limit_check(emb, [make_regopen([(0, 1 - F(1, 2**n))], L) for n in range(1, 9)])
-    assert monotone_limit_check(emb, [make_regopen([(0, F(1, 2))], L)] * 4)
+    growing = [make_regopen([(0, 1 - F(1, 2**n))], L) for n in range(1, 9)]
+    constant = [make_regopen([(0, F(1, 2))], L)] * 4
+    assert monotone_limit_check(emb, growing)
+    assert monotone_limit_check(emb, constant)
+    for chain in (growing, constant):
+        assert _covered_side_matches_atoms(emb, chain)
 
 
 # The per-atom definitions the mask forms replace, written out over the
@@ -538,6 +580,13 @@ def _uncovered_by_atoms(emb, chain):
     return out
 
 
+def _covered_side_matches_atoms(emb, chain):
+    """monotone_limit_check against the per-atom reference: it holds exactly
+    when reaching the full set agrees with leaving no atom uncovered."""
+    every_atom_covered = not _uncovered_by_atoms(emb, chain)
+    return monotone_limit_check(emb, chain) == (chain_sup(emb, chain).is_one == every_atom_covered)
+
+
 def _dichotomy_witness_by_atoms(emb, r):
     for m in range(1, 1 << emb.n):
         atom = BoolElem(m, emb.n)
@@ -551,14 +600,14 @@ def _assert_mask_forms_match_atoms(emb, rng):
     family = dyadic_grid_regopens(4, emb.scale)
     for a in family:
         assert verify_spectral_set_identity(emb, a) == _identity_by_atoms(emb, a)
-        assert uncovered_atoms(emb, [a]) == _uncovered_by_atoms(emb, [a])
+        assert _covered_side_matches_atoms(emb, [a])
     for _ in range(40):
         acc = make_regopen((), emb.scale)
         chain = []
         for _ in range(rng.randint(1, 4)):
             acc = acc | rng.choice(family)
             chain.append(acc)
-        assert uncovered_atoms(emb, chain) == _uncovered_by_atoms(emb, chain)
+        assert _covered_side_matches_atoms(emb, chain)
     # Boundaries on and off the sample points.
     ends = sorted(set(emb.sample_points) | {F(j, 16) for j in range(17)})
     for lo in ends:

@@ -167,6 +167,15 @@ def test_suite_skips_geometry_without_embedding():
     assert report.exit_code(strict=True) == 3
 
 
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_zero_cell_config_with_an_embedding_skips_the_dichotomy(backend):
+    cfg = load_config_dict({"cells": [], "embedding": {"sample_points": []}, "backend": backend})
+    report = run_verification_suite(cfg)
+    assert report.exit_code() == 0
+    dichotomy = next(r for r in report.results if r.name == "boundary_dichotomy")
+    assert (dichotomy.status, dichotomy.detail) == ("skip", "no cells")
+
+
 def test_suite_float_backend_skips_exact_only_checks():
     cfg = load_config_dict(
         {"cells": [{"k": 2, "probs": ["1/2", "1/2"]}] * 3, "backend": "float"}
@@ -342,7 +351,7 @@ def test_cli_input_error_exit_2(tmp_path):
     assert missing.returncode == 2
 
 
-@pytest.mark.parametrize("flag, value", [("--depth", "-1"), ("--seed", "-5")])
+@pytest.mark.parametrize("flag, value", [("--depth", "-1"), ("--depth", "0"), ("--seed", "-5")])
 def test_cli_overrides_are_validated(flag, value, capsys):
     assert main(["verify", str(TWO_COINS), flag, value]) == 2
     captured = capsys.readouterr()
@@ -459,6 +468,20 @@ def test_cli_chaos_decomposes_psi_at_most_twice(subalgebra, monkeypatch, capsys)
     assert decomposed == [psi]
     assert additivity_calls == [decompose(model, psi)]
     assert ("defect bound: pass" in out) == bool(subalgebra)
+
+
+def test_cli_chaos_bounds_every_cell_set_in_one_call(monkeypatch, capsys):
+    calls = []
+    bound = chaos_mod.defect_bound_check
+
+    def count_calls(model, certificate, xs):
+        calls.append([x.mask for x in xs])
+        return bound(model, certificate, xs)
+
+    monkeypatch.setattr(chaos_mod, "defect_bound_check", count_calls)
+    assert main(["chaos", str(FOUR_COINS), "--subalgebra", "blocks", "--vector", "pairsum"]) == 0
+    assert "defect bound: pass (all cell sets)" in capsys.readouterr().out
+    assert calls == [list(range(16))]
 
 
 def test_cli_verify_four_coins_chaos_group():
