@@ -10,11 +10,13 @@ once, in the suite check chaos.first_chaos, which compares the two spans.
 Everything else works on one Walsh decomposition of the vector at hand:
 conditioning on x keeps the coefficients whose support lies inside x, so
 projections are masked coefficient vectors and projected norms are Parseval
-sums over the kept coefficients. The split identity reads coefficients a
-caller has decomposed once, and product_test and defect_bound_check take
+sums over the kept coefficients. psi is additive on a subalgebra b exactly
+when its mean and every coefficient whose support meets two blocks vanish
+(the block form of the Efron-Stein decomposition); the pairwise definition
+is the other side, in suite checks. The split identity reads coefficients
+a caller has decomposed once, and product_test and defect_bound_check take
 the whole list of cell sets, so their per-vector work (factor vectors,
-weighted vectors, the mixed coefficients) is done once per call, not once
-per cell set.
+weighted vectors, the mixed coefficients) is done once per call.
 
 The first chaos is returned as a tuple of basis vectors. The atomless
 defect of a vector, relative to a subalgebra it is additive on, is the
@@ -37,12 +39,13 @@ from typing import Sequence
 from . import linalg
 from .boolalg import BoolElem, Subalgebra
 from .model import (
+    FLOAT_TOL,
     NoiseModel,
     RandomVariable,
     _check_length,
+    _conditionals,
     _over_lcd,
     mass_inside,
-    masked_coeffs,
     sigma_field_of,
     walsh_decompose,
     walsh_reconstruct,
@@ -137,34 +140,30 @@ def first_chaos_basis(model: NoiseModel) -> tuple[RandomVariable, ...]:
 
 
 def satisfies_additivity(model: NoiseModel, psi: RandomVariable, b: Subalgebra) -> bool:
-    """Exact additivity of conditioning over the subalgebra b: zero mean,
-    and the disjoint-pair split. Synthesis is a bijection, so the
-    projections are compared as masked coefficient vectors; the mean of psi
-    is its coefficient on e_0 = 1.
-    """
-    return _is_additive(model, walsh_decompose(model, psi), b)
+    """Additivity over the subalgebra b by its definition, in point space:
+    Q_(x|y) psi = Q_x psi + Q_y psi for every disjoint pair of elements of b
+    (x = y = 0 asks for zero mean), on conditionals over one denominator.
+    The suite checks chaos.first_chaos and chaos.defect_zero run it."""
+    xs = list(b.elements())
+    proj = dict(zip([x.mask for x in xs], _conditionals(model, psi, xs)[0]))
+    pairs = ((x, y) for x in proj for y in proj if x & y == 0)
+    return all(all(map(model.eq, proj[x | y], map(operator.add, proj[x], proj[y]))) for x, y in pairs)
 
 
-def _is_additive(model: NoiseModel, coeffs, b: Subalgebra) -> bool:
-    """``satisfies_additivity`` on the Walsh coefficients of psi."""
-    if not model.eq(coeffs[0], 0):
-        return False
-    proj = {e.mask: masked_coeffs(model, coeffs, e) for e in b.elements()}
-    return all(
-        all(model.eq(u, v + w) for u, v, w in zip(proj[x | y], proj[x], proj[y]))
-        for x in proj
-        for y in proj
-        if x & y == 0
-    )
+def _in_one_block(s: int, b: Subalgebra) -> bool:
+    """Is the support s nonempty and inside one block of b? These are the
+    supports a b-additive vector may carry: its spectral measure lies on
+    the spectral sets of the blocks and misses the empty set."""
+    return s != 0 and any(s & ~block.mask == 0 for block in b.blocks)
 
 
 def additive_vector(model: NoiseModel, b: Subalgebra, seedling: RandomVariable) -> RandomVariable:
     """Project a raw vector into the space of b-additive vectors: the sum of
     its zero-mean conditionals on the atoms of b, which keeps exactly the
-    coefficients whose nonempty support lies inside one block."""
+    coefficients whose support is nonempty and inside one block."""
     zero = model._num(Fraction(0))
     kept = [
-        c if s and any(s & ~block.mask == 0 for block in b.blocks) else zero
+        c if _in_one_block(s, b) else zero
         for c, s in zip(walsh_decompose(model, seedling), model.support_masks)
     ]
     return walsh_reconstruct(model, kept)
@@ -178,10 +177,12 @@ def atomless_defect(
     least largest per-part norm over all partitions of unity in b (the suite
     check chaos.defect_bound brute-forces that). Conditional norms are
     Parseval sums over the coefficients of psi. Raises NotAdditiveError when
-    psi is not additive on b.
+    psi is not additive on b, that is when its mean or a coefficient whose
+    support meets two blocks is nonzero.
     """
     coeffs = walsh_decompose(model, psi)
-    if not _is_additive(model, coeffs, b):
+    stray = (c for c, s in zip(coeffs, model.support_masks) if not _in_one_block(s, b))
+    if not all(model.eq(c, 0) for c in stray):
         raise NotAdditiveError("additivity on b fails")
     delta_sq = max(
         (mass_inside(model, coeffs, block) for block in b.blocks),
@@ -235,7 +236,7 @@ def defect_bound_check(
             mat[row_pos[j]][col_pos[k]] = float(c) * math.sqrt(float(nj) * float(nk))
         sigma = linalg.spectral_norm(mat) if entries else 0.0
         reports.append(
-            DefectBoundReport(passed=entrywise and sigma <= delta + 1e-9, delta=delta, sigma_max=sigma)
+            DefectBoundReport(passed=entrywise and sigma <= delta + FLOAT_TOL, delta=delta, sigma_max=sigma)
         )
     return reports
 

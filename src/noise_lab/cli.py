@@ -110,10 +110,9 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_chaos(args) -> int:
     cfg = _load_admitted(args.config, exact=True, points=EXACT_CAP)
-    if args.subalgebra is not None:
-        sub = cfg.subalgebra(args.subalgebra)
-    else:
-        sub = _full_subalgebra(cfg)
+    n = cfg.n_cells
+    finest = Subalgebra(n, tuple(BoolElem(1 << i, n) for i in range(n)))
+    sub = finest if args.subalgebra is None else cfg.subalgebra(args.subalgebra)
     values = None if args.vector is None else cfg.vector(args.vector)
     model = cfg.build_model()
     basis = chaos_mod.first_chaos_basis(model)
@@ -144,11 +143,6 @@ def _cmd_chaos(args) -> int:
             )
     sys.stdout.write("\n".join(lines) + "\n")
     return 0
-
-
-def _full_subalgebra(cfg):
-    n = cfg.n_cells
-    return Subalgebra(n, tuple(BoolElem(1 << i, n) for i in range(n)))
 
 
 def main(argv=None) -> int:

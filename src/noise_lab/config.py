@@ -9,6 +9,7 @@ points, wrong vector lengths).
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -64,8 +65,9 @@ class ModelConfig:
             raise ConfigError(f"unknown backend {self.backend!r}", "backend")
         if type(self.seed) is not int or not 0 <= self.seed < 1 << 64:
             raise ConfigError("seed must be an unsigned 64-bit integer", "seed")
-        if type(self.depth) is not int or not 1 <= self.depth <= 16:
-            raise ConfigError("depth must be an integer in 1..16", "depth")
+        # The geometry checks stop refining at depth 8 (geometry.approximant).
+        if type(self.depth) is not int or not 1 <= self.depth <= 8:
+            raise ConfigError("depth must be an integer in 1..8", "depth")
         limit = self.exhaustive_limit
         # Past 64 elements an exhaustive run (all pairs, in laws) takes minutes.
         if type(limit) is not int or not 1 <= limit <= 64:
@@ -77,10 +79,7 @@ class ModelConfig:
 
     @property
     def n_points(self) -> int:
-        n = 1
-        for c in self.cells:
-            n *= c.k
-        return n
+        return math.prod(c.k for c in self.cells)
 
     def build_model(self) -> NoiseModel:
         return NoiseModel(self.cells, backend=self.backend)
@@ -124,10 +123,11 @@ def _parse_cells(raw, path: str) -> tuple[Cell, ...]:
         parsed = tuple(
             parse_fraction(p, f"{cpath}.probs[{j}]") for j, p in enumerate(probs)
         )
-        if "k" in entry and entry["k"] != len(parsed):
-            raise ConfigError(
-                f"k={entry['k']} does not match {len(parsed)} probabilities", cpath
-            )
+        if "k" in entry:
+            if type(entry["k"]) is not int:
+                raise ConfigError("k must be an integer", cpath)
+            if entry["k"] != len(parsed):
+                raise ConfigError(f"k={entry['k']} does not match {len(parsed)} probabilities", cpath)
         try:
             cells.append(Cell(parsed))
         except ValueError as exc:
@@ -151,9 +151,7 @@ def load_config_dict(data: dict) -> ModelConfig:
         raise ConfigError("missing key 'cells'")
     cells = _parse_cells(data["cells"], "cells")
     n = len(cells)
-    n_points = 1
-    for c in cells:
-        n_points *= c.k
+    n_points = math.prod(c.k for c in cells)
 
     subalgebras = []
     for name, blocks in _named(data, "subalgebras"):

@@ -35,7 +35,9 @@ float matrices through the same kernel with no scaling.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -43,6 +45,12 @@ from typing import Iterator, Sequence
 from .boolalg import BoolElem
 
 FLOAT_TOL = 1e-9
+
+
+def _total(items, start=0):
+    """The sum of items, added left to right: from Python 3.12 on sum()
+    compensates float rounding, and float reports would depend on it."""
+    return functools.reduce(operator.add, items, start)
 
 
 @dataclass(frozen=True)
@@ -127,6 +135,7 @@ class NoiseModel:
         self.n_points = strides[0] * self.radices[0] if self.n_cells else 1
 
         num = self._num
+        one = num(Fraction(1))
         # Per-cell orthogonalization: e_0 = 1; e_j = indicator(outcome j)
         # minus its components along earlier vectors, in outcome order.
         cell_vectors = []
@@ -134,17 +143,17 @@ class NoiseModel:
         for cell in self.cells:
             probs = [num(p) for p in cell.probs]
             k = cell.k
-            vectors = [[num(Fraction(1))] * k]
-            norms = [num(Fraction(1))]
+            vectors = [[one] * k]
+            norms = [one]
             for j in range(1, k):
                 vec = [num(Fraction(0))] * k
-                vec[j] = num(Fraction(1))
+                vec[j] = one
                 for l in range(j):
                     prev = vectors[l]
-                    coef = sum(vec[o] * prev[o] * probs[o] for o in range(k)) / norms[l]
+                    coef = _total(vec[o] * prev[o] * probs[o] for o in range(k)) / norms[l]
                     vec = [v - coef * p for v, p in zip(vec, prev)]
                 vectors.append(vec)
-                norms.append(sum(v * v * p for v, p in zip(vec, probs)))
+                norms.append(_total(v * v * p for v, p in zip(vec, probs)))
             cell_vectors.append(tuple(tuple(v) for v in vectors))
             cell_norms_sq.append(tuple(norms))
         self.cell_vectors = tuple(cell_vectors)
@@ -156,12 +165,13 @@ class NoiseModel:
         # that vector's squared norm |e_m|^2.
         digits = [self.point_digits(idx) for idx in range(self.n_points)]
         self.point_weights = tuple(
-            self._product(num(self.cells[i].probs[d]) for i, d in enumerate(dig)) for dig in digits
+            math.prod((num(self.cells[i].probs[d]) for i, d in enumerate(dig)), start=one)
+            for dig in digits
         )
         self.point_weights_lcd = _over_lcd(self, self.point_weights)
-        self.support_masks = tuple(sum(1 << i for i, d in enumerate(dig) if d) for dig in digits)
+        self.support_masks = tuple(_total(1 << i for i, d in enumerate(dig) if d) for dig in digits)
         self.basis_norms = tuple(
-            self._product(self.cell_norms_sq[i][d] for i, d in enumerate(dig)) for dig in digits
+            math.prod((self.cell_norms_sq[i][d] for i, d in enumerate(dig)), start=one) for dig in digits
         )
 
         # k x k transform matrices per cell: analysis maps values along one
@@ -189,12 +199,6 @@ class NoiseModel:
 
     def _num(self, x: Fraction):
         return float(x) if self.backend == "float" else x
-
-    def _product(self, items) -> object:
-        acc = self._num(Fraction(1))
-        for v in items:
-            acc = acc * v
-        return acc
 
     def eq(self, a, b) -> bool:
         return a == b if self.backend == "exact" else abs(a - b) <= FLOAT_TOL
@@ -282,7 +286,7 @@ def inner_product(model: NoiseModel, f: RandomVariable, g: RandomVariable):
     _check_length(model, f, g)
     (a, da), (b, db) = _over_lcd(model, f.values), _over_lcd(model, g.values)
     w, dw = model.point_weights_lcd
-    total = sum(x * y * z for x, y, z in zip(a, b, w))
+    total = _total(x * y * z for x, y, z in zip(a, b, w))
     return total if model.backend == "float" else Fraction(total, da * db * dw)
 
 
@@ -290,7 +294,7 @@ def expectation(model: NoiseModel, f: RandomVariable):
     _check_length(model, f)
     a, da = _over_lcd(model, f.values)
     w, dw = model.point_weights_lcd
-    total = sum(x * z for x, z in zip(a, w))
+    total = _total(x * z for x, z in zip(a, w))
     return total if model.backend == "float" else Fraction(total, da * dw)
 
 
@@ -373,7 +377,7 @@ def support_masses(model: NoiseModel, coeffs) -> dict[int, object]:
 def mass_inside(model: NoiseModel, coeffs, x: BoolElem):
     """Parseval: |Q_x f|^2 is the sum of c_m^2 |e_m|^2 over the multi-indices
     m supported inside x, added in flat-index order."""
-    return sum(
+    return _total(
         (
             c * c * e
             for c, e, s in zip(coeffs, model.basis_norms, model.support_masks)
@@ -409,14 +413,22 @@ def masked_coeffs(model: NoiseModel, coeffs, x: BoolElem) -> list:
     return [c if s & ~x.mask == 0 else zero for c, s in zip(coeffs, model.support_masks)]
 
 
+def _conditionals(model: NoiseModel, f: RandomVariable, xs) -> tuple[list, int]:
+    """Q_x f for each cell set x in xs from one analysis, as (vectors, d):
+    each vector is d * Q_x f, over ints on the exact backend (d = 1 on the
+    float backend), so sums and comparisons of them need no division."""
+    _check_length(model, f)
+    coeffs, d = _transform(model, f.values, model._analysis, model._analysis_scale)
+    out = [_apply_per_cell(model, masked_coeffs(model, coeffs, x), model._synthesis) for x in xs]
+    return out, d * model._synthesis_scale
+
+
 def project(model: NoiseModel, x: BoolElem, f: RandomVariable) -> RandomVariable:
     """Conditional expectation given the coordinates in x, via the basis:
     analysis, the mask and synthesis over the vector's common denominator,
     divided once at the end."""
-    _check_length(model, f)
-    coeffs, d = _transform(model, f.values, model._analysis, model._analysis_scale)
-    out = _apply_per_cell(model, masked_coeffs(model, coeffs, x), model._synthesis)
-    return RandomVariable(_divided(model, out, d * model._synthesis_scale))
+    (out,), d = _conditionals(model, f, [x])
+    return RandomVariable(_divided(model, out, d))
 
 
 def project_oracle(model: NoiseModel, x: BoolElem, f: RandomVariable) -> RandomVariable:
@@ -425,8 +437,8 @@ def project_oracle(model: NoiseModel, x: BoolElem, f: RandomVariable) -> RandomV
     _check_length(model, f)
     out = [None] * model.n_points
     for block in sigma_field_of(model, x):
-        wtot = sum(model.point_weights[w] for w in block)
-        wsum = sum(f.values[w] * model.point_weights[w] for w in block)
+        wtot = _total(model.point_weights[w] for w in block)
+        wsum = _total(f.values[w] * model.point_weights[w] for w in block)
         avg = wsum / wtot
         for w in block:
             out[w] = avg

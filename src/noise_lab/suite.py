@@ -9,6 +9,7 @@ across runs. Timings are deliberately kept out of the report payload.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -353,20 +354,11 @@ def chaos__first_chaos(ctx: _Ctx):
         bad.append(f"dimension {len(solution)} != {expected}")
     if not linalg.span_equal(solution, [list(v.values) for v in ctx.chaos]):
         bad.append("span differs from the single-cell Walsh directions")
-    # Full pairwise additivity as an oracle on every solution vector.
-    n = m.n_cells
-    for row in solution:
-        v = RandomVariable(tuple(row))
-        proj = {}
-        for x_mask in range(1 << n):
-            proj[x_mask] = project(m, BoolElem(x_mask, n), v)
-        for x_mask in range(1 << n):
-            for y_mask in range(1 << n):
-                if x_mask & y_mask == 0:
-                    lhs = proj[x_mask | y_mask]
-                    rhs = proj[x_mask] + proj[y_mask]
-                    if not m.rv_eq(lhs, rhs):
-                        bad.append(f"pairwise additivity fails at {x_mask},{y_mask}")
+    # The pairwise definition on every solution vector, over the finest subalgebra.
+    finest = Subalgebra(m.n_cells, tuple(BoolElem(1 << i, m.n_cells) for i in range(m.n_cells)))
+    for i, row in enumerate(solution):
+        if not chaos_mod.satisfies_additivity(m, RandomVariable(tuple(row)), finest):
+            bad.append(f"pairwise additivity fails on solution vector {i}")
     return f"dimension {len(solution)}", bad, not bad
 
 
@@ -419,6 +411,9 @@ def chaos__defect_zero(ctx: _Ctx):
         else:
             seed_rv = m.random_rv(rng)
         psi = chaos_mod.additive_vector(m, sub, seed_rv)
+        # The pairwise definition against the shared block criterion (0 is additive).
+        if not psi.is_zero() and not chaos_mod.satisfies_additivity(m, psi, sub):
+            bad.append(f"b={blocks}: additive_vector output is not additive")
         cert = chaos_mod.atomless_defect(m, psi, sub)
         if cert.delta_sq == 0:
             zero_cases += 1
@@ -566,6 +561,13 @@ def spectrum__independence(ctx: _Ctx):
     rng = ctx.rng("spectrum.indep")
     elements = ctx.elements(rng, sample=8)
     bad = []
+    # The canonical measure is a product because the atoms are the cell
+    # subsets and each multiplicity factors over the cells.
+    factored = tuple(math.prod(space.model.radices[i] - 1 for i in a.indices()) for a in space.atoms)
+    if [a.mask for a in space.atoms] != list(range(1 << space.n)):
+        bad.append("supports are not exactly the cell subsets")
+    elif space.dims != factored:
+        bad.append("support multiplicity does not factor over cells")
     for x in elements:
         if not spec_mod.verify_independence(space, x, x.complement()):
             bad.append(f"complement independence fails at {x}")
@@ -727,7 +729,7 @@ def geometry__spectral_identity(ctx: _Ctx):
 @_check(embedding=True)
 def geometry__approximant(ctx: _Ctx):
     emb = ctx.cfg.embedding
-    depth = min(ctx.cfg.depth, 8)
+    depth = ctx.cfg.depth
     atoms = ctx.elements(ctx.rng("geometry.approximant"))
     bad = []
     for atom in atoms:

@@ -13,6 +13,7 @@ from noise_lab.boolalg import (
 )
 from noise_lab.chaos import (
     Classification,
+    NotAdditiveError,
     additive_vector,
     atomless_defect,
     classify,
@@ -108,6 +109,32 @@ def test_atomless_defect_requires_additivity(four_coins):
     psi = sign_rv(m, 0) * sign_rv(m, 1) + sign_rv(m, 2) * sign_rv(m, 3)
     with pytest.raises(ValueError, match="additivity on b fails"):
         atomless_defect(m, psi, full_subalgebra(m))
+
+
+def test_atomless_defect_reads_additivity_off_the_coefficients(four_coins, monkeypatch):
+    def refuse(self):
+        raise AssertionError("the elements of the subalgebra were enumerated")
+
+    m = four_coins
+    r = [sign_rv(m, i) for i in range(4)]
+    full = full_subalgebra(m)
+    monkeypatch.setattr(Subalgebra, "elements", refuse)
+    with pytest.raises(NotAdditiveError):
+        atomless_defect(m, r[0] * r[1] + r[2] * r[3], full)
+    cert = atomless_defect(m, r[0] + r[1].scale(F(2)) + r[3], full)
+    assert cert.delta_sq == 4
+
+
+def test_atomless_defect_refuses_a_nonzero_mean(four_coins):
+    # Every coefficient but the mean lies inside one block.
+    m = four_coins
+    r = [sign_rv(m, i) for i in range(4)]
+    blocks = block_subalgebra(m, [[0, 1], [2, 3]])
+    cases = ((r[0] + m.constant(1), full_subalgebra(m)), (r[0] * r[1] + m.constant(-2), blocks))
+    for psi, b in cases:
+        with pytest.raises(NotAdditiveError):
+            atomless_defect(m, psi, b)
+        assert not satisfies_additivity(m, psi, b)
 
 
 def test_defect_bound_tight_case(four_coins):
@@ -411,6 +438,14 @@ def _additive_by_rearrangement(m, psi, b):
     )
 
 
+def _defect_accepts(m, psi, b):
+    try:
+        atomless_defect(m, psi, b)
+    except NotAdditiveError:
+        return False
+    return True
+
+
 def test_coefficient_space_matches_point_space_oracle():
     rng = random.Random(7)
     for m in model_family(3, (2, 3)):
@@ -429,6 +464,8 @@ def test_coefficient_space_matches_point_space_oracle():
                 additive = _additive_by_projection(m, v, sub)
                 assert satisfies_additivity(m, v, sub) == additive
                 assert _additive_by_rearrangement(m, v, sub) == additive
+                # The block criterion, read off the coefficients.
+                assert _defect_accepts(m, v, sub) == additive
 
             cert = atomless_defect(m, psi, sub)
             norms = [norm_sq(m, project(m, block, psi)) for block in sub.blocks]

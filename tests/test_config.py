@@ -94,6 +94,7 @@ def test_replaced_fields_pass_the_same_checks():
         ("seed", -5),
         ("depth", -1),
         ("depth", 0),
+        ("depth", 9),
         ("exhaustive_limit", 0),
         ("exhaustive_limit", 65),
     ):
@@ -101,6 +102,7 @@ def test_replaced_fields_pass_the_same_checks():
             dataclasses.replace(cfg, **{name: value})
         assert info.value.path == name
     assert dataclasses.replace(cfg, seed=5, depth=1).seed == 5
+    assert dataclasses.replace(cfg, depth=8).depth == 8
     assert dataclasses.replace(cfg, exhaustive_limit=64).exhaustive_limit == 64
 
 
@@ -110,6 +112,13 @@ def test_boolean_integer_fields_rejected(name):
         load_config_dict({"cells": [], name: True})
     assert info.value.path == name
     assert getattr(load_config_dict({"cells": [], name: 1}), name) == 1
+
+
+@pytest.mark.parametrize("k", ["2", 2.0, True])
+def test_cell_k_must_be_an_integer(k):
+    with pytest.raises(ConfigError, match=r"^cells\[1\]: k must be an integer$") as info:
+        load_config_dict({"cells": [TWO_COINS["cells"][0], {"k": k, "probs": ["1/2", "1/2"]}]})
+    assert info.value.path == "cells[1]"
 
 
 def test_boolean_cell_index_rejected():

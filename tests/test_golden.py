@@ -3,11 +3,11 @@ byte for byte against the committed files in ``tests/golden/``.
 
 A change meant to keep behaviour (a refactor or a speed-up) must keep these
 bytes. A change meant to alter a report regenerates the affected files with
-the command in ``CASES`` or ``CHAOS_CASES`` and says so.
+the command in ``CASES`` or ``CHAOS_CASES`` (``golden_cases.py``, which
+also checks every case without pytest) and says so.
 """
 
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -15,24 +15,7 @@ from noise_lab import boolalg, linalg
 from noise_lab.cli import main
 from noise_lab.config import ModelConfig
 
-REPO = Path(__file__).resolve().parent.parent
-GOLDEN = REPO / "tests" / "golden"
-
-# name -> verify arguments; the reports are GOLDEN/<name>.txt and .json.
-CASES = {
-    "two-coins-seed0": ["examples/two-coins.json", "--seed", "0"],
-    "four-coins-seed3": ["examples/four-coins.json", "--seed", "3"],
-    "four-coins-float-seed0": ["examples/four-coins.json", "--backend", "float", "--seed", "0"],
-    "five-ternary-float-seed0": ["tests/golden/five-ternary-float.json", "--seed", "0"],
-    # Exact, radices (2,3,3) with unequal probabilities: the k = 3 exact path.
-    "mixed-233-exact-seed0": ["tests/golden/mixed-233-exact.json", "--seed", "0"],
-    # 13 fair coins, exact, no embedding (N=8192): every size and embedding skip line.
-    "thirteen-coins-seed0": ["tests/golden/thirteen-coins.json", "--seed", "0"],
-    # 10 float cells, radices (2,3,2,2,3,2,2,2,2,2): the spectrum group on 1024 atoms.
-    "ten-cells-float-spectrum-seed0": [
-        "tests/golden/ten-cells-float.json", "--only", "spectrum", "--seed", "0"
-    ],
-}
+from golden_cases import CASES, CHAOS_CASES, GOLDEN, REPO
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -66,17 +49,6 @@ def test_verify_geometry_builds_no_model(monkeypatch, capsys):
     assert len(geometry) == 6
     expected = "".join(geometry) + "summary: 6 passed, 0 failed, 0 skipped\n"
     assert capsys.readouterr().out == expected
-
-
-# name -> chaos arguments; the output is GOLDEN/<name>.txt. pairsum-2323.json
-# is a perfbench-style chaos-cli config (radices 2,3,2,3) with delta^2 = 20/441.
-CHAOS_CASES = {
-    "two-coins-chaos": ["examples/two-coins.json", "--subalgebra", "blocks", "--vector", "demo"],
-    "four-coins-chaos": ["examples/four-coins.json", "--subalgebra", "blocks", "--vector", "pairsum"],
-    "pairsum-2323-chaos": [
-        "tests/golden/pairsum-2323.json", "--subalgebra", "blocks", "--vector", "pairsum"
-    ],
-}
 
 
 @pytest.mark.parametrize("name", sorted(CHAOS_CASES))

@@ -12,7 +12,8 @@ import pytest
 
 from noise_lab import chaos as chaos_mod
 from noise_lab import linalg
-from noise_lab.boolalg import BoolElem
+from noise_lab import spectrum as spec_mod
+from noise_lab.boolalg import BoolElem, Subalgebra
 from noise_lab.cli import main
 from noise_lab.config import ModelConfig, load_config_dict, load_model_config
 from noise_lab.suite import (
@@ -23,9 +24,11 @@ from noise_lab.suite import (
     chaos__additive_norm,
     chaos__classification,
     chaos__defect_bound,
+    chaos__defect_zero,
     chaos__first_chaos,
     chaos__split_space,
     run_verification_suite,
+    spectrum__independence,
 )
 
 from conftest import cli_env
@@ -126,6 +129,45 @@ def test_first_chaos_check_fails_when_the_system_drops_a_cell(dropped, monkeypat
     assert result.status == "fail"
     assert result.detail == "dimension 1"
     assert "span differs from the single-cell Walsh directions" in result.witnesses
+
+
+def test_first_chaos_check_runs_the_pairwise_definition(monkeypatch):
+    monkeypatch.setattr(chaos_mod, "satisfies_additivity", lambda model, psi, b: False)
+    result = chaos__first_chaos(_Ctx(load_model_config(str(TWO_COINS))))
+    assert result.status == "fail"
+    assert result.witnesses == (
+        "pairwise additivity fails on solution vector 0",
+        "pairwise additivity fails on solution vector 1",
+    )
+
+
+def test_defect_zero_fails_when_the_block_predicate_accepts_meeting_supports(monkeypatch):
+    # additive_vector then keeps every nonconstant coefficient and
+    # atomless_defect accepts its output; only the pairwise definition
+    # in point space catches it.
+    cfg = load_model_config(str(FOUR_COINS))
+    assert chaos__defect_zero(_Ctx(cfg)).status == "pass"
+    monkeypatch.setattr(
+        chaos_mod, "_in_one_block", lambda s, b: any(s & block.mask for block in b.blocks)
+    )
+    result = chaos__defect_zero(_Ctx(cfg))
+    assert result.status == "fail"
+    assert all(w.endswith("additive_vector output is not additive") for w in result.witnesses)
+
+
+def test_independence_check_compares_the_multiplicities(monkeypatch):
+    cfg = load_model_config(str(TWO_COINS))
+    assert spectrum__independence(_Ctx(cfg)).status == "pass"
+    build = spec_mod.build_spectral_space
+
+    def wrong_multiplicity(model):
+        space = build(model)
+        return dataclasses.replace(space, dims=(space.dims[0] + 1, *space.dims[1:]))
+
+    monkeypatch.setattr(spec_mod, "build_spectral_space", wrong_multiplicity)
+    result = spectrum__independence(_Ctx(cfg))
+    assert result.status == "fail"
+    assert result.witnesses == ("support multiplicity does not factor over cells",)
 
 
 def test_defect_bound_check_brute_forces_the_partitions(monkeypatch):
@@ -351,7 +393,9 @@ def test_cli_input_error_exit_2(tmp_path):
     assert missing.returncode == 2
 
 
-@pytest.mark.parametrize("flag, value", [("--depth", "-1"), ("--depth", "0"), ("--seed", "-5")])
+@pytest.mark.parametrize(
+    "flag, value", [("--depth", "-1"), ("--depth", "0"), ("--depth", "9"), ("--seed", "-5")]
+)
 def test_cli_overrides_are_validated(flag, value, capsys):
     assert main(["verify", str(TWO_COINS), flag, value]) == 2
     captured = capsys.readouterr()
@@ -446,27 +490,24 @@ def test_cli_chaos_defaults_to_full_subalgebra():
 @pytest.mark.parametrize("subalgebra", [["--subalgebra", "blocks"], []])
 def test_cli_chaos_decomposes_psi_at_most_twice(subalgebra, monkeypatch, capsys):
     decomposed = []
-    additivity_calls = []
     decompose = chaos_mod.walsh_decompose
-    additive = chaos_mod._is_additive
 
     def count_decompose(model, f):
         decomposed.append(f)
         return decompose(model, f)
 
-    def count_additivity(model, coeffs, b):
-        additivity_calls.append(coeffs)
-        return additive(model, coeffs, b)
+    def refuse(self):
+        raise AssertionError("the elements of the subalgebra were enumerated")
 
     monkeypatch.setattr(chaos_mod, "walsh_decompose", count_decompose)
-    monkeypatch.setattr(chaos_mod, "_is_additive", count_additivity)
+    # Additivity is read off the coefficients, never tested pair by pair.
+    monkeypatch.setattr(Subalgebra, "elements", refuse)
     assert main(["chaos", str(FOUR_COINS), *subalgebra, "--vector", "pairsum"]) == 0
     out = capsys.readouterr().out
     cfg = load_model_config(str(FOUR_COINS))
     model = cfg.build_model()
     psi = model.from_values(cfg.vector("pairsum"))
     assert decomposed == [psi]
-    assert additivity_calls == [decompose(model, psi)]
     assert ("defect bound: pass" in out) == bool(subalgebra)
 
 
