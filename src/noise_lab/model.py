@@ -457,74 +457,52 @@ class ProjectionLawReport:
 
 
 def verify_projection_laws(
-    model: NoiseModel,
-    *,
-    exhaustive_limit: int = 16,
-    rng=None,
-    sample_pairs: int = 24,
-    deep_pairs: int = 6,
+    model: NoiseModel, elements: Sequence[BoolElem], rng
 ) -> ProjectionLawReport:
-    """Check, pair by pair: strict-norm superadditivity on disjoint pairs,
-    and, on a handful of pairs, the composition law Q_x Q_y = Q_{x meet y}
-    by full projection applications on a fixed zero-mean probe.
+    """Check every ordered pair (x, y) of the given elements (the caller's
+    sampling policy chooses them): strict-norm superadditivity on each
+    disjoint pair, for a fresh zero-mean random vector drawn from rng, and
+    the composition law Q_x Q_y = Q_{x meet y}, by full projection
+    applications on a fixed zero-mean probe, on the first 6 incomparable
+    pairs (x meet y is neither x nor y, so x and y lie strictly between 0
+    and 1). On a comparable pair the law holds whenever each Q_x keeps a set
+    of supports that grows with x: with x or y = 0 both sides vanish on the
+    zero-mean probe, and with x or y = 1 both sides are the other projection.
 
-    Exhaustive over all (x, y) when the algebra has at most exhaustive_limit
-    elements, else a random sample (rng required). The superadditivity norms
-    come from Parseval on the orthogonal basis (mass_inside), without
-    synthesis; the point-space side of that identity,
+    The superadditivity norms come from Parseval on the orthogonal basis
+    (mass_inside), without synthesis; the point-space side of that identity,
     norm_sq(project(...)), is compared with the Parseval masses by
     acceptance criterion 07 and by the suite check
     spectrum__projection_measure.
     """
-    n = model.n_cells
-    size = 1 << n
     failures: list[str] = []
     strict_witness: str | None = None
+    composition_budget = 6
+    probe = _default_probe(model)
 
-    if size <= exhaustive_limit:
-        pairs = [(a, b) for a in range(size) for b in range(size)]
-    else:
-        if rng is None:
-            raise ValueError("rng required for sampled law checking")
-        pairs = [(rng.randrange(size), rng.randrange(size)) for _ in range(sample_pairs)]
-        # Always include a few disjoint pairs so superadditivity is exercised.
-        for _ in range(sample_pairs // 2):
-            a = rng.randrange(size)
-            b = rng.randrange(size) & ~a
-            pairs.append((a, b))
-
-    deep_budget = deep_pairs
-    fixed_probe = _default_probe(model)
-    fixed_coeffs = walsh_decompose(model, fixed_probe)
-
-    for a, b in pairs:
-        x = BoolElem(a, n)
-        y = BoolElem(b, n)
-        meet = a & b
-        join = a | b
-        if meet == 0:
-            if rng is None:
-                coeffs = fixed_coeffs
-            else:
+    for x in elements:
+        for y in elements:
+            if x.disjoint(y):
                 coeffs = walsh_decompose(model, model.random_rv(rng, zero_mean=True))
-            nx = mass_inside(model, coeffs, x)
-            ny = mass_inside(model, coeffs, y)
-            nj = mass_inside(model, coeffs, BoolElem(join, n))
-            if not model.leq(nx + ny, nj):
-                failures.append(f"superadditivity fails at x={x} y={y}")
-            elif strict_witness is None and not model.eq(nx + ny, nj):
-                strict_witness = f"x={x} y={y}: {nx}+{ny} < {nj}"
+                nx = mass_inside(model, coeffs, x)
+                ny = mass_inside(model, coeffs, y)
+                nj = mass_inside(model, coeffs, x.join(y))
+                if not model.leq(nx + ny, nj):
+                    failures.append(f"superadditivity fails at x={x} y={y}")
+                elif strict_witness is None and not model.eq(nx + ny, nj):
+                    strict_witness = f"x={x} y={y}: {nx}+{ny} < {nj}"
 
-        if deep_budget > 0 and a != b:
-            deep_budget -= 1
-            lhs = project(model, x, project(model, y, fixed_probe))
-            rhs = project(model, BoolElem(meet, n), fixed_probe)
-            if not model.rv_eq(lhs, rhs):
-                failures.append(f"composition (full application) fails at x={x} y={y}")
+            meet = x.meet(y)
+            if composition_budget > 0 and meet != x and meet != y:
+                composition_budget -= 1
+                lhs = project(model, x, project(model, y, probe))
+                rhs = project(model, meet, probe)
+                if not model.rv_eq(lhs, rhs):
+                    failures.append(f"composition (full application) fails at x={x} y={y}")
 
     return ProjectionLawReport(
         passed=not failures,
-        pairs_checked=len(pairs),
+        pairs_checked=len(elements) ** 2,
         failures=tuple(failures),
         strict_superadditivity_witness=strict_witness,
     )

@@ -46,6 +46,9 @@ GROUPS = ("laws", "chaos", "spectrum", "regopen", "geometry")
 # first-chaos checks that do not (see chaos__classification).
 EXACT_CAP = 4096
 ELIMINATION_CAP = 128
+# Largest N at which a check walks the whole basis (every Walsh or point
+# vector, or every pair of them); past it, it takes a seeded sample.
+BASIS_LIMIT = 64
 
 
 @dataclass(frozen=True)
@@ -146,17 +149,19 @@ class _Ctx:
     def exhaustive(self) -> bool:
         return (1 << self.cfg.n_cells) <= self.cfg.exhaustive_limit
 
-    def elements(self, rng: random.Random | None = None, sample: int = 12) -> list[BoolElem]:
+    def elements(self, rng: random.Random, sample: int = 12) -> list[BoolElem]:
         n = self.cfg.n_cells
         if self.exhaustive():
             return [BoolElem(mask, n) for mask in range(1 << n)]
-        assert rng is not None
         out = [BoolElem(0, n), BoolElem((1 << n) - 1, n)]
         out.extend(BoolElem(rng.randrange(1 << n), n) for _ in range(sample))
         return out
 
-    def spanning_family(self, rng: random.Random, cap: int = 36):
-        if self.model.n_points <= cap:
+    def whole_basis(self) -> bool:
+        return self.cfg.n_points <= BASIS_LIMIT
+
+    def spanning_family(self, rng: random.Random):
+        if self.whole_basis():
             return [self.model.walsh_vector(i) for i in range(self.model.n_points)]
         fam = [self.model.walsh_vector(rng.randrange(self.model.n_points)) for _ in range(6)]
         fam.extend(self.model.random_rv(rng) for _ in range(4))
@@ -189,9 +194,14 @@ def skip_reason(
     return None
 
 
+# Every check, in definition order: the order of the report.
+_ALL_CHECKS = []
+
+
 def _check(**needs):
     """Turn an assertion-style check body into a CheckResult producer that
-    skips, with skip_reason(cfg, **needs), before the body runs."""
+    skips, with skip_reason(cfg, **needs), before the body runs, and append
+    it to _ALL_CHECKS."""
 
     def decorate(fn):
         group, name = fn.__name__.split("__")
@@ -208,6 +218,7 @@ def _check(**needs):
 
         wrapper.__name__ = fn.__name__
         wrapper.needs = needs
+        _ALL_CHECKS.append(wrapper)
         return wrapper
 
     return decorate
@@ -218,9 +229,8 @@ def _check(**needs):
 
 @_check(points=EXACT_CAP)
 def laws__projection_lattice(ctx: _Ctx):
-    rep = verify_projection_laws(
-        ctx.model, exhaustive_limit=ctx.cfg.exhaustive_limit, rng=ctx.rng("laws.lattice")
-    )
+    rng = ctx.rng("laws.lattice")
+    rep = verify_projection_laws(ctx.model, ctx.elements(rng), rng)
     wit = list(rep.failures[:5])
     if rep.strict_superadditivity_witness:
         wit.append("strict superadditivity: " + rep.strict_superadditivity_witness)
@@ -232,7 +242,7 @@ def laws__oracle_equivalence(ctx: _Ctx):
     m = ctx.model
     rng = ctx.rng("laws.oracle")
     elements = ctx.elements(rng)
-    if m.n_points <= 64:
+    if ctx.whole_basis():
         basis = [m.from_values([1 if w == j else 0 for w in range(m.n_points)]) for j in range(m.n_points)]
     else:
         basis = [m.random_rv(rng) for _ in range(6)]
@@ -266,7 +276,7 @@ def laws__tensor_basis(ctx: _Ctx):
     m = ctx.model
     rng = ctx.rng("laws.tensor")
     masks = m.support_masks
-    if m.n_points <= 100:
+    if ctx.whole_basis():
         pairs = [
             (i, j)
             for i in range(m.n_points)
@@ -297,7 +307,7 @@ def laws__walsh_roundtrip(ctx: _Ctx):
     m = ctx.model
     rng = ctx.rng("laws.roundtrip")
     probes = [m.random_rv(rng) for _ in range(4)]
-    if m.n_points <= 64:
+    if ctx.whole_basis():
         probes.extend(m.walsh_vector(i) for i in range(m.n_points))
     bad = []
     for i, v in enumerate(probes):
@@ -521,7 +531,7 @@ def spectrum__event_subspaces(ctx: _Ctx):
                 for ej in right:
                     if not m.eq(inner_product(m, ei, ej), 0):
                         bad.append("disjoint events not orthogonal")
-    if m.n_points <= 64:
+    if ctx.whole_basis():
         basis = [m.walsh_vector(i) for i in range(m.n_points)]
         for x in ctx.elements(rng, sample=4):
             hx = spec_mod.subspace_of_event(space, spec_mod.spectral_set(space, x))
@@ -816,37 +826,6 @@ def geometry__boundary_dichotomy(ctx: _Ctx):
             if rep.witness_atom is None:
                 bad.append(f"case {k}: no witness atom")
     return f"1000 cases ({holds} clear, {misses} boundary-hitting)", bad, not bad
-
-
-_ALL_CHECKS = [
-    laws__projection_lattice,
-    laws__oracle_equivalence,
-    laws__projection_operator,
-    laws__tensor_basis,
-    laws__walsh_roundtrip,
-    chaos__split_product_equiv,
-    chaos__split_space,
-    chaos__first_chaos,
-    chaos__classification,
-    chaos__additive_norm,
-    chaos__defect_zero,
-    chaos__defect_bound,
-    spectrum__spectral_sets,
-    spectrum__projection_measure,
-    spectrum__event_subspaces,
-    spectrum__sigma_lattice,
-    spectrum__independence,
-    spectrum__atom_block,
-    spectrum__measure_class,
-    regopen__laws,
-    regopen__finite_spaces,
-    geometry__homomorphism,
-    geometry__spectral_identity,
-    geometry__approximant,
-    geometry__shrink_chains,
-    geometry__monotone_limit,
-    geometry__boundary_dichotomy,
-]
 
 
 def run_verification_suite(cfg: ModelConfig, selection: str = "all") -> Report:

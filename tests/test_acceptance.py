@@ -91,12 +91,13 @@ def test_criterion_01_projection_lattice():
     failures = []
     t0 = time.monotonic()
 
+    rng = random.Random(0)
     for m in model_family(4, (2, 3)):  # 31 shapes, N up to 81, varied probs
-        rep = verify_projection_laws(m, exhaustive_limit=16)
+        elements = [BoolElem(mask, m.n_cells) for mask in range(1 << m.n_cells)]
+        rep = verify_projection_laws(m, elements, rng)
         if not rep.passed:
             failures.append(f"exact model {m.radices}: {rep.failures[:2]}")
 
-    rng = random.Random(0)
     for i in range(100):
         n = rng.randint(5, 7)
         cells = []
@@ -104,7 +105,10 @@ def test_criterion_01_projection_lattice():
             k = rng.choice((2, 2, 3))
             cells.append(Cell(varied_probs(k, rng.randrange(4))))
         m = NoiseModel(cells, backend="float")
-        rep = verify_projection_laws(m, rng=rng, sample_pairs=10, deep_pairs=2)
+        a = rng.randrange(1 << n)
+        b = rng.randrange(1 << n) & ~a  # disjoint from a, so superadditivity is exercised
+        elements = [BoolElem(mask, n) for mask in (0, (1 << n) - 1, a, b)]
+        rep = verify_projection_laws(m, elements, rng)
         if not rep.passed:
             failures.append(f"float model {i}: {rep.failures[:2]}")
 

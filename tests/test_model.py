@@ -219,8 +219,8 @@ def test_tensor_product_identity(four_coins):
                 assert norm_sq(m, prod) == m.basis_norms[i] * m.basis_norms[j]
 
 
-def test_projection_laws_two_coins(two_coins):
-    rep = verify_projection_laws(two_coins)
+def test_projection_laws_two_coins(two_coins, rng):
+    rep = verify_projection_laws(two_coins, [BoolElem(mask, 2) for mask in range(4)], rng)
     assert rep.passed
     assert rep.pairs_checked == 16
     assert rep.strict_superadditivity_witness is not None
@@ -240,7 +240,7 @@ def test_superadditivity_strict_witness(four_coins):
 
 def test_float_backend_consistency(rng):
     m = NoiseModel([fair_coin(), uniform_cell(3), fair_coin()], backend="float")
-    rep = verify_projection_laws(m, rng=rng)
+    rep = verify_projection_laws(m, [BoolElem(mask, 3) for mask in range(8)], rng)
     assert rep.passed
     f = m.random_rv(rng)
     for mask in range(1 << 3):

@@ -12,12 +12,14 @@ import pytest
 
 from noise_lab import chaos as chaos_mod
 from noise_lab import linalg
+from noise_lab import model as model_mod
 from noise_lab import spectrum as spec_mod
 from noise_lab.boolalg import BoolElem, Subalgebra
 from noise_lab.cli import main
 from noise_lab.config import ModelConfig, load_config_dict, load_model_config
 from noise_lab.suite import (
     _ALL_CHECKS,
+    BASIS_LIMIT,
     CheckResult,
     Report,
     _Ctx,
@@ -26,8 +28,14 @@ from noise_lab.suite import (
     chaos__defect_bound,
     chaos__defect_zero,
     chaos__first_chaos,
+    chaos__split_product_equiv,
     chaos__split_space,
+    laws__oracle_equivalence,
+    laws__projection_lattice,
+    laws__tensor_basis,
+    laws__walsh_roundtrip,
     run_verification_suite,
+    spectrum__event_subspaces,
     spectrum__independence,
 )
 
@@ -36,6 +44,8 @@ from conftest import cli_env
 REPO = Path(__file__).resolve().parent.parent
 TWO_COINS = REPO / "examples" / "two-coins.json"
 FOUR_COINS = REPO / "examples" / "four-coins.json"
+MIXED_233 = REPO / "tests" / "golden" / "mixed-233-exact.json"
+FIVE_TERNARY = REPO / "tests" / "golden" / "five-ternary-float.json"
 COIN = {"k": 2, "probs": ["1/2", "1/2"]}
 TERNARY = {"k": 3, "probs": ["1/3", "1/3", "1/3"]}
 
@@ -183,6 +193,73 @@ def test_defect_bound_check_brute_forces_the_partitions(monkeypatch):
     # A larger delta only loosens the moment bound: the partitions catch it.
     assert result.witnesses
     assert all("!= least part-mass" in w for w in result.witnesses)
+
+
+@pytest.mark.parametrize("path", [FOUR_COINS, FIVE_TERNARY])
+def test_projection_lattice_checks_every_pair_of_the_element_sample(path):
+    # four-coins enumerates its 16 elements; five-ternary (32 > 16) samples 14.
+    ctx = _Ctx(load_model_config(str(path)))
+    result = laws__projection_lattice(ctx)
+    assert result.status == "pass"
+    assert result.detail == f"{len(ctx.elements(ctx.rng('laws.lattice'))) ** 2} pairs"
+
+
+@pytest.mark.parametrize(
+    "path, pair",
+    [(FOUR_COINS, "x={0} y={1}"), (MIXED_233, "x={0} y={1}"), (FIVE_TERNARY, "x={0,2} y={4}")],
+)
+def test_projection_lattice_fails_when_the_mask_keeps_the_supports_meeting_x(path, pair, monkeypatch):
+    # A mask that grows with x passes the law on comparable pairs (x or y = 0
+    # on exhaustive runs, x = 1 on sampled ones); only incomparable pairs see it.
+    def meeting(model, coeffs, x):
+        return [c if s & x.mask else 0 for c, s in zip(coeffs, model.support_masks)]
+
+    monkeypatch.setattr(model_mod, "masked_coeffs", meeting)
+    result = laws__projection_lattice(_Ctx(load_model_config(str(path))))
+    assert result.status == "fail"
+    assert f"composition (full application) fails at {pair}" in result.witnesses
+
+
+@pytest.mark.parametrize(
+    "radices, details",
+    [
+        (
+            (2, 2, 2, 2, 2, 2),  # N = 64: the whole basis
+            (
+                "14 elements x 64 vectors",
+                "729 disjoint-support pairs",
+                "68 vectors",
+                "64 vectors per element",
+            ),
+        ),
+        (
+            (2, 2, 2, 3, 3),  # N = 72: seeded samples
+            (
+                "14 elements x 6 vectors",
+                "60 disjoint-support pairs",
+                "4 vectors",
+                "10 vectors per element",
+            ),
+        ),
+    ],
+)
+def test_basis_loops_walk_the_whole_basis_up_to_the_basis_limit(radices, details, monkeypatch):
+    cfg = load_config_dict({"cells": [COIN if k == 2 else TERNARY for k in radices]})
+    ctx = _Ctx(cfg)
+    checks = (laws__oracle_equivalence, laws__tensor_basis, laws__walsh_roundtrip, chaos__split_product_equiv)
+    results = [check(ctx) for check in checks]
+    assert all(r.status == "pass" for r in results)
+    assert tuple(r.detail for r in results) == details
+    # spectrum.event_subspaces compares projection ranges only on the whole basis.
+    spans = []
+
+    def record_span(rows, basis_rows):
+        spans.append(len(rows))
+        return True
+
+    monkeypatch.setattr(linalg, "span_equal", record_span)
+    assert spectrum__event_subspaces(ctx).status == "pass"
+    assert bool(spans) == (cfg.n_points <= BASIS_LIMIT)
 
 
 def test_split_space_detail_says_sampled():
