@@ -38,6 +38,7 @@ from .model import (
     inner_product,
     project,
     project_oracle,
+    projections,
     sigma_field_of,
     uniform_cell,
     verify_projection_laws,

@@ -159,20 +159,16 @@ class NoiseModel:
         self.cell_vectors = tuple(cell_vectors)
         self.cell_norms_sq = tuple(cell_norms_sq)
 
-        # Per point (equivalently, per multi-index): its weight (also kept
-        # over the weights' LCD, for the integer sums), the support of the
-        # basis vector it indexes (bitmask of cells with a nonzero digit) and
-        # that vector's squared norm |e_m|^2.
-        digits = [self.point_digits(idx) for idx in range(self.n_points)]
-        self.point_weights = tuple(
-            math.prod((num(self.cells[i].probs[d]) for i, d in enumerate(dig)), start=one)
-            for dig in digits
-        )
+        # Per point (equivalently, per multi-index), each a per-cell Kronecker
+        # product: its weight (also kept over the weights' LCD, for the
+        # integer sums), the support of the basis vector it indexes (bitmask
+        # of cells with a nonzero digit) and that vector's squared norm |e_m|^2.
+        self.point_weights = _kron([[num(p) for p in c.probs] for c in self.cells], one)
         self.point_weights_lcd = _over_lcd(self, self.point_weights)
-        self.support_masks = tuple(_total(1 << i for i, d in enumerate(dig) if d) for dig in digits)
-        self.basis_norms = tuple(
-            math.prod((self.cell_norms_sq[i][d] for i, d in enumerate(dig)), start=one) for dig in digits
+        self.support_masks = _kron(
+            [[0] + [1 << i] * (k - 1) for i, k in enumerate(self.radices)], 0, operator.or_
         )
+        self.basis_norms = _kron(self.cell_norms_sq, one)
 
         # k x k transform matrices per cell: analysis maps values along one
         # axis to per-cell coefficients, synthesis maps back (as integer
@@ -237,10 +233,8 @@ class NoiseModel:
     def walsh_vector(self, idx: int) -> RandomVariable:
         """Materialize basis vector e_m for flat multi-index m: the Kronecker
         product of its per-cell vectors, in cell order."""
-        values = [self._num(Fraction(1))]
-        for vectors, d in zip(self.cell_vectors, self.point_digits(idx)):
-            values = [a * b for a in values for b in vectors[d]]
-        return RandomVariable(tuple(values))
+        factors = [vectors[d] for vectors, d in zip(self.cell_vectors, self.point_digits(idx))]
+        return RandomVariable(_kron(factors, self._num(Fraction(1))))
 
     def random_rv(self, rng, zero_mean: bool = False) -> RandomVariable:
         if self.backend == "float":
@@ -254,6 +248,16 @@ class NoiseModel:
 
 
 # -- inner product and transforms -----------------------------------------
+
+
+def _kron(tables, start, op=operator.mul) -> tuple:
+    """The Kronecker product of per-cell tables, cell 0 slowest: entry i is
+    start op t_0[d_0] op t_1[d_1] ..., combined left to right in cell order,
+    where d is the mixed-radix digit vector of i."""
+    values = [start]
+    for table in tables:
+        values = [op(a, b) for a in values for b in table]
+    return tuple(values)
 
 
 def _over_lcd(model: NoiseModel, values) -> tuple[tuple, int]:
@@ -414,21 +418,31 @@ def masked_coeffs(model: NoiseModel, coeffs, x: BoolElem) -> list:
 
 
 def _conditionals(model: NoiseModel, f: RandomVariable, xs) -> tuple[list, int]:
-    """Q_x f for each cell set x in xs from one analysis, as (vectors, d):
-    each vector is d * Q_x f, over ints on the exact backend (d = 1 on the
-    float backend), so sums and comparisons of them need no division."""
+    """Q_x f for each cell set x in xs from one analysis of f, as (vectors,
+    d): each vector is d * Q_x f, over ints on the exact backend (d = 1 on
+    the float backend), so sums and comparisons of them need no division.
+    The expansion of f does not depend on x, so each x costs one mask and
+    one synthesis. This is the one projection path: `projections` and
+    `project` divide its output."""
     _check_length(model, f)
     coeffs, d = _transform(model, f.values, model._analysis, model._analysis_scale)
     out = [_apply_per_cell(model, masked_coeffs(model, coeffs, x), model._synthesis) for x in xs]
     return out, d * model._synthesis_scale
 
 
+def projections(model: NoiseModel, f: RandomVariable, xs) -> list[RandomVariable]:
+    """[Q_x f for x in xs], from one analysis of f: equal, entry for entry
+    (bit for bit on the float backend), to project(model, x, f) for each x."""
+    out, d = _conditionals(model, f, xs)
+    return [RandomVariable(_divided(model, v, d)) for v in out]
+
+
 def project(model: NoiseModel, x: BoolElem, f: RandomVariable) -> RandomVariable:
     """Conditional expectation given the coordinates in x, via the basis:
     analysis, the mask and synthesis over the vector's common denominator,
-    divided once at the end."""
-    (out,), d = _conditionals(model, f, [x])
-    return RandomVariable(_divided(model, out, d))
+    divided once at the end. The one-element case of `projections`."""
+    (q,) = projections(model, f, [x])
+    return q
 
 
 def project_oracle(model: NoiseModel, x: BoolElem, f: RandomVariable) -> RandomVariable:
@@ -495,8 +509,8 @@ def verify_projection_laws(
             meet = x.meet(y)
             if composition_budget > 0 and meet != x and meet != y:
                 composition_budget -= 1
-                lhs = project(model, x, project(model, y, probe))
-                rhs = project(model, meet, probe)
+                qy, rhs = projections(model, probe, [y, meet])
+                lhs = project(model, x, qy)
                 if not model.rv_eq(lhs, rhs):
                     failures.append(f"composition (full application) fails at x={x} y={y}")
 

@@ -34,6 +34,7 @@ from .model import (
     norm_sq,
     project,
     project_oracle,
+    projections,
     verify_projection_laws,
     walsh_decompose,
     walsh_reconstruct,
@@ -246,12 +247,14 @@ def laws__oracle_equivalence(ctx: _Ctx):
         basis = [m.from_values([1 if w == j else 0 for w in range(m.n_points)]) for j in range(m.n_points)]
     else:
         basis = [m.random_rv(rng) for _ in range(6)]
-    bad = []
-    for x in elements:
-        for v in basis:
-            if not m.rv_eq(project(m, x, v), project_oracle(m, x, v)):
-                bad.append(f"x={x}")
-                break
+    # One vector's projections at a time; an element is compared with the
+    # oracle until its first disagreement, and then reported once.
+    agrees = [True] * len(elements)
+    for v in basis:
+        for i, (x, qv) in enumerate(zip(elements, projections(m, v, elements))):
+            if agrees[i] and not m.rv_eq(qv, project_oracle(m, x, v)):
+                agrees[i] = False
+    bad = [f"x={x}" for x, ok in zip(elements, agrees) if not ok]
     return f"{len(elements)} elements x {len(basis)} vectors", bad, not bad
 
 
@@ -261,12 +264,12 @@ def laws__projection_operator(ctx: _Ctx):
     rng = ctx.rng("laws.operator")
     f = m.random_rv(rng)
     g = m.random_rv(rng)
+    xs = ctx.elements(rng)
     bad = []
-    for x in ctx.elements(rng):
-        qf = project(m, x, f)
+    for x, qf, qg in zip(xs, projections(m, f, xs), projections(m, g, xs)):
         if not m.rv_eq(project(m, x, qf), qf):
             bad.append(f"idempotence fails at x={x}")
-        if not m.eq(inner_product(m, qf, g), inner_product(m, f, project(m, x, g))):
+        if not m.eq(inner_product(m, qf, g), inner_product(m, f, qg)):
             bad.append(f"self-adjointness fails at x={x}")
     return "idempotence + self-adjointness", bad, not bad
 
@@ -397,13 +400,18 @@ def chaos__additive_norm(ctx: _Ctx):
         probes.append(combo)
     bad = []
     for psi in probes:
-        for x in ctx.elements(rng, sample=5):
-            for y in ctx.elements(rng, sample=5):
-                if x.mask & y.mask == 0:
-                    lhs = norm_sq(m, project(m, x.join(y), psi))
-                    rhs = norm_sq(m, project(m, x, psi)) + norm_sq(m, project(m, y, psi))
-                    if lhs != rhs:
-                        bad.append(f"x={x} y={y}")
+        pairs = [
+            (x, y)
+            for x in ctx.elements(rng, sample=5)
+            for y in ctx.elements(rng, sample=5)
+            if x.mask & y.mask == 0
+        ]
+        # The distinct cell sets of the pairs and their joins, conditioned on at once.
+        xs = list({e.mask: e for x, y in pairs for e in (x, y, x.join(y))}.values())
+        norms = {x.mask: norm_sq(m, q) for x, q in zip(xs, projections(m, psi, xs))}
+        for x, y in pairs:
+            if norms[x.mask | y.mask] != norms[x.mask] + norms[y.mask]:
+                bad.append(f"x={x} y={y}")
     return f"{len(probes)} first-chaos vectors", bad, not bad
 
 
@@ -496,12 +504,15 @@ def spectrum__projection_measure(ctx: _Ctx):
     for _ in range(20):
         psi = m.random_rv(rng)
         masses = spec_mod.spectral_measure(m, psi)
-        for x in ctx.elements(rng, sample=6):
+        xs = ctx.elements(rng, sample=6)
+        # The point side: norms of conditionals synthesized from a second,
+        # separate analysis of psi, never from the masses.
+        for x, q in zip(xs, projections(m, psi, xs)):
             mass = sum(
                 (masses[a] for a in sorted(spec_mod.spectral_set(space, x))),
                 m._num(Fraction(0)),
             )
-            if not m.eq(mass, norm_sq(m, project(m, x, psi))):
+            if not m.eq(mass, norm_sq(m, q)):
                 bad.append(f"mass mismatch at x={x}")
     return "20 random vectors", bad, not bad
 
@@ -533,10 +544,12 @@ def spectrum__event_subspaces(ctx: _Ctx):
                         bad.append("disjoint events not orthogonal")
     if ctx.whole_basis():
         basis = [m.walsh_vector(i) for i in range(m.n_points)]
-        for x in ctx.elements(rng, sample=4):
+        xs = ctx.elements(rng, sample=4)
+        images = [projections(m, e, xs) for e in basis]
+        for k, x in enumerate(xs):
             hx = spec_mod.subspace_of_event(space, spec_mod.spectral_set(space, x))
-            image_rows = [list(project(m, x, e).values) for e in basis]
-            basis_rows = [list(m.walsh_vector(i).values) for i in hx]
+            image_rows = [list(qe[k].values) for qe in images]
+            basis_rows = [list(basis[i].values) for i in hx]
             if not linalg.span_equal([r for r in image_rows if any(r)], basis_rows):
                 bad.append(f"H(S_x) != range of projection at x={x}")
     return "10 random event pairs", bad, not bad

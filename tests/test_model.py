@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from noise_lab.model import (
     norm_sq,
     project,
     project_oracle,
+    projections,
     sigma_field_of,
     uniform_cell,
     verify_projection_laws,
@@ -287,3 +289,45 @@ def test_integer_paths_match_their_fraction_definitions():
         ):
             with pytest.raises(ValueError):
                 call()
+
+
+def _bits(model, values):
+    """Entries as exact values on the exact backend, as float bit patterns
+    on the float backend, so list equality is bit for bit."""
+    return [v.hex() if model.backend == "float" else v for v in values]
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_projections_equal_one_projection_per_element(backend):
+    rng = random.Random(25)
+    for trial in range(20):
+        m = NoiseModel(_random_cells(rng, 1 + trial % 4, k_max=4), backend=backend)
+        n = m.n_cells
+        f = m.random_rv(rng)
+        x = BoolElem(rng.randrange(1 << n), n)
+        drawn = [BoolElem(rng.randrange(1 << n), n) for _ in range(3)]
+        for xs in ([], [BoolElem(0, n)], [BoolElem(0, n), BoolElem((1 << n) - 1, n), x, *drawn, x]):
+            got = projections(m, f, xs)
+            expected = [project(m, y, f) for y in xs]
+            assert [_bits(m, q.values) for q in got] == [_bits(m, q.values) for q in expected]
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_point_tables_match_their_per_point_definitions(backend):
+    # Each table multiplies its per-cell factors left to right in cell
+    # order, so the float entries agree bit for bit.
+    rng = random.Random(26)
+    for trial in range(24):
+        m = NoiseModel(_random_cells(rng, trial % 6), backend=backend)
+        one = m._num(Fraction(1))
+        digits = [m.point_digits(idx) for idx in range(m.n_points)]
+        weights = [
+            math.prod((m._num(m.cells[i].probs[d]) for i, d in enumerate(dig)), start=one)
+            for dig in digits
+        ]
+        norms = [math.prod((m.cell_norms_sq[i][d] for i, d in enumerate(dig)), start=one) for dig in digits]
+        masks = [sum(1 << i for i, d in enumerate(dig) if d) for dig in digits]
+        assert _bits(m, m.point_weights) == _bits(m, weights)
+        assert _bits(m, m.basis_norms) == _bits(m, norms)
+        assert list(m.support_masks) == masks
+        assert isinstance(m.point_weights, tuple) and isinstance(m.basis_norms, tuple)

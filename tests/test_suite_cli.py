@@ -32,11 +32,13 @@ from noise_lab.suite import (
     chaos__split_space,
     laws__oracle_equivalence,
     laws__projection_lattice,
+    laws__projection_operator,
     laws__tensor_basis,
     laws__walsh_roundtrip,
     run_verification_suite,
     spectrum__event_subspaces,
     spectrum__independence,
+    spectrum__projection_measure,
 )
 
 from conftest import cli_env
@@ -218,6 +220,50 @@ def test_projection_lattice_fails_when_the_mask_keeps_the_supports_meeting_x(pat
     result = laws__projection_lattice(_Ctx(load_model_config(str(path))))
     assert result.status == "fail"
     assert f"composition (full application) fails at {pair}" in result.witnesses
+
+
+@pytest.mark.parametrize(
+    "check, analyses",
+    [
+        (chaos__additive_norm, 6),  # 5 first-chaos vectors and their combination
+        (spectrum__projection_measure, 40),  # 20 vectors: spectral side and point side
+        (laws__oracle_equivalence, 18),  # the N = 18 point-mass vectors
+        (spectrum__event_subspaces, 18),  # the N = 18 Walsh vectors
+        (laws__projection_operator, 2 + 8),  # f and g, then each Q_x f for idempotence
+    ],
+)
+def test_checks_analyse_each_probe_vector_once(check, analyses, monkeypatch):
+    # mixed-233-exact enumerates its 8 elements; each vector conditioned on
+    # all of them is analysed once.
+    ctx = _Ctx(load_model_config(str(MIXED_233)))
+    assert ctx.space and ctx.chaos  # built before counting
+    calls = []
+    transform = model_mod._transform
+
+    def counting(model, values, matrices, scale):
+        calls.append(matrices is model._analysis)
+        return transform(model, values, matrices, scale)
+
+    monkeypatch.setattr(model_mod, "_transform", counting)
+    assert check(ctx).status == "pass"
+    assert calls.count(True) == analyses
+
+
+@pytest.mark.parametrize(
+    "path, check, witness",
+    [
+        (MIXED_233, spectrum__projection_measure, "mass mismatch at x="),
+        (MIXED_233, laws__oracle_equivalence, "x="),
+        (MIXED_233, chaos__additive_norm, "x="),
+        (FIVE_TERNARY, spectrum__projection_measure, "mass mismatch at x="),
+    ],
+)
+def test_batched_point_sides_fail_when_every_conditional_is_the_identity(path, check, witness, monkeypatch):
+    # Every Q_x = I: a point side read off the spectral side would still agree.
+    monkeypatch.setattr(model_mod, "masked_coeffs", lambda model, coeffs, x: list(coeffs))
+    result = check(_Ctx(load_model_config(str(path))))
+    assert result.status == "fail"
+    assert result.witnesses[0].startswith(witness)
 
 
 @pytest.mark.parametrize(
