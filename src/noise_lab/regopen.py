@@ -15,18 +15,24 @@ than rescale. ``intervals`` is the rational view, and reprs print reduced
 fractions.
 
 Meet is intersection of interiors, join is the interior of the union of
-closures, complement is the space minus the closure. All comparisons are
-exact; no tolerances anywhere. The operations work on the sorted tick tuples
-by sweeps: meet and the order test walk both tuples once with two pointers,
-join merges the hulls sorted by their starts, and the point masks
-(``interior_mask``, ``closure_mask``) place a sorted run of point ticks
-against the intervals in one pass. Every step is an ``int`` comparison;
-``contains_interior`` and ``contains_closure`` stay as the per-point
-reference, read on the rational view.
+closures, complement is the space minus the closure; all exact. Meet and the
+order test walk both sorted tick tuples once with two pointers, join merges
+the hulls sorted by their starts, and the point masks (``interior_mask``,
+``closure_mask``) place a sorted run of point ticks in one pass; every step
+is an ``int`` comparison. ``contains_interior`` and ``contains_closure``
+are the per-point reference, read on the rational view.
 
-A small brute-force twin for arbitrary finite topological spaces is
-included, with the quotient-of-the-interval construction used to
-cross-check the two against each other.
+``verify_reg_laws`` checks the operations through one homomorphism. The
+endpoints of the elements it touches, with 0 and 1, cut [0,1] into open
+cells; a canonical element is the regularized union of the cells it holds,
+so ``cell_mask`` is one-to-one. Meet, join, complement and ``le`` must be
+AND, OR, NOT and subset on the masks: on the 630 pairs of single intervals
+on the eighths and 1000 random pairs, each in both orders, and on the 256
+ordered pairs of the 16-element depth-2 cell algebra, where that makes every
+Boolean law hold. The inclusion laws give the strictness witnesses.
+
+A brute-force twin for finite topological spaces is included, with the
+quotient of the interval that cross-checks the two.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ from fractions import Fraction
 from itertools import chain, combinations, product
 from math import lcm
 from operator import itemgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 Interval = tuple[Fraction, Fraction]
 Ticks = tuple[int, int]
@@ -92,14 +98,7 @@ class RegOpen:
 
     def contains_interior(self, t: Fraction) -> bool:
         """Whether the rational t lies in the open set."""
-        for a, b in self.intervals:
-            if a < t < b:
-                return True
-            if t == 0 and a == 0:
-                return True
-            if t == 1 and b == 1:
-                return True
-        return False
+        return any(a < t < b or t == 0 == a or t == 1 == b for a, b in self.intervals)
 
     def contains_closure(self, t: Fraction) -> bool:
         """Whether the rational t lies in the closure."""
@@ -251,22 +250,6 @@ def random_regopen(rng, scale: int, denominators: Sequence[int] = LAW_POOL) -> R
     return RegOpen(_merge_hulls(pieces), scale)
 
 
-def _pair_laws(r: RegOpen, s: RegOpen, meet: RegOpen, join: RegOpen) -> Iterator[tuple[str, bool]]:
-    """Laws of the pair, given ``meet = r & s`` and ``join = r | s``; each
-    still compares two different computations."""
-    nr, ns = ~r, ~s
-    yield "double complement", ~nr == r
-    yield "meet complement", (r & nr).is_empty
-    yield "join complement", (r | nr).is_full
-    yield "meet comm", meet == (s & r)
-    yield "join comm", join == (s | r)
-    yield "de morgan meet", ~meet == (nr | ns)
-    yield "de morgan join", ~join == (nr & ns)
-    yield "absorption", (r & join) == r and (r | meet) == r
-    yield "canonical idempotent", _merge_hulls(r.ticks) == r.ticks
-    yield "order equivalence", r.le(s) == (meet == r) == (join == s)
-
-
 def _lowest_bit(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
@@ -290,15 +273,19 @@ def _inclusion_laws(
     return cl_meet_ok, join_ok, join_witness, meet_witness
 
 
-def _triple_laws(r: RegOpen, s: RegOpen, t: RegOpen) -> Iterator[tuple[str, bool]]:
-    """Laws of the triple, sharing the pairwise meets and joins; each law
-    still compares two different computations."""
-    m_rs, m_st, m_rt = r & s, s & t, r & t
-    j_rs, j_st, j_rt = r | s, s | t, r | t
-    yield "meet assoc", (m_rs & t) == (r & m_st)
-    yield "join assoc", (j_rs | t) == (r | j_st)
-    yield "distrib meet over join", (r & j_st) == (m_rs | m_rt)
-    yield "distrib join over meet", (r | m_st) == (j_rs & j_rt)
+def cell_mask(r: RegOpen, cuts: Sequence[int]) -> int | None:
+    """Bit i is set when the cell (cuts[i], cuts[i+1]) of the increasing
+    ticks ``cuts`` lies in r; None when r is not canonical on the cuts (an
+    endpoint off them, or an empty, touching or unsorted piece). One index
+    lookup per endpoint: the mask reads none of the operations it checks."""
+    mask, prev = 0, -1
+    for a, b in r.ticks:
+        i, j = bisect_left(cuts, a), bisect_left(cuts, b)
+        if not prev < a < b or j == len(cuts) or cuts[i] != a or cuts[j] != b:
+            return None
+        mask |= (1 << j) - (1 << i)
+        prev = b
+    return mask
 
 
 def dyadic_grid_regopens(depth: int, scale: int) -> list[RegOpen]:
@@ -311,21 +298,52 @@ def dyadic_grid_regopens(depth: int, scale: int) -> list[RegOpen]:
     ]
 
 
+def dyadic_cell_unions(depth: int, scale: int) -> list[RegOpen]:
+    """Every union of cells of the 2^-depth grid, made on the grid 1/scale;
+    the one at index ``bits`` holds cell j when bit j is set."""
+    q = 1 << depth
+    cells = [(Fraction(j, q), Fraction(j + 1, q)) for j in range(q)]
+    unions = ([c for j, c in enumerate(cells) if bits >> j & 1] for bits in range(1 << q))
+    return [make_regopen(pieces, scale) for pieces in unions]
+
+
 def verify_reg_laws(rng, scale: int, iterations: int = 1000) -> RegLawReport:
-    """Randomized pairs/triples plus an exhaustive dyadic-grid pass, on the
-    grid 1/scale."""
+    """The operations against the bit operations on cell masks (see the
+    module docstring), on the grid 1/scale. ``checked`` counts the pairs: the
+    630 dyadic ones, then ``iterations`` random ones, each on its own cuts."""
     failures: list[str] = []
     join_strict: list[str] = []
     meet_strict: list[str] = []
     checked = 0
 
-    def run_pair(r: RegOpen, s: RegOpen) -> None:
+    def masks(family: Sequence[RegOpen], cuts: Sequence[int]) -> Iterable[int | None]:
+        """Each element's cell mask; its complement must have the others."""
+        full = (1 << len(cuts) - 1) - 1
+        for r in family:
+            m = cell_mask(r, cuts)
+            if m is None:
+                failures.append(f"not canonical on its cuts: r={r}")
+            elif cell_mask(~r, cuts) != full & ~m:
+                failures.append(f"complement is not the cell NOT: r={r}")
+            yield m
+
+    def homomorphism(r, s, mr, ms, meet, join, cuts) -> None:
+        """The ordered pair (r, s), with ``meet = r & s`` and ``join = r | s``."""
+        if cell_mask(meet, cuts) != mr & ms:
+            failures.append(f"meet is not the cell AND: r={r} s={s}")
+        if cell_mask(join, cuts) != mr | ms:
+            failures.append(f"join is not the cell OR: r={r} s={s}")
+        if r.le(s) != (not mr & ~ms):
+            failures.append(f"le is not cell inclusion: r={r} s={s}")
+
+    def run_pair(r: RegOpen, s: RegOpen, mr, ms, cuts) -> None:
         nonlocal checked
         checked += 1
+        if mr is None or ms is None:
+            return
         meet, join = r & s, r | s
-        for name, ok in _pair_laws(r, s, meet, join):
-            if not ok:
-                failures.append(f"{name} fails: r={r} s={s}")
+        homomorphism(r, s, mr, ms, meet, join, cuts)
+        homomorphism(s, r, ms, mr, s & r, s | r, cuts)
         cl_ok, join_ok, jw, mw = _inclusion_laws(r, s, meet, join)
         if not cl_ok:
             failures.append(f"closure-of-meet inclusion fails: r={r} s={s}")
@@ -338,28 +356,30 @@ def verify_reg_laws(rng, scale: int, iterations: int = 1000) -> RegLawReport:
                 f"r={r} s={s}: {Fraction(mw, scale)} in both closures, outside the meet closure"
             )
 
-    def run_triple(r: RegOpen, s: RegOpen, t: RegOpen) -> None:
-        for name, ok in _triple_laws(r, s, t):
-            if not ok:
-                failures.append(f"{name} fails: r={r} s={s} t={t}")
+    cuts = range(0, scale + 1, to_ticks(1, 8, scale))
+    family = dyadic_grid_regopens(3, scale)
+    for (r, mr), (s, ms) in combinations(zip(family, masks(family, cuts)), 2):
+        run_pair(r, s, mr, ms, cuts)
 
-    for r, s in combinations(dyadic_grid_regopens(3, scale), 2):
-        run_pair(r, s)
-    for r, s, t in product(dyadic_grid_regopens(2, scale), repeat=3):
-        run_triple(r, s, t)
+    # The 16 elements map one-to-one onto the subsets of the four cells and
+    # every operation follows the map, so they form a Boolean algebra: every
+    # associative, distributive, De Morgan and absorption law holds on them.
+    cuts = range(0, scale + 1, to_ticks(1, 4, scale))
+    algebra = dyadic_cell_unions(2, scale)
+    if list(masks(algebra, cuts)) != list(range(16)):
+        failures.append("the depth-2 cell unions do not hold their cells")
+    else:
+        for (mr, r), (ms, s) in product(enumerate(algebra), repeat=2):
+            homomorphism(r, s, mr, ms, r & s, r | s, cuts)
 
     for _ in range(iterations):
         r = random_regopen(rng, scale)
         s = random_regopen(rng, scale)
-        run_pair(r, s)
-        run_triple(r, s, random_regopen(rng, scale))
+        cuts = sorted({0, scale, *chain(*r.ticks, *s.ticks)})
+        run_pair(r, s, *masks((r, s), cuts), cuts)
 
     return RegLawReport(
-        passed=not failures,
-        checked=checked,
-        failures=tuple(failures),
-        join_strict_witnesses=tuple(join_strict),
-        meet_strict_witnesses=tuple(meet_strict),
+        not failures, checked, tuple(failures), tuple(join_strict), tuple(meet_strict)
     )
 
 
@@ -421,31 +441,23 @@ class FiniteRegAlgebra:
                 failures.append(f"complement join fails: {sorted(g)}")
             if self.complement(self.complement(g)) != g:
                 failures.append(f"double complement fails: {sorted(g)}")
-        for g1 in elems:
-            for g2 in elems:
-                if self.meet(g1, g2) not in elems or self.join(g1, g2) not in elems:
-                    failures.append(f"not closed under ops: {sorted(g1)}, {sorted(g2)}")
-                if frozenset(self.complement(self.meet(g1, g2))) != self.join(
-                    self.complement(g1), self.complement(g2)
-                ):
-                    failures.append(f"de morgan fails: {sorted(g1)}, {sorted(g2)}")
-        for g1 in elems:
-            for g2 in elems:
-                for g3 in elems:
-                    if self.meet(g1, self.join(g2, g3)) != self.join(
-                        self.meet(g1, g2), self.meet(g1, g3)
-                    ):
-                        failures.append("distributivity fails")
-                        return failures
+        for g1, g2 in product(elems, repeat=2):
+            if self.meet(g1, g2) not in elems or self.join(g1, g2) not in elems:
+                failures.append(f"not closed under ops: {sorted(g1)}, {sorted(g2)}")
+            if self.complement(self.meet(g1, g2)) != self.join(
+                self.complement(g1), self.complement(g2)
+            ):
+                failures.append(f"de morgan fails: {sorted(g1)}, {sorted(g2)}")
+        for g1, g2, g3 in product(elems, repeat=3):
+            if self.meet(g1, self.join(g2, g3)) != self.join(self.meet(g1, g2), self.meet(g1, g3)):
+                failures.append("distributivity fails")
+                break
         return failures
 
 
 def finite_space_regopen(space: FiniteSpace) -> FiniteRegAlgebra:
     """Enumerate the regular open sets of a finite space by brute force."""
-    elems = []
-    for u in space.opens:
-        if space.interior(space.closure(u)) == u:
-            elems.append(u)
+    elems = [u for u in space.opens if space.interior(space.closure(u)) == u]
     elems.sort(key=lambda s: (len(s), sorted(map(repr, s))))
     return FiniteRegAlgebra(space=space, elements=tuple(elems))
 
@@ -462,16 +474,9 @@ def dyadic_quotient_space(depth: int) -> tuple[FiniteSpace, list]:
         if j < q - 1:
             cells.append(("cut", Fraction(j + 1, q)))
     n = len(cells)
-    valid: list[frozenset] = []
-    for bits in range(1 << n):
-        subset = frozenset(i for i in range(n) if bits >> i & 1)
-        ok = True
-        for i in subset:
-            if cells[i][0] == "cut" and (i - 1 not in subset or i + 1 not in subset):
-                ok = False
-                break
-        if ok:
-            valid.append(subset)
+    subsets = (frozenset(i for i in range(n) if bits >> i & 1) for bits in range(1 << n))
+    # A set is open when each cut point in it has both neighbouring cells.
+    valid = [u for u in subsets if all(cells[i][0] == "cell" or {i - 1, i + 1} <= u for i in u)]
     space = FiniteSpace(points=tuple(range(n)), opens=frozenset(valid))
     return space, cells
 
@@ -479,14 +484,8 @@ def dyadic_quotient_space(depth: int) -> tuple[FiniteSpace, list]:
 def regopen_to_quotient(r: RegOpen, depth: int, cells: list) -> frozenset:
     """Image of a dyadic-endpoint element in the quotient space."""
     q = 1 << depth
-    out = set()
-    for i, c in enumerate(cells):
-        if c[0] == "cell":
-            j = c[1]
-            mid = Fraction(2 * j + 1, 2 * q)
-            if r.contains_interior(mid):
-                out.add(i)
-        else:
-            if r.contains_interior(c[1]):
-                out.add(i)
-    return frozenset(out)
+    return frozenset(
+        i
+        for i, (kind, c) in enumerate(cells)
+        if r.contains_interior(Fraction(2 * c + 1, 2 * q) if kind == "cell" else c)
+    )

@@ -47,6 +47,10 @@ GROUPS = ("laws", "chaos", "spectrum", "regopen", "geometry")
 # first-chaos checks that do not (see chaos__classification).
 EXACT_CAP = 4096
 ELIMINATION_CAP = 128
+# chaos.defect_zero walks all 3^k disjoint element pairs of a k-block
+# subalgebra. Against a budget of about 5 s CPU on fair coins it took
+# 1.1 s at N=512, 3.1-4.1 s at N=1024 and 7.0 s at N=2048.
+PAIRWISE_CAP = 1024
 # Largest N at which a check walks the whole basis (every Walsh or point
 # vector, or every pair of them); past it, it takes a seeded sample.
 BASIS_LIMIT = 64
@@ -415,7 +419,7 @@ def chaos__additive_norm(ctx: _Ctx):
     return f"{len(probes)} first-chaos vectors", bad, not bad
 
 
-@_check(exact=True, points=EXACT_CAP, cells=True)
+@_check(exact=True, points=PAIRWISE_CAP, cells=True)
 def chaos__defect_zero(ctx: _Ctx):
     m = ctx.model
     rng = ctx.rng("chaos.defectzero")
@@ -636,7 +640,7 @@ def spectrum__measure_class(ctx: _Ctx):
 
 @_check()
 def regopen__laws(ctx: _Ctx):
-    rep = reg_mod.verify_reg_laws(ctx.rng("regopen.laws"), ctx.scale, iterations=1000)
+    rep = reg_mod.verify_reg_laws(ctx.rng("regopen.laws"), ctx.scale)
     wit = list(rep.join_strict_witnesses[:2]) + list(rep.meet_strict_witnesses[:2])
     wit = [f"strict inclusion: {w}" for w in wit] + list(rep.failures[:5])
     return f"{rep.checked} pairs", wit, rep.passed
@@ -675,13 +679,7 @@ def regopen__finite_spaces(ctx: _Ctx):
     for depth in (1, 2):
         space, cells = reg_mod.dyadic_quotient_space(depth)
         qalg = reg_mod.finite_space_regopen(space)
-        q = 1 << depth
-        interval_elems = []
-        for bits in range(1 << q):
-            pieces = [
-                (Fraction(j, q), Fraction(j + 1, q)) for j in range(q) if bits >> j & 1
-            ]
-            interval_elems.append(reg_mod.make_regopen(pieces, ctx.scale))
+        interval_elems = reg_mod.dyadic_cell_unions(depth, ctx.scale)
         images = {r: reg_mod.regopen_to_quotient(r, depth, cells) for r in interval_elems}
         if set(images.values()) != set(qalg.elements):
             bad.append(f"quotient depth {depth}: element sets differ")

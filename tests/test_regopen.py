@@ -9,7 +9,7 @@ from noise_lab.config import load_config_dict
 from noise_lab.regopen import (
     FiniteSpace,
     RegOpen,
-    _triple_laws,
+    cell_mask,
     dyadic_quotient_space,
     finite_space_regopen,
     grid_scale,
@@ -260,7 +260,14 @@ def test_reg_laws_catch_a_join_that_keeps_touching_hulls(monkeypatch):
     monkeypatch.setattr(RegOpen, "join", join_without_fusing)
     monkeypatch.setattr(RegOpen, "__or__", join_without_fusing)
     rep = verify_reg_laws(random.Random(0), L, iterations=50)
-    assert any(f.startswith("join complement fails") for f in rep.failures)
+    assert not rep.passed
+    assert any(f.startswith("join is not the cell OR") for f in rep.failures)
+
+
+def _patch_meet(monkeypatch, fn):
+    # The operator aliases are bound to the original functions.
+    monkeypatch.setattr(RegOpen, "meet", fn)
+    monkeypatch.setattr(RegOpen, "__and__", fn)
 
 
 def test_reg_laws_catch_a_meet_that_drops_its_last_piece(monkeypatch):
@@ -270,10 +277,10 @@ def test_reg_laws_catch_a_meet_that_drops_its_last_piece(monkeypatch):
         m = meet(self, other)
         return RegOpen(m.ticks[:-1], m.scale)
 
-    monkeypatch.setattr(RegOpen, "meet", meet_dropping_last)
-    monkeypatch.setattr(RegOpen, "__and__", meet_dropping_last)
+    _patch_meet(monkeypatch, meet_dropping_last)
     rep = verify_reg_laws(random.Random(0), L, iterations=50)
-    assert any(f.startswith("de morgan meet fails") for f in rep.failures)
+    assert not rep.passed
+    assert any(f.startswith("meet is not the cell AND") for f in rep.failures)
 
 
 def test_reg_laws_catch_a_broken_order(monkeypatch):
@@ -285,29 +292,120 @@ def test_reg_laws_catch_a_broken_order(monkeypatch):
     monkeypatch.setattr(RegOpen, "le", le_ignoring_last)
     rep = verify_reg_laws(random.Random(0), L, iterations=50)
     assert not rep.passed
-    assert any(f.startswith("order equivalence fails") for f in rep.failures)
+    assert any(f.startswith("le is not cell inclusion") for f in rep.failures)
 
 
-def test_triple_laws_share_the_pairwise_meets_and_joins(monkeypatch):
-    ops = []
-    meet, join, complement = RegOpen.meet, RegOpen.join, RegOpen.complement
+def test_reg_laws_catch_meet_and_join_swapped(monkeypatch):
+    meet, join = RegOpen.meet, RegOpen.join
+    _patch_meet(monkeypatch, join)
+    monkeypatch.setattr(RegOpen, "join", meet)
+    monkeypatch.setattr(RegOpen, "__or__", meet)
+    rep = verify_reg_laws(random.Random(0), L, iterations=50)
+    assert not rep.passed
+    assert any(f.startswith("meet is not the cell AND") for f in rep.failures)
+    assert any(f.startswith("join is not the cell OR") for f in rep.failures)
+
+
+def test_reg_laws_catch_a_complement_that_drops_its_right_edge_piece(monkeypatch):
+    complement = RegOpen.complement
+
+    def complement_without_right_edge(self):
+        c = complement(self)
+        if c.ticks and c.ticks[-1][1] == c.scale:
+            return RegOpen(c.ticks[:-1], c.scale)
+        return c
+
+    monkeypatch.setattr(RegOpen, "complement", complement_without_right_edge)
+    monkeypatch.setattr(RegOpen, "__invert__", complement_without_right_edge)
+    rep = verify_reg_laws(random.Random(0), L, iterations=50)
+    assert not rep.passed
+    assert any(f.startswith("complement is not the cell NOT") for f in rep.failures)
+
+
+def test_reg_laws_catch_a_meet_wrong_in_one_argument_order(monkeypatch):
+    meet = RegOpen.meet
+
+    def meet_wrong_when_reversed(self, other):
+        m = meet(self, other)
+        if self.ticks > other.ticks:
+            return RegOpen(m.ticks[:-1], m.scale)
+        return m
+
+    _patch_meet(monkeypatch, meet_wrong_when_reversed)
+    rep = verify_reg_laws(random.Random(0), L, iterations=50)
+    assert not rep.passed
+    # The dyadic pairs come with r before s in tick order, so only the
+    # reversed order meets the fault there; a failure names its operands in
+    # the order they were operated on.
+    assert "meet is not the cell AND: r=RegOpen((0,1/4)) s=RegOpen((0,1/8))" in rep.failures
+
+
+def test_reg_laws_catch_a_meet_that_returns_touching_pieces(monkeypatch):
+    meet = RegOpen.meet
+
+    def meet_split_in_two(self, other):
+        m = meet(self, other)
+        if not m.ticks:
+            return m
+        (a, b), rest = m.ticks[0], m.ticks[1:]
+        mid = (a + b) // 2
+        return RegOpen(((a, mid), (mid, b)) + rest, m.scale)
+
+    _patch_meet(monkeypatch, meet_split_in_two)
+    rep = verify_reg_laws(random.Random(0), L, iterations=50)
+    assert not rep.passed
+    assert any(f.startswith("meet is not the cell AND") for f in rep.failures)
+
+
+def test_reg_laws_operation_counts(monkeypatch):
+    counts = {}
 
     def counted(name, fn):
         def op(*args):
-            ops.append(name)
+            counts[name] = counts.get(name, 0) + 1
             return fn(*args)
 
         return op
 
-    monkeypatch.setattr(RegOpen, "__and__", counted("meet", meet))
-    monkeypatch.setattr(RegOpen, "__or__", counted("join", join))
-    monkeypatch.setattr(RegOpen, "__invert__", counted("complement", complement))
-    r = make_regopen([(0, F(1, 2))], L)
-    s = make_regopen([(F(1, 4), F(3, 4))], L)
-    t = make_regopen([(F(1, 8), F(1, 3)), (F(2, 3), 1)], L)
-    laws = dict(_triple_laws(r, s, t))
-    assert all(laws.values()) and len(laws) == 4
-    assert len(ops) == 14
+    aliases = {"meet": "__and__", "join": "__or__", "complement": "__invert__", "le": "le"}
+    for name, alias in aliases.items():
+        op = counted(name, getattr(RegOpen, name))
+        monkeypatch.setattr(RegOpen, name, op)
+        monkeypatch.setattr(RegOpen, alias, op)
+
+    # iterations=0: 36 complements and, per each of the 630 dyadic pairs, the
+    # meet, join and le in both orders and four le of the inclusion laws; the
+    # depth-2 algebra adds 16 complements and 256 of each of meet, join, le.
+    assert verify_reg_laws(random.Random(0), L, iterations=0).passed
+    assert counts == {"complement": 52, "meet": 1516, "join": 1516, "le": 4036}
+    # Each random pair adds two of each of complement, meet and join, and six le.
+    counts.clear()
+    assert verify_reg_laws(random.Random(0), L, iterations=1).passed
+    assert counts == {"complement": 54, "meet": 1518, "join": 1518, "le": 4042}
+
+
+def test_cell_mask_refuses_what_is_not_canonical_on_the_cuts():
+    cuts = on_grid([F(0), F(1, 4), F(1, 2), F(1)])
+    q, h = cuts[1], cuts[2]
+    assert cell_mask(make_regopen([(F(1, 4), F(1, 2))], L), cuts) == 0b010
+    assert cell_mask(FULL, cuts) == 0b111 and cell_mask(EMPTY, cuts) == 0
+    assert cell_mask(make_regopen([(0, F(1, 3))], L), cuts) is None  # endpoint off the cuts
+    assert cell_mask(RegOpen(((0, q), (q, h)), L), cuts) is None  # touching pieces
+    assert cell_mask(RegOpen(((q, h), (0, 1)), L), cuts) is None  # unsorted pieces
+    assert cell_mask(RegOpen(((q, q),), L), cuts) is None  # empty piece
+
+
+@settings(max_examples=300, derandomize=True)
+@given(raw_intervals(), raw_intervals())
+def test_cell_mask_is_the_interior_at_the_cell_midpoints(p1, p2):
+    # The cuts are r's endpoints and another element's, so some cells of r
+    # are unions of several cuts.
+    r, other = make_regopen(p1, L), make_regopen(p2, L)
+    cuts = sorted({0, L} | {t for piece in r.ticks + other.ticks for t in piece})
+    # The midpoint of (a/L, b/L) is (a + b) ticks on the doubled grid.
+    doubled = make_regopen(r.intervals, 2 * L)
+    mids = [a + b for a, b in zip(cuts, cuts[1:])]
+    assert cell_mask(r, cuts) == doubled.interior_mask(mids)
 
 
 def test_sierpinski_space():
