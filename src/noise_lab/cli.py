@@ -31,7 +31,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--only", default="all", choices=GROUPS + ("all",))
     p_verify.add_argument("--seed", type=int, default=None)
     p_verify.add_argument("--backend", choices=("exact", "float"), default=None)
-    p_verify.add_argument("--depth", type=int, default=None)
     p_verify.add_argument("--strict", action="store_true")
     p_verify.add_argument("--json", metavar="PATH", default=None, help="write the machine report")
 
@@ -49,12 +48,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _override(cfg, args):
     updates = {}
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         updates["seed"] = args.seed
-    if getattr(args, "backend", None) is not None:
+    if args.backend is not None:
         updates["backend"] = args.backend
-    if getattr(args, "depth", None) is not None:
-        updates["depth"] = args.depth
     return dataclasses.replace(cfg, **updates) if updates else cfg
 
 

@@ -27,8 +27,6 @@ _TOP_KEYS = {
     "embedding",
     "backend",
     "seed",
-    "depth",
-    "exhaustive_limit",
 }
 
 
@@ -54,24 +52,15 @@ class ModelConfig:
     embedding: Embedding | None = None
     backend: str = "exact"
     seed: int = 0
-    depth: int = 6
-    exhaustive_limit: int = 16
 
     def __post_init__(self) -> None:
         """The scalar fields are checked here, so a config loaded from JSON and
-        one with fields replaced afterwards pass the same checks. The integer
-        fields take exact ints: JSON true/false would pass isinstance(int)."""
+        one with fields replaced afterwards pass the same checks. The seed
+        takes an exact int: JSON true/false would pass isinstance(int)."""
         if self.backend not in ("exact", "float"):
             raise ConfigError(f"unknown backend {self.backend!r}", "backend")
         if type(self.seed) is not int or not 0 <= self.seed < 1 << 64:
             raise ConfigError("seed must be an unsigned 64-bit integer", "seed")
-        # The geometry checks stop refining at depth 8 (geometry.approximant).
-        if type(self.depth) is not int or not 1 <= self.depth <= 8:
-            raise ConfigError("depth must be an integer in 1..8", "depth")
-        limit = self.exhaustive_limit
-        # Past 64 elements an exhaustive run (all pairs, in laws) takes minutes.
-        if type(limit) is not int or not 1 <= limit <= 64:
-            raise ConfigError("exhaustive_limit must be an integer in 1..64", "exhaustive_limit")
 
     @property
     def n_cells(self) -> int:
@@ -211,8 +200,6 @@ def load_config_dict(data: dict) -> ModelConfig:
         embedding=embedding,
         backend=data.get("backend", "exact"),
         seed=data.get("seed", 0),
-        depth=data.get("depth", 6),
-        exhaustive_limit=data.get("exhaustive_limit", 16),
     )
 
 
@@ -250,8 +237,6 @@ def emit_config_dict(cfg: ModelConfig) -> dict:
         }
     data["backend"] = cfg.backend
     data["seed"] = cfg.seed
-    data["depth"] = cfg.depth
-    data["exhaustive_limit"] = cfg.exhaustive_limit
     return data
 
 

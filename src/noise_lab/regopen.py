@@ -53,8 +53,8 @@ LAW_POOL = (2, 3, 4, 5, 6, 8, 12, 16)
 
 # What every grid holds: the law pool (lcm 240) and the finest dyadic a
 # check makes. Shrink-chain margins halve a piece at least 1/16 long up to
-# 2^13 times, down to 2^-17; the depth-8 grid covers and the probes of the
-# approximant oracle are coarser.
+# 2^13 times, down to 2^-17; the depth-6 approximant covers and the 2^-5
+# probes of their depth-4 oracle are coarser.
 BASE_SCALE = lcm(*LAW_POOL, 1 << 17)
 
 

@@ -32,7 +32,6 @@ from .model import (
     inner_product,
     mass_inside,
     norm_sq,
-    project,
     project_oracle,
     projections,
     verify_projection_laws,
@@ -47,13 +46,21 @@ GROUPS = ("laws", "chaos", "spectrum", "regopen", "geometry")
 # first-chaos checks that do not (see chaos__classification).
 EXACT_CAP = 4096
 ELIMINATION_CAP = 128
-# chaos.defect_zero walks all 3^k disjoint element pairs of a k-block
-# subalgebra. Against a budget of about 5 s CPU on fair coins it took
-# 1.1 s at N=512, 3.1-4.1 s at N=1024 and 7.0 s at N=2048.
+# The largest N at which each of two chaos checks fits a budget of about
+# 5 s CPU on fair coins. chaos.defect_zero walks all 3^k disjoint element
+# pairs of a k-block subalgebra: 1.1 s at N=512, 3.1-4.1 s at N=1024 and
+# 7.0 s at N=2048. chaos.split_product_equiv runs split_check against
+# product_test on 10 vectors per element: 1.2 s at N=512, 3.1-3.9 s at
+# N=1024, 5.4-6.0 s at N=2048 and 28 s at N=4096.
 PAIRWISE_CAP = 1024
 # Largest N at which a check walks the whole basis (every Walsh or point
 # vector, or every pair of them); past it, it takes a seeded sample.
 BASIS_LIMIT = 64
+# Largest 2^n at which a check walks every element of the cell algebra;
+# past it, it takes a seeded sample (_Ctx.elements).
+EXHAUSTIVE_LIMIT = 16
+# Finest dyadic depth of the geometry approximants.
+DEPTH = 6
 
 
 @dataclass(frozen=True)
@@ -152,7 +159,7 @@ class _Ctx:
         return chaos_mod.first_chaos_basis(self.model)
 
     def exhaustive(self) -> bool:
-        return (1 << self.cfg.n_cells) <= self.cfg.exhaustive_limit
+        return (1 << self.cfg.n_cells) <= EXHAUSTIVE_LIMIT
 
     def elements(self, rng: random.Random, sample: int = 12) -> list[BoolElem]:
         n = self.cfg.n_cells
@@ -263,22 +270,6 @@ def laws__oracle_equivalence(ctx: _Ctx):
 
 
 @_check(points=EXACT_CAP)
-def laws__projection_operator(ctx: _Ctx):
-    m = ctx.model
-    rng = ctx.rng("laws.operator")
-    f = m.random_rv(rng)
-    g = m.random_rv(rng)
-    xs = ctx.elements(rng)
-    bad = []
-    for x, qf, qg in zip(xs, projections(m, f, xs), projections(m, g, xs)):
-        if not m.rv_eq(project(m, x, qf), qf):
-            bad.append(f"idempotence fails at x={x}")
-        if not m.eq(inner_product(m, qf, g), inner_product(m, f, qg)):
-            bad.append(f"self-adjointness fails at x={x}")
-    return "idempotence + self-adjointness", bad, not bad
-
-
-@_check(points=EXACT_CAP)
 def laws__tensor_basis(ctx: _Ctx):
     m = ctx.model
     rng = ctx.rng("laws.tensor")
@@ -326,7 +317,7 @@ def laws__walsh_roundtrip(ctx: _Ctx):
 # -- chaos group --------------------------------------------------------------
 
 
-@_check(exact=True, points=EXACT_CAP)
+@_check(exact=True, points=PAIRWISE_CAP)
 def chaos__split_product_equiv(ctx: _Ctx):
     m = ctx.model
     rng = ctx.rng("chaos.splitprod")
@@ -727,34 +718,32 @@ def geometry__homomorphism(ctx: _Ctx):
 @_check(embedding=True)
 def geometry__spectral_identity(ctx: _Ctx):
     emb = ctx.cfg.embedding
-    depth = min(ctx.cfg.depth, 6)
     bad = []
     atoms = ctx.elements(ctx.rng("geometry.uniqueness"))
-    if not geo_mod.verify_spectral_map_uniqueness(emb, min(depth, 4), atoms):
+    if not geo_mod.verify_spectral_map_uniqueness(emb, 4, atoms):
         bad.append("closed-set approximant differs from its definition")
     count = 0
-    for a in reg_mod.dyadic_grid_regopens(depth, ctx.scale):
+    for a in reg_mod.dyadic_grid_regopens(DEPTH, ctx.scale):
         count += 1
         if not geo_mod.verify_spectral_set_identity(emb, a):
             bad.append(f"identity fails at {a}")
     rng = ctx.rng("geometry.identity")
-    dyads = tuple(1 << d for d in range(1, depth + 1))
+    dyads = tuple(1 << d for d in range(1, DEPTH + 1))
     for _ in range(60):
         a = reg_mod.random_regopen(rng, ctx.scale, denominators=dyads)
         count += 1
         if not geo_mod.verify_spectral_set_identity(emb, a):
             bad.append(f"identity fails at {a}")
-    return f"{count} dyadic elements, depth {depth}", bad, not bad
+    return f"{count} dyadic elements, depth {DEPTH}", bad, not bad
 
 
 @_check(embedding=True)
 def geometry__approximant(ctx: _Ctx):
     emb = ctx.cfg.embedding
-    depth = ctx.cfg.depth
     atoms = ctx.elements(ctx.rng("geometry.approximant"))
     bad = []
     for atom in atoms:
-        for d in range(1, depth + 1):
+        for d in range(1, DEPTH + 1):
             res = geo_mod.spectral_set_map(emb, atom, depth=d)
             missed = atom & ~geo_mod.closure_cells(emb, res.cover)
             bad.extend(
@@ -763,7 +752,7 @@ def geometry__approximant(ctx: _Ctx):
             if res.hausdorff_distance >= Fraction(1, 1 << d):
                 bad.append(f"Hausdorff bound broken at atom {atom}, depth {d}")
     scope = "all atoms" if ctx.exhaustive() else f"{len(atoms)} sampled atoms"
-    return f"{scope}, depths 1..{depth}", bad, not bad
+    return f"{scope}, depths 1..{DEPTH}", bad, not bad
 
 
 @_check(embedding=True)

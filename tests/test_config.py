@@ -92,21 +92,14 @@ def test_replaced_fields_pass_the_same_checks():
     for name, value in (
         ("backend", "quantum"),
         ("seed", -5),
-        ("depth", -1),
-        ("depth", 0),
-        ("depth", 9),
-        ("exhaustive_limit", 0),
-        ("exhaustive_limit", 65),
     ):
         with pytest.raises(ConfigError, match=name) as info:
             dataclasses.replace(cfg, **{name: value})
         assert info.value.path == name
-    assert dataclasses.replace(cfg, seed=5, depth=1).seed == 5
-    assert dataclasses.replace(cfg, depth=8).depth == 8
-    assert dataclasses.replace(cfg, exhaustive_limit=64).exhaustive_limit == 64
+    assert dataclasses.replace(cfg, seed=5).seed == 5
 
 
-@pytest.mark.parametrize("name", ["seed", "depth", "exhaustive_limit"])
+@pytest.mark.parametrize("name", ["seed"])
 def test_boolean_integer_fields_rejected(name):
     with pytest.raises(ConfigError, match=f"^{name}: ") as info:
         load_config_dict({"cells": [], name: True})
@@ -168,8 +161,6 @@ def test_defaults():
     cfg = load_config_dict({"cells": []})
     assert cfg.backend == "exact"
     assert cfg.seed == 0
-    assert cfg.depth == 6
-    assert cfg.exhaustive_limit == 16
     assert cfg.embedding is None
 
 

@@ -36,6 +36,7 @@ from noise_lab.regopen import (
     random_regopen,
 )
 from noise_lab.suite import (
+    DEPTH,
     _Ctx,
     geometry__approximant,
     geometry__boundary_dichotomy,
@@ -305,7 +306,7 @@ def test_per_atom_checks_take_their_atoms_from_the_element_policy(monkeypatch):
         }
     )
     ctx = _Ctx(cfg)
-    budget = len(ctx.elements(random.Random(0))) * cfg.depth
+    budget = len(ctx.elements(random.Random(0))) * DEPTH
     calls = {"spectral_set_map": 0, "_grid_cover": 0}
 
     def counted(name):
@@ -324,7 +325,7 @@ def test_per_atom_checks_take_their_atoms_from_the_element_policy(monkeypatch):
         result = check(ctx)
         assert result.status == "pass"
         assert 0 < max(calls.values()) <= budget, (check.__name__, calls)
-    assert result.detail == f"14 sampled atoms, depths 1..{cfg.depth}"
+    assert result.detail == f"14 sampled atoms, depths 1..{DEPTH}"
 
 
 def test_spectral_set_identity_runs_no_uniqueness_oracle(emb, monkeypatch):

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import copy
 import dataclasses
@@ -15,7 +16,7 @@ from noise_lab import linalg
 from noise_lab import model as model_mod
 from noise_lab import spectrum as spec_mod
 from noise_lab.boolalg import BoolElem, Subalgebra
-from noise_lab.cli import main
+from noise_lab.cli import _build_parser, main
 from noise_lab.config import ModelConfig, load_config_dict, load_model_config
 from noise_lab.suite import (
     _ALL_CHECKS,
@@ -32,7 +33,6 @@ from noise_lab.suite import (
     chaos__split_space,
     laws__oracle_equivalence,
     laws__projection_lattice,
-    laws__projection_operator,
     laws__tensor_basis,
     laws__walsh_roundtrip,
     run_verification_suite,
@@ -66,7 +66,7 @@ def test_suite_two_coins_all_pass():
     report = run_verification_suite(cfg)
     assert report.n_fail == 0
     assert report.n_skip == 0
-    assert report.n_pass >= 25
+    assert report.n_pass == len(_ALL_CHECKS)
     assert report.exit_code() == 0
 
 
@@ -229,7 +229,6 @@ def test_projection_lattice_fails_when_the_mask_keeps_the_supports_meeting_x(pat
         (spectrum__projection_measure, 40),  # 20 vectors: spectral side and point side
         (laws__oracle_equivalence, 18),  # the N = 18 point-mass vectors
         (spectrum__event_subspaces, 18),  # the N = 18 Walsh vectors
-        (laws__projection_operator, 2 + 8),  # f and g, then each Q_x f for idempotence
     ],
 )
 def test_checks_analyse_each_probe_vector_once(check, analyses, monkeypatch):
@@ -473,6 +472,27 @@ def test_readme_needs_table_matches_the_check_decorators():
         assert documented == declared, name
 
 
+def _readme_block(heading, lang):
+    """The first ```lang block after a README heading."""
+    text = (REPO / "README.md").read_text(encoding="utf-8")
+    after = text[text.index(f"\n{heading}\n"):]
+    start = after.index(f"```{lang}\n") + len(lang) + 4
+    return after[start:after.index("```", start)]
+
+
+def test_readme_config_example_loads_and_cli_synopsis_parses():
+    cfg = load_config_dict(json.loads(_readme_block("## Config format", "json")))
+    assert cfg.n_points == len(cfg.vector("demo"))
+    documented = {}
+    for line in _readme_block("## CLI", "sh").splitlines():
+        if line.startswith("noise-lab "):
+            command = line.split()[1]
+        documented.setdefault(command, set()).update(re.findall(r"--[a-z]+", line))
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    accepted = {name: set(p._option_string_actions) - {"-h", "--help"} for name, p in sub.choices.items()}
+    assert documented == accepted
+
+
 def test_report_exit_codes_and_renderings():
     rep = Report(seed=0, backend="exact", selection="all")
     rep.results.append(CheckResult("laws", "ok", "pass", "detail"))
@@ -516,14 +536,28 @@ def test_cli_input_error_exit_2(tmp_path):
     assert missing.returncode == 2
 
 
-@pytest.mark.parametrize(
-    "flag, value", [("--depth", "-1"), ("--depth", "0"), ("--depth", "9"), ("--seed", "-5")]
-)
+@pytest.mark.parametrize("flag, value", [("--seed", "-5")])
 def test_cli_overrides_are_validated(flag, value, capsys):
     assert main(["verify", str(TWO_COINS), flag, value]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"input error: {flag[2:]}: " in captured.err
+
+
+@pytest.mark.parametrize(
+    "keys, flags",
+    [({"depth": 6}, []), ({"exhaustive_limit": 16}, []), ({}, ["--depth", "6"])],
+    ids=["depth", "exhaustive_limit", "--depth"],
+)
+def test_effort_limits_are_not_settable(keys, flags, tmp_path):
+    # DEPTH and EXHAUSTIVE_LIMIT are constants of suite: neither is a config
+    # key, and verify has no --depth flag.
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"cells": [COIN], **keys}))
+    out = run_cli("verify", str(path), *flags)
+    assert out.returncode == 2
+    assert out.stdout == b""
+    assert [*keys, *flags][0].encode() in out.stderr
 
 
 def test_cli_boolean_seed_exit_2(tmp_path, capsys):
