@@ -28,6 +28,16 @@ to synthesis, and inner products, squared norms and expectations are one
 integer sum against the point weights, which the model also keeps over
 their LCD. Only the returned entries or scalars are Fractions.
 
+Synthesis skips the factors that act as a broadcast, as the shuffle
+algorithm does: it runs on the sub-grid of the live cells, those that some
+nonzero coefficient depends on, read off the coefficients rather than off a
+cell set. Along a dead cell's axis the kernel would only scale by the cell's
+column-0 entry (its LCD on the exact backend, 1 on the float backend) and
+add terms r*0, so the sub-grid result is scaled by those entries and
+broadcast to the N points. The kernel for Q_x f thus runs on the sub-grid
+of x's cells rather than on N points, and walsh_vector takes its Kronecker
+product over its support alone.
+
 Two numeric backends: exact rationals (default) and binary floats for larger
 randomized sweeps (absolute tolerance 1e-9). The float backend runs its
 float matrices through the same kernel with no scaling.
@@ -36,6 +46,7 @@ float matrices through the same kernel with no scaling.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -203,7 +214,9 @@ class NoiseModel:
         return a <= b if self.backend == "exact" else a <= b + FLOAT_TOL
 
     def rv_eq(self, f: RandomVariable, g: RandomVariable) -> bool:
-        return all(self.eq(a, b) for a, b in zip(f.values, g.values))
+        if self.backend == "exact":
+            return f.values == g.values
+        return all(abs(a - b) <= FLOAT_TOL for a, b in zip(f.values, g.values))
 
     # -- indexing --------------------------------------------------------
 
@@ -232,9 +245,13 @@ class NoiseModel:
 
     def walsh_vector(self, idx: int) -> RandomVariable:
         """Materialize basis vector e_m for flat multi-index m: the Kronecker
-        product of its per-cell vectors, in cell order."""
-        factors = [vectors[d] for vectors, d in zip(self.cell_vectors, self.point_digits(idx))]
-        return RandomVariable(_kron(factors, self._num(Fraction(1))))
+        product of its per-cell vectors over the cells of its support, in
+        cell order, broadcast along the other cells, whose factor is the
+        constant 1."""
+        live = self.support_masks[idx]
+        digits = self.point_digits(idx)
+        factors = [self.cell_vectors[i][digits[i]] for i in range(self.n_cells) if live >> i & 1]
+        return RandomVariable(tuple(_broadcast(self, _kron(factors, self._num(Fraction(1))), live)))
 
     def random_rv(self, rng, zero_mean: bool = False) -> RandomVariable:
         if self.backend == "float":
@@ -306,17 +323,18 @@ def norm_sq(model: NoiseModel, f: RandomVariable):
     return inner_product(model, f, f)
 
 
-def _apply_per_cell(model: NoiseModel, values: list, matrices: list) -> list:
-    """Apply one k x k matrix along each cell axis of the mixed-radix array
-    (the shuffle algorithm for Kronecker products).
+def _apply_per_cell(values: list, radices, matrices) -> list:
+    """Apply one k x k matrix along each axis of the mixed-radix array with
+    the given radices, slowest first (the shuffle algorithm for Kronecker
+    products).
 
     The axis being transformed is always the slowest: its k contiguous
     slices are combined row by row, and interleaving the k results moves
-    that axis to the fastest position, which puts the next cell in front.
-    After the last cell the layout is back in point order. Each entry is
-    accumulated as row[0]*v[0] + row[1]*v[1] + ... in that order."""
+    that axis to the fastest position, which puts the next axis in front.
+    After the last axis the layout is back in its original order. Each entry
+    is accumulated as row[0]*v[0] + row[1]*v[1] + ... in that order."""
     vals = list(values)
-    for k, mat in zip(model.radices, matrices):
+    for k, mat in zip(radices, matrices):
         s = len(vals) // k
         slices = [vals[o * s : (o + 1) * s] for o in range(k)]
         outs = []
@@ -327,6 +345,46 @@ def _apply_per_cell(model: NoiseModel, values: list, matrices: list) -> list:
             outs.append(acc)
         vals = [x for t in zip(*outs) for x in t]
     return vals
+
+
+def _broadcast(model: NoiseModel, sub, live: int) -> list:
+    """Spread an array over the sub-grid of the live cells (the bits of
+    live) to the N points: point w takes the entry at its live digits. Cell
+    by cell, fastest first, a dead cell repeats k times each run of entries
+    that spans the cells after it (the whole array once the run is all)."""
+    vals, run = list(sub), 1
+    for i in reversed(range(model.n_cells)):
+        k = model.radices[i]
+        if not live >> i & 1:
+            if run == len(vals):
+                vals = vals * k
+            else:
+                runs = zip(*[iter(vals)] * run)
+                vals = list(itertools.chain.from_iterable(map(operator.mul, runs, itertools.repeat(k))))
+        run *= k
+    return vals
+
+
+def _synthesize(model: NoiseModel, coeffs) -> list:
+    """Synthesis of a coefficient vector over ints (floats on the float
+    backend) on the sub-grid of its live cells, the cells that some nonzero
+    coefficient depends on: the kernel runs along the live axes, the result
+    is scaled by the dead cells' column-0 entries and broadcast. The same
+    ints as the full kernel, and the same floats, save that a zero entry may
+    keep a sign that the full kernel's r*0 terms would change."""
+    masks = model.support_masks
+    live = functools.reduce(operator.or_, itertools.compress(masks, coeffs), 0)
+    axes = [i for i in range(model.n_cells) if live >> i & 1]
+    outside = ~live
+    sub = _apply_per_cell(
+        [c for c, s in zip(coeffs, masks) if not s & outside],
+        [model.radices[i] for i in axes],
+        [model._synthesis[i] for i in axes],
+    )
+    dead_scale = math.prod(m[0][0] for i, m in enumerate(model._synthesis) if not live >> i & 1)
+    if dead_scale != 1:
+        sub = [dead_scale * v for v in sub]
+    return _broadcast(model, sub, live)
 
 
 def _integer_matrices(matrices: list) -> tuple[tuple, int]:
@@ -346,7 +404,7 @@ def _transform(model: NoiseModel, values, matrices: tuple, scale: int) -> tuple[
     D: the result is (out, D * scale), and entry i of the transform is
     out[i] / (D * scale). Exact: out is ints, from the integer matrices."""
     ints, d = _over_lcd(model, values)
-    return _apply_per_cell(model, ints, matrices), d * scale
+    return _apply_per_cell(ints, model.radices, matrices), d * scale
 
 
 def walsh_decompose(model: NoiseModel, f: RandomVariable) -> tuple:
@@ -359,12 +417,13 @@ def walsh_decompose(model: NoiseModel, f: RandomVariable) -> tuple:
 
 
 def walsh_reconstruct(model: NoiseModel, coeffs: Sequence) -> RandomVariable:
-    """The random variable with the given N basis coefficients."""
+    """The random variable with the given N basis coefficients, synthesized
+    on the sub-grid of the cells its nonzero coefficients depend on and
+    broadcast to the N points (see _synthesize)."""
     if len(coeffs) != model.n_points:
         raise ValueError("coefficient vector does not match the model")
-    return RandomVariable(
-        _divided(model, *_transform(model, coeffs, model._synthesis, model._synthesis_scale))
-    )
+    ints, d = _over_lcd(model, coeffs)
+    return RandomVariable(_divided(model, _synthesize(model, ints), d * model._synthesis_scale))
 
 
 def support_masses(model: NoiseModel, coeffs) -> dict[int, object]:
@@ -422,11 +481,12 @@ def _conditionals(model: NoiseModel, f: RandomVariable, xs) -> tuple[list, int]:
     d): each vector is d * Q_x f, over ints on the exact backend (d = 1 on
     the float backend), so sums and comparisons of them need no division.
     The expansion of f does not depend on x, so each x costs one mask and
-    one synthesis. This is the one projection path: `projections` and
-    `project` divide its output."""
+    one synthesis, on the sub-grid of the cells the kept coefficients depend
+    on (the cells of x, unless the mask keeps more). This is the one
+    projection path: `projections` and `project` divide its output."""
     _check_length(model, f)
     coeffs, d = _transform(model, f.values, model._analysis, model._analysis_scale)
-    out = [_apply_per_cell(model, masked_coeffs(model, coeffs, x), model._synthesis) for x in xs]
+    out = [_synthesize(model, masked_coeffs(model, coeffs, x)) for x in xs]
     return out, d * model._synthesis_scale
 
 
@@ -477,11 +537,14 @@ def verify_projection_laws(
     sampling policy chooses them): strict-norm superadditivity on each
     disjoint pair, for a fresh zero-mean random vector drawn from rng, and
     the composition law Q_x Q_y = Q_{x meet y}, by full projection
-    applications on a fixed zero-mean probe, on the first 6 incomparable
-    pairs (x meet y is neither x nor y, so x and y lie strictly between 0
-    and 1). On a comparable pair the law holds whenever each Q_x keeps a set
-    of supports that grows with x: with x or y = 0 both sides vanish on the
-    zero-mean probe, and with x or y = 1 both sides are the other projection.
+    applications on a fixed zero-mean probe, on incomparable pairs (x meet
+    y is neither x nor y, so x and y lie strictly between 0 and 1): the
+    first 6 with x meet y = 0 and the first 6 with x meet y != 0. On a
+    comparable pair the law holds whenever each Q_x keeps a set of supports
+    that grows with x: with x or y = 0 both sides vanish on the zero-mean
+    probe, and with x or y = 1 both sides are the other projection. With
+    x meet y = 0 a mask that scales or drops what it keeps still gives 0 on
+    both sides; the pairs with a nonzero meet see it.
 
     The superadditivity norms come from Parseval on the orthogonal basis
     (mass_inside), without synthesis; the point-space side of that identity,
@@ -491,7 +554,7 @@ def verify_projection_laws(
     """
     failures: list[str] = []
     strict_witness: str | None = None
-    composition_budget = 6
+    composition_budget = [6, 6]  # incomparable pairs with x meet y = 0, != 0
     probe = _default_probe(model)
 
     for x in elements:
@@ -507,8 +570,9 @@ def verify_projection_laws(
                     strict_witness = f"x={x} y={y}: {nx}+{ny} < {nj}"
 
             meet = x.meet(y)
-            if composition_budget > 0 and meet != x and meet != y:
-                composition_budget -= 1
+            nonzero = not meet.is_zero
+            if meet != x and meet != y and composition_budget[nonzero] > 0:
+                composition_budget[nonzero] -= 1
                 qy, rhs = projections(model, probe, [y, meet])
                 lhs = project(model, x, qy)
                 if not model.rv_eq(lhs, rhs):

@@ -1,9 +1,11 @@
 import math
+import operator
 import random
 from fractions import Fraction
 
 import pytest
 
+from noise_lab import model as model_mod
 from noise_lab.boolalg import BoolElem
 from noise_lab.model import (
     Cell,
@@ -208,6 +210,72 @@ def test_float_walsh_transforms_match_the_float_matrix_path():
             (points, reference_transform(m, values, synthesis=True)),
         ):
             assert [v.hex() for v in got] == [v.hex() for v in expected]
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_sparse_synthesis_matches_the_index_loop_reference(backend, monkeypatch):
+    # Synthesis runs on the sub-grid of the cells that some nonzero
+    # coefficient depends on; the reference runs every axis over all N points.
+    rng = random.Random(28)
+    for trial in range(18):
+        m = NoiseModel(_random_cells(rng, trial % 6, k_max=3), backend=backend)
+        n = m.n_cells
+        f = m.random_rv(rng)
+        coeffs = walsh_decompose(m, f)
+        xs = [BoolElem(mask, n) for mask in range(1 << n)]
+        for x, q in zip(xs, projections(m, f, xs)):
+            expected = reference_transform(m, masked_coeffs(m, coeffs, x), synthesis=True)
+            assert _bits(m, q.values) == _bits(m, expected)
+        # Zero patterns that come from no x: each coefficient kept at random.
+        zero = m._num(0)
+        for keep in (0.0, 0.2, 0.5):
+            values = [c if rng.random() < keep else zero for c in coeffs]
+            expected = reference_transform(m, values, synthesis=True)
+            assert _bits(m, walsh_reconstruct(m, values).values) == _bits(m, expected)
+        # A mask that keeps every coefficient: the live cells come from the
+        # data, not from x, so every Q_x f is synthesized as f.
+        with monkeypatch.context() as patch:
+            patch.setattr(model_mod, "masked_coeffs", lambda model, coeffs, x: list(coeffs))
+            expected = _bits(m, reference_transform(m, coeffs, synthesis=True))
+            assert [_bits(m, q.values) for q in projections(m, f, xs)] == [expected] * len(xs)
+
+
+def test_one_cell_conditional_runs_the_synthesis_kernel_on_k_entries(monkeypatch):
+    m = NoiseModel([Cell((F(1, 3), F(2, 3)))] * 12)
+    f = m.random_rv(random.Random(12))
+    x = BoolElem(1 << 5, 12)
+    sizes = []
+    kernel = model_mod._apply_per_cell
+
+    def counting(values, radices, matrices):
+        sizes.append((len(values), len(radices)))
+        return kernel(values, radices, matrices)
+
+    monkeypatch.setattr(model_mod, "_apply_per_cell", counting)
+    q = project(m, x, f)
+    assert sizes == [(4096, 12), (2, 1)]  # analysis over N points, synthesis over k
+    assert q == project_oracle(m, x, f)
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_walsh_vector_multiplies_only_the_cells_of_its_support(backend, monkeypatch):
+    m = NoiseModel([Cell((F(1, 3), F(2, 3)))] * 11 + [uniform_cell(3)], backend=backend)
+    one = m._num(F(1))
+    kron = model_mod._kron
+    tables = []
+
+    def recording(factors, start, op=operator.mul):
+        tables.append(list(factors))
+        return kron(factors, start, op)
+
+    monkeypatch.setattr(model_mod, "_kron", recording)
+    for idx in [m.strides[i] for i in range(12)] + [2, 3 * 5 + 2, m.n_points - 1]:
+        digits = m.point_digits(idx)
+        tables.clear()
+        got = m.walsh_vector(idx)
+        assert tables == [[m.cell_vectors[i][d] for i, d in enumerate(digits) if d]]
+        expected = kron([vecs[d] for vecs, d in zip(m.cell_vectors, digits)], one)
+        assert _bits(m, got.values) == _bits(m, expected)
 
 
 def test_tensor_product_identity(four_coins):
