@@ -288,11 +288,12 @@ def _over_lcd(model: NoiseModel, values) -> tuple[tuple, int]:
 
 
 def _divided(model: NoiseModel, ints, d: int) -> tuple:
-    """The inverse of _over_lcd: each entry divided once by d, as a Fraction
-    on the exact backend (on the float backend d is 1)."""
+    """The inverse of _over_lcd: each distinct entry divided once by d, as one
+    Fraction that its equal entries share (on the float backend d is 1)."""
     if model.backend == "float":
         return tuple(ints)
-    return tuple([Fraction(r, d) for r in ints])
+    fracs = {r: Fraction(r, d) for r in set(ints)}
+    return tuple([fracs[r] for r in ints])
 
 
 def _check_length(model: NoiseModel, *fs: RandomVariable) -> None:
@@ -505,18 +506,22 @@ def project(model: NoiseModel, x: BoolElem, f: RandomVariable) -> RandomVariable
     return q
 
 
-def project_oracle(model: NoiseModel, x: BoolElem, f: RandomVariable) -> RandomVariable:
-    """Conditional expectation computed naively: weighted average over each
-    block of the coordinate partition."""
-    _check_length(model, f)
-    out = [None] * model.n_points
-    for block in sigma_field_of(model, x):
-        wtot = _total(model.point_weights[w] for w in block)
-        wsum = _total(f.values[w] * model.point_weights[w] for w in block)
-        avg = wsum / wtot
-        for w in block:
-            out[w] = avg
-    return RandomVariable(tuple(out))
+def project_oracle(model: NoiseModel, x: BoolElem, fs: Sequence) -> list[RandomVariable]:
+    """[Q_x f for f in fs] computed naively: the weighted average of f over
+    each block of the coordinate partition, which is found once, with its
+    block weights, for all of fs."""
+    _check_length(model, *fs)
+    weights = model.point_weights
+    blocks = [(b, _total(weights[w] for w in b)) for b in sigma_field_of(model, x)]
+    out = []
+    for f in fs:
+        values = [None] * model.n_points
+        for block, wtot in blocks:
+            avg = _total(f.values[w] * weights[w] for w in block) / wtot
+            for w in block:
+                values[w] = avg
+        out.append(RandomVariable(tuple(values)))
+    return out
 
 
 # -- law verification -------------------------------------------------------

@@ -238,11 +238,11 @@ def random_regopen(rng, scale: int, denominators: Sequence[int] = LAW_POOL) -> R
     """Up to three random pieces with endpoints over the given denominators,
     on the grid 1/scale."""
     pieces = []
-    for _ in range(rng.randint(0, 3)):
-        q = rng.choice(denominators)
+    for _ in range(rng.randrange(4)):
+        q = denominators[rng.randrange(len(denominators))]
         step = to_ticks(1, q, scale)
-        a = rng.randint(0, q) * step
-        b = rng.randint(0, q) * step
+        a = rng.randrange(q + 1) * step
+        b = rng.randrange(q + 1) * step
         if a > b:
             a, b = b, a
         if a < b:

@@ -133,10 +133,8 @@ def test_criterion_02_oracle_equivalence():
         ]
         for mask in range(1 << m.n_cells):
             x = BoolElem(mask, m.n_cells)
-            for v in basis:
-                if project(m, x, v) != project_oracle(m, x, v):
-                    failures.append(f"{shape} x={x}")
-                    break
+            if [project(m, x, v) for v in basis] != project_oracle(m, x, basis):
+                failures.append(f"{shape} x={x}")
     _finish(2, "basis projection equals naive conditioning", failures)
 
 

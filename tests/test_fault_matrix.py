@@ -1,16 +1,21 @@
-"""The laws-group rows of the fault matrix: each row plants one fault in
-`noise_lab.model` and names the laws checks that must fail on each golden
-config. A config a row does not name must pass the whole group, so the
-table also records where a fault goes unseen."""
+"""The laws- and geometry-group rows of the fault matrix: each row plants
+one fault in `noise_lab.model` or `noise_lab.geometry` and names the checks
+of its group that must fail on each golden config. A config a row does not
+name must pass the whole group, so the table also records where a fault
+goes unseen."""
 
+from fractions import Fraction
 from pathlib import Path
 from typing import Callable, NamedTuple
 
 import pytest
 
+from noise_lab import geometry as geo_mod
 from noise_lab import model as model_mod
+from noise_lab import suite as suite_mod
 from noise_lab.boolalg import BoolElem
 from noise_lab.config import load_model_config
+from noise_lab.regopen import RegOpen
 from noise_lab.suite import run_verification_suite
 
 REPO = Path(__file__).resolve().parent.parent
@@ -26,6 +31,7 @@ MEETING = ("four-coins", "mixed-233-exact", "five-ternary-float")
 
 masked_coeffs = model_mod.masked_coeffs
 mass_inside = model_mod.mass_inside
+sample_hom = geo_mod.sample_hom
 
 
 def keep_every(model, coeffs, x):
@@ -60,8 +66,26 @@ def unweighted(model, f, g):
     return sum(a * b for a, b in zip(f.values, g.values)) / model.n_points
 
 
+def unweighted_oracle(model, x, fs):
+    # Every point of a block weighs the same: right exactly when the cells are uniform.
+    blocks = model_mod.sigma_field_of(model, x)
+    out = []
+    for f in fs:
+        values = [None] * model.n_points
+        for block in blocks:
+            avg = sum(f.values[w] for w in block) / model._num(Fraction(len(block)))
+            for w in block:
+                values[w] = avg
+        out.append(model_mod.RandomVariable(tuple(values)))
+    return out
+
+
 def identity(model, x, f):
     return f
+
+
+def first_piece(emb, a):
+    return sample_hom(emb, RegOpen(a.ticks[:1], a.scale))
 
 
 class Row(NamedTuple):
@@ -90,6 +114,9 @@ FAULTS = {
         "inner_product", unweighted, frozenset({"tensor_basis"}), NON_UNIFORM
     ),
     "project returns f": Row("project", identity, LATTICE),
+    "project_oracle averages without the weights": Row(
+        "project_oracle", unweighted_oracle, ORACLE, NON_UNIFORM
+    ),
 }
 
 
@@ -99,9 +126,37 @@ def test_laws_fault_fails_its_named_checks(fault, config, monkeypatch):
     row = FAULTS[fault]
     cfg = load_model_config(str(CONFIGS[config]))
     monkeypatch.setattr(model_mod, row.attr, row.fault)
+    if hasattr(suite_mod, row.attr):  # a function the suite imports by name
+        monkeypatch.setattr(suite_mod, row.attr, row.fault)
     report = run_verification_suite(cfg, "laws")
     failed = {r.name for r in report.results if r.status == "fail"}
     expected = set()
     if config in row.configs:
         expected = row.kills | (row.meeting_also if config in MEETING else frozenset())
     assert failed == expected
+
+
+# The geometry checks that fail with an evaluation map that reads an element's
+# first piece only; monotone_limit's random chains see it on two configs.
+FIRST_PIECE_KILLS = frozenset({"homomorphism", "spectral_identity", "shrink_chains"})
+GEOMETRY_FAULTS = {
+    "sample_hom evaluates the first piece only": (
+        "sample_hom",
+        first_piece,
+        {
+            "two-coins": FIRST_PIECE_KILLS,
+            "four-coins": FIRST_PIECE_KILLS | {"monotone_limit"},
+            "mixed-233-exact": FIRST_PIECE_KILLS,
+            "five-ternary-float": FIRST_PIECE_KILLS | {"monotone_limit"},
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("config", CONFIGS)
+@pytest.mark.parametrize("fault", GEOMETRY_FAULTS)
+def test_geometry_fault_fails_its_named_checks(fault, config, monkeypatch):
+    attr, fault_fn, kills = GEOMETRY_FAULTS[fault]
+    monkeypatch.setattr(geo_mod, attr, fault_fn)
+    report = run_verification_suite(load_model_config(str(CONFIGS[config])), "geometry")
+    assert {r.name for r in report.results if r.status == "fail"} == kills[config]

@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import math
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -37,6 +38,7 @@ from noise_lab.regopen import (
 )
 from noise_lab.suite import (
     DEPTH,
+    MAX_WITNESSES,
     _Ctx,
     geometry__approximant,
     geometry__boundary_dichotomy,
@@ -293,7 +295,7 @@ def test_approximant_check_catches_a_cover_without_its_last_cell(monkeypatch):
     result = geometry__approximant(_Ctx(load_model_config(str(TWO_COINS))))
     assert result.status == "fail"
     assert result.witnesses
-    assert all(" escapes the depth-" in w for w in result.witnesses)
+    assert all(" escapes the depth-" in w for w in result.witnesses[:MAX_WITNESSES])
 
 
 def test_per_atom_checks_take_their_atoms_from_the_element_policy(monkeypatch):
@@ -452,20 +454,39 @@ def test_dichotomy_check_catches_overlapping_approximations(monkeypatch):
     assert "case 0: inner approximations of r and its complement overlap" in result.witnesses
 
 
-def test_homomorphism_check_computes_each_image_once(monkeypatch):
+def test_homomorphism_check_evaluates_each_distinct_element_once(monkeypatch):
     calls = []
     hom = geometry.sample_hom
 
     def counted(emb, a):
-        calls.append(a)
+        calls.append(a.ticks)
         return hom(emb, a)
 
     monkeypatch.setattr(geometry, "sample_hom", counted)
-    result = geometry__homomorphism(_Ctx(load_model_config(str(TWO_COINS))))
+    ctx = _Ctx(load_model_config(str(TWO_COINS)))
+    result = geometry__homomorphism(ctx)
     assert (result.status, result.detail) == ("pass", "2296 pairs")
-    # 36 grid images, 36 grid complements, 2 x 36^2 grid meets and joins,
-    # and 5 per random pair.
-    assert len(calls) <= 7664
+    # The check's operands, drawn as it draws them, with their meets, joins
+    # and complements.
+    rng = ctx.rng("geometry.hom")
+    grid = dyadic_grid_regopens(3, ctx.scale)
+    drawn = [random_regopen(rng, ctx.scale, denominators=(2, 4, 8, 16)) for _ in range(2000)]
+    pairs = [(a, b) for a in grid for b in grid] + list(zip(drawn[::2], drawn[1::2]))
+    elements = {e for a, b in pairs for e in (a, b, a & b, a | b)}
+    elements |= {~a for a in grid + drawn[::2]}
+    assert len(calls) == len(set(calls))
+    assert set(calls) == {e.ticks for e in elements}
+    assert len(calls) == 420  # not the 7664 evaluations of one per use
+
+
+def test_a_check_reports_its_first_ten_witnesses_and_counts_the_rest(monkeypatch):
+    hom = geometry.sample_hom
+    monkeypatch.setattr(geometry, "sample_hom", lambda emb, a: hom(emb, RegOpen(a.ticks[:1], a.scale)))
+    result = geometry__homomorphism(_Ctx(load_model_config(str(TWO_COINS))))
+    assert result.status == "fail"
+    assert len(result.witnesses) == MAX_WITNESSES + 1
+    assert result.witnesses[0].startswith("join at ")
+    assert re.fullmatch(r"… and \d+ more", result.witnesses[-1])
 
 
 @pytest.mark.parametrize("module", ["regopen", "geometry"])

@@ -97,8 +97,7 @@ def test_oracle_equivalence_exhaustive_small():
         ]
         for mask in range(1 << m.n_cells):
             x = BoolElem(mask, m.n_cells)
-            for v in basis:
-                assert project(m, x, v) == project_oracle(m, x, v)
+            assert [project(m, x, v) for v in basis] == project_oracle(m, x, basis)
 
 
 def test_projection_idempotent_selfadjoint(coin_and_triple, rng):
@@ -254,7 +253,7 @@ def test_one_cell_conditional_runs_the_synthesis_kernel_on_k_entries(monkeypatch
     monkeypatch.setattr(model_mod, "_apply_per_cell", counting)
     q = project(m, x, f)
     assert sizes == [(4096, 12), (2, 1)]  # analysis over N points, synthesis over k
-    assert q == project_oracle(m, x, f)
+    assert [q] == project_oracle(m, x, [f])
 
 
 @pytest.mark.parametrize("backend", ["exact", "float"])
@@ -315,7 +314,8 @@ def test_float_backend_consistency(rng):
     f = m.random_rv(rng)
     for mask in range(1 << 3):
         x = BoolElem(mask, 3)
-        assert m.rv_eq(project(m, x, f), project_oracle(m, x, f))
+        (q,) = project_oracle(m, x, [f])
+        assert m.rv_eq(project(m, x, f), q)
 
 
 def test_mixed_radix_ordering():
@@ -378,6 +378,44 @@ def test_projections_equal_one_projection_per_element(backend):
             got = projections(m, f, xs)
             expected = [project(m, y, f) for y in xs]
             assert [_bits(m, q.values) for q in got] == [_bits(m, q.values) for q in expected]
+
+
+def test_exact_conditionals_hold_one_fraction_per_distinct_value():
+    m = NoiseModel([Cell((F(1, 3), F(2, 3)))] * 3)
+    q = project(m, BoolElem(0b001, 3), m.random_rv(random.Random(3)))
+    assert len({id(v) for v in q.values}) == len(set(q.values)) == 2
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_project_oracle_partitions_once_for_all_vectors(backend, monkeypatch):
+    rng = random.Random(29)
+    m = NoiseModel(_random_cells(rng, 3, k_max=4), backend=backend)
+    fs = [m.random_rv(rng) for _ in range(4)]
+    calls = []
+    partition = model_mod.sigma_field_of
+
+    def counting(model, x):
+        calls.append(x)
+        return partition(model, x)
+
+    monkeypatch.setattr(model_mod, "sigma_field_of", counting)
+    for mask in range(1 << 3):
+        x = BoolElem(mask, 3)
+        calls.clear()
+        qs = project_oracle(m, x, fs)
+        assert calls == [x]
+        # Each block holds one average object: the weighted sum of f over
+        # it, added left to right, over the block's weight.
+        wts = m.point_weights
+        for f, q in zip(fs, qs):
+            for block in partition(m, x):
+                wsum = wtot = 0
+                for w in block:
+                    wsum += f.values[w] * wts[w]
+                    wtot += wts[w]
+                avg = wsum / wtot
+                assert _bits(m, [avg]) == _bits(m, [q.values[block[0]]])
+                assert all(q.values[w] is q.values[block[0]] for w in block)
 
 
 @pytest.mark.parametrize("backend", ["exact", "float"])

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from noise_lab.config import load_config_dict
 from noise_lab.regopen import (
+    LAW_POOL,
     FiniteSpace,
     RegOpen,
     cell_mask,
@@ -474,3 +475,18 @@ def test_random_regopen_is_canonical(rng):
     for _ in range(200):
         r = random_regopen(rng, L)
         assert make_regopen(r.intervals, L) == r
+
+
+@pytest.mark.parametrize("pool", [LAW_POOL, (2, 4, 8, 16)])
+def test_random_regopen_draws_the_randint_and_choice_stream(pool):
+    def reference(rng):
+        raw = []
+        for _ in range(rng.randint(0, 3)):
+            q = rng.choice(pool)
+            raw.append(sorted((F(rng.randint(0, q), q), F(rng.randint(0, q), q))))
+        return make_regopen(raw, L)
+
+    ours, theirs = random.Random(5), random.Random(5)
+    for _ in range(2000):
+        assert random_regopen(ours, L, pool) == reference(theirs)
+    assert ours.random() == theirs.random()

@@ -21,6 +21,7 @@ from noise_lab.config import ModelConfig, load_config_dict, load_model_config
 from noise_lab.suite import (
     _ALL_CHECKS,
     BASIS_LIMIT,
+    MAX_WITNESSES,
     CheckResult,
     Report,
     _Ctx,
@@ -164,7 +165,8 @@ def test_defect_zero_fails_when_the_block_predicate_accepts_meeting_supports(mon
     )
     result = chaos__defect_zero(_Ctx(cfg))
     assert result.status == "fail"
-    assert all(w.endswith("additive_vector output is not additive") for w in result.witnesses)
+    shown = result.witnesses[:MAX_WITNESSES]
+    assert all(w.endswith("additive_vector output is not additive") for w in shown)
 
 
 def test_independence_check_compares_the_multiplicities(monkeypatch):
@@ -194,7 +196,7 @@ def test_defect_bound_check_brute_forces_the_partitions(monkeypatch):
     assert result.status == "fail"
     # A larger delta only loosens the moment bound: the partitions catch it.
     assert result.witnesses
-    assert all("!= least part-mass" in w for w in result.witnesses)
+    assert all("!= least part-mass" in w for w in result.witnesses[:MAX_WITNESSES])
 
 
 @pytest.mark.parametrize("path", [FOUR_COINS, FIVE_TERNARY])
@@ -246,6 +248,22 @@ def test_checks_analyse_each_probe_vector_once(check, analyses, monkeypatch):
     monkeypatch.setattr(model_mod, "_transform", counting)
     assert check(ctx).status == "pass"
     assert calls.count(True) == analyses
+
+
+@pytest.mark.parametrize("path, elements", [(MIXED_233, 8), (FIVE_TERNARY, 14)])
+def test_oracle_equivalence_partitions_each_element_once(path, elements, monkeypatch):
+    calls = []
+    partition = model_mod.sigma_field_of
+
+    def counting(model, x):
+        calls.append(x)
+        return partition(model, x)
+
+    monkeypatch.setattr(model_mod, "sigma_field_of", counting)
+    result = laws__oracle_equivalence(_Ctx(load_model_config(str(path))))
+    assert result.status == "pass"
+    assert result.detail.startswith(f"{elements} elements x ")
+    assert len(calls) == elements
 
 
 @pytest.mark.parametrize(
