@@ -349,9 +349,9 @@ def verify_reg_laws(rng, scale: int, iterations: int = 1000) -> RegLawReport:
             failures.append(f"closure-of-meet inclusion fails: r={r} s={s}")
         if not join_ok:
             failures.append(f"interior-of-join inclusion fails: r={r} s={s}")
-        if jw is not None and len(join_strict) < 5:
+        if jw is not None and len(join_strict) < 2:
             join_strict.append(f"r={r} s={s}: {Fraction(jw, scale)} interior to the join only")
-        if mw is not None and len(meet_strict) < 5:
+        if mw is not None and len(meet_strict) < 2:
             meet_strict.append(
                 f"r={r} s={s}: {Fraction(mw, scale)} in both closures, outside the meet closure"
             )

@@ -42,8 +42,7 @@ from .model import (
 GROUPS = ("laws", "chaos", "spectrum", "regopen", "geometry")
 
 # Largest N a check runs on with the exact backend: EXACT_CAP for most checks,
-# ELIMINATION_CAP for those that solve a dense N x N system and for two
-# first-chaos checks that do not (see chaos__classification).
+# ELIMINATION_CAP for those that solve a dense N x N system.
 EXACT_CAP = 4096
 ELIMINATION_CAP = 128
 # The largest N at which each of two chaos checks fits a budget of about
@@ -248,7 +247,7 @@ def _check(**needs):
 def laws__projection_lattice(ctx: _Ctx):
     rng = ctx.rng("laws.lattice")
     rep = verify_projection_laws(ctx.model, ctx.elements(rng), rng)
-    wit = list(rep.failures[:5])
+    wit = list(rep.failures)
     if rep.strict_superadditivity_witness:
         wit.append("strict superadditivity: " + rep.strict_superadditivity_witness)
     return f"{rep.pairs_checked} pairs", wit, rep.passed
@@ -376,9 +375,7 @@ def chaos__first_chaos(ctx: _Ctx):
     return f"dimension {len(solution)}", bad, not bad
 
 
-# classification and additive_norm eliminate nothing; they keep the
-# elimination cap so that the thirteen-coins report keeps its skip lines.
-@_check(exact=True, points=ELIMINATION_CAP)
+@_check(exact=True, points=EXACT_CAP)
 def chaos__classification(ctx: _Ctx):
     m = ctx.model
     res = chaos_mod.classify(m, ctx.chaos)
@@ -388,7 +385,7 @@ def chaos__classification(ctx: _Ctx):
     return f"kind={res.kind.value}, dim={res.dimension}", [] if ok else [f"kind={res.kind.value}"], ok
 
 
-@_check(exact=True, points=ELIMINATION_CAP)
+@_check(exact=True, points=EXACT_CAP)
 def chaos__additive_norm(ctx: _Ctx):
     m = ctx.model
     fc = ctx.chaos
@@ -638,8 +635,8 @@ def spectrum__measure_class(ctx: _Ctx):
 @_check()
 def regopen__laws(ctx: _Ctx):
     rep = reg_mod.verify_reg_laws(ctx.rng("regopen.laws"), ctx.scale)
-    wit = list(rep.join_strict_witnesses[:2]) + list(rep.meet_strict_witnesses[:2])
-    wit = [f"strict inclusion: {w}" for w in wit] + list(rep.failures[:5])
+    strict = rep.join_strict_witnesses + rep.meet_strict_witnesses
+    wit = [f"strict inclusion: {w}" for w in strict] + list(rep.failures)
     return f"{rep.checked} pairs", wit, rep.passed
 
 

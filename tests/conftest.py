@@ -9,6 +9,14 @@ from noise_lab.boolalg import BoolElem, Subalgebra
 from noise_lab.model import Cell, NoiseModel, fair_coin, uniform_cell
 
 REPO = Path(__file__).resolve().parent.parent
+# The configs the suite tests run on: two exact examples, an exact model with
+# unequal probabilities and a float one, each with an embedding.
+CONFIGS = {
+    "two-coins": REPO / "examples" / "two-coins.json",
+    "four-coins": REPO / "examples" / "four-coins.json",
+    "mixed-233-exact": REPO / "tests" / "golden" / "mixed-233-exact.json",
+    "five-ternary-float": REPO / "tests" / "golden" / "five-ternary-float.json",
+}
 
 
 def cli_env() -> dict[str, str]:

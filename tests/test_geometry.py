@@ -2,9 +2,7 @@ import ast
 import dataclasses
 import math
 import random
-import re
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -30,7 +28,6 @@ from noise_lab.geometry import (
 )
 from noise_lab.config import load_config_dict, load_model_config
 from noise_lab.regopen import (
-    RegOpen,
     dyadic_grid_regopens,
     grid_scale,
     make_regopen,
@@ -38,22 +35,21 @@ from noise_lab.regopen import (
 )
 from noise_lab.suite import (
     DEPTH,
-    MAX_WITNESSES,
     _Ctx,
     geometry__approximant,
-    geometry__boundary_dichotomy,
     geometry__homomorphism,
     geometry__spectral_identity,
     run_verification_suite,
 )
+
+from conftest import CONFIGS, REPO
 
 F = Fraction
 # The grid of the elements made here; it holds the sample points of ``emb``.
 L = grid_scale()
 EMPTY = make_regopen((), L)
 FULL = make_regopen([(0, 1)], L)
-SRC = Path(__file__).resolve().parent.parent / "src" / "noise_lab"
-TWO_COINS = Path(__file__).resolve().parent.parent / "examples" / "two-coins.json"
+SRC = REPO / "src" / "noise_lab"
 
 
 def inner_approx_detail(emb, r):
@@ -268,36 +264,6 @@ def test_approximant_matches_the_flag_array_reference(rng):
             assert res.cover.intervals == reference_cover(targets, depth)
 
 
-def _drop_last_cell(monkeypatch):
-    real = geometry._grid_cover
-
-    def dropped(targets, scale, depth):
-        r = real(targets, scale, depth)
-        if not r.ticks:
-            return r
-        a, b = r.ticks[-1]
-        b -= scale >> depth
-        return RegOpen(r.ticks[:-1] + (((a, b),) if a < b else ()), scale)
-
-    monkeypatch.setattr(geometry, "_grid_cover", dropped)
-
-
-def test_uniqueness_oracle_catches_a_cover_without_its_last_cell(emb, monkeypatch):
-    _drop_last_cell(monkeypatch)
-    assert not verify_spectral_map_uniqueness(emb, 3, _all_atoms(emb))
-    result = geometry__spectral_identity(_Ctx(load_model_config(str(TWO_COINS))))
-    assert result.status == "fail"
-    assert "closed-set approximant differs from its definition" in result.witnesses
-
-
-def test_approximant_check_catches_a_cover_without_its_last_cell(monkeypatch):
-    _drop_last_cell(monkeypatch)
-    result = geometry__approximant(_Ctx(load_model_config(str(TWO_COINS))))
-    assert result.status == "fail"
-    assert result.witnesses
-    assert all(" escapes the depth-" in w for w in result.witnesses[:MAX_WITNESSES])
-
-
 def test_per_atom_checks_take_their_atoms_from_the_element_policy(monkeypatch):
     n = 12
     cfg = load_config_dict(
@@ -430,30 +396,6 @@ def test_boundary_dichotomy_random(emb, rng):
             assert ~rep.inner == rep.outer
 
 
-def test_dichotomy_check_catches_a_report_that_holds_with_a_boundary_hit(monkeypatch):
-    def holds_with_a_hit(emb, r):
-        one = BoolElem((1 << emb.n) - 1, emb.n)
-        return geometry.BoundaryDichotomyReport(
-            inner=one, outer=BoolElem(0, emb.n), boundary_hits=(0,)
-        )
-
-    monkeypatch.setattr(geometry, "boundary_dichotomy", holds_with_a_hit)
-    result = geometry__boundary_dichotomy(_Ctx(load_model_config(str(TWO_COINS))))
-    assert result.status == "fail"
-    assert "case 0: boundary dichotomy equivalence violated" in result.witnesses
-
-
-def test_dichotomy_check_catches_overlapping_approximations(monkeypatch):
-    def overlapping(emb, r):
-        one = BoolElem((1 << emb.n) - 1, emb.n)
-        return geometry.BoundaryDichotomyReport(inner=one, outer=one, boundary_hits=())
-
-    monkeypatch.setattr(geometry, "boundary_dichotomy", overlapping)
-    result = geometry__boundary_dichotomy(_Ctx(load_model_config(str(TWO_COINS))))
-    assert result.status == "fail"
-    assert "case 0: inner approximations of r and its complement overlap" in result.witnesses
-
-
 def test_homomorphism_check_evaluates_each_distinct_element_once(monkeypatch):
     calls = []
     hom = geometry.sample_hom
@@ -463,7 +405,7 @@ def test_homomorphism_check_evaluates_each_distinct_element_once(monkeypatch):
         return hom(emb, a)
 
     monkeypatch.setattr(geometry, "sample_hom", counted)
-    ctx = _Ctx(load_model_config(str(TWO_COINS)))
+    ctx = _Ctx(load_model_config(str(CONFIGS["two-coins"])))
     result = geometry__homomorphism(ctx)
     assert (result.status, result.detail) == ("pass", "2296 pairs")
     # The check's operands, drawn as it draws them, with their meets, joins
@@ -477,16 +419,6 @@ def test_homomorphism_check_evaluates_each_distinct_element_once(monkeypatch):
     assert len(calls) == len(set(calls))
     assert set(calls) == {e.ticks for e in elements}
     assert len(calls) == 420  # not the 7664 evaluations of one per use
-
-
-def test_a_check_reports_its_first_ten_witnesses_and_counts_the_rest(monkeypatch):
-    hom = geometry.sample_hom
-    monkeypatch.setattr(geometry, "sample_hom", lambda emb, a: hom(emb, RegOpen(a.ticks[:1], a.scale)))
-    result = geometry__homomorphism(_Ctx(load_model_config(str(TWO_COINS))))
-    assert result.status == "fail"
-    assert len(result.witnesses) == MAX_WITNESSES + 1
-    assert result.witnesses[0].startswith("join at ")
-    assert re.fullmatch(r"… and \d+ more", result.witnesses[-1])
 
 
 @pytest.mark.parametrize("module", ["regopen", "geometry"])
@@ -518,11 +450,7 @@ def test_shrink_chain_properties(emb):
         assert verify_shrink_chain(emb, x)
 
 
-def test_shrink_chain_check_catches_a_chain_that_touches_the_boundary(emb, monkeypatch):
-    a = make_regopen([(F(1, 4), F(1, 2))], L)
-    assert verify_shrink_chain(emb, a)
-    monkeypatch.setattr(geometry, "shrink_chain", lambda a, count: [a] * count)
-    assert not verify_shrink_chain(emb, a)
+def test_shrink_chain_check_catches_a_chain_that_bridges_a_gap(emb, monkeypatch):
     # Endpoints interior to a, but the chain spans the gap (3/8, 1/2).
     two = make_regopen([(F(1, 4), F(3, 8)), (F(1, 2), F(3, 4))], L)
     bridge = make_regopen([(F(5, 16), F(11, 16))], L)

@@ -1,13 +1,11 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
 from noise_lab import linalg, spectrum
 from noise_lab.boolalg import BoolElem, subsets_of
-from noise_lab.config import load_model_config
 from noise_lab.model import Cell, NoiseModel, norm_sq, project, walsh_decompose
 from noise_lab.spectrum import (
     build_spectral_space,
@@ -21,12 +19,10 @@ from noise_lab.spectrum import (
     verify_independence,
     verify_sigma_join,
 )
-from noise_lab.suite import _Ctx, spectrum__sigma_lattice, spectrum__spectral_sets
 
 from conftest import sign_rv, varied_probs
 
 F = Fraction
-TWO_COINS = Path(__file__).resolve().parent.parent / "examples" / "two-coins.json"
 
 
 # -- the block-pair path, kept as the reference for the trace-keyed one -------
@@ -237,19 +233,6 @@ def test_spectral_filters(two_coins):
     assert {x.mask for x in elements if 3 in spectral_set(sp, x)} == {3}
 
 
-def test_spectral_sets_check_catches_a_missing_top_atom(monkeypatch):
-    real = spectrum.spectral_set
-
-    def without_top(space, x):
-        out = real(space, x)
-        return out - {x.mask} if x.is_one else out
-
-    monkeypatch.setattr(spectrum, "spectral_set", without_top)
-    result = spectrum__spectral_sets(_Ctx(load_model_config(str(TWO_COINS))))
-    assert result.status == "fail"
-    assert "spectral filter of atom {0,1} differs from its up-set at {0,1}" in result.witnesses
-
-
 def test_refinement_operation(two_coins):
     sp = build_spectral_space(two_coins)
     p1 = sigma_x(sp, BoolElem(1, 2))
@@ -304,17 +287,6 @@ def test_sigma_checks_run_no_generated_partition(coin_and_triple, monkeypatch):
                 assert verify_independence(sp, x, y)
 
 
-def test_sigma_lattice_reports_a_generated_partition_mismatch(monkeypatch):
-    def discrete(space, x):
-        return frozenset(frozenset([a.mask]) for a in space.atoms)
-
-    monkeypatch.setattr(spectrum, "sigma_x_generated", discrete)
-    result = spectrum__sigma_lattice(_Ctx(load_model_config(str(TWO_COINS))))
-    assert result.status == "fail"
-    # Only the full element has the discrete partition.
-    assert sum("generated partition differs" in w for w in result.witnesses) == 3
-
-
 def test_trace_partitions_agree_with_the_block_pair_reference():
     rng = random.Random(11)
     refused = 0
@@ -349,15 +321,3 @@ def test_trace_partitions_agree_with_the_block_pair_reference():
 def test_moving_mass_between_atoms_breaks_independence(two_coins):
     sp = moved_mass(build_spectral_space(two_coins), 3, 0, F(1, 100))
     assert not verify_independence(sp, BoolElem(1, 2), BoolElem(2, 2))
-
-
-def test_a_miskeyed_trace_fails_the_join_check(monkeypatch):
-    def miskeyed(space, x):
-        return spectrum._partition(space, lambda m: m & x.mask & ~1)
-
-    monkeypatch.setattr(spectrum, "sigma_x", miskeyed)
-    sp = build_spectral_space(NoiseModel([Cell(varied_probs(2, 0)), Cell(varied_probs(3, 1))]))
-    elements = [BoolElem(mask, 2) for mask in range(4)]
-    assert not all(verify_sigma_join(sp, x, y) for x in elements for y in elements)
-    result = spectrum__sigma_lattice(_Ctx(load_model_config(str(TWO_COINS))))
-    assert result.status == "fail"

@@ -6,29 +6,23 @@ import json
 import re
 import subprocess
 import sys
-from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
 from noise_lab import chaos as chaos_mod
 from noise_lab import linalg
 from noise_lab import model as model_mod
-from noise_lab import spectrum as spec_mod
-from noise_lab.boolalg import BoolElem, Subalgebra
+from noise_lab.boolalg import Subalgebra
 from noise_lab.cli import _build_parser, main
 from noise_lab.config import ModelConfig, load_config_dict, load_model_config
 from noise_lab.suite import (
     _ALL_CHECKS,
     BASIS_LIMIT,
-    MAX_WITNESSES,
     CheckResult,
     Report,
     _Ctx,
     chaos__additive_norm,
     chaos__classification,
-    chaos__defect_bound,
-    chaos__defect_zero,
     chaos__first_chaos,
     chaos__split_product_equiv,
     chaos__split_space,
@@ -38,17 +32,13 @@ from noise_lab.suite import (
     laws__walsh_roundtrip,
     run_verification_suite,
     spectrum__event_subspaces,
-    spectrum__independence,
     spectrum__projection_measure,
 )
 
-from conftest import cli_env
+from conftest import CONFIGS, REPO, cli_env
 
-REPO = Path(__file__).resolve().parent.parent
-TWO_COINS = REPO / "examples" / "two-coins.json"
-FOUR_COINS = REPO / "examples" / "four-coins.json"
-MIXED_233 = REPO / "tests" / "golden" / "mixed-233-exact.json"
-FIVE_TERNARY = REPO / "tests" / "golden" / "five-ternary-float.json"
+TWO_COINS, FOUR_COINS = CONFIGS["two-coins"], CONFIGS["four-coins"]
+MIXED_233, FIVE_TERNARY = CONFIGS["mixed-233-exact"], CONFIGS["five-ternary-float"]
 COIN = {"k": 2, "probs": ["1/2", "1/2"]}
 TERNARY = {"k": 3, "probs": ["1/3", "1/3", "1/3"]}
 
@@ -115,90 +105,6 @@ def test_split_space_solves_once_per_complementary_pair(monkeypatch):
     assert {min(m, m ^ 0b1111) for m in solved} == set(range(8))
 
 
-def test_first_chaos_check_compares_span_with_single_cell_directions(monkeypatch):
-    def swapped(model):
-        # Cell 1's direction replaced by the two-cell e_(1,1): right dimension, wrong span.
-        single, two_cell = (
-            [i for i, s in enumerate(model.support_masks) if s == mask] for mask in (0b01, 0b11)
-        )
-        return tuple(model.walsh_vector(i) for i in single + two_cell)
-
-    monkeypatch.setattr(chaos_mod, "first_chaos_basis", swapped)
-    result = chaos__first_chaos(_Ctx(load_model_config(str(TWO_COINS))))
-    assert result.status == "fail"
-    assert result.detail == "dimension 2"
-    assert "span differs from the single-cell Walsh directions" in result.witnesses
-
-
-@pytest.mark.parametrize("dropped", [0, 1])
-def test_first_chaos_check_fails_when_the_system_drops_a_cell(dropped, monkeypatch):
-    def without_cell(model):
-        n = model.n_cells
-        cells = [BoolElem(1 << i, n) for i in range(n) if i != dropped]
-        return [list(model.point_weights), *chaos_mod._averaging_rows(model, cells)]
-
-    monkeypatch.setattr(chaos_mod, "_additivity_rows", without_cell)
-    result = chaos__first_chaos(_Ctx(load_model_config(str(TWO_COINS))))
-    assert result.status == "fail"
-    assert result.detail == "dimension 1"
-    assert "span differs from the single-cell Walsh directions" in result.witnesses
-
-
-def test_first_chaos_check_runs_the_pairwise_definition(monkeypatch):
-    monkeypatch.setattr(chaos_mod, "satisfies_additivity", lambda model, psi, b: False)
-    result = chaos__first_chaos(_Ctx(load_model_config(str(TWO_COINS))))
-    assert result.status == "fail"
-    assert result.witnesses == (
-        "pairwise additivity fails on solution vector 0",
-        "pairwise additivity fails on solution vector 1",
-    )
-
-
-def test_defect_zero_fails_when_the_block_predicate_accepts_meeting_supports(monkeypatch):
-    # additive_vector then keeps every nonconstant coefficient and
-    # atomless_defect accepts its output; only the pairwise definition
-    # in point space catches it.
-    cfg = load_model_config(str(FOUR_COINS))
-    assert chaos__defect_zero(_Ctx(cfg)).status == "pass"
-    monkeypatch.setattr(
-        chaos_mod, "_in_one_block", lambda s, b: any(s & block.mask for block in b.blocks)
-    )
-    result = chaos__defect_zero(_Ctx(cfg))
-    assert result.status == "fail"
-    shown = result.witnesses[:MAX_WITNESSES]
-    assert all(w.endswith("additive_vector output is not additive") for w in shown)
-
-
-def test_independence_check_compares_the_multiplicities(monkeypatch):
-    cfg = load_model_config(str(TWO_COINS))
-    assert spectrum__independence(_Ctx(cfg)).status == "pass"
-    build = spec_mod.build_spectral_space
-
-    def wrong_multiplicity(model):
-        space = build(model)
-        return dataclasses.replace(space, dims=(space.dims[0] + 1, *space.dims[1:]))
-
-    monkeypatch.setattr(spec_mod, "build_spectral_space", wrong_multiplicity)
-    result = spectrum__independence(_Ctx(cfg))
-    assert result.status == "fail"
-    assert result.witnesses == ("support multiplicity does not factor over cells",)
-
-
-def test_defect_bound_check_brute_forces_the_partitions(monkeypatch):
-    defect = chaos_mod.atomless_defect
-
-    def inflated(model, psi, b):
-        cert = defect(model, psi, b)
-        return dataclasses.replace(cert, delta_sq=cert.delta_sq + Fraction(1, 7))
-
-    monkeypatch.setattr(chaos_mod, "atomless_defect", inflated)
-    result = chaos__defect_bound(_Ctx(load_model_config(str(FOUR_COINS))))
-    assert result.status == "fail"
-    # A larger delta only loosens the moment bound: the partitions catch it.
-    assert result.witnesses
-    assert all("!= least part-mass" in w for w in result.witnesses[:MAX_WITNESSES])
-
-
 @pytest.mark.parametrize("path", [FOUR_COINS, FIVE_TERNARY])
 def test_projection_lattice_checks_every_pair_of_the_element_sample(path):
     # four-coins enumerates its 16 elements; five-ternary (32 > 16) samples 14.
@@ -206,22 +112,6 @@ def test_projection_lattice_checks_every_pair_of_the_element_sample(path):
     result = laws__projection_lattice(ctx)
     assert result.status == "pass"
     assert result.detail == f"{len(ctx.elements(ctx.rng('laws.lattice'))) ** 2} pairs"
-
-
-@pytest.mark.parametrize(
-    "path, pair",
-    [(FOUR_COINS, "x={0} y={1}"), (MIXED_233, "x={0} y={1}"), (FIVE_TERNARY, "x={0,2} y={4}")],
-)
-def test_projection_lattice_fails_when_the_mask_keeps_the_supports_meeting_x(path, pair, monkeypatch):
-    # A mask that grows with x passes the law on comparable pairs (x or y = 0
-    # on exhaustive runs, x = 1 on sampled ones); only incomparable pairs see it.
-    def meeting(model, coeffs, x):
-        return [c if s & x.mask else 0 for c, s in zip(coeffs, model.support_masks)]
-
-    monkeypatch.setattr(model_mod, "masked_coeffs", meeting)
-    result = laws__projection_lattice(_Ctx(load_model_config(str(path))))
-    assert result.status == "fail"
-    assert f"composition (full application) fails at {pair}" in result.witnesses
 
 
 @pytest.mark.parametrize(
@@ -264,23 +154,6 @@ def test_oracle_equivalence_partitions_each_element_once(path, elements, monkeyp
     assert result.status == "pass"
     assert result.detail.startswith(f"{elements} elements x ")
     assert len(calls) == elements
-
-
-@pytest.mark.parametrize(
-    "path, check, witness",
-    [
-        (MIXED_233, spectrum__projection_measure, "mass mismatch at x="),
-        (MIXED_233, laws__oracle_equivalence, "x="),
-        (MIXED_233, chaos__additive_norm, "x="),
-        (FIVE_TERNARY, spectrum__projection_measure, "mass mismatch at x="),
-    ],
-)
-def test_batched_point_sides_fail_when_every_conditional_is_the_identity(path, check, witness, monkeypatch):
-    # Every Q_x = I: a point side read off the spectral side would still agree.
-    monkeypatch.setattr(model_mod, "masked_coeffs", lambda model, coeffs, x: list(coeffs))
-    result = check(_Ctx(load_model_config(str(path))))
-    assert result.status == "fail"
-    assert result.witnesses[0].startswith(witness)
 
 
 @pytest.mark.parametrize(
@@ -384,9 +257,12 @@ def test_elimination_checks_skip_above_their_cap(monkeypatch):
 
     monkeypatch.setattr(linalg, "rref", refuse)
     ctx = _Ctx(load_config_dict({"cells": [COIN] + [TERNARY] * 4}))
-    for check in (chaos__split_space, chaos__first_chaos, chaos__classification, chaos__additive_norm):
+    for check in (chaos__split_space, chaos__first_chaos):
         result = check(ctx)
         assert (result.status, result.detail) == ("skip", "exact backend cap exceeded (N=162 > 128)")
+    # classification and additive_norm eliminate nothing: they run at N=162.
+    for check in (chaos__classification, chaos__additive_norm):
+        assert check(ctx).status == "pass"
 
 
 @pytest.mark.parametrize(
