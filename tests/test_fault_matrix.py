@@ -206,6 +206,18 @@ FIRST_PIECE = "geometry.homomorphism geometry.spectral_identity geometry.shrink_
 SPAN = W + "span differs from the single-cell Walsh directions"
 MEASURE = f"FAIL  spectrum.projection_measure  20 random vectors\n{W}mass mismatch at x={{}}"
 AND_AT = W + "meet is not the cell AND: r=RegOpen((0,1/8)) s=RegOpen((0,1/4))"
+# Every witness shown for three faults, in report order: the blocks whose
+# additive_vector output fails the pairwise definition, and the least
+# part-masses, which the inflated certificates exceed by 1/7.
+NOT_ADDITIVE = ("{0,1,2}, {3}", "{0,2,3}, {1}", "{0}, {1}, {2}, {3}", "{0}, {1,2}, {3}", "{0,2}, {1,3}")
+NOT_ADDITIVE += ("{0,1}, {2,3}", "{0,2,3}, {1}", "{0,1,3}, {2}", "{0,1,3}, {2}", "{0,2,3}, {1}")
+PART_MASS = (
+    ("{0,1,2,3}", "50527/9216"), ("{0,3}, {1,2}", "362707/230400"), ("{0,1}, {2}, {3}", "6889/36864"),
+    ("{0,1,2,3}", "92429/11520"), ("{0}, {1,2,3}", "1180109/307200"), ("{0}, {1,3}, {2}", "2957851/921600"),
+    ("{0,2}, {1}, {3}", "782339/230400"), ("{0}, {1,2}, {3}", "28627/102400"),
+    ("{0,3}, {1,2}", "654067/921600"), ("{0,1}, {2,3}", "4636699/921600"),
+)
+ESCAPES = [*itertools.product(("1/5", "1/3"), range(1, 7))][:10]  # sample points, depths
 
 ROWS = {
     # Every Q_x = I: a point side read off the spectral side would still agree.
@@ -234,7 +246,9 @@ ROWS = {
         on(CONFIGS, LAWS),
         {
             "four-coins": (
-                W + "composition (full application) fails at x={0} y={1}",
+                "FAIL  laws.projection_lattice  256 pairs\n"
+                f"{W}strict superadditivity: x={{0}} y={{1}}: 170569/921600+380689/921600 < 1083569/307200\n"
+                f"{W}composition (full application) fails at x={{0}} y={{1}}",
                 f"{W}… and 3 more\nFAIL  laws.oracle_equivalence  16 elements x 16 vectors",
             ),
             "mixed-233-exact": (W + "composition (full application) fails at x={0} y={1}",),
@@ -316,14 +330,24 @@ ROWS = {
         {
             "four-coins": (
                 "FAIL  chaos.defect_zero  30 additive vectors (10 with zero defect)\n"
-                f"{W}b=[{{0,1,2}}, {{3}}]: additive_vector output is not additive",
+                + "".join(f"{W}b=[{b}]: additive_vector output is not additive\n" for b in NOT_ADDITIVE)
+                + f"{W}… and 6 more",
             )
         },
     ),
     "atomless_defect adds 1/7 to delta^2": Row(
         plant(inflated_defect, "chaos.atomless_defect"),
         on(EXACT, "chaos.defect_bound"),
-        {"four-coins": (W + "b=[{0,1,2,3}]: delta^2=362905/64512 != least part-mass 50527/9216",)},
+        {
+            "four-coins": (
+                "FAIL  chaos.defect_bound  25 randomized (psi, b, x) cases\n"
+                + "".join(
+                    f"{W}b=[{b}]: delta^2={Fraction(m) + Fraction(1, 7)} != least part-mass {m}\n"
+                    for b, m in PART_MASS
+                )
+                + f"{W}… and 15 more",
+            )
+        },
     ),
     "split_check ignores the mean": Row(
         plant(lambda m, coeffs, x: split_check(m, [0, *coeffs[1:]], x), "chaos.split_check"),
@@ -445,7 +469,9 @@ ROWS = {
         {
             "two-coins": (
                 f"{W}closed-set approximant differs from its definition\n"
-                f"FAIL  geometry.approximant  all atoms, depths 1..6\n{W}point 1/5 escapes the depth-1 cover",
+                "FAIL  geometry.approximant  all atoms, depths 1..6\n"
+                + "".join(f"{W}point {p} escapes the depth-{d} cover\n" for p, d in ESCAPES)
+                + f"{W}… and 9 more",
             )
         },
     ),

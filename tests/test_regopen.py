@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noise_lab.config import load_config_dict
 from noise_lab.regopen import (
     LAW_POOL,
     FiniteSpace,
@@ -19,7 +18,6 @@ from noise_lab.regopen import (
     regopen_to_quotient,
     verify_reg_laws,
 )
-from noise_lab.suite import _Ctx, regopen__finite_spaces
 
 F = Fraction
 # The grid of the elements made here; it holds every drawn endpoint and the
@@ -320,13 +318,6 @@ def test_discrete_and_indiscrete_spaces():
 
     indis = FiniteSpace(points=(0, 1), opens=frozenset({frozenset(), frozenset({0, 1})}))
     assert len(finite_space_regopen(indis).elements) == 2
-
-
-def test_finite_spaces_check():
-    # Sierpinski, discrete and indiscrete spaces, and the dyadic quotients at
-    # depths 1 and 2 against the interval algebra; the check reads no model.
-    result = regopen__finite_spaces(_Ctx(load_config_dict({"cells": []})))
-    assert (result.status, result.witnesses) == ("pass", ())
 
 
 def test_bad_topology_rejected():
