@@ -6,6 +6,11 @@ block partition of the n atoms. Every filter is principal (complete in the
 finite case): the up-set of its generator g, so x is a member exactly when
 ``g.le(x)``. The Stone space of such an algebra is the discrete space of its
 n atoms, so the closed set of that filter is the index set ``g.indices()``.
+
+``BoolElem`` is a slotted class whose fields reject assignment. Its public
+constructor validates; meet, join, complement and the enumerations build
+their results with ``_elem``, without validation, since their operands are
+already valid elements.
 """
 
 from __future__ import annotations
@@ -14,18 +19,38 @@ from dataclasses import dataclass
 from typing import Iterator
 
 
-@dataclass(frozen=True)
 class BoolElem:
-    """A subset of {0..n-1}, stored as a bitmask."""
+    """A subset of {0..n-1}, stored as a bitmask. Immutable: assigning to a
+    field raises AttributeError."""
 
+    __slots__ = ("mask", "n")
     mask: int
     n: int
 
-    def __post_init__(self) -> None:
-        if self.n < 0:
+    def __init__(self, mask: int, n: int) -> None:
+        if n < 0:
             raise ValueError("algebra size must be nonnegative")
-        if not 0 <= self.mask < (1 << self.n):
-            raise ValueError(f"mask {self.mask} out of range for {self.n} atoms")
+        if not 0 <= mask < (1 << n):
+            raise ValueError(f"mask {mask} out of range for {n} atoms")
+        _set_mask(self, mask)
+        _set_n(self, n)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not BoolElem:
+            return NotImplemented
+        return self.mask == other.mask and self.n == other.n
+
+    def __hash__(self) -> int:
+        return hash((self.mask, self.n))
+
+    def __reduce__(self):
+        return BoolElem, (self.mask, self.n)
 
     def _check(self, other: "BoolElem") -> None:
         if self.n != other.n:
@@ -33,14 +58,14 @@ class BoolElem:
 
     def meet(self, other: "BoolElem") -> "BoolElem":
         self._check(other)
-        return BoolElem(self.mask & other.mask, self.n)
+        return _elem(self.mask & other.mask, self.n)
 
     def join(self, other: "BoolElem") -> "BoolElem":
         self._check(other)
-        return BoolElem(self.mask | other.mask, self.n)
+        return _elem(self.mask | other.mask, self.n)
 
     def complement(self) -> "BoolElem":
-        return BoolElem(self.mask ^ ((1 << self.n) - 1), self.n)
+        return _elem(self.mask ^ ((1 << self.n) - 1), self.n)
 
     def le(self, other: "BoolElem") -> bool:
         self._check(other)
@@ -80,6 +105,19 @@ class BoolElem:
         return "{" + ",".join(str(i) for i in self.indices()) + "}"
 
 
+_set_mask = BoolElem.mask.__set__
+_set_n = BoolElem.n.__set__
+
+
+def _elem(mask: int, n: int) -> BoolElem:
+    """The trusted constructor: a BoolElem whose mask is known to be in
+    range, built without validation."""
+    elem = object.__new__(BoolElem)
+    _set_mask(elem, mask)
+    _set_n(elem, n)
+    return elem
+
+
 @dataclass(frozen=True)
 class Subalgebra:
     """Boolean subalgebra given by its atoms: a block partition of the full set.
@@ -112,13 +150,13 @@ class Subalgebra:
             for i, b in enumerate(self.blocks):
                 if subset >> i & 1:
                     mask |= b.mask
-            yield BoolElem(mask, self.n)
+            yield _elem(mask, self.n)
 
     def from_block_indices(self, indices) -> BoolElem:
         mask = 0
         for i in indices:
             mask |= self.blocks[i].mask
-        return BoolElem(mask, self.n)
+        return _elem(mask, self.n)
 
 
 def iter_partitions_of_unity(b: Subalgebra) -> Iterator[tuple[BoolElem, ...]]:
@@ -145,7 +183,7 @@ def subsets_of(x: BoolElem) -> Iterator[BoolElem]:
     """All elements below x, ascending by mask."""
     sub = 0
     while True:
-        yield BoolElem(sub, x.n)
+        yield _elem(sub, x.n)
         if sub == x.mask:
             return
         sub = (sub - x.mask) & x.mask

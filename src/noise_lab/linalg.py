@@ -4,7 +4,9 @@ Elimination is fraction-free over ``int`` (Bareiss, *Math. Comp.* 22, 1968;
 Geddes, Czapor and Labahn, *Algorithms for Computer Algebra*, 1992, ch. 9):
 rows are cleared of denominators, combined by cross-multiplication and
 divided by the gcd of their entries. ``Fraction`` appears only in the
-reduced rows that :func:`rref` returns, so results are bit-exact.
+reduced rows that :func:`rref` returns, so results are bit-exact;
+:func:`rank` (and through it :func:`span_equal`) reads only the pivots of
+the forward elimination and builds none.
 """
 
 from __future__ import annotations
@@ -21,21 +23,23 @@ def _primitive(row: list[int]) -> list[int]:
     return row if g <= 1 else [v // g for v in row]
 
 
-def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form of rows of Fraction or int entries. Returns
-    (nonzero rows, as Fractions; pivot column indices).
+def _eliminate(rows: Matrix, reduce: bool) -> tuple[list[list[int]], list[int]]:
+    """Integer elimination of rows of Fraction or int entries: (the nonzero
+    rows, each a primitive integer row; pivot column indices). With reduce,
+    a pivot clears its column in every other row (reduced row echelon form);
+    without, only in the rows below it (row echelon form), which has the
+    same pivots.
 
     Each integer row stays a nonzero multiple of the row that elimination
-    over ``Fraction`` would hold, so the pivots and the returned rows (each
-    divided by its pivot) are the same.
+    over ``Fraction`` would hold.
     """
     mat = []
     for row in rows:
         scale = math.lcm(*(v.denominator for v in row))
         mat.append(_primitive([v.numerator * (scale // v.denominator) for v in row]))
-    if not mat:
-        return [], []
     pivots: list[int] = []
+    if not mat:
+        return mat, pivots
     r = 0
     for c in range(len(mat[0])):
         pivot_row = next((i for i in range(r, len(mat)) if mat[i][c]), None)
@@ -44,7 +48,8 @@ def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
         mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
         row_r = mat[r]
         p = row_r[c]
-        for i, row_i in enumerate(mat):
+        for i in range(0 if reduce else r + 1, len(mat)):
+            row_i = mat[i]
             e = row_i[c]
             if e and i != r:
                 g = math.gcd(p, e)
@@ -54,11 +59,21 @@ def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
         r += 1
         if r == len(mat):
             break
+    return mat[:r], pivots
+
+
+def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
+    """Reduced row echelon form of rows of Fraction or int entries. Returns
+    (nonzero rows, as Fractions; pivot column indices): each integer row of
+    the elimination divided by its pivot."""
+    mat, pivots = _eliminate(rows, reduce=True)
     return [[Fraction(v, row[c]) for v in row] for row, c in zip(mat, pivots)], pivots
 
 
 def rank(rows: Matrix) -> int:
-    return len(rref(rows)[1])
+    """The number of pivots of a row echelon form, found over ``int`` alone:
+    no ``Fraction`` is built and no row above a pivot is touched."""
+    return len(_eliminate(rows, reduce=False)[1])
 
 
 def nullspace(rows: Matrix, n_cols: int) -> list[Vector]:

@@ -25,8 +25,9 @@ vector over its common denominator D, runs the kernel over Python ints, and
 divides each entry once, by D times that product (fraction-free, as
 linalg.rref is). A projection stays over ints from analysis through the mask
 to synthesis, and inner products, squared norms and expectations are one
-integer sum against the point weights, which the model also keeps over
-their LCD. Only the returned entries or scalars are Fractions.
+integer sum against the point weights, and a Parseval mass one against the
+basis norms; the model keeps both over their LCD. Only the returned entries
+or scalars are Fractions.
 
 Synthesis skips the factors that act as a broadcast, as the shuffle
 algorithm does: it runs on the sub-grid of the live cells, those that some
@@ -173,13 +174,15 @@ class NoiseModel:
         # Per point (equivalently, per multi-index), each a per-cell Kronecker
         # product: its weight (also kept over the weights' LCD, for the
         # integer sums), the support of the basis vector it indexes (bitmask
-        # of cells with a nonzero digit) and that vector's squared norm |e_m|^2.
+        # of cells with a nonzero digit) and that vector's squared norm |e_m|^2
+        # (also over its LCD, for the Parseval sums).
         self.point_weights = _kron([[num(p) for p in c.probs] for c in self.cells], one)
         self.point_weights_lcd = _over_lcd(self, self.point_weights)
         self.support_masks = _kron(
             [[0] + [1 << i] * (k - 1) for i, k in enumerate(self.radices)], 0, operator.or_
         )
         self.basis_norms = _kron(self.cell_norms_sq, one)
+        self.basis_norms_lcd = _over_lcd(self, self.basis_norms)
 
         # k x k transform matrices per cell: analysis maps values along one
         # axis to per-cell coefficients, synthesis maps back (as integer
@@ -255,7 +258,9 @@ class NoiseModel:
 
     def random_rv(self, rng, zero_mean: bool = False) -> RandomVariable:
         if self.backend == "float":
-            vals = [rng.uniform(-1.0, 1.0) for _ in range(self.n_points)]
+            # The values of rng.uniform(-1.0, 1.0), without its call per draw.
+            draw = rng.random
+            vals = [-1.0 + 2.0 * draw() for _ in range(self.n_points)]
         else:
             vals = [Fraction(rng.randint(-12, 12), rng.randint(1, 6)) for _ in range(self.n_points)]
         rv = RandomVariable(tuple(vals))
@@ -440,15 +445,17 @@ def support_masses(model: NoiseModel, coeffs) -> dict[int, object]:
 
 def mass_inside(model: NoiseModel, coeffs, x: BoolElem):
     """Parseval: |Q_x f|^2 is the sum of c_m^2 |e_m|^2 over the multi-indices
-    m supported inside x, added in flat-index order."""
-    return _total(
-        (
-            c * c * e
-            for c, e, s in zip(coeffs, model.basis_norms, model.support_masks)
-            if s & ~x.mask == 0
-        ),
-        model._num(Fraction(0)),
+    m supported inside x, added in flat-index order. On the exact backend it
+    is one integer sum, over the coefficients' LCD squared times that of the
+    basis norms, divided once (as inner_product is)."""
+    a, d = _over_lcd(model, coeffs)
+    e, de = model.basis_norms_lcd
+    outside = ~x.mask
+    total = _total(
+        (c * c * n for c, n, s in zip(a, e, model.support_masks) if not s & outside),
+        model._num(0),
     )
+    return total if model.backend == "float" else Fraction(total, d * d * de)
 
 
 # -- sigma-fields and projections -----------------------------------------

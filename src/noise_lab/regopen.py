@@ -12,7 +12,7 @@ An element stores L as ``scale`` and its intervals as ``ticks``, pairs of
 integers k standing for k/L. ``make_regopen`` takes rationals and refuses an
 endpoint off the grid; an operation on elements of two grids raises rather
 than rescale. ``intervals`` is the rational view, and reprs print reduced
-fractions.
+fractions. ``RegOpen`` is a slotted class whose fields reject assignment.
 
 Meet is intersection of interiors, join is the interior of the union of
 closures, complement is the space minus the closure; all exact. Meet and the
@@ -78,10 +78,34 @@ def _same_grid(r: "RegOpen", s: "RegOpen") -> int:
     return r.scale
 
 
-@dataclass(frozen=True)
 class RegOpen:
+    """A canonical element on the grid 1/scale. Immutable: assigning to a
+    field raises AttributeError."""
+
+    __slots__ = ("ticks", "scale")
     ticks: tuple[Ticks, ...]  # the interval (a, b) is (a/scale, b/scale)
     scale: int
+
+    def __init__(self, ticks: tuple[Ticks, ...], scale: int) -> None:
+        _set_ticks(self, ticks)
+        _set_scale(self, scale)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not RegOpen:
+            return NotImplemented
+        return self.ticks == other.ticks and self.scale == other.scale
+
+    def __hash__(self) -> int:
+        return hash((self.ticks, self.scale))
+
+    def __reduce__(self):
+        return RegOpen, (self.ticks, self.scale)
 
     @property
     def intervals(self) -> tuple[Interval, ...]:
@@ -183,6 +207,10 @@ class RegOpen:
         if not self.ticks:
             return "RegOpen(0)"
         return "RegOpen(" + " ".join(f"({a},{b})" for a, b in self.intervals) + ")"
+
+
+_set_ticks = RegOpen.ticks.__set__
+_set_scale = RegOpen.scale.__set__
 
 
 def _merge_hulls(pieces: Iterable[Ticks]) -> tuple[Ticks, ...]:

@@ -452,6 +452,10 @@ def chaos__defect_bound(ctx: _Ctx):
         psi = chaos_mod.additive_vector(m, sub, m.random_rv(rng))
         x = BoolElem(rng.randrange(1 << m.n_cells), m.n_cells)
         cert = chaos_mod.atomless_defect(m, psi, sub)
+        # delta^2 is the largest |Q_b psi|^2 over the blocks, read here in point space.
+        block_norm = max(norm_sq(m, q) for q in projections(m, psi, sub.blocks))
+        if cert.delta_sq != block_norm:
+            bad.append(f"b={blocks}: delta^2={cert.delta_sq} != largest block norm {block_norm}")
         if len(blocks) <= 5:
             # delta^2 is the least largest part-mass over all partitions of unity.
             least = min(
@@ -680,14 +684,20 @@ def regopen__finite_spaces(ctx: _Ctx):
         images = {r: reg_mod.regopen_to_quotient(r, depth, cells) for r in interval_elems}
         if set(images.values()) != set(qalg.elements):
             bad.append(f"quotient depth {depth}: element sets differ")
+
+        def law(name: str, result: reg_mod.RegOpen, expected: frozenset, *operands) -> None:
+            # A result with no image is no canonical cell union.
+            image = images.get(result)
+            if image != expected:
+                at = " ".join(f"{v}={x}" for v, x in zip("rs", operands))
+                why = "differs" if image is not None else f"is no cell union: {result}"
+                bad.append(f"quotient depth {depth}: {name} at {at} {why}")
+
         for r in interval_elems:
             for s in interval_elems:
-                if images[r & s] != qalg.meet(images[r], images[s]):
-                    bad.append(f"quotient depth {depth}: meet differs")
-                if images[r | s] != qalg.join(images[r], images[s]):
-                    bad.append(f"quotient depth {depth}: join differs")
-            if images[~r] != qalg.complement(images[r]):
-                bad.append(f"quotient depth {depth}: complement differs")
+                law("meet", r & s, qalg.meet(images[r], images[s]), r, s)
+                law("join", r | s, qalg.join(images[r], images[s]), r, s)
+            law("complement", ~r, qalg.complement(images[r]), r)
     return "Sierpinski, discrete, indiscrete, dyadic quotients", bad, not bad
 
 

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -196,3 +199,59 @@ def test_random_partition_blocks_partition(rng):
             assert union & b.mask == 0
             union |= b.mask
         assert union == (1 << 6) - 1
+
+
+def test_elements_are_immutable_slotted_values():
+    x = BoolElem(0b101, 3)
+    for name, value in (("mask", 0), ("n", 4), ("other", 1)):
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(x, name, value)
+    with pytest.raises(AttributeError, match="cannot delete field 'mask'"):
+        del x.mask
+    assert (x.mask, x.n) == (0b101, 3)
+    assert not hasattr(x, "__dict__")
+    assert copy.deepcopy(x) == x and pickle.loads(pickle.dumps(x)) == x
+
+
+def test_element_equality_and_hash():
+    x = BoolElem(0b101, 3)
+    assert x == BoolElem(0b101, 3)
+    assert x != BoolElem(0b101, 4) and x != BoolElem(0b100, 3)
+    # Another type is not equal, even one with the same fields.
+    assert x.__eq__((0b101, 3)) is NotImplemented and x != (0b101, 3)
+    assert hash(x) == hash((0b101, 3))
+    assert list({BoolElem(m, 3): None for m in (6, 1, 4)}) == [BoolElem(6, 3), BoolElem(1, 3), BoolElem(4, 3)]
+
+
+def test_element_validation_messages():
+    with pytest.raises(ValueError, match="^algebra size must be nonnegative$"):
+        BoolElem(0, -1)
+    for mask in (8, -1):
+        with pytest.raises(ValueError, match=f"^mask {mask} out of range for 3 atoms$"):
+            BoolElem(mask, 3)
+    with pytest.raises(ValueError, match="^index 3 out of range for 3 atoms$"):
+        BoolElem.from_indices([0, 3], 3)
+
+
+def _validated(x):
+    """The twin of an element built through the public constructor."""
+    assert type(x) is BoolElem
+    twin = BoolElem(x.mask, x.n)
+    assert x == twin and hash(x) == hash(twin)
+    return twin
+
+
+def test_operation_results_equal_their_validated_twins():
+    for n in range(4):
+        elems = [BoolElem(m, n) for m in range(1 << n)]
+        for x in elems:
+            assert _validated(~x) == BoolElem(x.mask ^ ((1 << n) - 1), n)
+            assert [_validated(s) for s in subsets_of(x)] == [e for e in elems if e.le(x)]
+            for y in elems:
+                assert _validated(x & y) == BoolElem(x.mask & y.mask, n)
+                assert _validated(x | y) == BoolElem(x.mask | y.mask, n)
+    sub = Subalgebra(4, (BoolElem(0b0011, 4), BoolElem(0b0100, 4), BoolElem(0b1000, 4)))
+    assert [_validated(e).mask for e in sub.elements()] == [0, 3, 4, 7, 8, 11, 12, 15]
+    for parts in iter_partitions_of_unity(sub):
+        for part in parts:
+            _validated(part)

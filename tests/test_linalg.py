@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noise_lab import linalg
 from noise_lab.boolalg import BoolElem
@@ -200,3 +202,21 @@ def test_spectral_norm_against_gram_eigenvalue():
     # polynomial: lambda = (30 + sqrt(30^2 - 4*4)) / 2.
     lam = (30 + (900 - 16) ** 0.5) / 2
     assert abs(linalg.spectral_norm(mat) - lam**0.5) < 1e-9
+
+
+def _matrices(entries):
+    """Matrices of up to 6 rows and 6 columns, with small entries and many
+    zeros, so that dependent rows and empty columns come up often."""
+    return st.integers(1, 6).flatmap(
+        lambda n_cols: st.lists(st.lists(entries, min_size=n_cols, max_size=n_cols), max_size=6)
+    )
+
+
+SMALL_INTS = st.integers(-3, 3) | st.just(0)
+SMALL_FRACTIONS = st.builds(F, st.integers(-4, 4), st.integers(1, 5))
+
+
+@settings(max_examples=300, derandomize=True)
+@given(_matrices(SMALL_INTS) | _matrices(SMALL_FRACTIONS))
+def test_rank_counts_the_pivots_of_rref(rows):
+    assert linalg.rank(rows) == len(linalg.rref(rows)[1])

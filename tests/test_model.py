@@ -1,9 +1,12 @@
+import functools
 import math
 import operator
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noise_lab import model as model_mod
 from noise_lab.boolalg import BoolElem
@@ -15,6 +18,7 @@ from noise_lab.model import (
     fair_coin,
     inner_product,
     masked_coeffs,
+    mass_inside,
     norm_sq,
     project,
     project_oracle,
@@ -437,3 +441,44 @@ def test_point_tables_match_their_per_point_definitions(backend):
         assert _bits(m, m.basis_norms) == _bits(m, norms)
         assert list(m.support_masks) == masks
         assert isinstance(m.point_weights, tuple) and isinstance(m.basis_norms, tuple)
+
+
+# Exact models with unequal probabilities, radices 2 and 3, N = 2 .. 18.
+PARSEVAL_MODELS = [
+    NoiseModel([Cell((F(1, 3), F(2, 3)))]),
+    NoiseModel([Cell((F(1, 3), F(2, 3))), Cell((F(1, 6), F(1, 3), F(1, 2)))]),
+    NoiseModel([Cell((F(2, 5), F(3, 5))), Cell((F(1, 4), F(1, 4), F(1, 2))), uniform_cell(3)]),
+]
+
+
+@settings(max_examples=200, derandomize=True)
+@given(st.sampled_from(PARSEVAL_MODELS), st.data())
+def test_mass_inside_is_the_written_out_parseval_sum(m, data):
+    entry = st.integers(-30, 30) | st.builds(F, st.integers(-(10**6), 10**6), st.integers(1, 10**6))
+    coeffs = data.draw(st.lists(entry, min_size=m.n_points, max_size=m.n_points))
+    x = BoolElem(data.draw(st.integers(0, (1 << m.n_cells) - 1)), m.n_cells)
+    expected = sum(
+        (F(c) * c * e for c, e, s in zip(coeffs, m.basis_norms, m.support_masks) if s & ~x.mask == 0),
+        F(0),
+    )
+    got = mass_inside(m, coeffs, x)
+    assert type(got) is Fraction and got == expected
+
+
+def test_float_mass_inside_adds_in_flat_index_order():
+    rng = random.Random(31)
+    m = NoiseModel([Cell((F(1, 3), F(2, 3))), Cell((F(1, 6), F(1, 3), F(1, 2)))], backend="float")
+    for _ in range(20):
+        coeffs = walsh_decompose(m, m.random_rv(rng))
+        for mask in range(1 << m.n_cells):
+            kept = (c * c * e for c, e, s in zip(coeffs, m.basis_norms, m.support_masks) if not s & ~mask)
+            expected = functools.reduce(operator.add, kept, 0.0)
+            assert mass_inside(m, coeffs, BoolElem(mask, m.n_cells)).hex() == expected.hex()
+
+
+def test_float_random_rv_draws_the_uniform_stream():
+    m = NoiseModel([fair_coin(), uniform_cell(3)], backend="float")
+    for seed in range(5):
+        expected = random.Random(seed)
+        values = [expected.uniform(-1.0, 1.0) for _ in range(m.n_points)]
+        assert [v.hex() for v in m.random_rv(random.Random(seed)).values] == [v.hex() for v in values]

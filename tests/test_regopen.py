@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -370,3 +372,34 @@ def test_random_regopen_draws_the_randint_and_choice_stream(pool):
     for _ in range(2000):
         assert random_regopen(ours, L, pool) == reference(theirs)
     assert ours.random() == theirs.random()
+
+
+def test_elements_are_immutable_slotted_values():
+    r = make_regopen([(0, F(1, 2))], L)
+    for name, value in (("ticks", ()), ("scale", 2), ("other", 1)):
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(r, name, value)
+    with pytest.raises(AttributeError, match="cannot delete field 'ticks'"):
+        del r.ticks
+    assert r.ticks == ((0, L // 2),) and r.scale == L
+    assert not hasattr(r, "__dict__")
+    assert copy.deepcopy(r) == r and pickle.loads(pickle.dumps(r)) == r
+
+
+def test_element_equality_and_hash():
+    r = make_regopen([(0, F(1, 2))], L)
+    assert r == RegOpen(((0, L // 2),), L)
+    assert r != RegOpen(((0, L // 2),), 2 * L) and r != FULL
+    # Another type is not equal, even one with the same fields.
+    assert r.__eq__((r.ticks, L)) is NotImplemented and r != (r.ticks, L)
+    assert hash(r) == hash((r.ticks, L))
+
+
+@settings(max_examples=200, derandomize=True)
+@given(raw_intervals(), raw_intervals())
+def test_operation_results_equal_their_validated_twins(p1, p2):
+    r, s = make_regopen(p1, L), make_regopen(p2, L)
+    for got in (r & s, r | s, ~r):
+        twin = make_regopen(got.intervals, L)
+        assert type(got) is RegOpen
+        assert got == twin and hash(got) == hash(twin)
