@@ -7,10 +7,8 @@ finite case): the up-set of its generator g, so x is a member exactly when
 ``g.le(x)``. The Stone space of such an algebra is the discrete space of its
 n atoms, so the closed set of that filter is the index set ``g.indices()``.
 
-``BoolElem`` is a slotted class whose fields reject assignment. Its public
-constructor validates; meet, join, complement and the enumerations build
-their results with ``_elem``, without validation, since their operands are
-already valid elements.
+``BoolElem`` is a slotted class whose fields reject assignment; its
+constructor validates the mask.
 """
 
 from __future__ import annotations
@@ -58,14 +56,14 @@ class BoolElem:
 
     def meet(self, other: "BoolElem") -> "BoolElem":
         self._check(other)
-        return _elem(self.mask & other.mask, self.n)
+        return BoolElem(self.mask & other.mask, self.n)
 
     def join(self, other: "BoolElem") -> "BoolElem":
         self._check(other)
-        return _elem(self.mask | other.mask, self.n)
+        return BoolElem(self.mask | other.mask, self.n)
 
     def complement(self) -> "BoolElem":
-        return _elem(self.mask ^ ((1 << self.n) - 1), self.n)
+        return BoolElem(self.mask ^ ((1 << self.n) - 1), self.n)
 
     def le(self, other: "BoolElem") -> bool:
         self._check(other)
@@ -109,15 +107,6 @@ _set_mask = BoolElem.mask.__set__
 _set_n = BoolElem.n.__set__
 
 
-def _elem(mask: int, n: int) -> BoolElem:
-    """The trusted constructor: a BoolElem whose mask is known to be in
-    range, built without validation."""
-    elem = object.__new__(BoolElem)
-    _set_mask(elem, mask)
-    _set_n(elem, n)
-    return elem
-
-
 @dataclass(frozen=True)
 class Subalgebra:
     """Boolean subalgebra given by its atoms: a block partition of the full set.
@@ -150,13 +139,13 @@ class Subalgebra:
             for i, b in enumerate(self.blocks):
                 if subset >> i & 1:
                     mask |= b.mask
-            yield _elem(mask, self.n)
+            yield BoolElem(mask, self.n)
 
     def from_block_indices(self, indices) -> BoolElem:
         mask = 0
         for i in indices:
             mask |= self.blocks[i].mask
-        return _elem(mask, self.n)
+        return BoolElem(mask, self.n)
 
 
 def iter_partitions_of_unity(b: Subalgebra) -> Iterator[tuple[BoolElem, ...]]:
@@ -183,7 +172,7 @@ def subsets_of(x: BoolElem) -> Iterator[BoolElem]:
     """All elements below x, ascending by mask."""
     sub = 0
     while True:
-        yield _elem(sub, x.n)
+        yield BoolElem(sub, x.n)
         if sub == x.mask:
             return
         sub = (sub - x.mask) & x.mask

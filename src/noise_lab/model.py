@@ -258,9 +258,7 @@ class NoiseModel:
 
     def random_rv(self, rng, zero_mean: bool = False) -> RandomVariable:
         if self.backend == "float":
-            # The values of rng.uniform(-1.0, 1.0), without its call per draw.
-            draw = rng.random
-            vals = [-1.0 + 2.0 * draw() for _ in range(self.n_points)]
+            vals = [rng.uniform(-1.0, 1.0) for _ in range(self.n_points)]
         else:
             vals = [Fraction(rng.randint(-12, 12), rng.randint(1, 6)) for _ in range(self.n_points)]
         rv = RandomVariable(tuple(vals))
@@ -446,15 +444,15 @@ def support_masses(model: NoiseModel, coeffs) -> dict[int, object]:
 def mass_inside(model: NoiseModel, coeffs, x: BoolElem):
     """Parseval: |Q_x f|^2 is the sum of c_m^2 |e_m|^2 over the multi-indices
     m supported inside x, added in flat-index order. On the exact backend it
-    is one integer sum, over the coefficients' LCD squared times that of the
-    basis norms, divided once (as inner_product is)."""
-    a, d = _over_lcd(model, coeffs)
+    is one integer sum, over the kept coefficients' LCD squared times that of
+    the basis norms, divided once (as inner_product is). Only the kept
+    coefficients are put over their LCD: a block of s cells keeps about
+    N / 2^(n-s) of the N."""
     e, de = model.basis_norms_lcd
     outside = ~x.mask
-    total = _total(
-        (c * c * n for c, n, s in zip(a, e, model.support_masks) if not s & outside),
-        model._num(0),
-    )
+    kept = [(c, n) for c, n, s in zip(coeffs, e, model.support_masks) if not s & outside]
+    a, d = _over_lcd(model, [c for c, _ in kept])
+    total = _total((c * c * n for c, (_, n) in zip(a, kept)), model._num(0))
     return total if model.backend == "float" else Fraction(total, d * d * de)
 
 

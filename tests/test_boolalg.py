@@ -231,27 +231,3 @@ def test_element_validation_messages():
             BoolElem(mask, 3)
     with pytest.raises(ValueError, match="^index 3 out of range for 3 atoms$"):
         BoolElem.from_indices([0, 3], 3)
-
-
-def _validated(x):
-    """The twin of an element built through the public constructor."""
-    assert type(x) is BoolElem
-    twin = BoolElem(x.mask, x.n)
-    assert x == twin and hash(x) == hash(twin)
-    return twin
-
-
-def test_operation_results_equal_their_validated_twins():
-    for n in range(4):
-        elems = [BoolElem(m, n) for m in range(1 << n)]
-        for x in elems:
-            assert _validated(~x) == BoolElem(x.mask ^ ((1 << n) - 1), n)
-            assert [_validated(s) for s in subsets_of(x)] == [e for e in elems if e.le(x)]
-            for y in elems:
-                assert _validated(x & y) == BoolElem(x.mask & y.mask, n)
-                assert _validated(x | y) == BoolElem(x.mask | y.mask, n)
-    sub = Subalgebra(4, (BoolElem(0b0011, 4), BoolElem(0b0100, 4), BoolElem(0b1000, 4)))
-    assert [_validated(e).mask for e in sub.elements()] == [0, 3, 4, 7, 8, 11, 12, 15]
-    for parts in iter_partitions_of_unity(sub):
-        for part in parts:
-            _validated(part)

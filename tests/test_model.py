@@ -475,10 +475,3 @@ def test_float_mass_inside_adds_in_flat_index_order():
             expected = functools.reduce(operator.add, kept, 0.0)
             assert mass_inside(m, coeffs, BoolElem(mask, m.n_cells)).hex() == expected.hex()
 
-
-def test_float_random_rv_draws_the_uniform_stream():
-    m = NoiseModel([fair_coin(), uniform_cell(3)], backend="float")
-    for seed in range(5):
-        expected = random.Random(seed)
-        values = [expected.uniform(-1.0, 1.0) for _ in range(m.n_points)]
-        assert [v.hex() for v in m.random_rv(random.Random(seed)).values] == [v.hex() for v in values]
