@@ -2,12 +2,12 @@
 
 A model is a finite list of independent cells, each with rational outcome
 probabilities. Points of the product space are indexed in mixed radix with
-cell 0 slowest. Per cell, indicator vectors of outcomes 1..k-1 are
-orthogonalized (in outcome order, against the constant and earlier vectors)
-WITHOUT normalization, so every basis entry and every squared norm stays
-rational; the tensor products of these per-cell vectors form the global
-orthogonal basis, indexed by multi-indices whose nonzero digits mark the
-cells a basis vector depends on.
+cell 0 slowest. Per cell, the basis orthogonalizes the constant and the
+indicators of outcomes 1..k-1, in outcome order, WITHOUT normalization, in
+closed form (_cell_basis), so every entry and squared norm is rational; the
+float backend rounds those exact numbers once. The tensor products of these
+per-cell vectors form the global orthogonal basis, indexed by multi-indices
+whose nonzero digits mark the cells a basis vector depends on.
 
 Conditioning on the coordinates in a cell set x is the projection that kills
 every basis coefficient whose support is not inside x. A naive
@@ -130,6 +130,23 @@ class RandomVariable:
         return all(v == 0 for v in self.values)
 
 
+def _cell_basis(probs) -> tuple[tuple, tuple]:
+    """(vectors, squared norms) of Gram-Schmidt on 1, 1_1, ..., 1_{k-1} under
+    the weights probs, unnormalized, exact and in closed form: the vectors
+    before 1_j span the functions constant on S_j = {0, j, ..., k-1}, so
+    e_j = 1_j - (p_j / P(S_j)) 1_{S_j}, |e_j|^2 = p_j (P(S_j) - p_j) / P(S_j)."""
+    k = len(probs)
+    zero, one = Fraction(0), Fraction(1)
+    tails = list(itertools.accumulate(reversed(probs)))[::-1]  # p_j + ... + p_{k-1}
+    vectors, norms = [(one,) * k], [one]
+    for j in range(1, k):
+        mass = probs[0] + tails[j]
+        c = probs[j] / mass
+        vectors.append((-c,) + (zero,) * (j - 1) + (one - c,) + (-c,) * (k - 1 - j))
+        norms.append(probs[j] * (mass - probs[j]) / mass)
+    return tuple(vectors), tuple(norms)
+
+
 class NoiseModel:
     """Immutable product-space model with precomputed per-cell basis tables."""
 
@@ -148,28 +165,28 @@ class NoiseModel:
 
         num = self._num
         one = num(Fraction(1))
-        # Per-cell orthogonalization: e_0 = 1; e_j = indicator(outcome j)
-        # minus its components along earlier vectors, in outcome order.
-        cell_vectors = []
-        cell_norms_sq = []
+        # Per cell: the basis, rounded once on the float backend, and the
+        # k x k matrices built from those numbers: analysis maps values along
+        # one axis to per-cell coefficients, synthesis maps back (as integer
+        # matrices and a scale on the exact backend).
+        cell_vectors, cell_norms_sq, analysis, synthesis = [], [], [], []
         for cell in self.cells:
+            exact_vectors, exact_norms = _cell_basis(cell.probs)
+            vecs = tuple(tuple(map(num, v)) for v in exact_vectors)
+            norms = tuple(map(num, exact_norms))
             probs = [num(p) for p in cell.probs]
-            k = cell.k
-            vectors = [[one] * k]
-            norms = [one]
-            for j in range(1, k):
-                vec = [num(Fraction(0))] * k
-                vec[j] = one
-                for l in range(j):
-                    prev = vectors[l]
-                    coef = _total(vec[o] * prev[o] * probs[o] for o in range(k)) / norms[l]
-                    vec = [v - coef * p for v, p in zip(vec, prev)]
-                vectors.append(vec)
-                norms.append(_total(v * v * p for v, p in zip(vec, probs)))
-            cell_vectors.append(tuple(tuple(v) for v in vectors))
-            cell_norms_sq.append(tuple(norms))
+            cell_vectors.append(vecs)
+            cell_norms_sq.append(norms)
+            analysis.append(tuple(tuple(v * p / n for v, p in zip(vec, probs)) for vec, n in zip(vecs, norms)))
+            synthesis.append(tuple(zip(*vecs)))
         self.cell_vectors = tuple(cell_vectors)
         self.cell_norms_sq = tuple(cell_norms_sq)
+        if backend == "exact":
+            self._analysis, self._analysis_scale = _integer_matrices(analysis)
+            self._synthesis, self._synthesis_scale = _integer_matrices(synthesis)
+        else:
+            self._analysis, self._analysis_scale = tuple(analysis), 1
+            self._synthesis, self._synthesis_scale = tuple(synthesis), 1
 
         # Per point (equivalently, per multi-index), each a per-cell Kronecker
         # product: its weight (also kept over the weights' LCD, for the
@@ -183,27 +200,6 @@ class NoiseModel:
         )
         self.basis_norms = _kron(self.cell_norms_sq, one)
         self.basis_norms_lcd = _over_lcd(self, self.basis_norms)
-
-        # k x k transform matrices per cell: analysis maps values along one
-        # axis to per-cell coefficients, synthesis maps back (as integer
-        # matrices and a scale on the exact backend).
-        analysis = []
-        synthesis = []
-        for i, cell in enumerate(self.cells):
-            probs = [num(p) for p in cell.probs]
-            vecs = self.cell_vectors[i]
-            norms = self.cell_norms_sq[i]
-            k = cell.k
-            analysis.append(
-                tuple(tuple(vecs[j][o] * probs[o] / norms[j] for o in range(k)) for j in range(k))
-            )
-            synthesis.append(tuple(tuple(vecs[j][o] for j in range(k)) for o in range(k)))
-        if backend == "exact":
-            self._analysis, self._analysis_scale = _integer_matrices(analysis)
-            self._synthesis, self._synthesis_scale = _integer_matrices(synthesis)
-        else:
-            self._analysis, self._analysis_scale = tuple(analysis), 1
-            self._synthesis, self._synthesis_scale = tuple(synthesis), 1
 
     # -- numeric backend ------------------------------------------------
 
@@ -309,7 +305,8 @@ def inner_product(model: NoiseModel, f: RandomVariable, g: RandomVariable):
     """The sum of f*g*w over the points: on the exact backend one integer sum
     over the product of the three common denominators, divided once."""
     _check_length(model, f, g)
-    (a, da), (b, db) = _over_lcd(model, f.values), _over_lcd(model, g.values)
+    a, da = _over_lcd(model, f.values)
+    b, db = (a, da) if g is f else _over_lcd(model, g.values)
     w, dw = model.point_weights_lcd
     total = _total(x * y * z for x, y, z in zip(a, b, w))
     return total if model.backend == "float" else Fraction(total, da * db * dw)

@@ -59,6 +59,18 @@ def drop_last_inside(model, coeffs, x):
     return kept
 
 
+def p0_counted_twice(probs):
+    # model._cell_basis with P(S_j) = 2 p_0 + p_j + ... + p_{k-1}.
+    k, one = len(probs), Fraction(1)
+    vectors, norms = [(one,) * k], [one]
+    for j in range(1, k):
+        mass = sum(probs[j:], 2 * probs[0])
+        c = probs[j] / mass
+        vectors.append(tuple((o == j) - c * (o == 0 or o >= j) for o in range(k)))
+        norms.append(probs[j] * (mass - probs[j]) / mass)
+    return tuple(vectors), tuple(norms)
+
+
 def unweighted(model, f, g):
     # Every point weighs 1/N: right exactly when the cells are uniform.
     return sum(a * b for a, b in zip(f.values, g.values)) / model.n_points
@@ -200,6 +212,8 @@ COMPLEMENT = ("regopen.RegOpen.complement", "regopen.RegOpen.__invert__")
 LAWS = "laws.oracle_equivalence laws.projection_lattice"
 POINT_SIDES = "laws.oracle_equivalence spectrum.projection_measure"
 ADDITIVITY = "chaos.first_chaos chaos.additive_norm chaos.defect_zero"
+BASIS_LAWS = f"{LAWS} laws.tensor_basis laws.walsh_roundtrip"
+BASIS_SPECTRUM = "spectrum.projection_measure spectrum.event_subspaces spectrum.measure_class"
 TOP = "spectrum.spectral_sets spectrum.projection_measure spectrum.atom_block"
 SIGMA = "spectrum.sigma_lattice spectrum.atom_block"
 REG = "regopen.laws regopen.finite_spaces"
@@ -276,6 +290,14 @@ ROWS = {
         plant(lambda m, c, x: 2 * mass_inside(m, c, x), *MASS_INSIDE),
         {**on(FLOAT), **on(EXACT, "chaos.defect_bound")},
         {"four-coins": (W + "b=[{0,1,2,3}]: delta^2=50527/4608 != largest block norm 50527/9216",)},
+    ),
+    # The cell basis is neither orthogonal nor normed as its tables say.
+    "p_0 counted twice in P(S_j)": Row(
+        plant(p0_counted_twice, "model._cell_basis"),
+        {
+            **on(EXACT, f"{BASIS_LAWS} {ADDITIVITY} chaos.split_space chaos.defect_bound {BASIS_SPECTRUM}"),
+            **on(FLOAT, f"{BASIS_LAWS} spectrum.projection_measure"),
+        },
     ),
     "sigma_field_of returns singletons": Row(
         plant(lambda m, x: tuple((w,) for w in range(m.n_points)), "model.sigma_field_of"),

@@ -2,6 +2,7 @@ import functools
 import math
 import operator
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -171,6 +172,81 @@ def _random_cells(rng, n_cells, k_max=5):
         parts = [b - a for a, b in zip([0, *cuts], [*cuts, q])]
         cells.append(Cell(tuple(F(a, q) for a in parts)))
     return cells
+
+
+def _gram_schmidt(probs, num):
+    """The written-out reference for model._cell_basis: each indicator 1_j,
+    in outcome order, minus its components along the constant and the
+    earlier vectors, without normalization, in the numbers num makes
+    (Fraction or float), sums added left to right."""
+    probs = [num(p) for p in probs]
+    k = len(probs)
+    one = num(F(1))
+    vectors, norms = [[one] * k], [one]
+    for j in range(1, k):
+        vec = [num(F(0))] * k
+        vec[j] = one
+        for prev, norm in zip(vectors, norms):
+            coef = functools.reduce(operator.add, [v * e * p for v, e, p in zip(vec, prev, probs)]) / norm
+            vec = [v - coef * e for v, e in zip(vec, prev)]
+        vectors.append(vec)
+        norms.append(functools.reduce(operator.add, [v * v * p for v, p in zip(vec, probs)]))
+    return vectors, norms
+
+
+def _gram_schmidt_tables(cell, num):
+    """(vectors, norms, analysis, synthesis) of one cell from _gram_schmidt,
+    the k x k matrices built from those numbers as NoiseModel builds them."""
+    vecs, norms = _gram_schmidt(cell.probs, num)
+    probs = [num(p) for p in cell.probs]
+    analysis = [[v * p / n for v, p in zip(vec, probs)] for vec, n in zip(vecs, norms)]
+    return vecs, norms, analysis, [list(col) for col in zip(*vecs)]
+
+
+def _flat(rows):
+    return [v for row in rows for v in row]
+
+
+def _hexes(rows):
+    return [float(v).hex() for v in _flat(rows)]
+
+
+def test_cell_basis_equals_the_gram_schmidt_reference():
+    rng = random.Random(32)
+    for trial in range(60):
+        cells = _random_cells(rng, 1 + trial % 3, k_max=9)
+        exact, rounded = NoiseModel(cells), NoiseModel(cells, backend="float")
+        ref = [_gram_schmidt_tables(cell, lambda v: v) for cell in cells]
+        assert exact.cell_vectors == tuple(tuple(map(tuple, vecs)) for vecs, _, _, _ in ref)
+        assert exact.cell_norms_sq == tuple(tuple(norms) for _, norms, _, _ in ref)
+        assert (exact._analysis, exact._analysis_scale) == model_mod._integer_matrices([t[2] for t in ref])
+        assert (exact._synthesis, exact._synthesis_scale) == model_mod._integer_matrices([t[3] for t in ref])
+        # The float vectors and norms are the exact ones rounded once, and the
+        # float matrices are built from those rounded numbers.
+        float_tables = zip(rounded.cell_vectors, rounded.cell_norms_sq, rounded._analysis, rounded._synthesis)
+        for (vecs, norms, analysis, synthesis), (exact_vecs, exact_norms, _, exact_synthesis), cell in zip(
+            float_tables, ref, cells
+        ):
+            assert _hexes(vecs) == _hexes(exact_vecs)
+            assert _hexes([norms]) == _hexes([exact_norms])
+            assert _hexes(synthesis) == _hexes(exact_synthesis)
+            # A float Gram-Schmidt agrees to 1e-12 relative. Where the exact
+            # entry is 0 it leaves a rounding residue, and every entry but
+            # the norms lies in [-1, 1], so the residue is held to 1e-12.
+            gs_vecs, gs_norms, gs_analysis, gs_synthesis = _gram_schmidt_tables(cell, float)
+            for got, expected in zip(
+                (vecs, [norms], analysis, synthesis), (gs_vecs, [gs_norms], gs_analysis, gs_synthesis)
+            ):
+                for a, b in zip(_flat(got), _flat(expected)):
+                    assert math.isclose(a, b, rel_tol=1e-12, abs_tol=0 if a else 1e-12)
+
+
+def test_one_cell_of_256_outcomes_builds_in_under_5_s_cpu():
+    t0 = time.process_time()
+    NoiseModel([uniform_cell(256)])
+    elapsed = time.process_time() - t0
+    print(f"NoiseModel([uniform_cell(256)]): {elapsed:.2f} s CPU {'<' if elapsed < 5 else '>='} 5 s")
+    assert elapsed < 5.0
 
 
 def _transform_inputs(rng, n):
@@ -361,6 +437,28 @@ def test_integer_paths_match_their_fraction_definitions():
         ):
             with pytest.raises(ValueError):
                 call()
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_norm_sq_puts_f_over_its_lcd_once(backend, monkeypatch):
+    rng = random.Random(33)
+    m = NoiseModel(_random_cells(rng, 3, k_max=4), backend=backend)
+    calls = []
+    over_lcd = model_mod._over_lcd
+
+    def counting(model, values):
+        calls.append(values)
+        return over_lcd(model, values)
+
+    monkeypatch.setattr(model_mod, "_over_lcd", counting)
+    for _ in range(10):
+        f = m.random_rv(rng)
+        calls.clear()
+        got = norm_sq(m, f)
+        assert calls == [f.values]
+        # An equal vector that is another object takes the two-LCD path.
+        assert _bits(m, [got]) == _bits(m, [inner_product(m, f, RandomVariable(tuple(f.values)))])
+        assert len(calls) == 3
 
 
 def _bits(model, values):
