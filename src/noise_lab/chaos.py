@@ -214,27 +214,27 @@ def defect_bound_check(
     """
     delta_sq, delta = certificate.delta_sq, certificate.delta
     mixed = [
-        (model.point_digits(idx), c, m)
+        (idx, model.point_digits(idx), c, m)
         for idx, (c, m) in enumerate(zip(certificate.coeffs, model.support_masks))
         if c != 0 and m & (m - 1)
     ]
+    norms = model.basis_norms
     reports = []
     for x in xs:
         comp = x.complement().mask
-        entries: dict[tuple[int, int], tuple] = {}
-        for digits, c, m in mixed:
+        entries = []
+        for idx, digits, c, m in mixed:
             if m & x.mask and m & comp:
                 j = _restrict_index(model, digits, x.mask)
-                k = _restrict_index(model, digits, comp)
-                entries[(j, k)] = (c, model.basis_norms[j], model.basis_norms[k])
-        entrywise = all(model.leq(c * c * nj * nk, delta_sq) for c, nj, nk in entries.values())
+                entries.append((j, idx - j, c))
+        entrywise = all(model.leq(c * c * norms[j] * norms[k], delta_sq) for j, k, c in entries)
 
-        row_pos = {j: a for a, j in enumerate(sorted({j for j, _ in entries}))}
-        col_pos = {k: a for a, k in enumerate(sorted({k for _, k in entries}))}
+        row_pos = {j: a for a, j in enumerate(sorted({j for j, _, _ in entries}))}
+        col_pos = {k: a for a, k in enumerate(sorted({k for _, k, _ in entries}))}
         mat = [[0.0] * len(col_pos) for _ in row_pos]
-        for (j, k), (c, nj, nk) in entries.items():
-            mat[row_pos[j]][col_pos[k]] = float(c) * math.sqrt(float(nj) * float(nk))
-        sigma = linalg.spectral_norm(mat) if entries else 0.0
+        for j, k, c in entries:
+            mat[row_pos[j]][col_pos[k]] = float(c) * math.sqrt(float(norms[j]) * float(norms[k]))
+        sigma = linalg.spectral_norm(mat)
         reports.append(
             DefectBoundReport(passed=entrywise and sigma <= delta + FLOAT_TOL, delta=delta, sigma_max=sigma)
         )

@@ -6,7 +6,9 @@ rows are cleared of denominators, combined by cross-multiplication and
 divided by the gcd of their entries. ``Fraction`` appears only in the
 reduced rows that :func:`rref` returns, so results are bit-exact;
 :func:`rank` (and through it :func:`span_equal`) reads only the pivots of
-the forward elimination and builds none.
+the forward elimination and builds none. The one float routine,
+:func:`spectral_norm`, is a power iteration on one Gram matrix, built on the
+smaller side, with one Gram product per step.
 """
 
 from __future__ import annotations
@@ -101,37 +103,32 @@ def span_equal(rows_a: Matrix, rows_b: Matrix) -> bool:
 
 def spectral_norm(mat: list[list[float]]) -> float:
     """Largest singular value of a small dense float matrix, by at most 400
-    steps of power iteration on the Gram matrix. Deterministic start vector."""
-    n_rows = len(mat)
-    n_cols = len(mat[0]) if n_rows else 0
-    if n_rows == 0 or n_cols == 0:
-        return 0.0
-    # Gram on the smaller side.
-    if n_cols <= n_rows:
-        gram = [
-            [sum(mat[i][a] * mat[i][b] for i in range(n_rows)) for b in range(n_cols)]
-            for a in range(n_cols)
-        ]
-    else:
-        gram = [
-            [sum(mat[a][j] * mat[b][j] for j in range(n_cols)) for b in range(n_rows)]
-            for a in range(n_rows)
-        ]
-    dim = len(gram)
-    if all(gram[i][j] == 0.0 for i in range(dim) for j in range(dim)):
-        return 0.0
+    steps of power iteration on the Gram matrix CᵀC of C, taken on the
+    smaller side (C is transposed when it is wider than tall). Each step
+    makes one Gram product w = G·v and reads the Rayleigh quotient as v·w;
+    the next step advances from that w. An empty or all-zero matrix gives
+    a zero product on the first step and returns 0.0. Deterministic start
+    vector."""
+    if mat and len(mat[0]) > len(mat):
+        mat = list(zip(*mat))
+    dim = len(mat[0]) if mat else 0
+    gram = [[sum(row[a] * row[b] for row in mat) for b in range(dim)] for a in range(dim)]
+
+    def times_gram(u: list[float]) -> list[float]:
+        return [sum(g * x for g, x in zip(row, u)) for row in gram]
+
     # Index-skewed start breaks symmetry without randomness.
     v = [1.0 + 1e-3 * i for i in range(dim)]
     norm = sum(x * x for x in v) ** 0.5
-    v = [x / norm for x in v]
+    w = times_gram([x / norm for x in v])
     lam = 0.0
     for _ in range(400):
-        w = [sum(gram[i][j] * v[j] for j in range(dim)) for i in range(dim)]
         norm = sum(x * x for x in w) ** 0.5
         if norm == 0.0:
             return 0.0
         v = [x / norm for x in w]
-        new_lam = sum(v[i] * sum(gram[i][j] * v[j] for j in range(dim)) for i in range(dim))
+        w = times_gram(v)
+        new_lam = sum(x * y for x, y in zip(v, w))
         if abs(new_lam - lam) <= 1e-15 * max(1.0, abs(new_lam)):
             lam = new_lam
             break

@@ -718,9 +718,10 @@ def geometry__homomorphism(ctx: _Ctx):
             image = images[a.ticks] = geo_mod.sample_hom(emb, a)
         return image
 
-    dyads = tuple(1 << d for d in range(1, 5))
     grid = reg_mod.dyadic_grid_regopens(3, ctx.scale)
-    drawn = [reg_mod.random_regopen(rng, ctx.scale, denominators=dyads) for _ in range(2000)]
+    drawn = [
+        reg_mod.random_regopen(rng, ctx.scale, denominators=reg_mod.DYADIC_POOL) for _ in range(2000)
+    ]
     pairs = [(x, y) for x in grid for y in grid] + list(zip(drawn[::2], drawn[1::2]))
     bad = []
     for a, b in pairs:
@@ -781,8 +782,9 @@ def geometry__shrink_chains(ctx: _Ctx):
     bad = []
     family = reg_mod.dyadic_grid_regopens(3, ctx.scale)
     rng = ctx.rng("geometry.shrink")
-    dyads = (2, 4, 8, 16)
-    family += [reg_mod.random_regopen(rng, ctx.scale, denominators=dyads) for _ in range(40)]
+    family += [
+        reg_mod.random_regopen(rng, ctx.scale, denominators=reg_mod.DYADIC_POOL) for _ in range(40)
+    ]
     for a in family:
         if a.is_empty:
             continue
@@ -808,7 +810,7 @@ def geometry__monotone_limit(ctx: _Ctx):
         acc = reg_mod.make_regopen((), ctx.scale)
         rand_chain = []
         for _ in range(rng.randint(1, 6)):
-            acc = acc | reg_mod.random_regopen(rng, ctx.scale, denominators=(2, 4, 8, 16))
+            acc = acc | reg_mod.random_regopen(rng, ctx.scale, denominators=reg_mod.DYADIC_POOL)
             rand_chain.append(acc)
         if not geo_mod.monotone_limit_check(emb, rand_chain):
             bad.append("random chain equivalence fails")

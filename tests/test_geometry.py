@@ -28,6 +28,7 @@ from noise_lab.geometry import (
 )
 from noise_lab.config import load_config_dict, load_model_config
 from noise_lab.regopen import (
+    DYADIC_POOL,
     dyadic_grid_regopens,
     grid_scale,
     make_regopen,
@@ -412,7 +413,7 @@ def test_homomorphism_check_evaluates_each_distinct_element_once(monkeypatch):
     # and complements.
     rng = ctx.rng("geometry.hom")
     grid = dyadic_grid_regopens(3, ctx.scale)
-    drawn = [random_regopen(rng, ctx.scale, denominators=(2, 4, 8, 16)) for _ in range(2000)]
+    drawn = [random_regopen(rng, ctx.scale, denominators=DYADIC_POOL) for _ in range(2000)]
     pairs = [(a, b) for a in grid for b in grid] + list(zip(drawn[::2], drawn[1::2]))
     elements = {e for a, b in pairs for e in (a, b, a & b, a | b)}
     elements |= {~a for a in grid + drawn[::2]}

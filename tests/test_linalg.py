@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from noise_lab import linalg
@@ -220,3 +220,80 @@ SMALL_FRACTIONS = st.builds(F, st.integers(-4, 4), st.integers(1, 5))
 @given(_matrices(SMALL_INTS) | _matrices(SMALL_FRACTIONS))
 def test_rank_counts_the_pivots_of_rref(rows):
     assert linalg.rank(rows) == len(linalg.rref(rows)[1])
+
+
+def _spectral_norm_reference(mat):
+    """The written-out reference for linalg.spectral_norm: a Gram builder for
+    each side, early returns for an empty matrix and an all-zero Gram, and
+    two Gram products per step (one to advance, one for the Rayleigh
+    quotient)."""
+    n_rows = len(mat)
+    n_cols = len(mat[0]) if n_rows else 0
+    if n_rows == 0 or n_cols == 0:
+        return 0.0
+    if n_cols <= n_rows:
+        gram = [
+            [sum(mat[i][a] * mat[i][b] for i in range(n_rows)) for b in range(n_cols)]
+            for a in range(n_cols)
+        ]
+    else:
+        gram = [
+            [sum(mat[a][j] * mat[b][j] for j in range(n_cols)) for b in range(n_rows)]
+            for a in range(n_rows)
+        ]
+    dim = len(gram)
+    if all(gram[i][j] == 0.0 for i in range(dim) for j in range(dim)):
+        return 0.0
+    v = [1.0 + 1e-3 * i for i in range(dim)]
+    norm = sum(x * x for x in v) ** 0.5
+    v = [x / norm for x in v]
+    lam = 0.0
+    for _ in range(400):
+        w = [sum(gram[i][j] * v[j] for j in range(dim)) for i in range(dim)]
+        norm = sum(x * x for x in w) ** 0.5
+        if norm == 0.0:
+            return 0.0
+        v = [x / norm for x in w]
+        new_lam = sum(v[i] * sum(gram[i][j] * v[j] for j in range(dim)) for i in range(dim))
+        if abs(new_lam - lam) <= 1e-15 * max(1.0, abs(new_lam)):
+            lam = new_lam
+            break
+        lam = new_lam
+    return max(lam, 0.0) ** 0.5
+
+
+FLOAT_ENTRIES = st.floats(-2.0, 2.0) | st.integers(-3, 3).map(float) | st.just(0.0)
+
+
+def _float_matrices(min_side):
+    """Tall, wide and square matrices of up to 6 rows and 6 columns, with
+    small-integer entries and zeros mixed in; all-zero ones as well."""
+    shape = st.tuples(st.integers(min_side, 6), st.integers(min_side, 6))
+    return shape.flatmap(
+        lambda rc: st.lists(
+            st.lists(FLOAT_ENTRIES, min_size=rc[1], max_size=rc[1]), min_size=rc[0], max_size=rc[0]
+        )
+        | st.just([[0.0] * rc[1] for _ in range(rc[0])])
+    )
+
+
+# The near-degenerate mixed matrix of pairsum-2323: the reference stops at
+# the 400-step cap there.
+PAIRSUM_TIGHT = [[0.21295885499997996, 0.0], [0.0, 0.21213203435596426]]
+
+
+@settings(max_examples=400, derandomize=True)
+@given(_float_matrices(0))
+@example([])
+@example([[]])
+@example([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+@example(PAIRSUM_TIGHT)
+def test_spectral_norm_is_the_reference_bit_for_bit(mat):
+    assert linalg.spectral_norm(mat).hex() == _spectral_norm_reference(mat).hex()
+
+
+@settings(max_examples=200, derandomize=True)
+@given(_float_matrices(1).filter(lambda mat: len(mat) != len(mat[0])))
+def test_spectral_norm_of_the_transpose_is_the_same_bits(mat):
+    transpose = [list(col) for col in zip(*mat)]
+    assert linalg.spectral_norm(mat).hex() == linalg.spectral_norm(transpose).hex()
