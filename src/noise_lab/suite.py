@@ -26,7 +26,7 @@ from .boolalg import (
     iter_partitions_of_unity,
     random_partition_blocks,
 )
-from .config import ModelConfig, decimal12
+from .config import ModelConfig
 from .model import (
     RandomVariable,
     inner_product,
@@ -862,28 +862,3 @@ def run_verification_suite(cfg: ModelConfig, selection: str = "all") -> Report:
         report.results.append(check(ctx))
     return report
 
-
-SPECTRUM_HEADERS = ("atom", "dim", "canonical", "mass", "mass_decimal")
-
-
-def emit_spectrum_report(cfg: ModelConfig, values) -> list[tuple[str, ...]]:
-    """Rows of the per-atom spectral table for a vector given by its values:
-    atom label, multiplicity, canonical mass, spectral mass (exact fraction
-    where the backend is exact), and a 12-significant-digit decimal."""
-    model = cfg.build_model()
-    psi = model.from_values(values)
-    space = spec_mod.build_spectral_space(model)
-    masses = spec_mod.spectral_measure(model, psi)
-    rows = []
-    for i, atom in enumerate(space.atoms):
-        exact = str(masses[i]) if model.backend == "exact" else decimal12(masses[i])
-        rows.append(
-            (
-                repr(atom),
-                str(space.dims[i]),
-                str(space.measure[i]),
-                exact,
-                decimal12(masses[i]),
-            )
-        )
-    return rows

@@ -1,5 +1,5 @@
-"""The golden cases: `noise-lab verify` and `noise-lab chaos` arguments whose
-output is committed in ``tests/golden/``.
+"""The golden cases: `noise-lab verify`, `noise-lab chaos` and `noise-lab
+spectrum` arguments whose output is committed in ``tests/golden/``.
 
 ``tests/test_golden.py`` reads the tables below. Run as a script, this file
 regenerates every case with the standard library alone and compares the
@@ -47,6 +47,14 @@ CHAOS_CASES = {
     ],
 }
 
+# name -> spectrum arguments; the table is GOLDEN/<name>.txt and the --csv
+# file GOLDEN/<name>.csv. pairsum-2323-float.json is pairsum-2323.json on the
+# float backend.
+SPECTRUM_CASES = {
+    "two-coins-spectrum": ["examples/two-coins.json", "--vector", "demo"],
+    "pairsum-2323-float-spectrum": ["tests/golden/pairsum-2323-float.json", "--vector", "pairsum"],
+}
+
 
 def _run(argv: list[str]) -> tuple[int, bytes]:
     out = io.StringIO()
@@ -67,6 +75,13 @@ def mismatches() -> list[str]:
                 bad.append(f"{name}: text report differs")
             if report.read_bytes() != (GOLDEN / f"{name}.json").read_bytes():
                 bad.append(f"{name}: json report differs")
+        csv = Path(tmp) / "table.csv"
+        for name, args in sorted(SPECTRUM_CASES.items()):
+            code, text = _run(["spectrum", str(REPO / args[0]), *args[1:], "--csv", str(csv)])
+            if code != 0 or text != (GOLDEN / f"{name}.txt").read_bytes():
+                bad.append(f"{name}: spectrum table differs (exit {code})")
+            if csv.read_bytes() != (GOLDEN / f"{name}.csv").read_bytes():
+                bad.append(f"{name}: spectrum csv differs")
     for name, args in sorted(CHAOS_CASES.items()):
         code, text = _run(["chaos", str(REPO / args[0]), *args[1:]])
         if code != 0 or text != (GOLDEN / f"{name}.txt").read_bytes():
@@ -76,5 +91,5 @@ def mismatches() -> list[str]:
 
 if __name__ == "__main__":
     bad = mismatches()
-    print("\n".join(bad) or f"all {len(CASES) + len(CHAOS_CASES)} golden cases match")
+    print("\n".join(bad) or f"all {len(CASES) + len(CHAOS_CASES) + len(SPECTRUM_CASES)} golden cases match")
     sys.exit(1 if bad else 0)

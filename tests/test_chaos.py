@@ -13,6 +13,7 @@ from noise_lab.boolalg import (
 )
 from noise_lab.chaos import (
     Classification,
+    DefectCertificate,
     NotAdditiveError,
     additive_vector,
     atomless_defect,
@@ -181,6 +182,25 @@ def test_defect_bound_check_reports_each_cell_set_as_alone(rng):
         assert batch == [defect_bound_check(m, cert, [x])[0] for x in xs]
         assert all(rep.passed and rep.delta == cert.delta for rep in batch)
     assert defect_bound_check(m, cert, []) == []
+
+
+def test_defect_bound_check_gives_a_cell_set_and_its_complement_one_verdict(rng):
+    # The mixed matrix of ~x is that of x transposed, so `noise-lab chaos`
+    # bounds only the cell sets without the top cell. A delta below the true
+    # defect makes some cell sets fail, so both verdicts are compared.
+    verdicts = set()
+    for m in model_family(4, max_points=36):
+        psi = m.random_rv(rng, zero_mean=True)
+        delta_sq = norm_sq(m, psi) * F(rng.randint(1, 6), 12)
+        coeffs = tuple(walsh_decompose(m, psi))
+        cert = DefectCertificate(delta_sq=delta_sq, delta=math.sqrt(delta_sq), coeffs=coeffs)
+        xs = [BoolElem(mask, m.n_cells) for mask in range(1 << m.n_cells)]
+        reports = defect_bound_check(m, cert, xs + [x.complement() for x in xs])
+        for rep, co in zip(reports, reports[len(xs):]):
+            assert rep.passed == co.passed
+            assert math.isclose(rep.sigma_max, co.sigma_max, rel_tol=1e-12)
+            verdicts.add(rep.passed)
+    assert verdicts == {True, False}
 
 
 def test_split_check_examples(two_coins):

@@ -2,6 +2,8 @@ import ast
 import dataclasses
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -43,7 +45,7 @@ from noise_lab.suite import (
     run_verification_suite,
 )
 
-from conftest import CONFIGS, REPO
+from conftest import CONFIGS, REPO, cli_env
 
 F = Fraction
 # The grid of the elements made here; it holds the sample points of ``emb``.
@@ -51,6 +53,7 @@ L = grid_scale()
 EMPTY = make_regopen((), L)
 FULL = make_regopen([(0, 1)], L)
 SRC = REPO / "src" / "noise_lab"
+MODEL_SIDE = {"model", "chaos", "spectrum", "linalg", "suite", "config", "cli"}
 
 
 def inner_approx_detail(emb, r):
@@ -437,7 +440,16 @@ def test_regular_open_layer_imports_no_model_code(module):
                 imported.add(module.split(".")[-1])
         elif isinstance(node, ast.Import):
             imported.update(alias.name.split(".")[-1] for alias in node.names)
-    assert not imported & {"model", "chaos", "spectrum", "linalg", "suite"}
+    assert not imported & MODEL_SIDE
+
+
+@pytest.mark.parametrize("module", ["regopen", "geometry"])
+def test_regular_open_layer_loads_no_model_code(module):
+    # The source check above cannot see what the package root imports.
+    code = f"import sys, noise_lab.{module}; print(*sorted(sys.modules))"
+    run = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, env=cli_env(), check=True)
+    loaded = set(run.stdout.decode().split())
+    assert not loaded & {f"noise_lab.{name}" for name in MODEL_SIDE}
 
 
 def test_shrink_chain_properties(emb):

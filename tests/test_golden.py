@@ -1,10 +1,12 @@
-"""`noise-lab verify` reports, text and --json, and `noise-lab chaos` output,
-byte for byte against the committed files in ``tests/golden/``.
+"""`noise-lab verify` reports, text and --json, `noise-lab chaos` output and
+`noise-lab spectrum` tables, printed and --csv, byte for byte against the
+committed files in ``tests/golden/``.
 
 A change meant to keep behaviour (a refactor or a speed-up) must keep these
 bytes. A change meant to alter a report regenerates the affected files with
-the command in ``CASES`` or ``CHAOS_CASES`` (``golden_cases.py``, which
-also checks every case without pytest) and says so.
+the command in ``CASES``, ``CHAOS_CASES`` or ``SPECTRUM_CASES``
+(``golden_cases.py``, which also checks every case without pytest) and says
+so.
 """
 
 import sys
@@ -15,7 +17,7 @@ from noise_lab import boolalg, linalg
 from noise_lab.cli import main
 from noise_lab.config import ModelConfig
 
-from golden_cases import CASES, CHAOS_CASES, GOLDEN, REPO
+from golden_cases import CASES, CHAOS_CASES, GOLDEN, REPO, SPECTRUM_CASES
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -56,6 +58,15 @@ def test_chaos_output_matches_golden(name, capsys):
     args = CHAOS_CASES[name]
     assert main(["chaos", str(REPO / args[0]), *args[1:]]) == 0
     assert capsys.readouterr().out.encode("utf-8") == (GOLDEN / f"{name}.txt").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(SPECTRUM_CASES))
+def test_spectrum_table_matches_golden(name, tmp_path, capsys):
+    args = SPECTRUM_CASES[name]
+    csv = tmp_path / "table.csv"
+    assert main(["spectrum", str(REPO / args[0]), *args[1:], "--csv", str(csv)]) == 0
+    assert capsys.readouterr().out.encode("utf-8") == (GOLDEN / f"{name}.txt").read_bytes()
+    assert csv.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
 
 
 def _refuse_everywhere(monkeypatch, fn):

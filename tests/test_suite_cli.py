@@ -561,4 +561,12 @@ def test_cli_chaos_bounds_every_cell_set_in_one_call(monkeypatch, capsys):
     monkeypatch.setattr(chaos_mod, "defect_bound_check", count_calls)
     assert main(["chaos", str(FOUR_COINS), "--subalgebra", "blocks", "--vector", "pairsum"]) == 0
     assert "defect bound: pass (all cell sets)" in capsys.readouterr().out
-    assert calls == [list(range(16))]
+    # One cell set per complementary pair: the masks without the top cell.
+    assert calls == [list(range(8))]
+
+
+def test_cli_chaos_exits_1_when_the_defect_bound_fails(monkeypatch, capsys):
+    spectral_norm = linalg.spectral_norm
+    monkeypatch.setattr(linalg, "spectral_norm", lambda mat: 1e9 if mat else spectral_norm(mat))
+    assert main(["chaos", str(FOUR_COINS), "--subalgebra", "blocks", "--vector", "pairsum"]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "defect bound: FAIL at {0}"
