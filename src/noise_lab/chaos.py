@@ -78,7 +78,6 @@ class DefectBoundReport:
     sigma_max are within delta."""
 
     passed: bool
-    delta: float
     sigma_max: float
 
 
@@ -86,13 +85,6 @@ class Classification(enum.Enum):
     CLASSICAL = "classical"
     BLACK = "black"
     INTERMEDIATE = "intermediate"
-
-
-@dataclass(frozen=True)
-class ClassifyResult:
-    kind: Classification
-    degenerate: bool
-    dimension: int
 
 
 # -- first chaos and the additivity system ---------------------------------
@@ -236,7 +228,7 @@ def defect_bound_check(
             mat[row_pos[j]][col_pos[k]] = float(c) * math.sqrt(float(norms[j]) * float(norms[k]))
         sigma = linalg.spectral_norm(mat)
         reports.append(
-            DefectBoundReport(passed=entrywise and sigma <= delta + FLOAT_TOL, delta=delta, sigma_max=sigma)
+            DefectBoundReport(passed=entrywise and sigma <= delta + FLOAT_TOL, sigma_max=sigma)
         )
     return reports
 
@@ -341,18 +333,13 @@ def sigma_field_generated(
     return tuple(tuple(b) for b in blocks.values())
 
 
-def classify(model: NoiseModel, basis: tuple[RandomVariable, ...]) -> ClassifyResult:
+def classify(model: NoiseModel, basis: tuple[RandomVariable, ...]) -> Classification:
     """Classical when the first chaos (the basis from first_chaos_basis)
-    separates all points; black when it is trivial. A zero-cell model is
-    black only by letter and is flagged degenerate rather than reported as a
-    genuine example."""
+    separates all points; black when it is trivial. Every cell has k >= 2,
+    so the first chaos of a product is trivial only on zero cells, where it
+    is black by letter alone; callers flag that case as degenerate."""
     if not basis:
-        return ClassifyResult(
-            kind=Classification.BLACK, degenerate=model.n_cells == 0, dimension=0
-        )
-    kind = (
-        Classification.CLASSICAL
-        if len(sigma_field_generated(model, basis)) == model.n_points
-        else Classification.INTERMEDIATE
-    )
-    return ClassifyResult(kind=kind, degenerate=False, dimension=len(basis))
+        return Classification.BLACK
+    if len(sigma_field_generated(model, basis)) == model.n_points:
+        return Classification.CLASSICAL
+    return Classification.INTERMEDIATE

@@ -2,8 +2,9 @@
 
 Exit codes: 0 all checks pass, 1 at least one failure, 2 input error
 (including a config that `chaos` or `spectrum` refuses for its backend or
-size, and an output path that cannot be written, which is refused before
-any check runs), 3 a check was skipped while --strict was requested.
+size, an output path that cannot be written, which is refused before any
+check runs, and a value beyond the float range), 3 a check was skipped
+while --strict was requested.
 """
 
 from __future__ import annotations
@@ -15,8 +16,13 @@ import sys
 from . import chaos as chaos_mod
 from . import spectrum as spec_mod
 from .boolalg import BoolElem, Subalgebra
-from .config import decimal12, load_model_config
+from .config import load_model_config
 from .suite import EXACT_CAP, GROUPS, run_verification_suite, skip_reason
+
+
+def decimal12(x) -> str:
+    """12 significant digits, for the human/CSV renderings."""
+    return f"{float(x):.12g}"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -99,8 +105,8 @@ def _cmd_spectrum(args) -> int:
     mass = str if model.backend == "exact" else decimal12
     headers = ("atom", "dim", "canonical", "mass", "mass_decimal")
     rows = [
-        (repr(atom), str(dim), str(canonical), mass(m), decimal12(m))
-        for atom, dim, canonical, m in zip(space.atoms, space.dims, space.measure, masses)
+        (repr(BoolElem(a, model.n_cells)), str(dim), str(canonical), mass(m), decimal12(m))
+        for a, (dim, canonical, m) in enumerate(zip(space.dims, space.measure, masses))
     ]
     widths = [max(len(h), *(len(r[c]) for r in rows)) for c, h in enumerate(headers)]
     out = ["  ".join(h.ljust(widths[c]) for c, h in enumerate(headers))]
@@ -124,11 +130,10 @@ def _cmd_chaos(args) -> int:
     worst = None
     model = cfg.build_model()
     basis = chaos_mod.first_chaos_basis(model)
-    result = chaos_mod.classify(model, basis)
+    kind = chaos_mod.classify(model, basis)
     lines = [
         f"first-chaos dimension: {len(basis)}",
-        f"classification: {result.kind.value}"
-        + (" (degenerate)" if result.degenerate else ""),
+        f"classification: {kind.value}" + (" (degenerate)" if n == 0 else ""),
     ]
     if args.vector is not None:
         psi = model.from_values(values)
@@ -164,6 +169,9 @@ def main(argv=None) -> int:
             return _cmd_spectrum(args)
         if args.command == "chaos":
             return _cmd_chaos(args)
+    except OverflowError as exc:
+        print(f"input error: a value is beyond the float range ({exc})", file=sys.stderr)
+        return 2
     except ValueError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

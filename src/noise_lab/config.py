@@ -47,7 +47,7 @@ def parse_fraction(raw, path: str) -> Fraction:
 @dataclass(frozen=True)
 class ModelConfig:
     cells: tuple[Cell, ...]
-    subalgebras: tuple[tuple[str, tuple[tuple[int, ...], ...]], ...] = ()
+    subalgebras: tuple[tuple[str, Subalgebra], ...] = ()
     vectors: tuple[tuple[str, tuple[Fraction, ...]], ...] = ()
     embedding: Embedding | None = None
     backend: str = "exact"
@@ -74,11 +74,9 @@ class ModelConfig:
         return NoiseModel(self.cells, backend=self.backend)
 
     def subalgebra(self, name: str) -> Subalgebra:
-        for key, blocks in self.subalgebras:
+        for key, sub in self.subalgebras:
             if key == name:
-                return Subalgebra(
-                    self.n_cells, tuple(BoolElem.from_indices(b, self.n_cells) for b in blocks)
-                )
+                return sub
         raise ConfigError(f"unknown subalgebra {name!r}", "subalgebras")
 
     def vector(self, name: str) -> tuple[Fraction, ...]:
@@ -147,19 +145,19 @@ def load_config_dict(data: dict) -> ModelConfig:
         spath = f"subalgebras.{name}"
         if not isinstance(blocks, list) or not all(isinstance(b, list) for b in blocks):
             raise ConfigError("blocks must be a list of index lists", spath)
-        seen: set[int] = set()
+        # from_indices checks the range and Subalgebra the blocks; neither sees
+        # a non-int index or one repeated in a block, which from_indices ORs away.
         for b in blocks:
             for i in b:
-                if type(i) is not int or not 0 <= i < n:
+                if type(i) is not int:
                     raise ConfigError(f"cell index {i!r} out of range", spath)
-                if i in seen:
-                    raise ConfigError(f"cell index {i!r} repeated across blocks", spath)
-                seen.add(i)
-            if not b:
-                raise ConfigError("empty block", spath)
-        if seen != set(range(n)):
-            raise ConfigError("blocks do not cover all cells", spath)
-        subalgebras.append((name, tuple(tuple(b) for b in blocks)))
+            if len(set(b)) != len(b):
+                raise ConfigError("cell index repeated within a block", spath)
+        try:
+            sub = Subalgebra(n, tuple(BoolElem.from_indices(b, n) for b in blocks))
+        except ValueError as exc:
+            raise ConfigError(str(exc), spath) from exc
+        subalgebras.append((name, sub))
 
     vectors = []
     for name, values in _named(data, "vectors"):
@@ -214,32 +212,3 @@ def load_model_config(path: str) -> ModelConfig:
             f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
     return load_config_dict(data)
-
-
-def emit_config_dict(cfg: ModelConfig) -> dict:
-    """Canonical JSON form; loading it back reproduces the config exactly."""
-    data: dict = {
-        "cells": [
-            {"k": c.k, "probs": [str(p) for p in c.probs]} for c in cfg.cells
-        ]
-    }
-    if cfg.subalgebras:
-        data["subalgebras"] = {
-            name: [list(b) for b in blocks] for name, blocks in cfg.subalgebras
-        }
-    if cfg.vectors:
-        data["vectors"] = {
-            name: [str(v) for v in values] for name, values in cfg.vectors
-        }
-    if cfg.embedding is not None:
-        data["embedding"] = {
-            "sample_points": [str(t) for t in cfg.embedding.sample_points]
-        }
-    data["backend"] = cfg.backend
-    data["seed"] = cfg.seed
-    return data
-
-
-def decimal12(x) -> str:
-    """12 significant digits, for the human/CSV renderings."""
-    return f"{float(x):.12g}"

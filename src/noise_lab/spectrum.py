@@ -29,11 +29,10 @@ from .model import NoiseModel, RandomVariable, support_masses, walsh_decompose
 
 @dataclass(frozen=True)
 class SpectralSpace:
-    """Atoms are the supports, one per cell subset in increasing mask order,
-    so atom i has mask i and per-atom tuples are indexed by mask."""
+    """Atoms are the supports, one per cell subset; an atom is its mask, and
+    the per-atom tuples are indexed by mask."""
 
     model: NoiseModel
-    atoms: tuple[BoolElem, ...]
     dims: tuple[int, ...]
     measure: tuple[Fraction, ...]
 
@@ -48,10 +47,9 @@ def build_spectral_space(model: NoiseModel) -> SpectralSpace:
     the product of (k_i - 1) over the support; the suite check
     spectrum.independence compares both with the cells."""
     counts = Counter(model.support_masks)
-    atoms = tuple(BoolElem(m, model.n_cells) for m in sorted(counts))
-    dims = tuple(counts[a.mask] for a in atoms)
+    dims = tuple(counts[m] for m in range(1 << model.n_cells))
     measure = tuple(Fraction(d, model.n_points) for d in dims)
-    return SpectralSpace(model=model, atoms=atoms, dims=dims, measure=measure)
+    return SpectralSpace(model=model, dims=dims, measure=measure)
 
 
 def _require_same_algebra(space: SpectralSpace, x: BoolElem) -> None:
@@ -75,7 +73,7 @@ def subspace_of_event(space: SpectralSpace, event) -> tuple[int, ...]:
     """The subspace of an event (a set of atom masks), as the flat indices
     of the basis vectors whose support is in the event; they span it."""
     members = frozenset(event)
-    if not members <= frozenset(range(len(space.atoms))):
+    if not members <= frozenset(range(len(space.dims))):
         raise ValueError("event contains unknown atoms")
     return tuple(idx for idx, m in enumerate(space.model.support_masks) if m in members)
 
@@ -83,7 +81,7 @@ def subspace_of_event(space: SpectralSpace, event) -> tuple[int, ...]:
 def _partition(space: SpectralSpace, key) -> frozenset[frozenset[int]]:
     """The atoms grouped into blocks by the value of key(mask)."""
     blocks: dict[object, list[int]] = {}
-    for m in range(len(space.atoms)):
+    for m in range(len(space.dims)):
         blocks.setdefault(key(m), []).append(m)
     return frozenset(frozenset(b) for b in blocks.values())
 

@@ -247,11 +247,12 @@ def _check(**needs):
 @_check(points=EXACT_CAP)
 def laws__projection_lattice(ctx: _Ctx):
     rng = ctx.rng("laws.lattice")
-    rep = verify_projection_laws(ctx.model, ctx.elements(rng), rng)
+    elements = ctx.elements(rng)
+    rep = verify_projection_laws(ctx.model, elements, rng)
     wit = list(rep.failures)
     if rep.strict_superadditivity_witness:
         wit.insert(0, "strict superadditivity: " + rep.strict_superadditivity_witness)
-    return f"{rep.pairs_checked} pairs", wit, rep.passed
+    return f"{len(elements) ** 2} pairs", wit, not rep.failures
 
 
 @_check(points=EXACT_CAP)
@@ -381,11 +382,11 @@ def chaos__first_chaos(ctx: _Ctx):
 @_check(exact=True, points=ELIMINATION_CAP)
 def chaos__classification(ctx: _Ctx):
     m = ctx.model
-    res = chaos_mod.classify(m, ctx.chaos)
-    if res.degenerate:
-        return "degenerate zero-cell model", (f"kind={res.kind.value} (flagged degenerate)",), True
-    ok = res.kind is chaos_mod.Classification.CLASSICAL
-    return f"kind={res.kind.value}, dim={res.dimension}", [] if ok else [f"kind={res.kind.value}"], ok
+    kind = chaos_mod.classify(m, ctx.chaos)
+    if m.n_cells == 0:
+        return "degenerate zero-cell model", (f"kind={kind.value} (flagged degenerate)",), True
+    ok = kind is chaos_mod.Classification.CLASSICAL
+    return f"kind={kind.value}, dim={len(ctx.chaos)}", [] if ok else [f"kind={kind.value}"], ok
 
 
 @_check(exact=True, points=ELIMINATION_CAP)
@@ -466,7 +467,7 @@ def chaos__defect_bound(ctx: _Ctx):
                 bad.append(f"b={blocks}: delta^2={cert.delta_sq} != least part-mass {least}")
         (rep,) = chaos_mod.defect_bound_check(m, cert, [x])
         if not rep.passed:
-            bad.append(f"x={x} sigma={rep.sigma_max} delta={rep.delta}")
+            bad.append(f"x={x} sigma={rep.sigma_max} delta={cert.delta}")
     return "25 randomized (psi, b, x) cases", bad, not bad
 
 
@@ -527,7 +528,7 @@ def spectrum__event_subspaces(ctx: _Ctx):
     m = ctx.model
     space = ctx.space
     rng = ctx.rng("spectrum.events")
-    atoms = [a.mask for a in space.atoms]
+    atoms = range(len(space.dims))
     bad = []
     for _ in range(10):
         e1 = frozenset(a for a in atoms if rng.random() < 0.5)
@@ -589,12 +590,11 @@ def spectrum__independence(ctx: _Ctx):
     rng = ctx.rng("spectrum.indep")
     elements = ctx.elements(rng, sample=8)
     bad = []
-    # The canonical measure is a product because the atoms are the cell
-    # subsets and each multiplicity factors over the cells.
-    factored = tuple(math.prod(space.model.radices[i] - 1 for i in a.indices()) for a in space.atoms)
-    if [a.mask for a in space.atoms] != list(range(1 << space.n)):
-        bad.append("supports are not exactly the cell subsets")
-    elif space.dims != factored:
+    # The canonical measure is a product: each cell subset's multiplicity
+    # factors over its cells (a missing subset has 0, below every product).
+    subsets = (BoolElem(a, space.n).indices() for a in range(1 << space.n))
+    factored = tuple(math.prod(space.model.radices[i] - 1 for i in s) for s in subsets)
+    if space.dims != factored:
         bad.append("support multiplicity does not factor over cells")
     for x in elements:
         if not spec_mod.verify_independence(space, x, x.complement()):
@@ -644,7 +644,7 @@ def regopen__laws(ctx: _Ctx):
     rep = reg_mod.verify_reg_laws(ctx.rng("regopen.laws"), ctx.scale)
     strict = rep.join_strict_witnesses + rep.meet_strict_witnesses
     wit = [f"strict inclusion: {w}" for w in strict] + list(rep.failures)
-    return f"{rep.checked} pairs", wit, rep.passed
+    return f"{rep.checked} pairs", wit, not rep.failures
 
 
 @_check()

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from noise_lab.boolalg import BoolElem, Subalgebra
-from noise_lab.model import Cell, NoiseModel, fair_coin, uniform_cell
+from noise_lab.model import Cell, NoiseModel
 
 REPO = Path(__file__).resolve().parent.parent
 # The configs the suite tests run on: two exact examples, an exact model with
@@ -26,6 +26,25 @@ def cli_env() -> dict[str, str]:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(REPO / "src"), env.get("PYTHONPATH"))))
     return env
+
+
+def fair_coin() -> Cell:
+    return Cell((Fraction(1, 2), Fraction(1, 2)))
+
+
+def uniform_cell(k: int) -> Cell:
+    return Cell(tuple(Fraction(1, k) for _ in range(k)))
+
+
+def is_full(r) -> bool:
+    """Whether the regular open r is all of [0,1]."""
+    return r.ticks == ((0, r.scale),)
+
+
+def contains_closure(r, t: Fraction) -> bool:
+    """Whether the rational t lies in the closure of r: the per-point
+    reference for RegOpen.closure_mask."""
+    return any(a <= t <= b for a, b in r.intervals)
 
 
 def sign_rv(model, cell):

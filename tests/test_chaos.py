@@ -32,15 +32,15 @@ from noise_lab.chaos import (
 from noise_lab.model import (
     NoiseModel,
     expectation,
-    fair_coin,
     norm_sq,
     project,
     sigma_field_of,
-    uniform_cell,
     walsh_decompose,
 )
 
-from conftest import block_subalgebra, full_subalgebra, model_family, point_index, sign_rv
+from conftest import (
+    block_subalgebra, fair_coin, full_subalgebra, model_family, point_index, sign_rv, uniform_cell,
+)
 
 F = Fraction
 
@@ -146,7 +146,6 @@ def test_defect_bound_tight_case(four_coins):
     x = BoolElem.from_indices([0, 2], 4)
     (rep,) = defect_bound_check(m, atomless_defect(m, psi, blocks), [x])
     assert rep.passed
-    assert rep.delta == 1.0
     # Attained with equality: the mixed moment against r_0, r_1 is exactly 1.
     assert abs(rep.sigma_max - 1.0) < 1e-9
     from noise_lab.model import expectation
@@ -180,7 +179,7 @@ def test_defect_bound_check_reports_each_cell_set_as_alone(rng):
         xs = [BoolElem(mask, 4) for mask in range(16)]
         batch = defect_bound_check(m, cert, xs)
         assert batch == [defect_bound_check(m, cert, [x])[0] for x in xs]
-        assert all(rep.passed and rep.delta == cert.delta for rep in batch)
+        assert all(rep.passed for rep in batch)
     assert defect_bound_check(m, cert, []) == []
 
 
@@ -341,14 +340,9 @@ def test_split_iff_product_exhaustive(coin_and_triple):
 
 
 def test_classify_examples(two_coins):
-    res = classify(two_coins, first_chaos_basis(two_coins))
-    assert res.kind is Classification.CLASSICAL
-    assert not res.degenerate
-
+    assert classify(two_coins, first_chaos_basis(two_coins)) is Classification.CLASSICAL
     m0 = NoiseModel([])
-    res0 = classify(m0, first_chaos_basis(m0))
-    assert res0.kind is Classification.BLACK
-    assert res0.degenerate
+    assert classify(m0, first_chaos_basis(m0)) is Classification.BLACK
 
 
 def test_classify_random_models_classical(rng):
@@ -364,8 +358,7 @@ def test_classify_random_models_classical(rng):
             else:
                 cells.append(Cell((F(1, 6), F(1, 3), F(1, 2))))
         m = NoiseModel(cells)
-        res = classify(m, first_chaos_basis(m))
-        assert res.kind is Classification.CLASSICAL
+        assert classify(m, first_chaos_basis(m)) is Classification.CLASSICAL
 
 
 def test_sigma_field_generated(two_coins):

@@ -1,13 +1,11 @@
 import dataclasses
-import json
 from fractions import Fraction
 
 import pytest
 
+from noise_lab.cli import decimal12
 from noise_lab.config import (
     ConfigError,
-    decimal12,
-    emit_config_dict,
     load_config_dict,
     load_model_config,
     parse_fraction,
@@ -79,7 +77,7 @@ def test_semantic_errors_with_paths():
         load_config_dict({"cells": TWO_COINS["cells"], "vectors": {"v": ["1", "2"]}})
     with pytest.raises(ConfigError, match="cover"):
         load_config_dict({"cells": TWO_COINS["cells"], "subalgebras": {"s": [[0]]}})
-    with pytest.raises(ConfigError, match="repeated"):
+    with pytest.raises(ConfigError, match="repeated within a block"):
         load_config_dict({"cells": TWO_COINS["cells"], "subalgebras": {"s": [[0, 0], [1]]}})
     with pytest.raises(ConfigError, match="backend"):
         load_config_dict({"cells": TWO_COINS["cells"], "backend": "quantum"})
@@ -129,6 +127,13 @@ def test_named_fields_must_be_objects(key, raw):
     assert info.value.path == key
 
 
+@pytest.mark.parametrize("blocks", [[[0, 5], [1]], [[0, 1], [1]], [[0, 0], [1]], [[], [0, 1]], [[0]]])
+def test_subalgebra_refusals_keep_their_field_path(blocks):
+    with pytest.raises(ConfigError) as info:
+        load_config_dict({"cells": TWO_COINS["cells"], "subalgebras": {"s": blocks}})
+    assert info.value.path == "subalgebras.s"
+
+
 def test_string_cell_index_reads_as_a_string():
     with pytest.raises(ConfigError, match=r"^subalgebras\.s: cell index '1' out of range"):
         load_config_dict({"cells": TWO_COINS["cells"], "subalgebras": {"s": [["1"], [0]]}})
@@ -144,17 +149,6 @@ def test_parse_error_reports_position(tmp_path):
 def test_missing_file():
     with pytest.raises(ConfigError, match="cannot read"):
         load_model_config("/nonexistent/config.json")
-
-
-def test_round_trip_lossless(tmp_path):
-    cfg = load_config_dict(TWO_COINS)
-    emitted = emit_config_dict(cfg)
-    again = load_config_dict(emitted)
-    assert again == cfg
-    # through a file as well
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(emitted))
-    assert load_model_config(str(path)) == cfg
 
 
 def test_defaults():

@@ -407,7 +407,7 @@ ROWS = {
     ),
     # Only the full element has the discrete partition.
     "sigma_x_generated is the discrete partition": Row(
-        plant(lambda sp, x: frozenset(frozenset([a.mask]) for a in sp.atoms), "spectrum.sigma_x_generated"),
+        plant(lambda sp, x: frozenset(frozenset([m]) for m in range(len(sp.dims))), "spectrum.sigma_x_generated"),
         on(CONFIGS, "spectrum.sigma_lattice"),
         {
             "two-coins": (

@@ -45,7 +45,7 @@ from noise_lab.suite import (
     run_verification_suite,
 )
 
-from conftest import CONFIGS, REPO, cli_env
+from conftest import CONFIGS, REPO, cli_env, contains_closure
 
 F = Fraction
 # The grid of the elements made here; it holds the sample points of ``emb``.
@@ -394,7 +394,7 @@ def test_boundary_dichotomy_random(emb, rng):
         assert rep.boundary_hits == tuple(
             i
             for i, t in enumerate(emb.sample_points)
-            if r.contains_closure(t) and not r.contains_interior(t)
+            if contains_closure(r, t) and not r.contains_interior(t)
         )
         if rep.holds:
             assert ~rep.inner == rep.outer
@@ -528,7 +528,7 @@ def _identity_by_atoms(emb, a):
     rhs = {
         m
         for m in range(1 << emb.n)
-        if all(a.contains_closure(t) for t in _closed_set(emb, BoolElem(m, emb.n)))
+        if all(contains_closure(a, t) for t in _closed_set(emb, BoolElem(m, emb.n)))
     }
     return lhs == rhs
 
@@ -538,7 +538,7 @@ def _uncovered_by_atoms(emb, chain):
     for m in range(1 << emb.n):
         atom = BoolElem(m, emb.n)
         pts = _closed_set(emb, atom)
-        if not any(all(a.contains_closure(t) for t in pts) for a in chain):
+        if not any(all(contains_closure(a, t) for t in pts) for a in chain):
             out.append(atom)
     return out
 
@@ -554,7 +554,7 @@ def _dichotomy_witness_by_atoms(emb, r):
     for m in range(1, 1 << emb.n):
         atom = BoolElem(m, emb.n)
         pts = _closed_set(emb, atom)
-        if any(r.contains_closure(t) and not r.contains_interior(t) for t in pts):
+        if any(contains_closure(r, t) and not r.contains_interior(t) for t in pts):
             return atom
     return None
 

@@ -31,8 +31,8 @@ F = Fraction
 def reference_sigma_x(space, x):
     """Atoms grouped by their trace on x, blocks sorted by their smallest atom."""
     by_trace = {}
-    for atom in space.atoms:
-        by_trace.setdefault(atom.mask & x.mask, set()).add(atom.mask)
+    for m in range(len(space.dims)):
+        by_trace.setdefault(m & x.mask, set()).add(m)
     return tuple(sorted((frozenset(v) for v in by_trace.values()), key=min))
 
 
@@ -59,7 +59,7 @@ def reference_independence(space, x, y):
             if mass(a & b) != mass(a) * mass(b):
                 return False
     if y.mask == x.complement().mask:
-        discrete = {frozenset([a.mask]) for a in space.atoms}
+        discrete = {frozenset([m]) for m in range(len(space.dims))}
         if set(reference_refine(px, py)) != discrete:
             return False
     return True
@@ -92,14 +92,13 @@ def moved_mass(space, src, dst, eps):
 
 def test_spectral_space_two_coins(two_coins):
     sp = build_spectral_space(two_coins)
-    assert [a.mask for a in sp.atoms] == [0, 1, 2, 3]
     assert sp.dims == (1, 1, 1, 1)
     assert sp.measure == (F(1, 4),) * 4
 
 
 def test_spectral_space_mixed(coin_and_triple):
     sp = build_spectral_space(coin_and_triple)
-    by_mask = dict(zip((a.mask for a in sp.atoms), sp.dims))
+    by_mask = dict(enumerate(sp.dims))
     assert by_mask == {0: 1, 1: 1, 2: 2, 3: 2}
     assert sum(sp.measure, F(0)) == 1
     assert sp.measure[2] == F(2, 6)
@@ -107,7 +106,7 @@ def test_spectral_space_mixed(coin_and_triple):
 
 def test_spectral_space_zero_cells():
     sp = build_spectral_space(NoiseModel([]))
-    assert len(sp.atoms) == 1
+    assert sp.dims == (1,)
     assert sp.measure == (F(1),)
 
 
@@ -207,7 +206,7 @@ def test_independence_examples(two_coins, coin_and_triple):
     # Non-uniform multiplicities: weights 1/2 and 2/3 per cell.
     sp2 = build_spectral_space(coin_and_triple)
     assert verify_independence(sp2, BoolElem(1, 2), BoolElem(2, 2))
-    mu = dict(zip((a.mask for a in sp2.atoms), sp2.measure))
+    mu = sp2.measure
     assert mu[1] + mu[3] == F(1, 2)      # cell 0 in the support
     assert mu[2] + mu[3] == F(2, 3)      # cell 1 in the support
     assert mu[3] == F(1, 2) * F(2, 3)    # product structure
@@ -225,7 +224,7 @@ def test_spectral_filters(two_coins):
     # filter {x : s <= x}; the empty atom's is improper (every element).
     sp = build_spectral_space(two_coins)
     elements = [BoolElem(m, 2) for m in range(4)]
-    for s in sp.atoms:
+    for s in elements:
         spectral = {x.mask for x in elements if s.mask in spectral_set(sp, x)}
         assert spectral == {x.mask for x in elements if s.le(x)}
     assert {x.mask for x in elements if 0 in spectral_set(sp, x)} == {0, 1, 2, 3}
@@ -296,13 +295,13 @@ def test_trace_partitions_agree_with_the_block_pair_reference():
         sp = build_spectral_space(NoiseModel(cells))
         elements = [BoolElem(mask, n) for mask in range(1 << n)]
         for x in elements:
-            assert spectral_set(sp, x) == {a.mask for a in sp.atoms if a.le(x)}
+            assert spectral_set(sp, x) == {a.mask for a in elements if a.le(x)}
             assert sigma_x(sp, x) == set(reference_sigma_x(sp, x))
             assert check_atom_of_sigma_x(sp, x)
             for y in elements:
                 assert verify_sigma_join(sp, x, y) == reference_sigma_join(sp, x, y)
         # The canonical measure, then eps moved between two random atoms.
-        n_atoms = len(sp.atoms)
+        n_atoms = len(sp.dims)
         spaces = [sp] + [
             moved_mass(sp, rng.randrange(n_atoms), rng.randrange(n_atoms), F(1, 97))
             for _ in range(2)

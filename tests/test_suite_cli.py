@@ -492,6 +492,19 @@ def test_cli_unwritable_output_path_is_an_input_error(argv, tmp_path, capsys):
     assert err[0].startswith(f"input error: cannot write {path}: ")
 
 
+@pytest.mark.parametrize("command", ["chaos", "spectrum"])
+def test_cli_float_overflow_is_an_input_error(command, tmp_path, capsys):
+    # delta and the decimal mass column are floats; 10^800 is beyond them.
+    cfg = tmp_path / "huge.json"
+    cfg.write_text(json.dumps({"cells": [COIN], "vectors": {"v": ["-1" + "0" * 400, "1" + "0" * 400]}}))
+    assert main([command, str(cfg), "--vector", "v"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("input error: a value is beyond the float range")
+
+
 def test_cli_chaos_resolves_the_subalgebra_without_a_vector(capsys):
     assert main(["chaos", str(FOUR_COINS), "--subalgebra", "ghost"]) == 2
     assert "unknown subalgebra 'ghost'" in capsys.readouterr().err
