@@ -94,12 +94,12 @@ def _load_admitted(path, **needs):
 def _cmd_spectrum(args) -> int:
     cfg = _load_admitted(args.config, points=EXACT_CAP)
     values = cfg.vector(args.vector)
-    if args.csv:
-        _write(args.csv, "")  # refuse an unwritable path before the report is built
     # One row per atom: label, multiplicity, canonical mass, spectral mass
     # (an exact fraction on the exact backend) and a 12-digit decimal.
     model = cfg.build_model()
     psi = model.from_values(values)
+    if args.csv:
+        _write(args.csv, "")  # refuse an unwritable path before the report is built
     space = spec_mod.build_spectral_space(model)
     masses = spec_mod.spectral_measure(model, psi)
     mass = str if model.backend == "exact" else decimal12

@@ -251,19 +251,8 @@ class BoundaryDichotomyReport:
     boundary_hits: tuple[int, ...]
 
     @property
-    def join(self) -> BoolElem:
-        return self.inner | self.outer
-
-    @property
     def holds(self) -> bool:
-        return self.join.is_one
-
-    @property
-    def witness_atom(self) -> BoolElem | None:
-        # An atom's closed set meets the boundary exactly when it names a
-        # hit, so the lowest such atom is the lowest hit on its own.
-        hits = self.boundary_hits
-        return BoolElem(1 << hits[0], self.inner.n) if hits else None
+        return (self.inner | self.outer).is_one
 
 
 def boundary_dichotomy(emb: Embedding, r: RegOpen) -> BoundaryDichotomyReport:

@@ -28,12 +28,14 @@ endpoints of the elements it touches, with 0 and 1, cut [0,1] into open
 cells; a canonical element is the regularized union of the cells it holds,
 so ``cell_mask`` is one-to-one. Meet, join, complement and ``le`` must be
 AND, OR, NOT and subset on the masks: on the 630 pairs of single intervals
-on the eighths and 1000 random pairs, each in both orders, and on the 256
-ordered pairs of the 16-element depth-2 cell algebra, where that makes every
-Boolean law hold. The strictness witnesses are read off the cell masks.
+on the eighths and 1000 random pairs, each in both orders. The strictness
+witnesses are read off the cell masks.
 
-A brute-force twin for finite topological spaces is included, with the
-quotient of the interval that cross-checks the two.
+A brute-force twin for finite topological spaces is included:
+``FiniteSpace`` has the regular-open join and complement (meet is ``&``)
+and ``finite_space_regopen`` enumerates its regular opens. The quotient of
+the interval by a dyadic grid cross-checks the two; at depth 2 that is the
+whole 16-element cell algebra (see the suite check ``regopen.finite_spaces``).
 """
 
 from __future__ import annotations
@@ -373,17 +375,6 @@ def verify_reg_laws(rng, scale: int, iterations: int = 1000) -> RegLawReport:
     for (r, mr), (s, ms) in combinations(zip(family, masks(family, cuts)), 2):
         run_pair(r, s, mr, ms, cuts)
 
-    # The 16 elements map one-to-one onto the subsets of the four cells and
-    # every operation follows the map, so they form a Boolean algebra: every
-    # associative, distributive, De Morgan and absorption law holds on them.
-    cuts = range(0, scale + 1, to_ticks(1, 4, scale))
-    algebra = dyadic_cell_unions(2, scale)
-    if list(masks(algebra, cuts)) != list(range(16)):
-        failures.append("the depth-2 cell unions do not hold their cells")
-    else:
-        for (mr, r), (ms, s) in product(enumerate(algebra), repeat=2):
-            homomorphism(r, s, mr, ms, r & s, r | s, cuts)
-
     for _ in range(iterations):
         r = random_regopen(rng, scale)
         s = random_regopen(rng, scale)
@@ -423,53 +414,43 @@ class FiniteSpace:
         pts = frozenset(self.points)
         return pts - self.interior(pts - a)
 
-
-@dataclass(frozen=True)
-class FiniteRegAlgebra:
-    space: FiniteSpace
-    elements: tuple[frozenset, ...]
-
-    def meet(self, g1: frozenset, g2: frozenset) -> frozenset:
-        return g1 & g2
-
+    # The regular-open operations; meet is intersection (``&``).
     def join(self, g1: frozenset, g2: frozenset) -> frozenset:
-        return self.space.interior(self.space.closure(g1) | self.space.closure(g2))
+        return self.interior(self.closure(g1) | self.closure(g2))
 
     def complement(self, g: frozenset) -> frozenset:
-        return frozenset(self.space.points) - self.space.closure(g)
+        return frozenset(self.points) - self.closure(g)
 
-    def verify_laws(self) -> list[str]:
+    def verify_laws(self, elems: tuple[frozenset, ...]) -> list[str]:
+        """The Boolean-algebra laws on the given regular opens."""
         failures = []
-        pts = frozenset(self.space.points)
-        elems = self.elements
+        pts = frozenset(self.points)
         for g in elems:
-            if self.space.interior(self.space.closure(g)) != g:
+            if self.interior(self.closure(g)) != g:
                 failures.append(f"not regular: {sorted(g)}")
-            if self.meet(g, self.complement(g)) != frozenset():
+            if g & self.complement(g) != frozenset():
                 failures.append(f"complement meet fails: {sorted(g)}")
             if self.join(g, self.complement(g)) != pts:
                 failures.append(f"complement join fails: {sorted(g)}")
             if self.complement(self.complement(g)) != g:
                 failures.append(f"double complement fails: {sorted(g)}")
         for g1, g2 in product(elems, repeat=2):
-            if self.meet(g1, g2) not in elems or self.join(g1, g2) not in elems:
+            if g1 & g2 not in elems or self.join(g1, g2) not in elems:
                 failures.append(f"not closed under ops: {sorted(g1)}, {sorted(g2)}")
-            if self.complement(self.meet(g1, g2)) != self.join(
-                self.complement(g1), self.complement(g2)
-            ):
+            if self.complement(g1 & g2) != self.join(self.complement(g1), self.complement(g2)):
                 failures.append(f"de morgan fails: {sorted(g1)}, {sorted(g2)}")
         for g1, g2, g3 in product(elems, repeat=3):
-            if self.meet(g1, self.join(g2, g3)) != self.join(self.meet(g1, g2), self.meet(g1, g3)):
+            if g1 & self.join(g2, g3) != self.join(g1 & g2, g1 & g3):
                 failures.append("distributivity fails")
                 break
         return failures
 
 
-def finite_space_regopen(space: FiniteSpace) -> FiniteRegAlgebra:
+def finite_space_regopen(space: FiniteSpace) -> tuple[frozenset, ...]:
     """Enumerate the regular open sets of a finite space by brute force."""
     elems = [u for u in space.opens if space.interior(space.closure(u)) == u]
     elems.sort(key=lambda s: (len(s), sorted(map(repr, s))))
-    return FiniteRegAlgebra(space=space, elements=tuple(elems))
+    return tuple(elems)
 
 
 def dyadic_quotient_space(depth: int) -> tuple[FiniteSpace, list]:

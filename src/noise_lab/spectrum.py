@@ -135,12 +135,6 @@ def verify_independence(space: SpectralSpace, x: BoolElem, y: BoolElem) -> bool:
     return y.mask != x.complement().mask or len(joint) == len(space.measure)
 
 
-def check_atom_of_sigma_x(space: SpectralSpace, x: BoolElem) -> bool:
-    """The spectral set of the complement of x is a single block of the
-    sub-sigma-field attached to x."""
-    return spectral_set(space, ~x) in sigma_x(space, x)
-
-
 def mutually_absolutely_continuous(m1, m2) -> bool:
     """Same null atoms: each measure vanishes exactly where the other does."""
     if len(m1) != len(m2):

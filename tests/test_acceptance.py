@@ -64,7 +64,7 @@ from noise_lab.regopen import (
 )
 from noise_lab.spectrum import (
     build_spectral_space,
-    check_atom_of_sigma_x,
+    sigma_x,
     spectral_measure,
     spectral_set,
     verify_independence,
@@ -257,7 +257,7 @@ def test_criterion_07_spectrum():
                     failures.append(f"{shape}: sigma join at {x},{y}")
                 if x.disjoint(y) and not verify_independence(sp, x, y):
                     failures.append(f"{shape}: independence at {x},{y}")
-            if not check_atom_of_sigma_x(sp, x):
+            if spectral_set(sp, ~x) not in sigma_x(sp, x):
                 failures.append(f"{shape}: complement set not a block at {x}")
             if not verify_independence(sp, x, x.complement()):
                 failures.append(f"{shape}: complement independence at {x}")
@@ -324,10 +324,10 @@ def test_criterion_09_geometry():
         failures.append("chain leaves atoms uncovered")
 
     rep = boundary_dichotomy(emb, make_regopen([(0, F(1, 3))], L))
-    if rep.holds or rep.join != BoolElem.from_indices([0, 2], 3):
-        failures.append(f"dichotomy join {rep.join}")
-    if rep.witness_atom != BoolElem.from_indices([1], 3):
-        failures.append(f"dichotomy witness {rep.witness_atom}")
+    if rep.holds or rep.inner | rep.outer != BoolElem.from_indices([0, 2], 3):
+        failures.append(f"dichotomy join {rep.inner | rep.outer}")
+    if rep.boundary_hits[:1] != (1,):
+        failures.append(f"dichotomy witness {rep.boundary_hits}")
 
     rng = random.Random(0)
     for k in range(1000):

@@ -450,14 +450,14 @@ ROWS = {
             )
         },
     ),
-    # All 1919 failures past the first ten are counted.
+    # All 1744 failures past the first ten are counted.
     "meet drops its last piece": Row(
         plant(lambda self, other: drop_last_piece(meet(self, other)), *MEET),
         on(TWO, REG),
         {
             "two-coins": (
                 AND_AT,
-                f"{W}… and 1919 more\n"
+                f"{W}… and 1744 more\n"
                 "FAIL  regopen.finite_spaces  Sierpinski, discrete, indiscrete, dyadic quotients",
             )
         },

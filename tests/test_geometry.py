@@ -369,15 +369,14 @@ def test_inner_approx_disjointness(emb, rng):
 def test_boundary_dichotomy_examples(emb):
     rep = boundary_dichotomy(emb, make_regopen([(0, F(1, 3))], L))
     assert not rep.holds
-    assert rep.join == BoolElem.from_indices([0, 2], 3)
+    assert rep.inner | rep.outer == BoolElem.from_indices([0, 2], 3)
     assert rep.boundary_hits == (1,)
-    assert rep.witness_atom == BoolElem.from_indices([1], 3)
 
     rep2 = boundary_dichotomy(emb, make_regopen([(0, F(1, 2))], L))
-    assert rep2.holds and rep2.join.is_one and ~rep2.inner == rep2.outer
+    assert rep2.holds and (rep2.inner | rep2.outer).is_one and ~rep2.inner == rep2.outer
 
     rep3 = boundary_dichotomy(emb, EMPTY)
-    assert rep3.holds and rep3.join.is_one
+    assert rep3.holds and (rep3.inner | rep3.outer).is_one
 
 
 def test_boundary_dichotomy_random(emb, rng):
@@ -505,7 +504,7 @@ def test_mask_forms_build_no_closed_sets(emb, monkeypatch):
     for a in dyadic_grid_regopens(3, L):
         assert verify_spectral_set_identity(emb, a)
     rep = boundary_dichotomy(emb, make_regopen([(0, F(1, 3))], L))
-    assert rep.witness_atom == BoolElem.from_indices([1], 3)
+    assert rep.boundary_hits[0] == 1
     growing = [make_regopen([(0, 1 - F(1, 2**n))], L) for n in range(1, 9)]
     constant = [make_regopen([(0, F(1, 2))], L)] * 4
     assert monotone_limit_check(emb, growing)
@@ -550,13 +549,16 @@ def _covered_side_matches_atoms(emb, chain):
     return monotone_limit_check(emb, chain) == (chain_sup(emb, chain).is_one == every_atom_covered)
 
 
-def _dichotomy_witness_by_atoms(emb, r):
-    for m in range(1, 1 << emb.n):
-        atom = BoolElem(m, emb.n)
-        pts = _closed_set(emb, atom)
-        if any(contains_closure(r, t) and not r.contains_interior(t) for t in pts):
-            return atom
-    return None
+def _dichotomy_hits_by_atoms(emb, r):
+    """The cells whose one-point atom has its closed set meet the boundary of r."""
+    return tuple(
+        i
+        for i in range(emb.n)
+        if any(
+            contains_closure(r, t) and not r.contains_interior(t)
+            for t in _closed_set(emb, BoolElem(1 << i, emb.n))
+        )
+    )
 
 
 def _assert_mask_forms_match_atoms(emb, rng):
@@ -577,7 +579,7 @@ def _assert_mask_forms_match_atoms(emb, rng):
         for hi in ends:
             if lo < hi:
                 r = make_regopen([(lo, hi)], emb.scale)
-                assert boundary_dichotomy(emb, r).witness_atom == _dichotomy_witness_by_atoms(emb, r)
+                assert boundary_dichotomy(emb, r).boundary_hits == _dichotomy_hits_by_atoms(emb, r)
 
 
 def test_mask_forms_match_atom_definitions_across_cell_counts(rng):

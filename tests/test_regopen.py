@@ -268,14 +268,13 @@ def test_reg_laws_operation_counts(monkeypatch):
 
     # iterations=0: 36 complements and, per each of the 630 dyadic pairs, the
     # meet, join and le in both orders (the strictness witnesses read the cell
-    # masks alone); the depth-2 algebra adds 16 complements and 256 of each of
-    # meet, join, le.
+    # masks alone).
     assert not verify_reg_laws(random.Random(0), L, iterations=0).failures
-    assert counts == {"complement": 52, "meet": 1516, "join": 1516, "le": 1516}
+    assert counts == {"complement": 36, "meet": 1260, "join": 1260, "le": 1260}
     # Each random pair adds two of each of complement, meet, join and le.
     counts.clear()
     assert not verify_reg_laws(random.Random(0), L, iterations=1).failures
-    assert counts == {"complement": 54, "meet": 1518, "join": 1518, "le": 1518}
+    assert counts == {"complement": 38, "meet": 1262, "join": 1262, "le": 1262}
 
 
 def test_cell_mask_refuses_what_is_not_canonical_on_the_cuts():
@@ -307,9 +306,9 @@ def test_sierpinski_space():
         points=("a", "b"),
         opens=frozenset({frozenset(), frozenset({"a"}), frozenset({"a", "b"})}),
     )
-    alg = finite_space_regopen(space)
-    assert [sorted(e) for e in alg.elements] == [[], ["a", "b"]]
-    assert alg.verify_laws() == []
+    elems = finite_space_regopen(space)
+    assert [sorted(e) for e in elems] == [[], ["a", "b"]]
+    assert space.verify_laws(elems) == []
 
 
 def test_discrete_and_indiscrete_spaces():
@@ -320,10 +319,10 @@ def test_discrete_and_indiscrete_spaces():
             for s in [set(), {0}, {1}, {2}, {0, 1}, {0, 2}, {1, 2}, {0, 1, 2}]
         ),
     )
-    assert len(finite_space_regopen(disc).elements) == 8
+    assert len(finite_space_regopen(disc)) == 8
 
     indis = FiniteSpace(points=(0, 1), opens=frozenset({frozenset(), frozenset({0, 1})}))
-    assert len(finite_space_regopen(indis).elements) == 2
+    assert len(finite_space_regopen(indis)) == 2
 
 
 def test_bad_topology_rejected():
@@ -342,19 +341,18 @@ def test_bad_topology_rejected():
 def test_dyadic_quotient_agreement():
     for depth in (1, 2):
         space, cells = dyadic_quotient_space(depth)
-        qalg = finite_space_regopen(space)
         q = 1 << depth
         elems = []
         for bits in range(1 << q):
             pieces = [(F(j, q), F(j + 1, q)) for j in range(q) if bits >> j & 1]
             elems.append(make_regopen(pieces, L))
         images = {r: regopen_to_quotient(r, depth, cells) for r in elems}
-        assert set(images.values()) == set(qalg.elements)
+        assert set(images.values()) == set(finite_space_regopen(space))
         for r in elems:
-            assert images[~r] == qalg.complement(images[r])
+            assert images[~r] == space.complement(images[r])
             for s in elems:
-                assert images[r & s] == qalg.meet(images[r], images[s])
-                assert images[r | s] == qalg.join(images[r], images[s])
+                assert images[r & s] == images[r] & images[s]
+                assert images[r | s] == space.join(images[r], images[s])
 
 
 def test_random_regopen_is_canonical(rng):

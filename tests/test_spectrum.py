@@ -9,7 +9,6 @@ from noise_lab.boolalg import BoolElem, subsets_of
 from noise_lab.model import Cell, NoiseModel, norm_sq, project, walsh_decompose
 from noise_lab.spectrum import (
     build_spectral_space,
-    check_atom_of_sigma_x,
     mutually_absolutely_continuous,
     sigma_x,
     sigma_x_generated,
@@ -214,8 +213,8 @@ def test_independence_examples(two_coins, coin_and_triple):
 
 def test_atom_of_sigma_x(two_coins):
     sp = build_spectral_space(two_coins)
-    for mask in range(4):
-        assert check_atom_of_sigma_x(sp, BoolElem(mask, 2))
+    for x in (BoolElem(mask, 2) for mask in range(4)):
+        assert spectral_set(sp, ~x) in sigma_x(sp, x)
     assert spectral_set(sp, BoolElem(2, 2)) in sigma_x(sp, BoolElem(1, 2))
 
 
@@ -278,7 +277,7 @@ def test_sigma_checks_run_no_generated_partition(coin_and_triple, monkeypatch):
     sp = build_spectral_space(coin_and_triple)
     for xm in range(4):
         x = BoolElem(xm, 2)
-        assert check_atom_of_sigma_x(sp, x)
+        assert spectral_set(sp, ~x) in sigma_x(sp, x)
         for ym in range(4):
             y = BoolElem(ym, 2)
             assert verify_sigma_join(sp, x, y)
@@ -297,7 +296,7 @@ def test_trace_partitions_agree_with_the_block_pair_reference():
         for x in elements:
             assert spectral_set(sp, x) == {a.mask for a in elements if a.le(x)}
             assert sigma_x(sp, x) == set(reference_sigma_x(sp, x))
-            assert check_atom_of_sigma_x(sp, x)
+            assert spectral_set(sp, ~x) in sigma_x(sp, x)
             for y in elements:
                 assert verify_sigma_join(sp, x, y) == reference_sigma_join(sp, x, y)
         # The canonical measure, then eps moved between two random atoms.

@@ -12,6 +12,7 @@ import pytest
 from noise_lab import chaos as chaos_mod
 from noise_lab import linalg
 from noise_lab import model as model_mod
+from noise_lab import suite
 from noise_lab.boolalg import Subalgebra
 from noise_lab.cli import _build_parser, main
 from noise_lab.config import ModelConfig, load_config_dict, load_model_config
@@ -41,6 +42,8 @@ TWO_COINS, FOUR_COINS = CONFIGS["two-coins"], CONFIGS["four-coins"]
 MIXED_233, FIVE_TERNARY = CONFIGS["mixed-233-exact"], CONFIGS["five-ternary-float"]
 COIN = {"k": 2, "probs": ["1/2", "1/2"]}
 TERNARY = {"k": 3, "probs": ["1/3", "1/3", "1/3"]}
+# A fair coin with vector entries of 401 digits: its masses are beyond the float range.
+HUGE = {"cells": [COIN], "vectors": {"v": ["-1" + "0" * 400, "1" + "0" * 400]}}
 
 
 def run_cli(*args, cwd=REPO):
@@ -389,6 +392,22 @@ def test_report_exit_codes_and_renderings():
     assert data["summary"] == {"pass": 1, "fail": 1, "skip": 1}
 
 
+@pytest.mark.parametrize(
+    "count, more",
+    [(suite.MAX_WITNESSES, ()), (suite.MAX_WITNESSES + 1, ("… and 1 more",))],
+    ids=["at-the-cap", "one-past-the-cap"],
+)
+def test_witnesses_past_the_cap_are_counted(count, more, monkeypatch):
+    monkeypatch.setattr(suite, "_ALL_CHECKS", [])
+
+    @suite._check()
+    def stub__witnesses(ctx):
+        return "", [f"w{i}" for i in range(count)], False
+
+    result = stub__witnesses(_Ctx(load_model_config(str(TWO_COINS))))
+    assert result.witnesses == (*(f"w{i}" for i in range(suite.MAX_WITNESSES)), *more)
+
+
 def test_cli_verify_reproducible(tmp_path):
     out1 = run_cli("verify", str(TWO_COINS), "--seed", "0", "--json", str(tmp_path / "r1.json"))
     out2 = run_cli("verify", str(TWO_COINS), "--seed", "0", "--json", str(tmp_path / "r2.json"))
@@ -496,7 +515,7 @@ def test_cli_unwritable_output_path_is_an_input_error(argv, tmp_path, capsys):
 def test_cli_float_overflow_is_an_input_error(command, tmp_path, capsys):
     # delta and the decimal mass column are floats; 10^800 is beyond them.
     cfg = tmp_path / "huge.json"
-    cfg.write_text(json.dumps({"cells": [COIN], "vectors": {"v": ["-1" + "0" * 400, "1" + "0" * 400]}}))
+    cfg.write_text(json.dumps(HUGE))
     assert main([command, str(cfg), "--vector", "v"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -516,10 +535,23 @@ def test_cli_spectrum_unknown_vector():
     assert b"unknown vector 'ghost'" in out.stderr
 
 
-def test_cli_spectrum_unknown_vector_leaves_no_csv(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "config, vector, error",
+    [
+        (None, "ghost", "unknown vector 'ghost'"),
+        # Refused when the model converts the vector to floats.
+        ({**HUGE, "backend": "float"}, "v", "a value is beyond the float range"),
+    ],
+    ids=["unknown-vector", "float-overflow"],
+)
+def test_cli_spectrum_unknown_vector_leaves_no_csv(config, vector, error, tmp_path, capsys):
+    cfg = TWO_COINS
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
     path = tmp_path / "out.csv"
-    assert main(["spectrum", str(TWO_COINS), "--vector", "ghost", "--csv", str(path)]) == 2
-    assert "unknown vector 'ghost'" in capsys.readouterr().err
+    assert main(["spectrum", str(cfg), "--vector", vector, "--csv", str(path)]) == 2
+    assert error in capsys.readouterr().err
     assert not path.exists()
 
 
