@@ -98,8 +98,6 @@ def _cmd_spectrum(args) -> int:
     # (an exact fraction on the exact backend) and a 12-digit decimal.
     model = cfg.build_model()
     psi = model.from_values(values)
-    if args.csv:
-        _write(args.csv, "")  # refuse an unwritable path before the report is built
     space = spec_mod.build_spectral_space(model)
     masses = spec_mod.spectral_measure(model, psi)
     mass = str if model.backend == "exact" else decimal12
@@ -108,6 +106,8 @@ def _cmd_spectrum(args) -> int:
         (repr(BoolElem(a, model.n_cells)), str(dim), str(canonical), mass(m), decimal12(m))
         for a, (dim, canonical, m) in enumerate(zip(space.dims, space.measure, masses))
     ]
+    if args.csv:
+        _write(args.csv, "")  # refuse an unwritable path once every value is formatted
     widths = [max(len(h), *(len(r[c]) for r in rows)) for c, h in enumerate(headers)]
     out = ["  ".join(h.ljust(widths[c]) for c, h in enumerate(headers))]
     for r in rows:

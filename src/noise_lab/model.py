@@ -17,8 +17,13 @@ oracle.
 Walsh analysis and synthesis apply one k x k matrix along each cell axis,
 with the shuffle algorithm for Kronecker products (Davio 1981; Fernandes,
 Plateau and Stewart 1998): the axis being transformed is kept slowest, so
-it is k contiguous slices combined by list comprehensions, and interleaving
-the results rotates the next cell to the front. On the exact backend those
+it is k contiguous slices combined by list comprehensions, and writing row
+o of the result to every k-th entry from o (slice assignment) rotates the
+next cell to the front. A zero matrix entry adds no term; every basis of a
+cell with k >= 3 has some, as e_j vanishes on outcomes 1..j-1. An analysis
+may keep only row 0, the weighted average, along the cells whose
+coefficients its caller never reads: walsh_decompose(model, f, x) computes
+only those of Q_x f, the ones supported inside x. On the exact backend those
 matrices are stored as integers: each is scaled by the LCD of its entries,
 and the model keeps the product of the scales. A transform puts the input
 vector over its common denominator D, runs the kernel over Python ints, and
@@ -246,7 +251,7 @@ class NoiseModel:
 
     def random_rv(self, rng, zero_mean: bool = False) -> RandomVariable:
         if self.backend == "float":
-            vals = [rng.uniform(-1.0, 1.0) for _ in range(self.n_points)]
+            vals = [-1.0 + 2.0 * rng.random() for _ in range(self.n_points)]  # rng.uniform(-1.0, 1.0)
         else:
             vals = [Fraction(rng.randint(-12, 12), rng.randint(1, 6)) for _ in range(self.n_points)]
         rv = RandomVariable(tuple(vals))
@@ -317,26 +322,30 @@ def norm_sq(model: NoiseModel, f: RandomVariable):
 
 
 def _apply_per_cell(values: list, radices, matrices) -> list:
-    """Apply one k x k matrix along each axis of the mixed-radix array with
-    the given radices, slowest first (the shuffle algorithm for Kronecker
-    products).
+    """Apply one matrix of r <= k rows and k columns along each axis of the
+    mixed-radix array with the given radices k, slowest first (the shuffle
+    algorithm for Kronecker products); that axis of the result has r entries,
+    so r = 1 keeps only row 0 along it.
 
     The axis being transformed is always the slowest: its k contiguous
-    slices are combined row by row, and interleaving the k results moves
-    that axis to the fastest position, which puts the next axis in front.
-    After the last axis the layout is back in its original order. Each entry
-    is accumulated as row[0]*v[0] + row[1]*v[1] + ... in that order."""
+    slices are combined row by row, and row o is written to every r-th
+    entry from o, which moves that axis to the fastest position and puts
+    the next axis in front. After the last axis the layout is back in its
+    original order. Each entry is accumulated as row[0]*v[0] + row[1]*v[1]
+    + ... in that order, skipping the terms after the first whose matrix
+    entry is 0 (the cell bases have many): the same ints, and the same
+    floats save that a zero may keep a sign that a term 0*v would change."""
     vals = list(values)
     for k, mat in zip(radices, matrices):
-        s = len(vals) // k
+        s, rows = len(vals) // k, len(mat)
         slices = [vals[o * s : (o + 1) * s] for o in range(k)]
-        outs = []
-        for row in mat:
+        vals = [None] * (s * rows)
+        for o, row in enumerate(mat):
             acc = [row[0] * c for c in slices[0]]
             for r, sl in zip(row[1:], slices[1:]):
-                acc = [a + r * c for a, c in zip(acc, sl)]
-            outs.append(acc)
-        vals = [x for t in zip(*outs) for x in t]
+                if r:
+                    acc = [a + r * c for a, c in zip(acc, sl)]
+            vals[o::rows] = acc
     return vals
 
 
@@ -400,13 +409,21 @@ def _transform(model: NoiseModel, values, matrices: tuple, scale: int) -> tuple[
     return _apply_per_cell(ints, model.radices, matrices), d * scale
 
 
-def walsh_decompose(model: NoiseModel, f: RandomVariable) -> tuple:
+def walsh_decompose(model: NoiseModel, f: RandomVariable, within: BoolElem | None = None) -> tuple:
     """Coefficients of f against the unnormalized tensor basis, as a tuple
     in multi-index order (the mixed-radix layout of points: entry m has digit
     m_i for cell i). The coefficient of e_m is <f, e_m> / |e_m|^2, so
-    walsh_reconstruct is an exact inverse."""
+    walsh_reconstruct is an exact inverse. With a cell set `within`, those
+    of Q_within f: the full analysis's coefficients supported inside it and
+    0 for the rest, which are never computed, as along every other cell the
+    kernel keeps row 0 (the weighted average) alone."""
     _check_length(model, f)
-    return _divided(model, *_transform(model, f.values, model._analysis, model._analysis_scale))
+    if within is None:
+        return _divided(model, *_transform(model, f.values, model._analysis, model._analysis_scale))
+    matrices = [m if within.mask >> i & 1 else m[:1] for i, m in enumerate(model._analysis)]
+    inside, d = _transform(model, f.values, matrices, model._analysis_scale)
+    zero, outside, inside = model._num(0), ~within.mask, iter(inside)
+    return _divided(model, [zero if s & outside else next(inside) for s in model.support_masks], d)
 
 
 def walsh_reconstruct(model: NoiseModel, coeffs: Sequence) -> RandomVariable:
@@ -467,8 +484,8 @@ def masked_coeffs(model: NoiseModel, coeffs, x: BoolElem) -> list:
     support lies inside x and zero every one whose support pokes outside."""
     if x.n != model.n_cells:
         raise ValueError("element from a different algebra")
-    zero = model._num(0)
-    return [c if s & ~x.mask == 0 else zero for c, s in zip(coeffs, model.support_masks)]
+    zero, outside = model._num(0), ~x.mask
+    return [zero if s & outside else c for c, s in zip(coeffs, model.support_masks)]
 
 
 def _conditionals(model: NoiseModel, f: RandomVariable, xs) -> tuple[list, int]:
@@ -544,9 +561,10 @@ def verify_projection_laws(
     both sides; the pairs with a nonzero meet see it.
 
     The superadditivity norms come from Parseval on the orthogonal basis
-    (mass_inside), without synthesis; the point-space side of that identity,
-    norm_sq(project(...)), is compared with the Parseval masses by
-    acceptance criterion 07 and by the suite check
+    (mass_inside), without synthesis, from an analysis that computes only
+    the coefficients inside x join y, the ones they read; the point-space side
+    of that identity, norm_sq(project(...)), is compared with the Parseval
+    masses by acceptance criterion 07 and by the suite check
     spectrum__projection_measure.
     """
     failures: list[str] = []
@@ -557,10 +575,11 @@ def verify_projection_laws(
     for x in elements:
         for y in elements:
             if x.disjoint(y):
-                coeffs = walsh_decompose(model, model.random_rv(rng, zero_mean=True))
+                j = x.join(y)
+                coeffs = walsh_decompose(model, model.random_rv(rng, zero_mean=True), j)
                 nx = mass_inside(model, coeffs, x)
                 ny = mass_inside(model, coeffs, y)
-                nj = mass_inside(model, coeffs, x.join(y))
+                nj = mass_inside(model, coeffs, j)
                 if not model.leq(nx + ny, nj):
                     failures.append(f"superadditivity fails at x={x} y={y}")
                 elif strict_witness is None and not model.eq(nx + ny, nj):

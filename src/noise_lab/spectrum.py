@@ -19,6 +19,7 @@ is read off one table of masses keyed by that pair.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -120,17 +121,20 @@ def verify_independence(space: SpectralSpace, x: BoolElem, y: BoolElem) -> bool:
     _require_same_algebra(space, x)
     if not x.disjoint(y):
         raise ValueError("independence check requires disjoint elements")
-    joint: dict[tuple[int, int], Fraction] = {}
-    on_x: dict[int, Fraction] = {}
-    on_y: dict[int, Fraction] = {}
+    # The masses as ints over their LCD d: P(A and B) = P(A) P(B) reads
+    # joint * d == pa * pb.
+    d = math.lcm(*[mu.denominator for mu in space.measure])
+    joint: dict[tuple[int, int], int] = {}
+    on_x: dict[int, int] = {}
+    on_y: dict[int, int] = {}
     for m, mu in enumerate(space.measure):
-        a, b = m & x.mask, m & y.mask
+        a, b, mu = m & x.mask, m & y.mask, mu.numerator * (d // mu.denominator)
         joint[a, b] = joint.get((a, b), 0) + mu
         on_x[a] = on_x.get(a, 0) + mu
         on_y[b] = on_y.get(b, 0) + mu
     for a, pa in on_x.items():
         for b, pb in on_y.items():
-            if joint.get((a, b), 0) != pa * pb:
+            if joint.get((a, b), 0) * d != pa * pb:
                 return False
     return y.mask != x.complement().mask or len(joint) == len(space.measure)
 

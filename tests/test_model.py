@@ -289,6 +289,59 @@ def test_float_walsh_transforms_match_the_float_matrix_path():
             assert [v.hex() for v in got] == [v.hex() for v in expected]
 
 
+def _interleaving_kernel(values, radices, matrices):
+    """The per-cell kernel before slice assignment and zero skipping: every
+    term of every k x k row over the k slices, the k results interleaved."""
+    vals = list(values)
+    for k, mat in zip(radices, matrices):
+        s = len(vals) // k
+        slices = [vals[o * s : (o + 1) * s] for o in range(k)]
+        outs = []
+        for row in mat:
+            acc = [row[0] * c for c in slices[0]]
+            for r, sl in zip(row[1:], slices[1:]):
+                acc = [a + r * c for a, c in zip(acc, sl)]
+            outs.append(acc)
+        vals = [x for t in zip(*outs) for x in t]
+    return vals
+
+
+def _signless_bits(values):
+    """Float bit patterns with -0.0 read as +0.0 (v + 0.0 is v otherwise)."""
+    return [(v + 0.0).hex() for v in values]
+
+
+def test_walsh_kernel_matches_the_interleaving_kernel():
+    rng = random.Random(37)
+    for trial in range(40):
+        cells = _random_cells(rng, 1 + trial % 4, k_max=4)
+        exact, rounded = NoiseModel(cells), NoiseModel(cells, backend="float")
+        n, radices = exact.n_cells, exact.radices
+        ints = [rng.choice([0, rng.randint(-50, 50)]) for _ in range(exact.n_points)]
+        floats = [rng.choice([0.0, -0.0, float(rng.randint(-3, 3)), rng.uniform(-1, 1)]) for _ in ints]
+        for m, values, bits in ((exact, ints, list), (rounded, floats, _signless_bits)):
+            for matrices in (m._analysis, m._synthesis):
+                got = model_mod._apply_per_cell(values, radices, matrices)
+                assert bits(got) == bits(_interleaving_kernel(values, radices, matrices))
+            # Row 0 alone along the cells outside x: the full analysis's
+            # coefficients supported inside x, bit for bit, and 0 elsewhere.
+            f = RandomVariable(tuple(values))
+            full = walsh_decompose(m, f)
+            for x in (BoolElem(mask, n) for mask in range(1 << n)):
+                assert _bits(m, walsh_decompose(m, f, x)) == _bits(m, masked_coeffs(m, full, x))
+            assert m.eq(walsh_decompose(m, f, BoolElem(0, n))[0], expectation(m, f))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2024])
+def test_float_random_rv_makes_the_draws_of_uniform(seed):
+    m = NoiseModel(_random_cells(random.Random(seed), 3, k_max=4), backend="float")
+    rng, ref = random.Random(seed), random.Random(seed)
+    got = m.random_rv(rng).values
+    expected = [ref.uniform(-1.0, 1.0) for _ in range(m.n_points)]
+    assert [v.hex() for v in got] == [v.hex() for v in expected]
+    assert rng.getstate() == ref.getstate()
+
+
 @pytest.mark.parametrize("backend", ["exact", "float"])
 def test_sparse_synthesis_matches_the_index_loop_reference(backend, monkeypatch):
     # Synthesis runs on the sub-grid of the cells that some nonzero

@@ -541,8 +541,10 @@ def test_cli_spectrum_unknown_vector():
         (None, "ghost", "unknown vector 'ghost'"),
         # Refused when the model converts the vector to floats.
         ({**HUGE, "backend": "float"}, "v", "a value is beyond the float range"),
+        # Refused when a spectral mass is formatted as a decimal.
+        (HUGE, "v", "a value is beyond the float range"),
     ],
-    ids=["unknown-vector", "float-overflow"],
+    ids=["unknown-vector", "float-overflow", "exact-overflow"],
 )
 def test_cli_spectrum_unknown_vector_leaves_no_csv(config, vector, error, tmp_path, capsys):
     cfg = TWO_COINS
