@@ -50,27 +50,27 @@ class BoolElem:
     def __reduce__(self):
         return BoolElem, (self.mask, self.n)
 
-    def _check(self, other: "BoolElem") -> None:
-        if self.n != other.n:
-            raise ValueError(f"mismatched algebra sizes: {self.n} != {other.n}")
-
     def meet(self, other: "BoolElem") -> "BoolElem":
-        self._check(other)
+        if self.n != other.n:
+            raise _mismatch(self, other)
         return BoolElem(self.mask & other.mask, self.n)
 
     def join(self, other: "BoolElem") -> "BoolElem":
-        self._check(other)
+        if self.n != other.n:
+            raise _mismatch(self, other)
         return BoolElem(self.mask | other.mask, self.n)
 
     def complement(self) -> "BoolElem":
         return BoolElem(self.mask ^ ((1 << self.n) - 1), self.n)
 
     def le(self, other: "BoolElem") -> bool:
-        self._check(other)
+        if self.n != other.n:
+            raise _mismatch(self, other)
         return self.mask & ~other.mask == 0
 
     def disjoint(self, other: "BoolElem") -> bool:
-        self._check(other)
+        if self.n != other.n:
+            raise _mismatch(self, other)
         return self.mask & other.mask == 0
 
     __and__ = meet
@@ -101,6 +101,10 @@ class BoolElem:
         if self.mask == 0:
             return "{}"
         return "{" + ",".join(str(i) for i in self.indices()) + "}"
+
+
+def _mismatch(x: BoolElem, y: BoolElem) -> ValueError:
+    return ValueError(f"mismatched algebra sizes: {x.n} != {y.n}")
 
 
 _set_mask = BoolElem.mask.__set__

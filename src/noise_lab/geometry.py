@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .boolalg import BoolElem
-from .regopen import RegOpen, grid_scale, to_ticks
+from .regopen import RegOpen, _merge_hulls, grid_scale, to_ticks
 
 
 def is_dyadic(x: Fraction) -> bool:
@@ -42,7 +42,10 @@ def is_dyadic_regopen(r: RegOpen) -> bool:
     """Every endpoint k/L is dyadic exactly when k is a multiple of the odd
     part of L."""
     odd = r.scale // (r.scale & -r.scale)
-    return all(a % odd == 0 and b % odd == 0 for a, b in r.ticks)
+    for a, b in r.ticks:
+        if a % odd or b % odd:
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -88,23 +91,21 @@ def build_embedding(sample_points, n_cells: int) -> Embedding:
     return Embedding(pts)
 
 
-def _point_ticks(emb: Embedding, r: RegOpen) -> tuple[int, ...]:
-    if r.scale != emb.scale:
-        raise ValueError(f"element on the grid 1/{r.scale}, sample points on 1/{emb.scale}")
-    return emb.ticks
-
-
 def inner_approx(emb: Embedding, r: RegOpen) -> BoolElem:
     """Best approximation of r from compactly-included dyadic pieces: the
     cells whose sample point is interior to r. Works for any endpoints on
     the embedding's grid."""
-    return BoolElem(r.interior_mask(_point_ticks(emb, r)), emb.n)
+    if r.scale != emb.scale:
+        raise ValueError(f"element on the grid 1/{r.scale}, sample points on 1/{emb.scale}")
+    return BoolElem(r.interior_mask(emb.ticks), emb.n)
 
 
 def closure_cells(emb: Embedding, r: RegOpen) -> BoolElem:
     """The cells whose sample point lies in the closure of r. An atom's closed
     set sits inside cl(r) exactly when the atom is below this mask."""
-    return BoolElem(r.closure_mask(_point_ticks(emb, r)), emb.n)
+    if r.scale != emb.scale:
+        raise ValueError(f"element on the grid 1/{r.scale}, sample points on 1/{emb.scale}")
+    return BoolElem(r.closure_mask(emb.ticks), emb.n)
 
 
 def sample_hom(emb: Embedding, a: RegOpen) -> BoolElem:
@@ -132,16 +133,10 @@ def _grid_cover(targets, scale: int, depth: int) -> RegOpen:
     target tick; its closure is the depth-D approximant. No target is
     dyadic, so the dyadic pieces missing every target leave a cell uncovered
     exactly when it holds a target, and a grid point exactly when a
-    neighbouring cell holds one. Runs of adjacent cells fuse before they
-    become ticks."""
+    neighbouring cell holds one. Adjacent cells fuse as touching hulls."""
     step = to_ticks(1, 1 << depth, scale)
-    runs: list[list[int]] = []
-    for c in sorted({t // step for t in targets}):
-        if runs and runs[-1][1] == c:
-            runs[-1][1] = c + 1
-        else:
-            runs.append([c, c + 1])
-    return RegOpen(tuple((a * step, b * step) for a, b in runs), scale)
+    cells = [(c * step, c * step + step) for c in {t // step for t in targets}]
+    return RegOpen(_merge_hulls(cells), scale)
 
 
 def _uncovered_probes(targets, scale: int, depth: int) -> int:

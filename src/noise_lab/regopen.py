@@ -17,35 +17,38 @@ fractions. ``RegOpen`` is a slotted class whose fields reject assignment.
 Meet is intersection of interiors, join is the interior of the union of
 closures, complement is the space minus the closure; all exact. Meet and the
 order test walk both sorted tick tuples once with two pointers, join merges
-the hulls sorted by their starts, and the point masks (``interior_mask``,
-``closure_mask``) place a sorted run of point ticks in one pass; every step
-is an ``int`` comparison. ``contains_interior`` is the per-point test,
-read on the rational view; the tests keep its closure twin as the
-reference for ``closure_mask``.
+the sorted hulls, and the point masks (``interior_mask``, ``closure_mask``)
+place a sorted run of point ticks in one pass; every step is an ``int``
+comparison. ``contains_interior`` is the per-point test, read on the
+rational view; the tests keep its closure twin as the reference for
+``closure_mask``. ``random_regopen`` makes the ``getrandbits`` calls of
+``randrange``, so a seed gives the same elements and final rng state.
 
 ``verify_reg_laws`` checks the operations through one homomorphism. The
 endpoints of the elements it touches, with 0 and 1, cut [0,1] into open
 cells; a canonical element is the regularized union of the cells it holds,
 so ``cell_mask`` is one-to-one. Meet, join, complement and ``le`` must be
 AND, OR, NOT and subset on the masks: on the 630 pairs of single intervals
-on the eighths and 1000 random pairs, each in both orders. The strictness
-witnesses are read off the cell masks.
+on the eighths and 1000 random pairs, each in both orders. The first two
+strictness witnesses of each kind are read off the cell masks.
 
 A brute-force twin for finite topological spaces is included:
 ``FiniteSpace`` has the regular-open join and complement (meet is ``&``)
-and ``finite_space_regopen`` enumerates its regular opens. The quotient of
-the interval by a dyadic grid cross-checks the two; at depth 2 that is the
-whole 16-element cell algebra (see the suite check ``regopen.finite_spaces``).
+and ``finite_space_regopen`` enumerates its regular opens. Its interior of
+a is the points whose least open neighbourhood lies in a, every topology
+on finitely many points being Alexandrov. The quotient of the interval by
+a dyadic grid cross-checks the two; at depth 2 that is the whole 16-element
+cell algebra (see the suite check ``regopen.finite_spaces``).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import chain, combinations, product
 from math import lcm
-from operator import itemgetter
 from typing import Iterable, Sequence
 
 Interval = tuple[Fraction, Fraction]
@@ -166,9 +169,10 @@ class RegOpen:
     def meet(self, other: "RegOpen") -> "RegOpen":
         scale = _same_grid(self, other)
         xs, ys = self.ticks, other.ticks
+        m, n = len(xs), len(ys)
         i = j = 0
         pieces = []
-        while i < len(xs) and j < len(ys):
+        while i < m and j < n:
             a, b = xs[i]
             c, d = ys[j]
             lo = a if c < a else c
@@ -210,15 +214,15 @@ _set_ticks = RegOpen.ticks.__set__
 _set_scale = RegOpen.scale.__set__
 
 
-def _merge_hulls(pieces: Iterable[Ticks]) -> tuple[Ticks, ...]:
+def _merge_hulls(pieces: Sequence[Ticks]) -> tuple[Ticks, ...]:
     """Merge non-empty closed hulls [a,b]; touching hulls fuse
-    (regularization)."""
-    items = sorted(pieces, key=itemgetter(0))
-    if not items:
-        return ()
+    (regularization). Equal starts merge alike in either order."""
+    if len(pieces) < 2:
+        return tuple(pieces)
+    items = iter(sorted(pieces))
     merged = []
-    lo, hi = items[0]
-    for a, b in items[1:]:
+    lo, hi = next(items)
+    for a, b in items:
         if hi < a:
             merged.append((lo, hi))
             lo, hi = a, b
@@ -258,15 +262,25 @@ class RegLawReport:
     meet_strict_witnesses: tuple[str, ...]
 
 
+def _below(bits, n: int) -> int:
+    """``rng.randrange(n)``, n > 0, by its own loop on ``bits = rng.getrandbits``."""
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
+
+
 def random_regopen(rng, scale: int, denominators: Sequence[int] = LAW_POOL) -> RegOpen:
     """Up to three random pieces with endpoints over the given denominators,
-    on the grid 1/scale."""
+    on the grid 1/scale. Draws as ``rng.randrange`` would (see ``_below``)."""
+    bits = rng.getrandbits
     pieces = []
-    for _ in range(rng.randrange(4)):
-        q = denominators[rng.randrange(len(denominators))]
+    for _ in range(_below(bits, 4)):
+        q = denominators[_below(bits, len(denominators))]
         step = to_ticks(1, q, scale)
-        a = rng.randrange(q + 1) * step
-        b = rng.randrange(q + 1) * step
+        a = _below(bits, q + 1) * step
+        b = _below(bits, q + 1) * step
         if a > b:
             a, b = b, a
         if a < b:
@@ -337,38 +351,38 @@ def verify_reg_laws(rng, scale: int, iterations: int = 1000) -> RegLawReport:
         if r.le(s) != (not mr & ~ms):
             failures.append(f"le is not cell inclusion: r={r} s={s}")
 
+    # Bit i of a cut mask is cuts[i], between cells i - 1 and i. A cut is
+    # interior to a union of cells when both neighbours are held, and in its
+    # closure when either is. A space edge has one neighbour, so it is
+    # interior to the join only when it is interior to r or s, and its
+    # interior bit is left clear. The witness is the lowest cut in the mask.
+    def interior(m: int) -> int:
+        return m & m << 1
+
+    def closure(m: int) -> int:
+        return m | m << 1
+
+    def witness(mask: int, cuts: Sequence[int]) -> Fraction:
+        return Fraction(cuts[(mask & -mask).bit_length() - 1], scale)
+
     def run_pair(r: RegOpen, s: RegOpen, mr, ms, cuts) -> None:
-        """Both orders through the homomorphism, then the strictness
-        witnesses off the cell masks: bit i of a cut mask is cuts[i], between
-        cells i - 1 and i. A cut is interior to a union of cells when both
-        neighbours are held, and in its closure when either is. A space edge
-        has one neighbour, so it is interior to the join only when it is
-        interior to r or s, and its interior bit is left clear. The witness
-        is the lowest cut in the mask."""
+        """Both orders through the homomorphism, then two witnesses of each kind."""
         nonlocal checked
         checked += 1
         if mr is None or ms is None:
             return
         homomorphism(r, s, mr, ms, r & s, r | s, cuts)
         homomorphism(s, r, ms, mr, s & r, s | r, cuts)
-
-        def interior(m: int) -> int:
-            return m & m << 1
-
-        def closure(m: int) -> int:
-            return m | m << 1
-
-        def witness(mask: int) -> Fraction:
-            return Fraction(cuts[(mask & -mask).bit_length() - 1], scale)
-
-        join_only = interior(mr | ms) & ~(interior(mr) | interior(ms))
-        both_only = closure(mr) & closure(ms) & ~closure(mr & ms)
-        if join_only and len(join_strict) < 2:
-            join_strict.append(f"r={r} s={s}: {witness(join_only)} interior to the join only")
-        if both_only and len(meet_strict) < 2:
-            meet_strict.append(
-                f"r={r} s={s}: {witness(both_only)} in both closures, outside the meet closure"
-            )
+        if len(join_strict) < 2:
+            join_only = interior(mr | ms) & ~(interior(mr) | interior(ms))
+            if join_only:
+                at = witness(join_only, cuts)
+                join_strict.append(f"r={r} s={s}: {at} interior to the join only")
+        if len(meet_strict) < 2:
+            both_only = closure(mr) & closure(ms) & ~closure(mr & ms)
+            if both_only:
+                at = witness(both_only, cuts)
+                meet_strict.append(f"r={r} s={s}: {at} in both closures, outside the meet closure")
 
     cuts = range(0, scale + 1, to_ticks(1, 8, scale))
     family = dyadic_grid_regopens(3, scale)
@@ -389,6 +403,9 @@ def verify_reg_laws(rng, scale: int, iterations: int = 1000) -> RegLawReport:
 
 @dataclass(frozen=True)
 class FiniteSpace:
+    """A finite topology. Every operation is still computed from ``opens``
+    alone: the interior of a holds each point whose least open set lies in a."""
+
     points: tuple
     opens: frozenset[frozenset]
 
@@ -403,12 +420,13 @@ class FiniteSpace:
                 if u | v not in self.opens or u & v not in self.opens:
                     raise ValueError("family not closed under union/intersection")
 
+    @cached_property
+    def _least_opens(self) -> tuple[tuple[object, frozenset], ...]:
+        pts = frozenset(self.points)
+        return tuple((p, pts.intersection(*(u for u in self.opens if p in u))) for p in self.points)
+
     def interior(self, a: frozenset) -> frozenset:
-        best = frozenset()
-        for u in self.opens:
-            if u <= a:
-                best = best | u
-        return best
+        return frozenset(p for p, u in self._least_opens if u <= a)
 
     def closure(self, a: frozenset) -> frozenset:
         pts = frozenset(self.points)

@@ -7,7 +7,8 @@ bytes, so the goldens can be checked under an interpreter without pytest:
 
     PYTHONPATH=src python tests/golden_cases.py
 
-It prints one line per mismatch and exits 1 if there is any.
+It prints one line per mismatch and exits 1 if there is any; on success it
+prints the count and the interpreter version.
 """
 
 import contextlib
@@ -91,5 +92,7 @@ def mismatches() -> list[str]:
 
 if __name__ == "__main__":
     bad = mismatches()
-    print("\n".join(bad) or f"all {len(CASES) + len(CHAOS_CASES) + len(SPECTRUM_CASES)} golden cases match")
+    count = len(CASES) + len(CHAOS_CASES) + len(SPECTRUM_CASES)
+    version = ".".join(map(str, sys.version_info[:3]))
+    print("\n".join(bad) or f"all {count} golden cases match (Python {version})")
     sys.exit(1 if bad else 0)

@@ -2,6 +2,8 @@ import copy
 import pickle
 import random
 from fractions import Fraction
+from itertools import combinations
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from noise_lab.regopen import (
     LAW_POOL,
     FiniteSpace,
     RegOpen,
+    _merge_hulls,
     cell_mask,
     dyadic_quotient_space,
     finite_space_regopen,
@@ -19,8 +22,10 @@ from noise_lab.regopen import (
     make_regopen,
     random_regopen,
     regopen_to_quotient,
+    to_ticks,
     verify_reg_laws,
 )
+from noise_lab.suite import DEPTH
 
 from conftest import contains_closure, is_full
 
@@ -338,6 +343,38 @@ def test_bad_topology_rejected():
         )
 
 
+def literal_interior(space, a):
+    """The definition: the union of the opens inside a."""
+    best = frozenset()
+    for u in space.opens:
+        if u <= a:
+            best = best | u
+    return best
+
+
+def test_interior_is_the_union_of_the_opens_inside():
+    # The least-neighbourhood interior against the definition, on every
+    # subset of each small space, then on seeded subsets at depth 3.
+    discrete = frozenset(frozenset(s) for k in range(4) for s in combinations(range(3), k))
+    spaces = [
+        FiniteSpace(("a", "b"), frozenset(map(frozenset, [(), ("a",), ("a", "b")]))),
+        FiniteSpace((0, 1, 2), discrete),
+        FiniteSpace((0, 1), frozenset(map(frozenset, [(), (0, 1)]))),
+        dyadic_quotient_space(1)[0],
+        dyadic_quotient_space(2)[0],
+    ]
+    for space in spaces:
+        pts = space.points
+        for k in range(len(pts) + 1):
+            for a in map(frozenset, combinations(pts, k)):
+                assert space.interior(a) == literal_interior(space, a)
+    space = dyadic_quotient_space(3)[0]
+    rng = random.Random(3)
+    for _ in range(2000):
+        a = frozenset(p for p in space.points if rng.random() < 0.7)
+        assert space.interior(a) == literal_interior(space, a)
+
+
 def test_dyadic_quotient_agreement():
     for depth in (1, 2):
         space, cells = dyadic_quotient_space(depth)
@@ -374,6 +411,66 @@ def test_random_regopen_draws_the_randint_and_choice_stream(pool):
     for _ in range(2000):
         assert random_regopen(ours, L, pool) == reference(theirs)
     assert ours.random() == theirs.random()
+
+
+def randrange_regopen(rng, scale, denominators):
+    """``random_regopen`` as it was written with ``rng.randrange``."""
+    pieces = []
+    for _ in range(rng.randrange(4)):
+        q = denominators[rng.randrange(len(denominators))]
+        step = to_ticks(1, q, scale)
+        a = rng.randrange(q + 1) * step
+        b = rng.randrange(q + 1) * step
+        if a > b:
+            a, b = b, a
+        if a < b:
+            pieces.append((a, b))
+    return RegOpen(_merge_hulls(pieces), scale)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2024])
+def test_random_regopen_makes_the_draws_of_randrange(seed):
+    dyads = tuple(1 << d for d in range(1, DEPTH + 1))
+    for pool in (LAW_POOL, DYADIC_POOL, dyads):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for _ in range(10_000):
+            assert random_regopen(rng, L, pool) == randrange_regopen(ref, L, pool)
+        assert rng.getstate() == ref.getstate()
+
+
+def key_sort_merge(pieces):
+    """``_merge_hulls`` as it was written, sorting by the starts alone."""
+    items = sorted(pieces, key=itemgetter(0))
+    if not items:
+        return ()
+    merged = []
+    lo, hi = items[0]
+    for a, b in items[1:]:
+        if hi < a:
+            merged.append((lo, hi))
+            lo, hi = a, b
+        elif hi < b:
+            hi = b
+    merged.append((lo, hi))
+    return tuple(merged)
+
+
+def test_merge_hulls_matches_the_key_sort():
+    # Endpoints on 0..8 make equal starts, touching hulls and nested hulls
+    # common; the counts show that each occurs.
+    rng = random.Random(11)
+    seen = {"equal starts": 0, "touching": 0, "nested": 0}
+    for _ in range(5000):
+        pieces = []
+        for _ in range(rng.randrange(7)):
+            a = rng.randrange(8)
+            pieces.append((a, rng.randrange(a + 1, 9)))
+        for (a, b), (c, d) in combinations(pieces, 2):
+            seen["equal starts"] += a == c
+            seen["touching"] += b == c or d == a
+            seen["nested"] += a < c and d < b or c < a and b < d
+        assert _merge_hulls(pieces) == key_sort_merge(pieces)
+    assert min(seen.values()) > 1000, seen
 
 
 def test_elements_are_immutable_slotted_values():
